@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyring import MultidegreePoly, elementary_symmetric
+from .polyring import MultidegreePoly, recombine_elementary
 
 
 def monic_root_bound(coeffs: Sequence) -> Fraction:
@@ -52,11 +52,7 @@ def morse_coeff(N: int, n: int, a: int, j: int) -> int:
 
 def morse_closed_form(N: int, n: int, a: int) -> MultidegreePoly:
     """The first-order Morse difference as a polynomial in the degrees."""
-    c = N - n
-    total = MultidegreePoly.zero(c)
-    for j in range(n + 1):
-        total = total + elementary_symmetric(j, c) * morse_coeff(N, n, a, j)
-    return total
+    return recombine_elementary(((j, morse_coeff(N, n, a, j)) for j in range(n + 1)), N - n)
 
 
 def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k: int) -> Fraction:
@@ -66,7 +62,8 @@ def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k:
     ``coeffs`` lists (j, a_j) with a_k = 1 required (callers divide first).
     The iterated-derivative cascade reduces positivity on [r, inf)^c to the
     monic root bound applied to each diagonal derivative, and those bounds are
-    all dominated by 1 + max |a_i| binom(c, i) / binom(c, k) over i < k.
+    all dominated by the monic root bound of the scaled coefficients
+    a_i binom(c, i) / binom(c, k), i < k.
     """
     table = dict(coeffs)
     if k < 1 or k > c:
@@ -75,12 +72,7 @@ def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k:
         raise ValueError("leading coefficient a_k must be 1; divide it out first")
     if any(j < 0 or j > k for j in table):
         raise ValueError("coefficient indices must lie in 0..k")
-    worst = Fraction(0)
-    for i in range(k):
-        a_i = table.get(i, 0)
-        if a_i:
-            worst = max(worst, Fraction(abs(a_i) * math.comb(c, i), math.comb(c, k)))
-    return 1 + worst
+    return monic_root_bound([Fraction(table.get(i, 0) * math.comb(c, i), math.comb(c, k)) for i in range(k)])
 
 
 def shifted_positivity_threshold(poly: MultidegreePoly, cap: int = 1 << 40) -> int:

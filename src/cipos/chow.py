@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
-from .polyring import MultidegreePoly, elementary_symmetric
+from .polyring import MultidegreePoly, _Ring, recombine_elementary
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class ModelParams:
         return self.n + k * (self.n - 1)
 
 
-class ChowClass:
+class ChowClass(_Ring):
     """An h-graded class: ``coeffs[j]`` is the polynomial coefficient of h^j.
 
     The vector has length n+1; products drop everything in degree > n.
@@ -75,9 +74,6 @@ class ChowClass:
             vec.append(entry)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "coeffs", tuple(vec))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChowClass is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -115,6 +111,9 @@ class ChowClass:
 
     # -- ring operations -------------------------------------------------------
 
+    def _unit(self) -> "ChowClass":
+        return ChowClass.one(self.params)
+
     def _promote(self, other):
         if isinstance(other, ChowClass):
             if other.params != self.params:
@@ -130,19 +129,8 @@ class ChowClass:
             return NotImplemented
         return ChowClass(self.params, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ChowClass(self.params, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, MultidegreePoly)):
@@ -161,22 +149,6 @@ class ChowClass:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return ChowClass(self.params, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ChowClass.one(self.params)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, MultidegreePoly)):
@@ -228,10 +200,9 @@ def segre_closed_form(params: ModelParams, j: int) -> MultidegreePoly:
     """
     if not 0 <= j <= params.n:
         raise ValueError(f"index {j} outside 0..{params.n}")
-    total = MultidegreePoly.zero(params.c)
-    for k in range(j + 1):
-        total = total + elementary_symmetric(j - k, params.c) * ((-1) ** k * math.comb(params.N + k, params.N))
-    return total
+    return recombine_elementary(
+        ((j - k, (-1) ** k * math.comb(params.N + k, params.N)) for k in range(j + 1)), params.c
+    )
 
 
 def twist_segre(s_seq: Sequence[ChowClass], rank: int, line_class: ChowClass) -> list[ChowClass]:
@@ -255,27 +226,6 @@ def twist_segre(s_seq: Sequence[ChowClass], rank: int, line_class: ChowClass) ->
         for j in range(i + 1):
             acc = acc + s_seq[j] * line_class ** (i - j) * math.comb(rank - 1 + i, i - j)
         out.append(acc)
-    return out
-
-
-def chern_line_sum(params: ModelParams, shifts: Sequence[int]) -> list[ChowClass]:
-    """Chern classes c_0..c_n of the direct sum of lines O(d_i + shifts[i])."""
-    c = params.c
-    if len(shifts) != c:
-        raise ValueError(f"need {c} shifts, got {len(shifts)}")
-    shifted = [MultidegreePoly.variable(c, i) + shifts[i] for i in range(c)]
-    out = [ChowClass.one(params)]
-    for ell in range(1, params.n + 1):
-        if ell > c:
-            out.append(ChowClass.zero(params))
-            continue
-        poly = MultidegreePoly.zero(c)
-        for subset in combinations(range(c), ell):
-            prod = MultidegreePoly.one(c)
-            for i in subset:
-                prod = prod * shifted[i]
-            poly = poly + prod
-        out.append(ChowClass.of_poly(params, ell, poly))
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import chow
 from .chow import ChowClass, ModelParams
-from .polyring import MultidegreePoly
+from .polyring import MultidegreePoly, _Ring, _SparseTerms
 
 # term key: (u exponents, one per level, h exponent, base Segre exponents e_0..e_n)
 TermKey = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -57,7 +57,7 @@ def _term_alive(params: ModelParams, level: int, u_exps, h_exp: int, s_exps) -> 
     return True
 
 
-class JetClass:
+class JetClass(_SparseTerms):
     """Formal integer combination of tower monomials at a fixed level.
 
     ``terms`` maps (u-exponents, h-exponent, base-Segre exponents) to nonzero
@@ -66,6 +66,7 @@ class JetClass:
     """
 
     __slots__ = ("params", "level", "terms")
+    _SHAPE = ("params", "level")
 
     def __init__(self, params: ModelParams, level: int, terms: Mapping[TermKey, int] | None = None):
         if level < 0:
@@ -86,9 +87,6 @@ class JetClass:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JetClass is immutable")
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -97,8 +95,7 @@ class JetClass:
 
     @classmethod
     def unit(cls, params: ModelParams, level: int) -> "JetClass":
-        key = ((0,) * level, 0, (0,) * (params.n + 1))
-        return cls(params, level, {key: 1})
+        return cls.zero(params, level)._unit()
 
     @classmethod
     def hyperplane(cls, params: ModelParams, level: int) -> "JetClass":
@@ -125,107 +122,26 @@ class JetClass:
         s = tuple(1 if j == i else 0 for j in range(params.n + 1))
         return cls(params, level, {((0,) * level, 0, s): 1})
 
-    # -- ring operations -------------------------------------------------------
+    # -- ring kernel -------------------------------------------------------------
 
-    def _promote(self, other):
-        if isinstance(other, JetClass):
-            if other.params != self.params or other.level != self.level:
-                raise ValueError("JetClass parameters or levels do not match")
-            return other
-        if isinstance(other, int):
-            return JetClass.unit(self.params, self.level) * other
-        return NotImplemented
+    def _unit_key(self) -> TermKey:
+        return ((0,) * self.level, 0, (0,) * (self.params.n + 1))
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = out.get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return self._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return JetClass.zero(self.params, self.level)
-            return self._wrap({k: v * other for k, v in self.terms.items()})
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _product(self, other: "JetClass"):
         params, level = self.params, self.level
-        out: dict[TermKey, int] = {}
         for (u1, q1, e1), c1 in self.terms.items():
             for (u2, q2, e2), c2 in other.terms.items():
                 u = tuple(a + b for a, b in zip(u1, u2))
                 q = q1 + q2
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if not _term_alive(params, level, u, q, e):
-                    continue
-                key = (u, q, e)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return JetClass(params, level, out)
+                if _term_alive(params, level, u, q, e):
+                    yield (u, q, e), c1 * c2
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = JetClass.unit(self.params, self.level)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = JetClass.unit(self.params, self.level) * other
-        if not isinstance(other, JetClass):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.params, self.level, frozenset(self.terms.items())))
-
-    def _wrap(self, terms: dict[TermKey, int]) -> "JetClass":
-        obj = object.__new__(JetClass)
-        object.__setattr__(obj, "params", self.params)
-        object.__setattr__(obj, "level", self.level)
-        object.__setattr__(obj, "terms", terms)
-        return obj
+    # bound in the class body, where tools that wrap a class's own operators find them
+    __mul__ = _SparseTerms.__mul__
+    __pow__ = _Ring.__pow__
 
     # -- queries ----------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def lift(self, level: int) -> "JetClass":
         """Pull the class up the tower by appending zero tautological exponents."""

@@ -1,4 +1,5 @@
-"""Exact sparse polynomial arithmetic in the multidegree variables d1, ..., dc.
+"""Exact sparse polynomial arithmetic in the multidegree variables d1, ..., dc,
+and the ring core shared by every class of ring elements in this package.
 
 Every invariant computed by this package is an integer polynomial in the
 degrees of the hypersurfaces being intersected, so this ring is the substrate
@@ -6,6 +7,14 @@ for everything else.  Coefficients are arbitrary-precision Python ints (the
 bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.
+
+The ring core has two parts.  ``_Ring`` writes the derived operators (reflected
+``+`` and ``*``, ``-``, powering) and immutability once for ``MultidegreePoly``,
+``ChowClass`` and ``JetClass``.  ``_SparseTerms`` holds what the two sparse
+classes share: promotion, ``+``, unary ``-``, ``*`` around a class-specific
+product kernel, equality and hashing, and the trusted constructor ``_wrap``.
+Public constructors validate their input; arithmetic results are canonical by
+construction and are wrapped without a second check.
 """
 
 from __future__ import annotations
@@ -24,7 +33,141 @@ def _grlex_key(exps: tuple[int, ...]):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-class MultidegreePoly:
+def _accumulate(out: dict, items: Iterable) -> dict:
+    """Add (key, coefficient) pairs into ``out`` in place; keys that cancel are dropped."""
+    for key, coeff in items:
+        new = out.get(key, 0) + coeff
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    return out
+
+
+class _Ring:
+    """Immutable commutative ring element.  Subclasses define ``+``, unary
+    ``-``, ``*``, ``_promote`` (an operand of the same ring, NotImplemented for
+    foreign types) and ``_unit``; the rest is derived here."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result, base = self._unit(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+
+class _SparseTerms(_Ring):
+    """Ring element stored as ``terms``: monomial key -> nonzero int.
+
+    Subclasses name the attributes that operands must share in ``_SHAPE`` and
+    supply ``_unit_key`` and ``_product``, the product kernel, which yields
+    (key, coefficient) pairs for the accumulation to sum.
+    """
+
+    __slots__ = ()
+    _SHAPE: tuple[str, ...] = ()
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _wrap(self, terms: dict):
+        """Element of the same shape holding ``terms`` as is: the caller
+        guarantees valid keys and no zero coefficient."""
+        obj = object.__new__(type(self))
+        for name in self._SHAPE:
+            object.__setattr__(obj, name, getattr(self, name))
+        object.__setattr__(obj, "terms", terms)
+        return obj
+
+    def _constant(self, value: int):
+        return self._wrap({self._unit_key(): value} if value else {})
+
+    def _unit(self):
+        return self._constant(1)
+
+    def _promote(self, other):
+        if isinstance(other, type(self)):
+            if other._shape() != self._shape():
+                raise ValueError(
+                    f"cannot mix {type(self).__name__} operands with different"
+                    f" {'/'.join(self._SHAPE)}: {self._shape()} and {other._shape()}"
+                )
+            return other
+        if isinstance(other, int):
+            return self._constant(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._wrap(_accumulate(dict(self.terms), other.terms.items()))
+
+    def add_all(self, pieces: Iterable):
+        """``self`` plus every piece (same ring, or ints), summed in one dict."""
+        out = dict(self.terms)
+        for piece in pieces:
+            promoted = self._promote(piece)
+            if promoted is NotImplemented:
+                raise TypeError(f"cannot add {type(piece).__name__} to {type(self).__name__}")
+            _accumulate(out, promoted.terms.items())
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._wrap({key: c * other for key, c in self.terms.items()} if other else {})
+        other = self._promote(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._wrap(_accumulate({}, self._product(other)))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._constant(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class MultidegreePoly(_SparseTerms):
     """Sparse integer polynomial in ``num_vars`` variables.
 
     ``terms`` maps exponent tuples to nonzero integer coefficients.  Instances
@@ -33,6 +176,7 @@ class MultidegreePoly:
     """
 
     __slots__ = ("num_vars", "terms")
+    _SHAPE = ("num_vars",)
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if num_vars < 1:
@@ -49,9 +193,6 @@ class MultidegreePoly:
                     clean[exps] = coeff
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultidegreePoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -81,14 +222,11 @@ class MultidegreePoly:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.num_vars, 0)
+        return self.terms.get(self._unit_key(), 0)
 
     def total_degree(self):
         """Total degree, or the -infinity sentinel for the zero polynomial."""
@@ -101,9 +239,7 @@ class MultidegreePoly:
         if not self.terms:
             return self
         top = self.total_degree()
-        return MultidegreePoly(
-            self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == top}
-        )
+        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
 
     def is_multilinear(self) -> bool:
         return all(e <= 1 for exps in self.terms for e in exps)
@@ -111,93 +247,19 @@ class MultidegreePoly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring kernel -------------------------------------------------------
 
-    def _promote(self, other):
-        if isinstance(other, MultidegreePoly):
-            if other.num_vars != self.num_vars:
-                raise ValueError(
-                    f"mixing polynomials in {self.num_vars} and {other.num_vars} variables"
-                )
-            return other
-        if isinstance(other, int):
-            return MultidegreePoly.constant(self.num_vars, other)
-        return NotImplemented
+    def _unit_key(self) -> tuple[int, ...]:
+        return (0,) * self.num_vars
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = out.get(exps, 0) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return MultidegreePoly(self.num_vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultidegreePoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return MultidegreePoly.zero(self.num_vars)
-            return MultidegreePoly(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
+    def _product(self, other: "MultidegreePoly"):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return MultidegreePoly(self.num_vars, out)
+                yield tuple(a + b for a, b in zip(e1, e2)), c1 * c2
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultidegreePoly.one(self.num_vars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = MultidegreePoly.constant(self.num_vars, other)
-        if not isinstance(other, MultidegreePoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    # bound in the class body, where tools that wrap a class's own operators find them
+    __add__ = _SparseTerms.__add__
+    __mul__ = _SparseTerms.__mul__
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -222,28 +284,24 @@ class MultidegreePoly:
         for exps, coeff in self.terms.items():
             e = exps[index]
             if e:
-                key = exps[:index] + (e - 1,) + exps[index + 1 :]
-                out[key] = out.get(key, 0) + coeff * e
-        return MultidegreePoly(self.num_vars, out)
+                out[exps[:index] + (e - 1,) + exps[index + 1 :]] = coeff * e
+        return self._wrap(out)
 
     def shifted(self, offset: int) -> "MultidegreePoly":
-        """Substitute d_i -> d_i + offset in every variable."""
-        result = MultidegreePoly.zero(self.num_vars)
-        for exps, coeff in self.terms.items():
-            term = MultidegreePoly.constant(self.num_vars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    factor = MultidegreePoly(
-                        self.num_vars,
-                        {
-                            tuple(j if k == i else 0 for k in range(self.num_vars)): math.comb(e, j)
-                            * offset ** (e - j)
-                            for j in range(e + 1)
-                        },
-                    )
-                    term = term * factor
-            result = result + term
-        return result
+        """Substitute d_i -> d_i + offset in every variable, expanding each power
+        binomially: d^e -> sum_j C(e, j) offset^(e-j) d^j."""
+        top = max((max(exps) for exps in self.terms), default=0)
+        rows = [[(j, math.comb(e, j) * offset ** (e - j)) for j in range(e + 1)] for e in range(top + 1)]
+
+        def pieces():
+            for exps, coeff in self.terms.items():
+                for choice in itertools.product(*(rows[e] for e in exps)):
+                    value = coeff
+                    for _, weight in choice:
+                        value *= weight
+                    yield tuple(j for j, _ in choice), value
+
+        return self._wrap(_accumulate({}, pieces()))
 
     # -- rendering ----------------------------------------------------------
 
@@ -333,11 +391,8 @@ def express_in_elementary(p: MultidegreePoly) -> list[tuple[int, int]]:
 
 
 def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> MultidegreePoly:
-    """Inverse of :func:`express_in_elementary`."""
-    total = MultidegreePoly.zero(c)
-    for j, a in coeffs:
-        total = total + elementary_symmetric(j, c) * a
-    return total
+    """Inverse of :func:`express_in_elementary`: sum of a * e_j(d1..dc) over the pairs."""
+    return MultidegreePoly.zero(c).add_all(elementary_symmetric(j, c) * a for j, a in coeffs)
 
 
 def series_inverse(c_seq: Sequence, order: int):

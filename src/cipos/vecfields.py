@@ -117,30 +117,34 @@ class UniversalChart:
         return max(sum(exps[lo:hi]) for exps in poly.terms)
 
 
+def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
+    """Variable-index exponents of the monomial z^alpha."""
+    return {chart.z_index(j + 1): e for j, e in enumerate(alpha) if e}
+
+
+def _velocity_pairs(chart: UniversalChart, alpha: Sequence[int]):
+    """(exponents, weight) of each monomial of the velocity pairing of z^alpha:
+    alpha_k * z'_k * z^(alpha - e_k) for every k with alpha_k > 0."""
+    for k, e in enumerate(alpha):
+        if e:
+            lowered = tuple(x - 1 if j == k else x for j, x in enumerate(alpha))
+            yield {chart.zp_index(k + 1): 1, **_z_pairs(chart, lowered)}, e
+
+
 def defining_equations(chart: UniversalChart) -> tuple[list[MultidegreePoly], list[MultidegreePoly]]:
     """The equation of each hypersurface block and its derivative pairing with
     the velocities; both are linear in the block's coefficient variables."""
+    zero = MultidegreePoly.zero(chart.num_vars)
     eqs, deqs = [], []
     for i in range(1, chart.c + 1):
-        f = MultidegreePoly.zero(chart.num_vars)
-        fp = MultidegreePoly.zero(chart.num_vars)
+        f_terms, fp_terms = [], []
         for alpha in chart.alphas[i - 1]:
             a_var = chart.a_index(i, alpha)
-            pairs = {a_var: 1}
-            for j, e in enumerate(alpha):
-                if e:
-                    pairs[chart.z_index(j + 1)] = e
-            f = f + chart.monomial(pairs)
-            for k, e in enumerate(alpha):
-                if e:
-                    dpairs = {a_var: 1, chart.zp_index(k + 1): 1}
-                    for j, ej in enumerate(alpha):
-                        target = ej - 1 if j == k else ej
-                        if target:
-                            dpairs[chart.z_index(j + 1)] = target
-                    fp = fp + chart.monomial(dpairs, e)
-        eqs.append(f)
-        deqs.append(fp)
+            f_terms.append(chart.monomial({a_var: 1, **_z_pairs(chart, alpha)}))
+            for pairs, e in _velocity_pairs(chart, alpha):
+                fp_terms.append(chart.monomial({a_var: 1, **pairs}, e))
+        eqs.append(zero.add_all(f_terms))
+        deqs.append(zero.add_all(fp_terms))
     return eqs, deqs
 
 
@@ -175,10 +179,9 @@ class VectorField:
 
 def lie_derivative(field_: VectorField, poly: MultidegreePoly) -> MultidegreePoly:
     """Apply the field to a chart polynomial: sum of coefficient * partial."""
-    total = MultidegreePoly.zero(field_.chart.num_vars)
-    for index, coeff in field_.coefficients.items():
-        total = total + coeff * poly.derivative(index)
-    return total
+    return MultidegreePoly.zero(field_.chart.num_vars).add_all(
+        coeff * poly.derivative(index) for index, coeff in field_.coefficients.items()
+    )
 
 
 def solved_coefficient_field(
@@ -212,22 +215,12 @@ def solved_coefficient_field(
     z1 = chart.var(chart.z_index(1))
     zp1 = chart.var(chart.zp_index(1))
     # residuals of the two tangency equations over the free slots
-    r0 = MultidegreePoly.zero(chart.num_vars)
-    r1 = MultidegreePoly.zero(chart.num_vars)
-    for alpha, value in free_data.items():
-        alpha = tuple(alpha)
-        if not value:
-            continue
-        z_pairs = {chart.z_index(j + 1): e for j, e in enumerate(alpha) if e}
-        r0 = r0 + chart.monomial(z_pairs, value)
-        for k, e in enumerate(alpha):
-            if e:
-                pairs = {chart.zp_index(k + 1): 1}
-                for j, ej in enumerate(alpha):
-                    target = ej - 1 if j == k else ej
-                    if target:
-                        pairs[chart.z_index(j + 1)] = target
-                r1 = r1 + chart.monomial(pairs, value * e)
+    zero = MultidegreePoly.zero(chart.num_vars)
+    used = [(tuple(alpha), value) for alpha, value in free_data.items() if value]
+    r0 = zero.add_all(chart.monomial(_z_pairs(chart, alpha), value) for alpha, value in used)
+    r1 = zero.add_all(
+        chart.monomial(pairs, value * e) for alpha, value in used for pairs, e in _velocity_pairs(chart, alpha)
+    )
     coefficients = {}
     for alpha, value in free_data.items():
         if value:
@@ -256,9 +249,7 @@ def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
             shifted = tuple(e + 1 if t == j - 1 else e for t, e in enumerate(alpha))
             source = chart.a_index(i, shifted)
             target = chart.a_index(i, alpha)
-            weight = alpha[j - 1] + 1
-            prev = coefficients.get(target, MultidegreePoly.zero(chart.num_vars))
-            coefficients[target] = prev - chart.var(source) * weight
+            coefficients[target] = chart.var(source) * -(alpha[j - 1] + 1)
     return VectorField(chart, coefficients, family="tj")
 
 
@@ -287,29 +278,15 @@ def coefficient_shift_field(
         raise ValueError("need alpha >= ell componentwise")
     if convention not in ("single", "spread"):
         raise ValueError("convention must be 'single' or 'spread'")
-    coefficients: dict[int, MultidegreePoly] = {}
-    splits = list(itertools.product(*(range(e + 1) for e in ell)))
-    if convention == "single":
-        target = chart.a_index(i, tuple(a - e for a, e in zip(alpha, ell)))
-        total = MultidegreePoly.zero(chart.num_vars)
-        for prime in splits:
-            second = tuple(e - p for e, p in zip(ell, prime))
-            weight = 1
-            for e, p in zip(ell, prime):
-                weight *= math.comb(e, p)
-            pairs = {chart.z_index(j + 1): s for j, s in enumerate(second) if s}
-            total = total + chart.monomial(pairs, weight)
-        coefficients[target] = total
-    else:
-        for prime in splits:
-            second = tuple(e - p for e, p in zip(ell, prime))
-            weight = 1
-            for e, p in zip(ell, prime):
-                weight *= math.comb(e, p)
-            target = chart.a_index(i, tuple(a - p for a, p in zip(alpha, prime)))
-            pairs = {chart.z_index(j + 1): s for j, s in enumerate(second) if s}
-            prev = coefficients.get(target, MultidegreePoly.zero(chart.num_vars))
-            coefficients[target] = prev + chart.monomial(pairs, weight)
+    pieces: dict[int, list[MultidegreePoly]] = {}
+    for prime in itertools.product(*(range(e + 1) for e in ell)):
+        weight = math.prod(math.comb(e, p) for e, p in zip(ell, prime))
+        slot = ell if convention == "single" else prime
+        target = chart.a_index(i, tuple(a - s for a, s in zip(alpha, slot)))
+        second = tuple(e - p for e, p in zip(ell, prime))
+        pieces.setdefault(target, []).append(chart.monomial(_z_pairs(chart, second), weight))
+    zero = MultidegreePoly.zero(chart.num_vars)
+    coefficients = {target: zero.add_all(polys) for target, polys in pieces.items()}
     return VectorField(chart, coefficients, family="talpha")
 
 
@@ -326,12 +303,11 @@ def velocity_field(
     if _rational_det(matrix) == 0:
         raise ValueError("matrix must be invertible over the rationals")
     coefficients: dict[int, MultidegreePoly] = {}
+    zero = MultidegreePoly.zero(chart.num_vars)
     for k in range(1, N + 1):
-        poly = MultidegreePoly.zero(chart.num_vars)
-        for ell in range(1, N + 1):
-            entry = matrix[ell - 1][k - 1]
-            if entry:
-                poly = poly + chart.var(chart.zp_index(ell)) * int(entry)
+        poly = zero.add_all(
+            chart.var(chart.zp_index(ell)) * int(matrix[ell - 1][k - 1]) for ell in range(1, N + 1)
+        )
         if not poly.is_zero():
             coefficients[chart.zp_index(k)] = poly
     if a_solution is not None:
@@ -366,12 +342,14 @@ def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
 @dataclass
 class TangencyReport:
     """Exact residuals of the field against every defining equation at sampled
-    rational points of the universal locus."""
+    rational points of the universal locus.  ``identically_zero`` records
+    whether every action of the field on the equations vanishes as a polynomial."""
 
     family: str
     samples: int
     seed: int
     nonzero_residuals: list[str]
+    identically_zero: bool
 
     @property
     def all_zero(self) -> bool:
@@ -414,7 +392,11 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
             if value != 0:
                 nonzero.append(f"sample {s}: {label} = {value}")
     return TangencyReport(
-        family=field_.family, samples=samples, seed=seed, nonzero_residuals=nonzero
+        family=field_.family,
+        samples=samples,
+        seed=seed,
+        nonzero_residuals=nonzero,
+        identically_zero=all(action.is_zero() for _, action in actions),
     )
 
 

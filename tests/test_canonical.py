@@ -1,0 +1,85 @@
+"""Arithmetic results are built without re-validation; check that every one is
+canonical anyway: passing its terms back through the validating constructor
+changes nothing, no stored coefficient is 0, and every stored jet term is alive."""
+
+import random
+
+import pytest
+
+from cipos.chow import ModelParams
+from cipos.jets import JetClass, _term_alive, nef_tower_class, tower_segre
+from cipos.polyring import MultidegreePoly, recombine_elementary
+
+
+def random_poly(rng, c, max_deg=3, max_terms=6):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(c))
+        terms[exps] = rng.randint(-3, 3)
+    return MultidegreePoly(c, terms)
+
+
+def random_jet(rng, params, level, max_terms=6):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        u = tuple(rng.randint(0, 3) for _ in range(level))
+        e = tuple(rng.randint(0, 1) for _ in range(params.n + 1))
+        terms[(u, rng.randint(0, 2), e)] = rng.randint(-3, 3)
+    return JetClass(params, level, terms)
+
+
+def assert_canonical_poly(p):
+    assert isinstance(p, MultidegreePoly)
+    assert MultidegreePoly(p.num_vars, p.terms).terms == p.terms
+    assert all(p.terms.values())
+
+
+def assert_canonical_jet(x):
+    assert isinstance(x, JetClass)
+    assert JetClass(x.params, x.level, x.terms).terms == x.terms
+    assert all(x.terms.values())
+    assert all(_term_alive(x.params, x.level, u, q, e) for u, q, e in x.terms)
+
+
+def test_poly_results_canonical():
+    rng = random.Random(17)
+    for _ in range(80):
+        c = rng.randint(1, 3)
+        p, q = random_poly(rng, c), random_poly(rng, c)
+        k = rng.randint(-3, 3)
+        results = [p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p + k, k - p, p * k, -p]
+        results += [p ** rng.randint(0, 3), (p + q) * (p - q) - (p * p - q * q)]
+        results += [p.derivative(i) for i in range(c)]
+        results += [p.shifted(r) for r in (-2, 0, 1, 3)]
+        results += [p.dominant_part(), p.add_all([q, -p, k])]
+        results.append(recombine_elementary([(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)], c))
+        for result in results:
+            assert_canonical_poly(result)
+
+
+@pytest.mark.parametrize("N,n", [(4, 2), (5, 3), (6, 3)])
+def test_jet_results_canonical(N, n):
+    params = ModelParams(N, n)
+    rng = random.Random(N * 10 + n)
+    for _ in range(40):
+        level = rng.randint(0, params.kappa)
+        x, y = random_jet(rng, params, level), random_jet(rng, params, level)
+        k = rng.randint(-3, 3)
+        results = [x + y, x - y, x * y, x - x, x * (y - y), x + k, k - x, x * k, -x, x ** rng.randint(0, 4)]
+        results += [x.add_all([y, -x, k])]
+        for result in results:
+            assert_canonical_jet(result)
+    for level in range(1, params.kappa + 1):
+        nef = nef_tower_class(params, level)
+        for result in (nef ** 3, nef * tower_segre(params, level, 2), tower_segre(params, level, 3)):
+            assert_canonical_jet(result)
+
+
+def test_mismatched_operands_rejected():
+    with pytest.raises(ValueError):
+        MultidegreePoly.one(2).add_all([MultidegreePoly.one(3)])
+    with pytest.raises(TypeError):
+        MultidegreePoly.one(2).add_all(["x"])
+    params = ModelParams(4, 2)
+    with pytest.raises(ValueError):
+        JetClass.unit(params, 1) * JetClass.unit(params, 2)

@@ -6,7 +6,6 @@ import pytest
 from cipos.chow import (
     ChowClass,
     ModelParams,
-    chern_line_sum,
     integrate,
     segre_closed_form,
     segre_cotangent,
@@ -218,28 +217,6 @@ class TestChernSegrePairing:
                 inverted = series_inverse(seg[1:], p.n)
                 for i in range(1, p.n + 1):
                     assert inverted[i - 1] == chern[i], (N, n, m, i)
-
-
-class TestChernLineSum:
-    def test_unshifted(self):
-        p = ModelParams(5, 3)
-        classes = chern_line_sum(p, [0, 0])
-        assert classes[1] == ChowClass.of_poly(p, 1, elementary_symmetric(1, 2))
-        assert classes[2] == ChowClass.of_poly(p, 2, MultidegreePoly.monomial(2, (1, 1)))
-
-    def test_uniform_negative_shift(self):
-        p = ModelParams(5, 3)
-        m = 4
-        classes = chern_line_sum(p, [-m, -m])
-        assert classes[1] == ChowClass.of_poly(p, 1, elementary_symmetric(1, 2) - p.c * m)
-
-    def test_beyond_codimension_vanishes(self):
-        p = ModelParams(5, 3)
-        assert chern_line_sum(p, [0, 0])[3].is_zero()
-
-    def test_shift_length_checked(self):
-        with pytest.raises(ValueError):
-            chern_line_sum(ModelParams(5, 3), [0])
 
 
 class TestDegreeLemmas:

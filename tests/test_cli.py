@@ -158,6 +158,15 @@ class TestVecfields:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_format_before_verify_is_rejected(self, capsys):
+        # --format belongs to `verify`; in front of it the flag must be rejected, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vecfields", "--format", "json", "verify", "--N", "2", "--degrees", "2",
+                      "--family", "tj", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+
 
 class TestSelftest:
     def test_subset_passes(self, capsys):

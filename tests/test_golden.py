@@ -1,0 +1,79 @@
+"""Byte-for-byte CLI outputs: every README command (selftest aside, its output
+carries timings) and two frames the README misses, in text and JSON.
+
+Regenerate the files after an intended output change with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cipos import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMMANDS = {
+    "segre_N4_n2": ["segre", "--N", "4", "--n", "2", "--twist", "0"],
+    "positivity_N4_n2_a0": ["positivity", "--N", "4", "--n", "2", "--a", "0"],
+    "bound_dim2": ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2"],
+    "bound_scan": ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan"],
+    "bound_rough": ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "rough"],
+    "jet_N4_n2_a4_at_34": ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34,34"],
+    "jet_N4_n2_a4": ["jet", "--N", "4", "--n", "2", "--a", "4"],
+    "vecfields_solved_seed7": [
+        "vecfields", "verify", "--N", "3", "--degrees", "2,2", "--family", "solved",
+        "--samples", "100", "--seed", "7",
+    ],
+    # shifted_positivity_threshold searches (non-multilinear dominant parts)
+    "positivity_N8_n4_a2": ["positivity", "--N", "8", "--n", "4", "--a", "2"],
+    # a kappa = 3 tower
+    "jet_N4_n3_a0_at_7": ["jet", "--N", "4", "--n", "3", "--a", "0", "--degrees", "7"],
+}
+
+CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]
+
+
+def golden_path(name: str, fmt: str) -> Path:
+    return GOLDEN / f"{name}.{'txt' if fmt == 'text' else 'json'}"
+
+
+def argv_for(name: str, fmt: str) -> list:
+    return COMMANDS[name] + ["--format", fmt]
+
+
+@pytest.mark.parametrize("name,fmt", CASES, ids=[f"{n}-{f}" for n, f in CASES])
+def test_matches_golden(capsys, name, fmt):
+    code = cli.main(argv_for(name, fmt))
+    assert code == 0
+    assert capsys.readouterr().out == golden_path(name, fmt).read_text(encoding="utf-8")
+
+
+def test_stdlib_only_runtime():
+    # -I -S: no site-packages and no PYTHONPATH, so any import from outside the
+    # standard library fails here
+    name = "vecfields_solved_seed7"
+    script = f"import sys; sys.path.insert(0, {str(SRC)!r}); from cipos import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, *argv_for(name, "json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_path(name, "json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, fmt in CASES:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli.main(argv_for(name, fmt))
+        golden_path(name, fmt).write_text(buffer.getvalue(), encoding="utf-8")

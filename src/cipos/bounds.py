@@ -165,7 +165,8 @@ class BoundReport:
     method: str
 
     def __post_init__(self):
-        assert self.coefficients[-1] == 1, "leading elementary coefficient must be 1"
+        if self.coefficients[-1] != 1:
+            raise ArithmeticError("leading elementary coefficient must be 1")
 
     @property
     def gamma_ceil(self) -> int | None:

@@ -1,10 +1,11 @@
 """Truncated Chow ring of a complete intersection in projective space.
 
-Classes are stored as vectors of integer polynomials in the multidegree
-variables, graded by powers of the hyperplane class h and truncated at h^n
-(everything above the dimension dies).  The two Segre-class routes kept here
-on purpose, a truncated product expansion and a closed-form convolution, act
-as independent oracles for each other.
+A class is a sparse map from (power of the hyperplane class h, exponents of
+the multidegree variables) to nonzero integers, built on the ring core of
+``polyring`` and truncated at h^n (everything above the dimension dies).
+The two Segre-class routes kept here on purpose, a truncated product
+expansion and a closed-form convolution, act as independent oracles for each
+other.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polyring import MultidegreePoly, _Ring, recombine_elementary
+from .polyring import MultidegreePoly, _SparseTerms, recombine_elementary
 
 
 @dataclass(frozen=True)
@@ -51,29 +52,31 @@ class ModelParams:
         return self.n + k * (self.n - 1)
 
 
-class ChowClass(_Ring):
-    """An h-graded class: ``coeffs[j]`` is the polynomial coefficient of h^j.
+class ChowClass(_SparseTerms):
+    """An h-graded class: ``terms`` maps (j, exponents) to the nonzero integer
+    coefficient of h^j * d^exponents, for 0 <= j <= n.
 
-    The vector has length n+1; products drop everything in degree > n.
-    Immutable, and ints promote to multiples of the unit class.
+    Products drop everything in degree > n.  Immutable; ints and
+    multidegree polynomials promote to multiples of the unit class.
+    ``coeffs[j]`` is the polynomial coefficient of h^j.
     """
 
-    __slots__ = ("params", "coeffs")
+    __slots__ = ("params", "terms")
+    _SHAPE = ("params",)
 
     def __init__(self, params: ModelParams, coeffs: Sequence):
-        n, c = params.n, params.c
-        vec = []
-        for j in range(n + 1):
-            entry = coeffs[j] if j < len(coeffs) else 0
+        c = params.c
+        terms = {}
+        for j, entry in enumerate(coeffs[: params.n + 1]):
             if isinstance(entry, int):
                 entry = MultidegreePoly.constant(c, entry)
             elif not isinstance(entry, MultidegreePoly):
                 raise TypeError(f"coefficient of h^{j} must be int or MultidegreePoly")
             elif entry.num_vars != c:
                 raise ValueError(f"coefficient of h^{j} lives in {entry.num_vars} variables, expected {c}")
-            vec.append(entry)
+            terms.update(((j, exps), coeff) for exps, coeff in entry.terms.items())
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -87,78 +90,48 @@ class ChowClass(_Ring):
 
     @classmethod
     def h_power(cls, params: ModelParams, j: int) -> "ChowClass":
-        if not 0 <= j <= params.n:
-            return cls.zero(params)
-        return cls(params, [1 if i == j else 0 for i in range(j + 1)])
+        return cls.of_poly(params, j, MultidegreePoly.one(params.c))
 
     @classmethod
     def of_poly(cls, params: ModelParams, j: int, poly: MultidegreePoly) -> "ChowClass":
         """The pure class poly * h^j (zero when j exceeds the dimension)."""
-        if not 0 <= j <= params.n:
-            return cls.zero(params)
-        return cls(params, [poly if i == j else 0 for i in range(j + 1)])
+        return cls(params, [0] * j + [poly] if j >= 0 else [])
 
     # -- queries --------------------------------------------------------------
 
-    def grade(self, j: int) -> "ChowClass":
-        return ChowClass.of_poly(self.params, j, self.coeffs[j]) if 0 <= j <= self.params.n else ChowClass.zero(self.params)
+    @property
+    def coeffs(self) -> tuple[MultidegreePoly, ...]:
+        grades: list[dict] = [{} for _ in range(self.params.n + 1)]
+        for (j, exps), coeff in self.terms.items():
+            grades[j][exps] = coeff
+        zero = MultidegreePoly.zero(self.params.c)
+        return tuple(zero._wrap(terms) for terms in grades)
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.coeffs)
+    def grade(self, j: int) -> "ChowClass":
+        return self._wrap({key: v for key, v in self.terms.items() if key[0] == j})
 
     def is_pure(self, j: int) -> bool:
-        return all(p.is_zero() for i, p in enumerate(self.coeffs) if i != j)
+        return all(i == j for i, _ in self.terms)
 
-    # -- ring operations -------------------------------------------------------
+    # -- ring kernel -------------------------------------------------------------
 
-    def _unit(self) -> "ChowClass":
-        return ChowClass.one(self.params)
+    def _unit_key(self) -> tuple[int, tuple[int, ...]]:
+        return 0, (0,) * self.params.c
 
     def _promote(self, other):
-        if isinstance(other, ChowClass):
-            if other.params != self.params:
-                raise ValueError("ChowClass parameters do not match")
-            return other
-        if isinstance(other, (int, MultidegreePoly)):
+        if isinstance(other, MultidegreePoly):
             return ChowClass(self.params, [other])
-        return NotImplemented
+        return super()._promote(other)
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ChowClass(self.params, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return ChowClass(self.params, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MultidegreePoly)):
-            return ChowClass(self.params, [a * other for a in self.coeffs])
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _product(self, other: "ChowClass"):
         n = self.params.n
-        out = [MultidegreePoly.zero(self.params.c) for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return ChowClass(self.params, out)
+        for (i, e1), c1 in self.terms.items():
+            for (j, e2), c2 in other.terms.items():
+                if i + j <= n:
+                    yield (i + j, tuple(a + b for a, b in zip(e1, e2))), c1 * c2
 
-    def __eq__(self, other):
-        if isinstance(other, (int, MultidegreePoly)):
-            other = ChowClass(self.params, [other])
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.params == other.params and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.params, self.coeffs))
+    # bound in the class body, where tools that wrap a class's own operators find them
+    __mul__ = _SparseTerms.__mul__
 
     def __repr__(self):
         parts = [f"({p.text()})*h^{j}" for j, p in enumerate(self.coeffs) if not p.is_zero()]
@@ -220,13 +193,12 @@ def twist_segre(s_seq: Sequence[ChowClass], rank: int, line_class: ChowClass) ->
         raise ValueError("line_class must be pure of degree 1")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    out = []
-    for i in range(len(s_seq)):
-        acc = ChowClass.zero(params)
-        for j in range(i + 1):
-            acc = acc + s_seq[j] * line_class ** (i - j) * math.comb(rank - 1 + i, i - j)
-        out.append(acc)
-    return out
+    return [
+        ChowClass.zero(params).add_all(
+            s_seq[j] * line_class ** (i - j) * math.comb(rank - 1 + i, i - j) for j in range(i + 1)
+        )
+        for i in range(len(s_seq))
+    ]
 
 
 def segre_table_json(params: ModelParams, twist: int) -> dict:

@@ -20,7 +20,6 @@ def _parent() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     return common
 
 
@@ -62,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--degrees", type=str, required=True, help="comma-separated hypersurface degrees")
     v.add_argument("--family", choices=("solved", "tj", "talpha", "tlambda"), required=True)
     v.add_argument("--samples", type=int, default=100)
+    v.add_argument("--seed", type=int, default=0, help="seed for the random fields and sample points")
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
     p.add_argument("--criteria", type=str, default=None, help="comma-separated criterion numbers")
@@ -78,8 +78,10 @@ def _emit(args, payload: dict, text: str) -> None:
         print(content)
 
 
-def _params_or_exit(N: int, n: int) -> ModelParams:
+def _params_or_exit(N: int, n: int, a: int = 0) -> ModelParams:
     try:
+        if a < 0:
+            raise ValueError("twist a must be >= 0")
         return ModelParams(N, n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,7 +118,7 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    params = _params_or_exit(args.N, args.n)
+    params = _params_or_exit(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
     if n > params.c:
         print(f"error: bound requires n <= c, got n={n}, c={params.c}", file=sys.stderr)
@@ -159,7 +161,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_jet(args) -> int:
-    params = _params_or_exit(args.N, args.n)
+    params = _params_or_exit(args.N, args.n, args.a)
     degrees = None
     if args.degrees:
         try:
@@ -170,9 +172,6 @@ def _cmd_jet(args) -> int:
         if len(degrees) != params.c:
             print(f"error: need {params.c} degrees, got {len(degrees)}", file=sys.stderr)
             return 2
-    if args.a < 0:
-        print("error: twist a must be >= 0", file=sys.stderr)
-        return 2
     cert = jets.morse_certificate(params, args.a, degrees)
     lines = [
         f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
@@ -189,6 +188,8 @@ def _cmd_vecfields(args) -> int:
     try:
         degrees = [int(part) for part in args.degrees.split(",")]
         chart = vecfields.UniversalChart(args.N, degrees)
+        if args.samples < 1:
+            raise ValueError("--samples must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -197,15 +198,8 @@ def _cmd_vecfields(args) -> int:
     if args.family == "tj":
         fields = [vecfields.coordinate_field(chart, j) for j in range(1, chart.N + 1)]
     elif args.family == "solved":
-        e1 = tuple(1 if t == 0 else 0 for t in range(chart.N))
         for i in range(1, chart.c + 1):
-            cutoff = min(chart.N, chart.degrees[i - 1])
-            frees = [
-                alpha
-                for alpha in chart.alphas[i - 1]
-                if sum(alpha) <= cutoff and alpha not in ((0,) * chart.N, e1)
-            ]
-            data = {alpha: rng.randint(-5, 5) for alpha in frees}
+            data = {alpha: rng.randint(-5, 5) for alpha in vecfields.solved_free_slots(chart, i)}
             fields.append(vecfields.solved_coefficient_field(chart, i, data))
     elif args.family == "talpha":
         for i in range(1, chart.c + 1):

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import chow
 from .chow import ChowClass, ModelParams
-from .polyring import MultidegreePoly, _Ring, _SparseTerms
+from .polyring import MultidegreePoly, _SparseTerms
 
 # term key: (u exponents, one per level, h exponent, base Segre exponents e_0..e_n)
 TermKey = tuple[tuple[int, ...], int, tuple[int, ...]]
@@ -139,7 +139,7 @@ class JetClass(_SparseTerms):
 
     # bound in the class body, where tools that wrap a class's own operators find them
     __mul__ = _SparseTerms.__mul__
-    __pow__ = _Ring.__pow__
+    __pow__ = _SparseTerms.__pow__
 
     # -- queries ----------------------------------------------------------------
 
@@ -234,14 +234,11 @@ def reduce_to_base(x: JetClass) -> ChowClass:
         x = pushforward(x)
     params = x.params
     segre = _base_segre_classes(params)
-    total = ChowClass.zero(params)
+    pieces = []
     for (_, q, e), coeff in x.terms.items():
-        cls = ChowClass.h_power(params, q)
-        for i, exp in enumerate(e):
-            for _ in range(exp):
-                cls = cls * segre[i]
-        total = total + cls * coeff
-    return total
+        factors = (segre[i] ** exp for i, exp in enumerate(e) if exp)
+        pieces.append(math.prod(factors, start=ChowClass.h_power(params, q)) * coeff)
+    return ChowClass.zero(params).add_all(pieces)
 
 
 def integrate_tower(x: JetClass) -> MultidegreePoly:
@@ -315,13 +312,11 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     kappa = params.kappa
     top = params.tower_dim(kappa)
     m = 3**kappa - 1
-    total = JetClass.zero(params, kappa)
-    for i in range(1, kappa + 1):
-        total = total + nef_tower_class(params, i).lift(kappa)
-    almost = total ** (top - 1)
-    lead = reduce_to_base(almost * total).coeffs[params.n]
-    sub = reduce_to_base(almost * JetClass.hyperplane(params, kappa)).coeffs[params.n]
-    difference = lead - sub * (top * (m + a))
+    nef_classes = (nef_tower_class(params, i).lift(kappa) for i in range(1, kappa + 1))
+    total = JetClass.zero(params, kappa).add_all(nef_classes)
+    # reduce_to_base is linear, so one reduction covers both terms
+    tail = total - JetClass.hyperplane(params, kappa) * (top * (m + a))
+    difference = reduce_to_base(total ** (top - 1) * tail).coeffs[params.n]
     cert = MorseCertificate(params=params, a=a, m=m, difference=difference)
     if degrees is not None:
         degrees = tuple(degrees)

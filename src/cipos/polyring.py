@@ -8,13 +8,14 @@ bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.
 
-The ring core has two parts.  ``_Ring`` writes the derived operators (reflected
-``+`` and ``*``, ``-``, powering) and immutability once for ``MultidegreePoly``,
-``ChowClass`` and ``JetClass``.  ``_SparseTerms`` holds what the two sparse
-classes share: promotion, ``+``, unary ``-``, ``*`` around a class-specific
-product kernel, equality and hashing, and the trusted constructor ``_wrap``.
-Public constructors validate their input; arithmetic results are canonical by
-construction and are wrapped without a second check.
+The ring core is one base class, ``_SparseTerms``, shared by
+``MultidegreePoly``, ``ChowClass`` and ``JetClass``: each stores its element
+as a dict from monomial key to nonzero int, and the core writes promotion,
+``+``, ``-``, ``*`` around a class-specific product kernel, square-and-multiply
+powering, equality, hashing, immutability and the trusted constructor
+``_wrap`` once for all three.  Public constructors validate their input;
+arithmetic results are canonical by construction and are wrapped without a
+second check.
 """
 
 from __future__ import annotations
@@ -44,54 +45,21 @@ def _accumulate(out: dict, items: Iterable) -> dict:
     return out
 
 
-class _Ring:
-    """Immutable commutative ring element.  Subclasses define ``+``, unary
-    ``-``, ``*``, ``_promote`` (an operand of the same ring, NotImplemented for
-    foreign types) and ``_unit``; the rest is derived here."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result, base = self._unit(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
-
-class _SparseTerms(_Ring):
-    """Ring element stored as ``terms``: monomial key -> nonzero int.
+class _SparseTerms:
+    """Immutable commutative ring element stored as ``terms``: monomial key -> nonzero int.
 
     Subclasses name the attributes that operands must share in ``_SHAPE`` and
     supply ``_unit_key`` and ``_product``, the product kernel, which yields
-    (key, coefficient) pairs for the accumulation to sum.
+    (key, coefficient) pairs for the accumulation to sum.  ``_promote`` turns
+    an operand into an element of the same ring (NotImplemented for foreign
+    types); a subclass widens it to take more operand types.
     """
 
     __slots__ = ()
     _SHAPE: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _shape(self) -> tuple:
         return tuple(getattr(self, name) for name in self._SHAPE)
@@ -129,6 +97,9 @@ class _SparseTerms(_Ring):
             return NotImplemented
         return self._wrap(_accumulate(dict(self.terms), other.terms.items()))
 
+    def __radd__(self, other):
+        return self.__add__(other)
+
     def add_all(self, pieces: Iterable):
         """``self`` plus every piece (same ring, or ints), summed in one dict."""
         out = dict(self.terms)
@@ -142,6 +113,15 @@ class _SparseTerms(_Ring):
     def __neg__(self):
         return self._wrap({key: -c for key, c in self.terms.items()})
 
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if isinstance(other, int):
             return self._wrap({key: c * other for key, c in self.terms.items()} if other else {})
@@ -150,11 +130,26 @@ class _SparseTerms(_Ring):
             return NotImplemented
         return self._wrap(_accumulate({}, self._product(other)))
 
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result, base = self._unit(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._constant(other)
         if not isinstance(other, type(self)):
-            return NotImplemented
+            other = self._promote(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._shape() == other._shape() and self.terms == other.terms
 
     def __hash__(self):

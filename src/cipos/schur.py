@@ -197,6 +197,8 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     n, c = params.n, params.c
     if c < n:
         raise ValueError(f"numerical positivity requires c >= n, got c={c} < n={n}")
+    if a < 0:
+        raise ValueError("twist a must be >= 0")
     twisted = chow.segre_cotangent(params, -a)
     chern_data = [MultidegreePoly.one(c)] + [elementary_symmetric(j, c) for j in range(1, n + 1)]
     segre_data = [MultidegreePoly.one(c)] + series_inverse(chern_data[1:], n)

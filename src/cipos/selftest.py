@@ -260,10 +260,6 @@ def _criterion_9() -> tuple[bool, str]:
     rng = random.Random(40902)
     degree_sets = {1: [[1], [2], [3]], 2: [[1, 1], [2, 1], [2, 2], [3, 1], [3, 2], [3, 3]]}
     identities = 0
-
-    def e1(N):
-        return tuple(1 if t == 0 else 0 for t in range(N))
-
     for N in (1, 2, 3, 4):
         for c in (1, 2):
             for degrees in degree_sets[c]:
@@ -278,13 +274,7 @@ def _criterion_9() -> tuple[bool, str]:
                             return False, f"coordinate field not tangent at N={N} d={degrees} j={j}"
                         identities += 1
                 for i in range(1, c + 1):
-                    cutoff = min(N, degrees[i - 1])
-                    frees = [
-                        alpha
-                        for alpha in chart.alphas[i - 1]
-                        if sum(alpha) <= cutoff and alpha not in ((0,) * N, e1(N))
-                    ]
-                    data = {alpha: rng.randint(-5, 5) for alpha in frees}
+                    data = {alpha: rng.randint(-5, 5) for alpha in vecfields.solved_free_slots(chart, i)}
                     field = vecfields.solved_coefficient_field(chart, i, data)
                     if field.z_pole_order > N:
                         return False, f"solved field z-order {field.z_pole_order} > N={N}"
@@ -294,8 +284,7 @@ def _criterion_9() -> tuple[bool, str]:
                         identities += 1
     chart = vecfields.UniversalChart(3, [2, 2])
     solved = vecfields.solved_coefficient_field(
-        chart, 1, {alpha: rng.randint(-5, 5) for alpha in chart.alphas[0]
-                   if sum(alpha) <= 2 and alpha not in ((0, 0, 0), (1, 0, 0))}
+        chart, 1, {alpha: rng.randint(-5, 5) for alpha in vecfields.solved_free_slots(chart, 1)}
     )
     for field in (solved, vecfields.coordinate_field(chart, 2)):
         report = vecfields.point_tangency_check(field, samples=100, seed=314)

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .polyring import MultidegreePoly
 
@@ -184,6 +184,20 @@ def lie_derivative(field_: VectorField, poly: MultidegreePoly) -> MultidegreePol
     )
 
 
+def _pinned_slots(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exponents of the constant and the first linear coefficient slot, which
+    the two tangency equations of a block solve for."""
+    return (0,) * N, tuple(1 if j == 0 else 0 for j in range(N))
+
+
+def solved_free_slots(chart: UniversalChart, i: int) -> list[tuple[int, ...]]:
+    """Every free slot that :func:`solved_coefficient_field` accepts for block i:
+    exponent weight at most min(N, d_i), the two pinned slots left out."""
+    cutoff = min(chart.N, chart.degrees[i - 1])
+    pinned = _pinned_slots(chart.N)
+    return [alpha for alpha in chart.alphas[i - 1] if sum(alpha) <= cutoff and alpha not in pinned]
+
+
 def solved_coefficient_field(
     chart: UniversalChart, i: int, free_data: Mapping[tuple[int, ...], int]
 ) -> VectorField:
@@ -200,14 +214,12 @@ def solved_coefficient_field(
     if not 1 <= i <= chart.c:
         raise ValueError(f"block index {i} outside 1..{chart.c}")
     d_i = chart.degrees[i - 1]
-    cutoff = min(N, d_i)
-    e1 = tuple(1 if j == 0 else 0 for j in range(N))
-    zero_alpha = (0,) * N
+    zero_alpha, e1 = _pinned_slots(N)
     for alpha in free_data:
         alpha = tuple(alpha)
         if sum(alpha) > N:
             raise ValueError(f"free slot {alpha} has weight > {N}; family only covers that range")
-        if sum(alpha) > cutoff:
+        if sum(alpha) > d_i:
             raise ValueError(f"free slot {alpha} exceeds the block degree {d_i}")
         if alpha in (zero_alpha, e1):
             raise ValueError(f"slot {alpha} is pinned by the tangency system, not free")
@@ -290,13 +302,8 @@ def coefficient_shift_field(
     return VectorField(chart, coefficients, family="talpha")
 
 
-def velocity_field(
-    chart: UniversalChart,
-    matrix: Sequence[Sequence],
-    a_solution: Callable[[int, tuple[int, ...]], MultidegreePoly] | None = None,
-) -> VectorField:
-    """Linear action on the velocity coordinates plus a pluggable coefficient
-    correction; no tangency asserted for the default (zero) correction."""
+def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorField:
+    """Linear action on the velocity coordinates; no tangency asserted."""
     N = chart.N
     if len(matrix) != N or any(len(row) != N for row in matrix):
         raise ValueError(f"matrix must be {N}x{N}")
@@ -310,12 +317,6 @@ def velocity_field(
         )
         if not poly.is_zero():
             coefficients[chart.zp_index(k)] = poly
-    if a_solution is not None:
-        for i in range(1, chart.c + 1):
-            for alpha in chart.alphas[i - 1]:
-                poly = a_solution(i, alpha)
-                if poly is not None and not poly.is_zero():
-                    coefficients[chart.a_index(i, alpha)] = poly
     return VectorField(chart, coefficients, family="tlambda")
 
 
@@ -373,7 +374,6 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
     velocity nonzero) and integer values for all but two coefficient slots per
     block; the remaining two are solved from the block's pair of equations,
     which are linear with triangular structure, so the solve is exact.
-    Degenerate draws are retried a bounded number of times.
     """
     chart = field_.chart
     if samples < 1:
@@ -383,10 +383,8 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
     actions += [(f"T(f'{i + 1})", lie_derivative(field_, deqs[i])) for i in range(chart.c)]
     rng = random.Random(seed)
     nonzero: list[str] = []
-    e1 = tuple(1 if j == 0 else 0 for j in range(chart.N))
-    zero_alpha = (0,) * chart.N
     for s in range(samples):
-        point = _sample_locus_point(chart, rng, e1, zero_alpha)
+        point = _sample_locus_point(chart, rng, eqs, deqs)
         for label, action in actions:
             value = action.eval(point)
             if value != 0:
@@ -400,41 +398,17 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
     )
 
 
-def _sample_locus_point(chart, rng, e1, zero_alpha, retries: int = 32):
-    for _ in range(retries):
-        point: list = [Fraction(rng.randint(-5, 5)) for _ in range(chart.num_vars)]
-        zp1 = Fraction(rng.randint(1, 5) * rng.choice((-1, 1)))
-        point[chart.zp_index(1)] = zp1
-        degenerate = False
-        for i in range(1, chart.c + 1):
-            rest_f = Fraction(0)
-            rest_fp = Fraction(0)
-            for alpha in chart.alphas[i - 1]:
-                if alpha in (zero_alpha, e1):
-                    continue
-                a_val = point[chart.a_index(i, alpha)]
-                z_val = Fraction(1)
-                for j, e in enumerate(alpha):
-                    if e:
-                        z_val *= point[chart.z_index(j + 1)] ** e
-                rest_f += a_val * z_val
-                d_val = Fraction(0)
-                for k, e in enumerate(alpha):
-                    if e:
-                        prod = Fraction(e)
-                        for j, ej in enumerate(alpha):
-                            target = ej - 1 if j == k else ej
-                            if target:
-                                prod *= point[chart.z_index(j + 1)] ** target
-                        d_val += prod * point[chart.zp_index(k + 1)]
-                rest_fp += a_val * d_val
-            if zp1 == 0:
-                degenerate = True
-                break
-            a_e1 = -rest_fp / zp1
-            a_zero = -a_e1 * point[chart.z_index(1)] - rest_f
-            point[chart.a_index(i, e1)] = a_e1
-            point[chart.a_index(i, zero_alpha)] = a_zero
-        if not degenerate:
-            return point
-    raise RuntimeError("could not sample a non-degenerate locus point")
+def _sample_locus_point(chart, rng, eqs, deqs):
+    """Integer draws for every variable, then the two pinned slots of each block
+    solved exactly: f'_i holds the linear slot only as a multiple of z'_1 and no
+    constant slot, and f_i is linear in the constant slot."""
+    point: list = [rng.randint(-5, 5) for _ in range(chart.num_vars)]
+    zp1 = rng.randint(1, 5) * rng.choice((-1, 1))
+    point[chart.zp_index(1)] = zp1
+    zero_alpha, e1 = _pinned_slots(chart.N)
+    for i in range(chart.c):
+        a_zero, a_e1 = chart.a_index(i + 1, zero_alpha), chart.a_index(i + 1, e1)
+        point[a_zero] = point[a_e1] = 0
+        point[a_e1] = Fraction(-deqs[i].eval(point), zp1)
+        point[a_zero] = -eqs[i].eval(point)
+    return point

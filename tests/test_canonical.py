@@ -1,12 +1,13 @@
 """Arithmetic results are built without re-validation; check that every one is
 canonical anyway: passing its terms back through the validating constructor
-changes nothing, no stored coefficient is 0, and every stored jet term is alive."""
+changes nothing, no stored coefficient is 0, every stored jet term is alive and
+no Chow term lies above h^n."""
 
 import random
 
 import pytest
 
-from cipos.chow import ModelParams
+from cipos.chow import ChowClass, ModelParams, segre_cotangent
 from cipos.jets import JetClass, _term_alive, nef_tower_class, tower_segre
 from cipos.polyring import MultidegreePoly, recombine_elementary
 
@@ -28,6 +29,13 @@ def random_jet(rng, params, level, max_terms=6):
     return JetClass(params, level, terms)
 
 
+def random_chow(rng, params):
+    coeffs = [random_poly(rng, params.c, max_deg=2, max_terms=2) for _ in range(params.n + 1)]
+    for _ in range(rng.randint(0, params.n)):
+        coeffs[rng.randint(0, params.n)] = 0
+    return ChowClass(params, coeffs)
+
+
 def assert_canonical_poly(p):
     assert isinstance(p, MultidegreePoly)
     assert MultidegreePoly(p.num_vars, p.terms).terms == p.terms
@@ -39,6 +47,13 @@ def assert_canonical_jet(x):
     assert JetClass(x.params, x.level, x.terms).terms == x.terms
     assert all(x.terms.values())
     assert all(_term_alive(x.params, x.level, u, q, e) for u, q, e in x.terms)
+
+
+def assert_canonical_chow(x):
+    assert isinstance(x, ChowClass)
+    assert all(0 <= j <= x.params.n for j, _ in x.terms)
+    assert ChowClass(x.params, x.coeffs).terms == x.terms
+    assert all(x.terms.values())
 
 
 def test_poly_results_canonical():
@@ -73,6 +88,34 @@ def test_jet_results_canonical(N, n):
         nef = nef_tower_class(params, level)
         for result in (nef ** 3, nef * tower_segre(params, level, 2), tower_segre(params, level, 3)):
             assert_canonical_jet(result)
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (4, 2), (6, 3), (7, 4)])
+def test_chow_results_canonical(N, n):
+    params = ModelParams(N, n)
+    rng = random.Random(N * 10 + n)
+    for _ in range(40):
+        x, y = random_chow(rng, params), random_chow(rng, params)
+        p, k = random_poly(rng, params.c), rng.randint(-3, 3)
+        results = [x + y, x - y, x * y, x - x, x * (y - y), x + k, k - x, x * k, -x, x ** rng.randint(0, 4)]
+        results += [x + p, p - x, x * p, p * x, x.add_all([y, -x, k, p]), x.grade(rng.randint(0, n))]
+        for result in results:
+            assert_canonical_chow(result)
+        assert x * p == x * ChowClass.of_poly(params, 0, p) and x + k == k + x
+    for result in segre_cotangent(params, rng.randint(-3, 3)):
+        assert_canonical_chow(result)
+        assert result ** 2 == result * result
+
+
+def test_mixed_chow_operands():
+    params = ModelParams(4, 2)
+    d1 = MultidegreePoly.variable(params.c, 0)
+    h = ChowClass.h_power(params, 1)
+    assert ChowClass.one(params) * 3 == 3 and ChowClass.zero(params) == 0
+    assert ChowClass.of_poly(params, 0, d1) == d1 and d1 == ChowClass.of_poly(params, 0, d1)
+    assert (h * d1).coeffs == (0, d1, 0) and d1 * h == h * d1
+    with pytest.raises(ValueError):
+        h * MultidegreePoly.variable(params.c + 1, 0)
 
 
 def test_mismatched_operands_rejected():

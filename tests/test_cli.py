@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +11,23 @@ from cipos.bounds import morse_closed_form
 from cipos.polyring import MultidegreePoly
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_rejected(capsys, argv):
+    """Exit code, stdout and stderr lines of a command, whether it returns or exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
 
 
 class TestSegre:
@@ -166,6 +183,48 @@ class TestVecfields:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vecfields", "verify", "--N", "2", "--degrees", "2", "--family", "tj", "--samples", "0"],
+            ["positivity", "--N", "4", "--n", "2", "--a", "-3"],
+            ["bound", "--N", "4", "--n", "2", "--a", "-1"],
+        ],
+        ids=["samples-0", "positivity-negative-twist", "bound-negative-twist"],
+    )
+    def test_one_error_line_and_exit_2(self, capsys, argv):
+        code, out, err = run_rejected(capsys, argv)
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["segre", "positivity", "bound", "jet", "selftest"])
+    def test_seed_only_on_vecfields_verify(self, capsys, command):
+        argv = {
+            "segre": ["segre", "--N", "4", "--n", "2"],
+            "positivity": ["positivity", "--N", "4", "--n", "2", "--a", "0"],
+            "bound": ["bound", "--N", "4", "--n", "2", "--a", "0"],
+            "jet": ["jet", "--N", "4", "--n", "2", "--a", "0"],
+            "selftest": ["selftest", "--criteria", "4"],
+        }[command]
+        code, out, err = run_rejected(capsys, argv + ["--seed", "3"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 3" in err[-1]
+
+    def test_bound_report_invariant_survives_python_O(self):
+        # python -O strips assert statements; the invariant must still raise
+        script = (
+            "from cipos.bounds import BoundReport\n"
+            "try:\n"
+            "    BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method='scan')\n"
+            "except ArithmeticError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
 
 
 class TestSelftest:

@@ -6,27 +6,16 @@ from cipos.polyring import MultidegreePoly
 from cipos.vecfields import (
     UniversalChart,
     VectorField,
+    _sample_locus_point,
     coefficient_shift_field,
     coordinate_field,
     defining_equations,
     lie_derivative,
     point_tangency_check,
     solved_coefficient_field,
+    solved_free_slots,
     velocity_field,
 )
-
-
-def e1(N):
-    return tuple(1 if t == 0 else 0 for t in range(N))
-
-
-def free_slots(chart, i):
-    cutoff = min(chart.N, chart.degrees[i - 1])
-    return [
-        alpha
-        for alpha in chart.alphas[i - 1]
-        if sum(alpha) <= cutoff and alpha not in ((0,) * chart.N, e1(chart.N))
-    ]
 
 
 class TestChart:
@@ -117,7 +106,7 @@ class TestSolvedFamily:
                 chart = UniversalChart(N, degrees)
                 eqs, deqs = defining_equations(chart)
                 for i in range(1, len(degrees) + 1):
-                    data = {alpha: rng.randint(-4, 4) for alpha in free_slots(chart, i)}
+                    data = {alpha: rng.randint(-4, 4) for alpha in solved_free_slots(chart, i)}
                     field = solved_coefficient_field(chart, i, data)
                     assert lie_derivative(field, eqs[i - 1]).is_zero()
                     assert lie_derivative(field, deqs[i - 1]).is_zero()
@@ -133,7 +122,7 @@ class TestSolvedFamily:
             N = rng.randint(2, 4)
             d = rng.randint(1, 3)
             chart = UniversalChart(N, [d])
-            data = {alpha: rng.randint(-6, 6) for alpha in free_slots(chart, 1)}
+            data = {alpha: rng.randint(-6, 6) for alpha in solved_free_slots(chart, 1)}
             field = solved_coefficient_field(chart, 1, data)
             assert field.z_pole_order <= N
             checked += 1
@@ -228,9 +217,18 @@ class TestPointChecks:
         field = coordinate_field(chart, 3)
         assert point_tangency_check(field, samples=100, seed=1).all_zero
         rng = random.Random(2)
-        data = {alpha: rng.randint(-5, 5) for alpha in free_slots(chart, 2)}
+        data = {alpha: rng.randint(-5, 5) for alpha in solved_free_slots(chart, 2)}
         solved = solved_coefficient_field(chart, 2, data)
         assert point_tangency_check(solved, samples=100, seed=3).all_zero
+
+    @pytest.mark.parametrize("N,degrees", [(2, [2]), (3, [3]), (4, [2]), (3, [2, 2]), (4, [3, 1])])
+    def test_sampled_points_lie_on_the_locus(self, N, degrees):
+        chart = UniversalChart(N, degrees)
+        eqs, deqs = defining_equations(chart)
+        rng = random.Random(N * 10 + len(degrees))
+        for _ in range(20):
+            point = _sample_locus_point(chart, rng, eqs, deqs)
+            assert [g.eval(point) for g in eqs + deqs] == [0] * (2 * chart.c)
 
     def test_zero_field_trivially_clean(self):
         chart = UniversalChart(2, [2])

@@ -1,8 +1,9 @@
 """Truncated Chow ring of a complete intersection in projective space.
 
-A class is a sparse map from (power of the hyperplane class h, exponents of
-the multidegree variables) to nonzero integers, built on the ring core of
-``polyring`` and truncated at h^n (everything above the dimension dies).
+A class is a sparse map from flat keys ``(j, d1, ..., dc)`` (the power of the
+hyperplane class h, then the exponents of the multidegree variables) to
+nonzero integers, built on the ring core of ``polyring`` and truncated at h^n
+(everything above the dimension dies).
 The two Segre-class routes kept here on purpose, a truncated product
 expansion and a closed-form convolution, act as independent oracles for each
 other.
@@ -53,7 +54,7 @@ class ModelParams:
 
 
 class ChowClass(_SparseTerms):
-    """An h-graded class: ``terms`` maps (j, exponents) to the nonzero integer
+    """An h-graded class: ``terms`` maps (j, *exponents) to the nonzero integer
     coefficient of h^j * d^exponents, for 0 <= j <= n.
 
     Products drop everything in degree > n.  Immutable; ints and
@@ -74,7 +75,7 @@ class ChowClass(_SparseTerms):
                 raise TypeError(f"coefficient of h^{j} must be int or MultidegreePoly")
             elif entry.num_vars != c:
                 raise ValueError(f"coefficient of h^{j} lives in {entry.num_vars} variables, expected {c}")
-            terms.update(((j, exps), coeff) for exps, coeff in entry.terms.items())
+            terms.update(((j, *exps), coeff) for exps, coeff in entry.terms.items())
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "terms", terms)
 
@@ -102,8 +103,8 @@ class ChowClass(_SparseTerms):
     @property
     def coeffs(self) -> tuple[MultidegreePoly, ...]:
         grades: list[dict] = [{} for _ in range(self.params.n + 1)]
-        for (j, exps), coeff in self.terms.items():
-            grades[j][exps] = coeff
+        for key, coeff in self.terms.items():
+            grades[key[0]][key[1:]] = coeff
         zero = MultidegreePoly.zero(self.params.c)
         return tuple(zero._wrap(terms) for terms in grades)
 
@@ -111,24 +112,20 @@ class ChowClass(_SparseTerms):
         return self._wrap({key: v for key, v in self.terms.items() if key[0] == j})
 
     def is_pure(self, j: int) -> bool:
-        return all(i == j for i, _ in self.terms)
+        return all(key[0] == j for key in self.terms)
 
     # -- ring kernel -------------------------------------------------------------
 
-    def _unit_key(self) -> tuple[int, tuple[int, ...]]:
-        return 0, (0,) * self.params.c
+    def _unit_key(self) -> tuple[int, ...]:
+        return (0,) * (self.params.c + 1)
+
+    def _alive(self, key) -> bool:
+        return key[0] <= self.params.n
 
     def _promote(self, other):
         if isinstance(other, MultidegreePoly):
             return ChowClass(self.params, [other])
         return super()._promote(other)
-
-    def _product(self, other: "ChowClass"):
-        n = self.params.n
-        for (i, e1), c1 in self.terms.items():
-            for (j, e2), c2 in other.terms.items():
-                if i + j <= n:
-                    yield (i + j, tuple(a + b for a, b in zip(e1, e2))), c1 * c2
 
     # bound in the class body, where tools that wrap a class's own operators find them
     __mul__ = _SparseTerms.__mul__

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -72,8 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, payload: dict, text: str) -> None:
     content = json.dumps(payload, indent=2) if args.format == "json" else text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(content + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(content + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2)
     else:
         print(content)
 
@@ -101,11 +106,7 @@ def _cmd_segre(args) -> int:
 
 def _cmd_positivity(args) -> int:
     params = _params_or_exit(args.N, args.n)
-    try:
-        report = schur.positivity_report(params, args.a)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = schur.positivity_report(params, args.a)
     lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
     lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
     for record in report.records:
@@ -121,30 +122,22 @@ def _cmd_bound(args) -> int:
     params = _params_or_exit(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
     if n > params.c:
-        print(f"error: bound requires n <= c, got n={n}, c={params.c}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bound requires n <= c, got n={n}, c={params.c}")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
-    try:
-        if args.method == "dim2":
-            if n != 2:
-                print("error: dim2 method requires n = 2", file=sys.stderr)
-                return 2
-            gamma = bounds.surface_degree_bound(N, a)
-        elif args.method == "rough":
-            gamma = bounds.rough_degree_bound(N, n, a)
-        else:
-            ceiling = args.d_max
-            if ceiling is None:
-                analytic = (
-                    bounds.surface_degree_bound(N, a)
-                    if n == 2 and N >= 4
-                    else bounds.rough_degree_bound(N, n, a)
-                )
-                ceiling = math.ceil(analytic) + 1
-            gamma = jets.min_uniform_degree(params, a, ceiling)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.method == "dim2":
+        if n != 2:
+            raise ValueError("dim2 method requires n = 2")
+        gamma = bounds.surface_degree_bound(N, a)
+    elif args.method == "rough":
+        gamma = bounds.rough_degree_bound(N, n, a)
+    else:
+        ceiling = args.d_max
+        if ceiling is None:
+            analytic = (
+                bounds.surface_degree_bound(N, a) if n == 2 and N >= 4 else bounds.rough_degree_bound(N, n, a)
+            )
+            ceiling = math.ceil(analytic) + 1
+        gamma = jets.min_uniform_degree(params, a, ceiling)
     report = bounds.BoundReport(N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method)
     if gamma is None:
         threshold_line = "threshold = none"
@@ -167,11 +160,7 @@ def _cmd_jet(args) -> int:
         try:
             degrees = tuple(int(part) for part in args.degrees.split(","))
         except ValueError:
-            print("error: --degrees must be a comma-separated integer list", file=sys.stderr)
-            return 2
-        if len(degrees) != params.c:
-            print(f"error: need {params.c} degrees, got {len(degrees)}", file=sys.stderr)
-            return 2
+            raise ValueError("--degrees must be a comma-separated integer list") from None
     cert = jets.morse_certificate(params, args.a, degrees)
     lines = [
         f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
@@ -185,14 +174,10 @@ def _cmd_jet(args) -> int:
 
 
 def _cmd_vecfields(args) -> int:
-    try:
-        degrees = [int(part) for part in args.degrees.split(",")]
-        chart = vecfields.UniversalChart(args.N, degrees)
-        if args.samples < 1:
-            raise ValueError("--samples must be >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    degrees = [int(part) for part in args.degrees.split(",")]
+    chart = vecfields.UniversalChart(args.N, degrees)
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     rng = random.Random(args.seed)
     fields = []
     if args.family == "tj":
@@ -260,8 +245,7 @@ def _cmd_selftest(args) -> int:
         try:
             numbers = [int(part) for part in args.criteria.split(",")]
         except ValueError:
-            print("error: --criteria must be a comma-separated integer list", file=sys.stderr)
-            return 2
+            raise ValueError("--criteria must be a comma-separated integer list") from None
     results = selftest.run_all(numbers)
     payload = {
         "results": [
@@ -293,11 +277,27 @@ def main(argv=None) -> int:
         "vecfields": _cmd_vecfields,
         "selftest": _cmd_selftest,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # interpreter exit cannot raise a second time (recipe from the
+        # documentation of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

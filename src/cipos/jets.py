@@ -2,16 +2,19 @@
 
 A level-k class is an integer combination of monomials in the tautological
 divisors u_1..u_k, the hyperplane class h, and formal symbols for the base
-Segre classes.  Tower Segre classes are expanded eagerly through the fiberwise
-recursion, pushforwards trade the top tautological power for a base-level
-Segre class, and iterating down to the base turns any top-degree class into an
-exact multidegree polynomial.  The holomorphic-Morse bigness certificate and
-the uniform-degree scan sit on top of that reduction.
+Segre classes, stored on the ring core of ``polyring`` under flat keys
+``(h, s1, ..., sn, u1, ..., uk)`` and truncated wherever a prefix overflows a
+stage of the tower.  Tower Segre classes are expanded eagerly through the
+fiberwise recursion, pushforwards trade the top tautological power for a
+base-level Segre class, and iterating down to the base turns any top-degree
+class into an exact multidegree polynomial.  The holomorphic-Morse bigness
+certificate and the uniform-degree scan sit on top of that reduction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,8 +24,8 @@ from . import chow
 from .chow import ChowClass, ModelParams
 from .polyring import MultidegreePoly, _SparseTerms
 
-# term key: (u exponents, one per level, h exponent, base Segre exponents e_0..e_n)
-TermKey = tuple[tuple[int, ...], int, tuple[int, ...]]
+# term key: (h exponent, base Segre exponents s_1..s_n, u exponents, one per level)
+TermKey = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -43,26 +46,14 @@ def segre_recursion_coeff(n: int, ell: int, j: int) -> int:
     return total
 
 
-def _term_alive(params: ModelParams, level: int, u_exps, h_exp: int, s_exps) -> bool:
-    # a monomial pulled back from stage j must fit in dimension n + j(n-1);
-    # checking every prefix kills certified-zero terms as early as possible
-    n = params.n
-    deg = h_exp + sum(i * e for i, e in enumerate(s_exps))
-    if deg > n:
-        return False
-    for j in range(level):
-        deg += u_exps[j]
-        if deg > n + (j + 1) * (n - 1):
-            return False
-    return True
-
-
 class JetClass(_SparseTerms):
     """Formal integer combination of tower monomials at a fixed level.
 
-    ``terms`` maps (u-exponents, h-exponent, base-Segre exponents) to nonzero
-    integer coefficients.  Terms whose degree overflows any stage of the tower
-    are identically zero and never stored.
+    ``terms`` maps flat keys ``(h, s1, ..., sn, u1, ..., u_level)`` (the
+    exponents of h, of the base Segre symbols and of the tautological
+    divisors; s_0 = 1 has no slot) to nonzero integer coefficients.  Terms
+    whose degree overflows any stage of the tower are identically zero and
+    never stored.
     """
 
     __slots__ = ("params", "level", "terms")
@@ -71,20 +62,16 @@ class JetClass(_SparseTerms):
     def __init__(self, params: ModelParams, level: int, terms: Mapping[TermKey, int] | None = None):
         if level < 0:
             raise ValueError("level must be >= 0")
-        clean: dict[TermKey, int] = {}
-        if terms:
-            for (u_exps, h_exp, s_exps), coeff in terms.items():
-                if not coeff:
-                    continue
-                u_exps, s_exps = tuple(u_exps), tuple(s_exps)
-                if len(u_exps) != level:
-                    raise ValueError(f"u-exponents {u_exps} do not match level {level}")
-                if len(s_exps) != params.n + 1:
-                    raise ValueError("base Segre exponent vector has wrong length")
-                if _term_alive(params, level, u_exps, h_exp, s_exps):
-                    clean[(u_exps, h_exp, s_exps)] = coeff
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "level", level)
+        width = len(self._unit_key())
+        clean: dict[TermKey, int] = {}
+        for key, coeff in (terms or {}).items():
+            key = tuple(key)
+            if len(key) != width:
+                raise ValueError(f"term key {key} does not have length 1 + n + level = {width}")
+            if coeff and self._alive(key):
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
     # -- constructors --------------------------------------------------------
@@ -98,44 +85,47 @@ class JetClass(_SparseTerms):
         return cls.zero(params, level)._unit()
 
     @classmethod
-    def hyperplane(cls, params: ModelParams, level: int) -> "JetClass":
-        key = ((0,) * level, 1, (0,) * (params.n + 1))
+    def _generator(cls, params: ModelParams, level: int, slot: int) -> "JetClass":
+        key = tuple(1 if j == slot else 0 for j in range(1 + params.n + level))
         return cls(params, level, {key: 1})
+
+    @classmethod
+    def hyperplane(cls, params: ModelParams, level: int) -> "JetClass":
+        return cls._generator(params, level, 0)
 
     @classmethod
     def tautological(cls, params: ModelParams, level: int, i: int) -> "JetClass":
         """The divisor u_i pulled up to the given level (1 <= i <= level)."""
         if not 1 <= i <= level:
             raise ValueError(f"tautological index {i} outside 1..{level}")
-        u = tuple(1 if j == i - 1 else 0 for j in range(level))
-        return cls(params, level, {(u, 0, (0,) * (params.n + 1)): 1})
+        return cls._generator(params, level, params.n + i)
 
     @classmethod
     def base_segre_symbol(cls, params: ModelParams, level: int, i: int) -> "JetClass":
         """The formal base Segre symbol of index i (zero beyond the dimension)."""
-        if i < 0:
+        if i < 0 or i > params.n:
             return cls.zero(params, level)
         if i == 0:
             return cls.unit(params, level)
-        if i > params.n:
-            return cls.zero(params, level)
-        s = tuple(1 if j == i else 0 for j in range(params.n + 1))
-        return cls(params, level, {((0,) * level, 0, s): 1})
+        return cls._generator(params, level, i)
 
     # -- ring kernel -------------------------------------------------------------
 
     def _unit_key(self) -> TermKey:
-        return ((0,) * self.level, 0, (0,) * (self.params.n + 1))
+        return (0,) * (1 + self.params.n + self.level)
 
-    def _product(self, other: "JetClass"):
-        params, level = self.params, self.level
-        for (u1, q1, e1), c1 in self.terms.items():
-            for (u2, q2, e2), c2 in other.terms.items():
-                u = tuple(a + b for a, b in zip(u1, u2))
-                q = q1 + q2
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if _term_alive(params, level, u, q, e):
-                    yield (u, q, e), c1 * c2
+    def _alive(self, key: TermKey) -> bool:
+        # a monomial pulled back from stage j must fit in dimension n + j(n-1);
+        # checking every prefix kills certified-zero terms as early as possible
+        n = self.params.n
+        deg = key[0] + sum(map(operator.mul, key, range(n + 1)))
+        if deg > n:
+            return False
+        for j, u in enumerate(key[n + 1 :], 1):
+            deg += u
+            if deg > n + j * (n - 1):
+                return False
+        return True
 
     # bound in the class body, where tools that wrap a class's own operators find them
     __mul__ = _SparseTerms.__mul__
@@ -150,14 +140,12 @@ class JetClass(_SparseTerms):
         if level == self.level:
             return self
         pad = (0,) * (level - self.level)
-        out = {(u + pad, q, e): c for (u, q, e), c in self.terms.items()}
-        return JetClass(self.params, level, out)
+        # a prefix that fits every stage still fits once zero exponents follow
+        return JetClass.zero(self.params, level)._wrap({key + pad: c for key, c in self.terms.items()})
 
     def term_degrees(self) -> set[int]:
-        return {
-            sum(u) + q + sum(i * x for i, x in enumerate(e))
-            for (u, q, e) in self.terms
-        }
+        n = self.params.n
+        return {key[0] + sum(map(operator.mul, key, range(n + 1))) + sum(key[n + 1 :]) for key in self.terms}
 
     def __repr__(self):
         return f"JetClass(level={self.level}, {len(self.terms)} terms)"
@@ -184,14 +172,13 @@ def tower_segre(params: ModelParams, level: int, index: int) -> JetClass:
     if level == 0:
         result = JetClass.base_segre_symbol(params, 0, index)
     else:
-        result = JetClass.zero(params, level)
         u_top = JetClass.tautological(params, level, level)
-        for j in range(index + 1):
-            coeff = segre_recursion_coeff(params.n, index, j)
-            if coeff == 0:
-                continue
-            piece = tower_segre(params, level - 1, j).lift(level)
-            result = result + piece * u_top ** (index - j) * coeff
+        coeffs = ((j, segre_recursion_coeff(params.n, index, j)) for j in range(index + 1))
+        result = JetClass.zero(params, level).add_all(
+            tower_segre(params, level - 1, j).lift(level) * u_top ** (index - j) * coeff
+            for j, coeff in coeffs
+            if coeff
+        )
     _TOWER_SEGRE_CACHE[key] = result
     return result
 
@@ -204,16 +191,15 @@ def pushforward(x: JetClass) -> JetClass:
     params, level = x.params, x.level
     shift = params.n - 1
     buckets: dict[int, dict[TermKey, int]] = {}
-    for (u, q, e), coeff in x.terms.items():
-        p = u[-1]
-        buckets.setdefault(p, {})[(u[:-1], q, e)] = coeff
-    total = JetClass.zero(params, level - 1)
-    for p, rest_terms in buckets.items():
-        if p - shift < 0:
-            continue
-        rest = JetClass(params, level - 1, rest_terms)
-        total = total + rest * tower_segre(params, level - 1, p - shift)
-    return total
+    for key, coeff in x.terms.items():
+        buckets.setdefault(key[-1], {})[key[:-1]] = coeff
+    # every prefix of a stored key fits the stages below, so the rests are canonical
+    below = JetClass.zero(params, level - 1)
+    return below.add_all(
+        below._wrap(rest) * tower_segre(params, level - 1, p - shift)
+        for p, rest in buckets.items()
+        if p >= shift
+    )
 
 
 _BASE_SEGRE_CACHE: dict[ModelParams, list[ChowClass]] = {}
@@ -235,9 +221,9 @@ def reduce_to_base(x: JetClass) -> ChowClass:
     params = x.params
     segre = _base_segre_classes(params)
     pieces = []
-    for (_, q, e), coeff in x.terms.items():
-        factors = (segre[i] ** exp for i, exp in enumerate(e) if exp)
-        pieces.append(math.prod(factors, start=ChowClass.h_power(params, q)) * coeff)
+    for key, coeff in x.terms.items():
+        factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
+        pieces.append(math.prod(factors, start=ChowClass.h_power(params, key[0])) * coeff)
     return ChowClass.zero(params).add_all(pieces)
 
 
@@ -309,6 +295,12 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     """
     if a < 0:
         raise ValueError("twist a must be >= 0")
+    if degrees is not None:
+        degrees = tuple(degrees)
+        if len(degrees) != params.c:
+            raise ValueError(f"need {params.c} degrees, got {len(degrees)}")
+        if min(degrees) < 1:
+            raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
     kappa = params.kappa
     top = params.tower_dim(kappa)
     m = 3**kappa - 1
@@ -319,9 +311,6 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     difference = reduce_to_base(total ** (top - 1) * tail).coeffs[params.n]
     cert = MorseCertificate(params=params, a=a, m=m, difference=difference)
     if degrees is not None:
-        degrees = tuple(degrees)
-        if len(degrees) != params.c:
-            raise ValueError(f"need {params.c} degrees, got {len(degrees)}")
         cert.evaluated_at = degrees
         cert.value = difference.eval(degrees)
         cert.positive = cert.value > 0

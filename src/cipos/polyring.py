@@ -10,18 +10,22 @@ is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by
 ``MultidegreePoly``, ``ChowClass`` and ``JetClass``: each stores its element
-as a dict from monomial key to nonzero int, and the core writes promotion,
-``+``, ``-``, ``*`` around a class-specific product kernel, square-and-multiply
-powering, equality, hashing, immutability and the trusted constructor
-``_wrap`` once for all three.  Public constructors validate their input;
-arithmetic results are canonical by construction and are wrapped without a
-second check.
+as a dict from a flat exponent tuple to a nonzero int, and the core writes
+promotion, ``+``, ``-``, the one product kernel (add exponent tuples slot by
+slot, keep what the class's truncation predicate ``_alive`` accepts),
+square-and-multiply powering, equality, hashing, immutability and the trusted
+constructor ``_wrap`` once for all three.  Key layouts: ``(d1, ..., dc)`` for
+``MultidegreePoly``, ``(j, d1, ..., dc)`` for ``ChowClass`` (h^j times a
+monomial) and ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``.  Public
+constructors validate their input; arithmetic results are canonical by
+construction and are wrapped without a second check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 #: Degree of the zero polynomial.  A sentinel that compares below every
@@ -48,9 +52,10 @@ def _accumulate(out: dict, items: Iterable) -> dict:
 class _SparseTerms:
     """Immutable commutative ring element stored as ``terms``: monomial key -> nonzero int.
 
-    Subclasses name the attributes that operands must share in ``_SHAPE`` and
-    supply ``_unit_key`` and ``_product``, the product kernel, which yields
-    (key, coefficient) pairs for the accumulation to sum.  ``_promote`` turns
+    Keys are flat exponent tuples.  Subclasses name the attributes that
+    operands must share in ``_SHAPE``, supply ``_unit_key`` and may override
+    ``_alive``, the truncation predicate: the product keeps a key only if it
+    is alive, and every key is by default.  ``_promote`` turns
     an operand into an element of the same ring (NotImplemented for foreign
     types); a subclass widens it to take more operand types.
     """
@@ -78,6 +83,17 @@ class _SparseTerms:
 
     def _unit(self):
         return self._constant(1)
+
+    def _alive(self, key) -> bool:
+        return True
+
+    def _product(self, other):
+        alive = self._alive
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(operator.add, e1, e2))
+                if alive(key):
+                    yield key, c1 * c2
 
     def _promote(self, other):
         if isinstance(other, type(self)):
@@ -246,11 +262,6 @@ class MultidegreePoly(_SparseTerms):
 
     def _unit_key(self) -> tuple[int, ...]:
         return (0,) * self.num_vars
-
-    def _product(self, other: "MultidegreePoly"):
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                yield tuple(a + b for a, b in zip(e1, e2)), c1 * c2
 
     # bound in the class body, where tools that wrap a class's own operators find them
     __add__ = _SparseTerms.__add__

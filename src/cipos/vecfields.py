@@ -92,9 +92,6 @@ class UniversalChart:
 
     # -- polynomial builders ----------------------------------------------------
 
-    def poly(self, terms) -> MultidegreePoly:
-        return MultidegreePoly(self.num_vars, terms)
-
     def var(self, index: int) -> MultidegreePoly:
         return MultidegreePoly.variable(self.num_vars, index)
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cipos.chow import ChowClass, ModelParams, segre_cotangent
-from cipos.jets import JetClass, _term_alive, nef_tower_class, tower_segre
+from cipos.jets import JetClass, nef_tower_class, tower_segre
 from cipos.polyring import MultidegreePoly, recombine_elementary
 
 
@@ -24,8 +24,8 @@ def random_jet(rng, params, level, max_terms=6):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         u = tuple(rng.randint(0, 3) for _ in range(level))
-        e = tuple(rng.randint(0, 1) for _ in range(params.n + 1))
-        terms[(u, rng.randint(0, 2), e)] = rng.randint(-3, 3)
+        e = tuple(rng.randint(0, 1) for _ in range(params.n))
+        terms[(rng.randint(0, 2), *e, *u)] = rng.randint(-3, 3)
     return JetClass(params, level, terms)
 
 
@@ -46,12 +46,12 @@ def assert_canonical_jet(x):
     assert isinstance(x, JetClass)
     assert JetClass(x.params, x.level, x.terms).terms == x.terms
     assert all(x.terms.values())
-    assert all(_term_alive(x.params, x.level, u, q, e) for u, q, e in x.terms)
+    assert all(x._alive(key) for key in x.terms)
 
 
 def assert_canonical_chow(x):
     assert isinstance(x, ChowClass)
-    assert all(0 <= j <= x.params.n for j, _ in x.terms)
+    assert all(0 <= j <= x.params.n for j, *_ in x.terms)
     assert ChowClass(x.params, x.coeffs).terms == x.terms
     assert all(x.terms.values())
 

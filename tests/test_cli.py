@@ -192,13 +192,46 @@ class TestRejectedInput:
             ["vecfields", "verify", "--N", "2", "--degrees", "2", "--family", "tj", "--samples", "0"],
             ["positivity", "--N", "4", "--n", "2", "--a", "-3"],
             ["bound", "--N", "4", "--n", "2", "--a", "-1"],
+            ["jet", "--N", "5", "--n", "2", "--a", "0", "--degrees", "0,0,0"],
+            ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,-1"],
         ],
-        ids=["samples-0", "positivity-negative-twist", "bound-negative-twist"],
+        ids=["samples-0", "positivity-negative-twist", "bound-negative-twist", "jet-degree-0", "jet-negative-degree"],
     )
     def test_one_error_line_and_exit_2(self, capsys, argv):
         code, out, err = run_rejected(capsys, argv)
         assert (code, out) == (2, "")
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_rejected(capsys, ["segre", "--N", "4", "--n", "2", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not target.parent.exists()
+
+    def test_internal_arithmetic_error_exits_1(self, capsys, monkeypatch):
+        def broken(params, a):
+            raise ArithmeticError("leading coefficient vanished")
+
+        monkeypatch.setattr(cli.schur, "positivity_report", broken)
+        code, out, err = run_rejected(capsys, ["positivity", "--N", "4", "--n", "2", "--a", "0"])
+        assert (code, out) == (1, "")
+        assert len(err) == 1 and err[0].startswith("error: ") and "leading coefficient vanished" in err[0]
+
+    def test_closed_stdout_leaves_stderr_clean(self):
+        # the JSON report (about 128 kB) outgrows the pipe buffer, so the
+        # write hits the closed read end
+        argv = ["positivity", "--N", "10", "--n", "5", "--a", "0", "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cipos", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
     @pytest.mark.parametrize("command", ["segre", "positivity", "bound", "jet", "selftest"])
     def test_seed_only_on_vecfields_verify(self, capsys, command):

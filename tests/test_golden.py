@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and two frames the README misses, in text and JSON.
+carries timings) and four frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -32,6 +32,10 @@ COMMANDS = {
     "positivity_N8_n4_a2": ["positivity", "--N", "8", "--n", "4", "--a", "2"],
     # a kappa = 3 tower
     "jet_N4_n3_a0_at_7": ["jet", "--N", "4", "--n", "3", "--a", "0", "--degrees", "7"],
+    # the kappa = 4 hypersurface
+    "jet_N5_n4_a0_at_7": ["jet", "--N", "5", "--n", "4", "--a", "0", "--degrees", "7"],
+    # a codimension-3 frame (kappa = 3)
+    "jet_N10_n7_a0_at_345": ["jet", "--N", "10", "--n", "7", "--a", "0", "--degrees", "3,4,5"],
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]

@@ -201,7 +201,7 @@ class TestNefClasses:
             total = JetClass.zero(p, kappa)
             for i in range(1, kappa + 1):
                 total = total + nef_tower_class(p, i).lift(kappa)
-            h_key = ((0,) * kappa, 1, (0,) * (p.n + 1))
+            h_key = (1,) + (0,) * (p.n + kappa)
             assert total.terms[h_key] == 3**kappa - 1
 
     def test_level_zero_rejected(self):

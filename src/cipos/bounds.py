@@ -3,9 +3,9 @@
 Root bounds for monic polynomials, the derivative-cascade threshold for
 symmetric polynomials in the elementary-symmetric span, the closed-form
 coefficients of the first-order Morse difference, and the explicit degree
-bounds (general rough form, sharpened surface form, and the shifted variant
-the main bigness argument consumes).  Degrees are integers, so callers are
-expected to ceil; every returned threshold is a Fraction.
+bounds (general rough form and sharpened surface form).  Degrees are
+integers, so callers are expected to ceil; every returned threshold is a
+Fraction.
 """
 
 from __future__ import annotations
@@ -75,6 +75,14 @@ def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k:
     return monic_root_bound([Fraction(table.get(i, 0) * math.comb(c, i), math.comb(c, k)) for i in range(k)])
 
 
+def shift_certifies(poly: MultidegreePoly, r: int) -> bool:
+    """Whether poly(r + t_1, ..., r + t_c) has only positive coefficients and a
+    positive constant term, which by Taylor expansion makes poly positive on
+    all of [r, inf)^c."""
+    shifted = poly.shifted(r)
+    return all(v > 0 for v in shifted.terms.values()) and shifted.constant_term() > 0
+
+
 def shifted_positivity_threshold(poly: MultidegreePoly, cap: int = 1 << 40) -> int:
     """Smallest integer r such that poly(r + t_1, ..., r + t_c) has only
     nonnegative coefficients and a positive constant term.
@@ -84,25 +92,17 @@ def shifted_positivity_threshold(poly: MultidegreePoly, cap: int = 1 << 40) -> i
     where the derivative cascade does not apply.  The valid set of r is upward
     closed, so a doubling scan plus bisection finds the frontier.
     """
-
-    def sound(r: int) -> bool:
-        shifted = poly.shifted(r)
-        return (
-            all(v > 0 for v in shifted.terms.values())
-            and shifted.constant_term() > 0
-        )
-
-    if sound(1):
+    if shift_certifies(poly, 1):
         return 1
     hi = 2
-    while not sound(hi):
+    while not shift_certifies(poly, hi):
         hi *= 2
         if hi > cap:
             raise ArithmeticError("no shifted-positivity threshold found below cap")
     lo = hi // 2  # known unsound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if sound(mid):
+        if shift_certifies(poly, mid):
             hi = mid
         else:
             lo = mid
@@ -139,14 +139,6 @@ def rough_degree_bound(N: int, n: int, a: int) -> Fraction:
 def rough_bound_limit(n: int) -> int:
     """Large-codimension limit constant of the rough bound at shifted twist."""
     return 2 ** (n - 1) * n**3 * math.comb(2 * n - 1, n) * math.comb(n, n // 2)
-
-
-def main_theorem_degree_bound(N: int, n: int, a: int) -> Fraction:
-    """Degree threshold feeding the bigness-of-the-twisted-bundle argument:
-    the twist is shifted by N, and surfaces use the sharpened bound."""
-    if n == 2:
-        return surface_degree_bound(N, a + N)
-    return rough_degree_bound(N, n, a + N)
 
 
 @dataclass

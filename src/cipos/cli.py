@@ -95,12 +95,10 @@ def _params_or_exit(N: int, n: int, a: int = 0) -> ModelParams:
 
 def _cmd_segre(args) -> int:
     params = _params_or_exit(args.N, args.n)
-    payload = chow.segre_table_json(params, args.twist)
-    lines = [f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"]
     seg = chow.segre_cotangent(params, args.twist)
-    for j in range(params.n + 1):
-        lines.append(f"  s_{j} = ({seg[j].coeffs[j].text()}) * h^{j}")
-    _emit(args, payload, "\n".join(lines))
+    lines = [f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"]
+    lines += [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
+    _emit(args, chow.segre_table_json(params, args.twist, seg), "\n".join(lines))
     return 0
 
 
@@ -141,8 +139,11 @@ def _cmd_bound(args) -> int:
     report = bounds.BoundReport(N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method)
     if gamma is None:
         threshold_line = "threshold = none"
-    else:
+    elif args.method != "scan" or bounds.shift_certifies(bounds.morse_closed_form(N, n, a), gamma):
         threshold_line = f"threshold = {gamma} (integer degrees >= {report.gamma_ceil})"
+    else:
+        # the scan only found the first positive diagonal value
+        threshold_line = f"threshold = {gamma} (first positive uniform degree; larger degrees not certified)"
     text = [
         f"Degree bound, N={N} n={n} a={a} method={args.method}",
         "difference coefficients (elementary symmetric basis, ascending): "

@@ -7,7 +7,7 @@ Segre classes, stored on the ring core of ``polyring`` under flat keys
 stage of the tower.  Tower Segre classes are expanded eagerly through the
 fiberwise recursion, pushforwards trade the top tautological power for a
 base-level Segre class, and iterating down to the base turns any top-degree
-class into an exact multidegree polynomial.  The holomorphic-Morse bigness
+class into an exact multidegree polynomial, its coefficient of h^n.  The holomorphic-Morse bigness
 certificate and the uniform-degree scan sit on top of that reduction.
 """
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import chow
-from .chow import ChowClass, ModelParams
+from .chow import ModelParams
 from .polyring import MultidegreePoly, _SparseTerms
 
 # term key: (h exponent, base Segre exponents s_1..s_n, u exponents, one per level)
@@ -202,10 +202,10 @@ def pushforward(x: JetClass) -> JetClass:
     )
 
 
-_BASE_SEGRE_CACHE: dict[ModelParams, list[ChowClass]] = {}
+_BASE_SEGRE_CACHE: dict[ModelParams, list[MultidegreePoly]] = {}
 
 
-def _base_segre_classes(params: ModelParams) -> list[ChowClass]:
+def _base_segre_classes(params: ModelParams) -> list[MultidegreePoly]:
     cached = _BASE_SEGRE_CACHE.get(params)
     if cached is None:
         cached = chow.segre_cotangent(params, 0)
@@ -213,18 +213,25 @@ def _base_segre_classes(params: ModelParams) -> list[ChowClass]:
     return cached
 
 
-def reduce_to_base(x: JetClass) -> ChowClass:
+def reduce_to_base(x: JetClass) -> MultidegreePoly:
     """Iterate pushforwards down to the base, then substitute every base Segre
-    symbol by its untwisted cotangent Segre class and multiply out."""
+    symbol by its untwisted cotangent Segre class and multiply out.
+
+    Returns the coefficient of h^n; base terms of lower degree lie in lower
+    h-grades and are dropped.
+    """
     while x.level > 0:
         x = pushforward(x)
     params = x.params
+    n = params.n
     segre = _base_segre_classes(params)
+    one = MultidegreePoly.one(params.c)
     pieces = []
     for key, coeff in x.terms.items():
-        factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
-        pieces.append(math.prod(factors, start=ChowClass.h_power(params, key[0])) * coeff)
-    return ChowClass.zero(params).add_all(pieces)
+        if key[0] + sum(map(operator.mul, key, range(n + 1))) == n:
+            factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
+            pieces.append(math.prod(factors, start=one) * coeff)
+    return MultidegreePoly.zero(params.c).add_all(pieces)
 
 
 def integrate_tower(x: JetClass) -> MultidegreePoly:
@@ -308,7 +315,7 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     total = JetClass.zero(params, kappa).add_all(nef_classes)
     # reduce_to_base is linear, so one reduction covers both terms
     tail = total - JetClass.hyperplane(params, kappa) * (top * (m + a))
-    difference = reduce_to_base(total ** (top - 1) * tail).coeffs[params.n]
+    difference = reduce_to_base(total ** (top - 1) * tail)
     cert = MorseCertificate(params=params, a=a, m=m, difference=difference)
     if degrees is not None:
         cert.evaluated_at = degrees

@@ -9,16 +9,19 @@ canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by
-``MultidegreePoly``, ``ChowClass`` and ``JetClass``: each stores its element
-as a dict from a flat exponent tuple to a nonzero int, and the core writes
-promotion, ``+``, ``-``, the one product kernel (add exponent tuples slot by
-slot, keep what the class's truncation predicate ``_alive`` accepts),
-square-and-multiply powering, equality, hashing, immutability and the trusted
-constructor ``_wrap`` once for all three.  Key layouts: ``(d1, ..., dc)`` for
-``MultidegreePoly``, ``(j, d1, ..., dc)`` for ``ChowClass`` (h^j times a
-monomial) and ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``.  Public
-constructors validate their input; arithmetic results are canonical by
-construction and are wrapped without a second check.
+``MultidegreePoly`` and ``JetClass``: each stores its element as a dict from a
+flat exponent tuple to a nonzero int, and the core writes promotion, ``+``,
+``-``, the one product kernel (add exponent tuples slot by slot, keep what the
+class's truncation predicate ``_alive`` accepts), square-and-multiply
+powering, equality, hashing, immutability and the trusted constructor
+``_wrap`` once for both.  Key layouts: ``(d1, ..., dc)`` for
+``MultidegreePoly`` and ``(h, s1, ..., sn, u1, ..., u_level)`` for
+``JetClass``.  Public constructors validate their input; arithmetic results
+are canonical by construction and are wrapped without a second check.
+
+Truncated power series (a class in the Chow ring of a complete intersection
+is the list of its h-power coefficients) are plain lists of coefficients,
+multiplied by :func:`series_product` and inverted by :func:`series_inverse`.
 """
 
 from __future__ import annotations
@@ -399,6 +402,23 @@ def express_in_elementary(p: MultidegreePoly) -> list[tuple[int, int]]:
 def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> MultidegreePoly:
     """Inverse of :func:`express_in_elementary`: sum of a * e_j(d1..dc) over the pairs."""
     return MultidegreePoly.zero(c).add_all(elementary_symmetric(j, c) * a for j, a in coeffs)
+
+
+def series_product(a: Sequence, b: Sequence, order: int) -> list:
+    """Truncated product of two power series given by their coefficient lists.
+
+    Returns the coefficients of t^0..t^order of (sum a_i t^i)(sum b_j t^j);
+    entries beyond either list are zero.  Works over any commutative
+    coefficient ring whose elements support ``+`` and ``*`` with each other
+    and with plain ints (a coefficient with no contribution is the int 0).
+    """
+    out = []
+    for k in range(order + 1):
+        acc = 0
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
 
 
 def series_inverse(c_seq: Sequence, order: int):

@@ -10,6 +10,7 @@ monomial coefficients.  Disagreement between the two routes is a hard error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -99,7 +100,7 @@ def schur_det(partition: Partition, classes: Sequence):
     ``classes`` lists c_0, c_1, ... with c_0 the unit; indices outside the
     list (negative or beyond the end) are zero.  Uses division-free Laplace
     expansion memoized over column subsets, so it stays exact over rings with
-    zero divisors (the truncated Chow ring included).
+    zero divisors.
     """
     if not classes:
         raise ValueError("empty class sequence")
@@ -107,6 +108,7 @@ def schur_det(partition: Partition, classes: Sequence):
     m = len(parts)
     if m == 0:
         return classes[0]
+    weight = sum(parts)
 
     def entry(i, j):
         idx = parts[i] + j - i
@@ -115,22 +117,30 @@ def schur_det(partition: Partition, classes: Sequence):
         return classes[idx]
 
     matrix = [[entry(i, j) for j in range(m)] for i in range(m)]
+    # row_sums[k] = sum of p_i - i over the first k rows
+    row_sums = [0, *itertools.accumulate(p - i for i, p in enumerate(parts))]
     # minors[mask] = det of the first popcount(mask) rows on column set mask,
-    # built by expanding along the last of those rows
+    # built by expanding along the last of those rows.  Every product term of
+    # that minor has index sum w = row_sums[k] + sum(mask); for w > |partition|
+    # the rows below would need a negative index sum, so the minor reaches the
+    # determinant only through zero entries: it is skipped (a missing key is 0)
     minors: dict[int, object] = {}
     for mask in range(1, 1 << m):
-        row = mask.bit_count() - 1
+        cols = [j for j in range(m) if mask >> j & 1]
+        row = len(cols) - 1
+        if row_sums[row + 1] + sum(cols) > weight:
+            continue
         acc = 0
-        t = 0
-        for j in range(m):
-            bit = 1 << j
-            if not mask & bit:
-                continue
+        for t, j in enumerate(cols):
             e = matrix[row][j]
-            if e is not None:
-                piece = e if row == 0 else e * minors[mask ^ bit]
-                acc = acc - piece if (row + t) % 2 else acc + piece
-            t += 1
+            if e is None:
+                continue
+            if row:
+                rest = minors.get(mask ^ (1 << j))
+                if rest is None:
+                    continue
+                e = e * rest
+            acc = acc - e if (row + t) % 2 else acc + e
         minors[mask] = acc
     return minors[(1 << m) - 1]
 
@@ -190,9 +200,10 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     """Certify every Schur determinant in the twisted Segre classes.
 
     Requires codimension >= dimension.  For each partition of each weight up
-    to the dimension: form the determinant in the Chow ring, extract the
-    dominant part of its graded coefficient, verify the two positivity routes
-    agree, and attach a sufficient uniform degree threshold.
+    to the dimension: form the determinant in the h-coefficients of the
+    twisted Segre classes (it is the coefficient of h^weight of the class),
+    extract its dominant part, verify the two positivity routes agree, and
+    attach a sufficient uniform degree threshold.
     """
     n, c = params.n, params.c
     if c < n:
@@ -206,8 +217,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     for ell in range(1, n + 1):
         for lam in partitions_of(ell):
             conj = lam.conjugate()
-            det_class = schur_det(conj, twisted)
-            graded = det_class.coeffs[ell]
+            graded = schur_det(conj, twisted)
             dominant = graded.dominant_part()
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)

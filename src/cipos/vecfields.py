@@ -76,20 +76,6 @@ class UniversalChart:
             raise ValueError(f"no coefficient variable a^{i}_{alpha} (degree {self.degrees[i - 1]})")
         return pos
 
-    def var_name(self, index: int) -> str:
-        if index < self.N:
-            return f"z{index + 1}"
-        if index < 2 * self.N:
-            return f"zp{index - self.N + 1}"
-        for i, pos in enumerate(self._a_pos):
-            for alpha, p in pos.items():
-                if p == index:
-                    return f"a{i + 1}_" + "".join(str(x) for x in alpha)
-        raise ValueError(f"variable index {index} out of range")
-
-    def names(self) -> list[str]:
-        return [self.var_name(i) for i in range(self.num_vars)]
-
     # -- polynomial builders ----------------------------------------------------
 
     def var(self, index: int) -> MultidegreePoly:

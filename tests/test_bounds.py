@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 
 from cipos.bounds import (
     BoundReport,
-    main_theorem_degree_bound,
     monic_root_bound,
     morse_closed_form,
     morse_coeff,
@@ -17,6 +17,7 @@ from cipos.bounds import (
     surface_degree_bound,
     symmetric_positivity_threshold,
 )
+from cipos import cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric
 
 
@@ -165,10 +166,17 @@ class TestDegreeBounds:
         assert all(prev > cur for prev, cur in zip(values, values[1:]))
         assert all(v > 96 for v in values)
 
-    def test_main_dispatch(self):
-        assert main_theorem_degree_bound(4, 2, 0) == 34
-        assert main_theorem_degree_bound(5, 2, 0) == 21
-        assert main_theorem_degree_bound(6, 3, 0) == rough_degree_bound(6, 3, 6)
+    def test_main_dispatch(self, capsys):
+        # the main theorem's threshold is `bound` at the twist shifted by N:
+        # the sharpened form for surfaces, the rough form otherwise
+        def gamma(N, n, a, method):
+            argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a), "--method", method, "--format", "json"]
+            assert cli.main(argv) == 0
+            return Fraction(json.loads(capsys.readouterr().out)["gamma"])
+
+        assert gamma(4, 2, 0 + 4, "dim2") == 34
+        assert gamma(5, 2, 0 + 5, "dim2") == 21
+        assert gamma(6, 3, 0 + 6, "rough") == rough_degree_bound(6, 3, 6)
 
     def test_rough_dominates_surface(self):
         for N in range(4, 13):

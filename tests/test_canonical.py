@@ -1,15 +1,16 @@
 """Arithmetic results are built without re-validation; check that every one is
 canonical anyway: passing its terms back through the validating constructor
-changes nothing, no stored coefficient is 0, every stored jet term is alive and
-no Chow term lies above h^n."""
+changes nothing, no stored coefficient is 0 and every stored jet term is
+alive."""
 
 import random
 
 import pytest
 
-from cipos.chow import ChowClass, ModelParams, segre_cotangent
+from cipos.chow import ModelParams, integrate, segre_cotangent, twist_segre
 from cipos.jets import JetClass, nef_tower_class, tower_segre
-from cipos.polyring import MultidegreePoly, recombine_elementary
+from cipos.polyring import MultidegreePoly, recombine_elementary, series_product
+from cipos.schur import partitions_of, schur_det
 
 
 def random_poly(rng, c, max_deg=3, max_terms=6):
@@ -29,13 +30,6 @@ def random_jet(rng, params, level, max_terms=6):
     return JetClass(params, level, terms)
 
 
-def random_chow(rng, params):
-    coeffs = [random_poly(rng, params.c, max_deg=2, max_terms=2) for _ in range(params.n + 1)]
-    for _ in range(rng.randint(0, params.n)):
-        coeffs[rng.randint(0, params.n)] = 0
-    return ChowClass(params, coeffs)
-
-
 def assert_canonical_poly(p):
     assert isinstance(p, MultidegreePoly)
     assert MultidegreePoly(p.num_vars, p.terms).terms == p.terms
@@ -47,13 +41,6 @@ def assert_canonical_jet(x):
     assert JetClass(x.params, x.level, x.terms).terms == x.terms
     assert all(x.terms.values())
     assert all(x._alive(key) for key in x.terms)
-
-
-def assert_canonical_chow(x):
-    assert isinstance(x, ChowClass)
-    assert all(0 <= j <= x.params.n for j, *_ in x.terms)
-    assert ChowClass(x.params, x.coeffs).terms == x.terms
-    assert all(x.terms.values())
 
 
 def test_poly_results_canonical():
@@ -92,30 +79,21 @@ def test_jet_results_canonical(N, n):
 
 @pytest.mark.parametrize("N,n", [(3, 1), (4, 2), (6, 3), (7, 4)])
 def test_chow_results_canonical(N, n):
+    # Chow classes are lists of h-coefficient polynomials; every coefficient
+    # the chow layer and the Schur determinants build must be canonical
     params = ModelParams(N, n)
     rng = random.Random(N * 10 + n)
-    for _ in range(40):
-        x, y = random_chow(rng, params), random_chow(rng, params)
-        p, k = random_poly(rng, params.c), rng.randint(-3, 3)
-        results = [x + y, x - y, x * y, x - x, x * (y - y), x + k, k - x, x * k, -x, x ** rng.randint(0, 4)]
-        results += [x + p, p - x, x * p, p * x, x.add_all([y, -x, k, p]), x.grade(rng.randint(0, n))]
-        for result in results:
-            assert_canonical_chow(result)
-        assert x * p == x * ChowClass.of_poly(params, 0, p) and x + k == k + x
-    for result in segre_cotangent(params, rng.randint(-3, 3)):
-        assert_canonical_chow(result)
-        assert result ** 2 == result * result
-
-
-def test_mixed_chow_operands():
-    params = ModelParams(4, 2)
-    d1 = MultidegreePoly.variable(params.c, 0)
-    h = ChowClass.h_power(params, 1)
-    assert ChowClass.one(params) * 3 == 3 and ChowClass.zero(params) == 0
-    assert ChowClass.of_poly(params, 0, d1) == d1 and d1 == ChowClass.of_poly(params, 0, d1)
-    assert (h * d1).coeffs == (0, d1, 0) and d1 * h == h * d1
-    with pytest.raises(ValueError):
-        h * MultidegreePoly.variable(params.c + 1, 0)
+    seg = segre_cotangent(params, rng.randint(-3, 3))
+    assert len(seg) == n + 1 and seg[0] == 1
+    results = list(seg) + twist_segre(seg, n, rng.randint(-3, 3)) + [integrate(seg[n])]
+    results += twist_segre(seg, n, random_poly(rng, params.c, max_deg=1))
+    results += [schur_det(lam, seg) for w in range(1, n + 1) for lam in partitions_of(w)]
+    for _ in range(20):
+        x = [random_poly(rng, params.c, max_deg=2, max_terms=2) for _ in range(n + 1)]
+        y = [random_poly(rng, params.c, max_deg=2, max_terms=2) for _ in range(rng.randint(1, n + 1))]
+        results += series_product(x, y, n)
+    for result in results:
+        assert_canonical_poly(result)
 
 
 def test_mismatched_operands_rejected():

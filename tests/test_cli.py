@@ -49,7 +49,7 @@ class TestSegre:
         assert j == 2
         from cipos.chow import ModelParams, segre_cotangent
 
-        expected = segre_cotangent(ModelParams(4, 2), 0)[2].coeffs[2]
+        expected = segre_cotangent(ModelParams(4, 2), 0)[2]
         assert MultidegreePoly.from_json(poly, 2) == expected
 
 
@@ -97,6 +97,19 @@ class TestBound:
             ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan", "--d-max", "20"],
         )
         assert code == 0 and "threshold = none" in out
+
+    def test_uncertified_scan_tail_is_not_claimed(self, capsys, monkeypatch):
+        # a scan that stops at 1 proves nothing about larger degrees: the
+        # difference e2 - 17 e1 + 15 is negative at (2, 2), so the shift test fails
+        monkeypatch.setattr(cli.jets, "min_uniform_degree", lambda params, a, d_max: 1)
+        argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "threshold = 1 (first positive uniform degree; larger degrees not certified)" in out
+        assert "integer degrees >=" not in out
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        blob = json.loads(out)
+        assert (blob["gamma"], blob["gamma_ceil"], blob["method"]) == ("1", 1, "scan")
 
     def test_dim2_needs_surfaces(self, capsys):
         code, _, err = run(capsys, ["bound", "--N", "8", "--n", "3", "--a", "0", "--method", "dim2"])

@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and four frames the README misses, in text and JSON.
+carries timings) and six frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -36,6 +36,10 @@ COMMANDS = {
     "jet_N5_n4_a0_at_7": ["jet", "--N", "5", "--n", "4", "--a", "0", "--degrees", "7"],
     # a codimension-3 frame (kappa = 3)
     "jet_N10_n7_a0_at_345": ["jet", "--N", "10", "--n", "7", "--a", "0", "--degrees", "3,4,5"],
+    # a negative twist through the Segre product route
+    "segre_N7_n3_twist_m2": ["segre", "--N", "7", "--n", "3", "--twist", "-2"],
+    # five-row Schur determinants with a twist
+    "positivity_N10_n5_a3": ["positivity", "--N", "10", "--n", "5", "--a", "3"],
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]

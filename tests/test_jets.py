@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from cipos import chow
-from cipos.chow import ChowClass, ModelParams
+from cipos.chow import ModelParams
 from cipos.jets import (
     JetClass,
     integrate_tower,
@@ -48,6 +49,34 @@ class TestJetAlgebra:
             assert (x * y) * z == x * (y * z)
             assert x * y == y * x
             assert x * (y + z) == x * y + x * z
+
+    def test_truncation_follows_stage_dimensions(self):
+        # a key survives the constructor exactly when its base degree
+        # h + sum(i * s_i) fits X = stage 0 and, for every level j, the degree
+        # of its prefix through u_j fits stage j, of dimension tower_dim(j)
+        def fits(p, key, bound):
+            n = p.n
+            degree = key[0] + sum(i * e for i, e in enumerate(key[1 : n + 1], 1))
+            stages = [degree]
+            for u in key[n + 1 :]:
+                degree += u
+                stages.append(degree)
+            return all(d <= bound(j) for j, d in enumerate(stages))
+
+        for p, level in ((ModelParams(3, 2), 2), (ModelParams(4, 3), 2), (ModelParams(5, 2), 3)):
+            n = p.n
+            kept = dropped = borderline = 0
+            for h in range(n + 2):
+                for s in itertools.product(range(2), repeat=n):
+                    for u in itertools.product(range(2 * n + 1), repeat=level):
+                        key = (h, *s, *u)
+                        expect = fits(p, key, p.tower_dim)
+                        assert JetClass(p, level, {key: 3}).terms == ({key: 3} if expect else {}), (p, key)
+                        kept += expect
+                        dropped += not expect
+                        # dropped, yet inside the looser stage bounds n + j*n
+                        borderline += not expect and fits(p, key, lambda j: n + j * n)
+            assert kept and dropped and borderline, (p, kept, dropped, borderline)
 
     def test_pushforward_is_linear(self):
         rng = random.Random(9)
@@ -134,13 +163,13 @@ class TestIntegrate:
             h = JetClass.hyperplane(p, 1)
             got = integrate_tower((u + h * 2) ** (2 * n - 1))
             seg = chow.segre_cotangent(p, 0)
-            expected = ChowClass.zero(p)
+            expected = MultidegreePoly.zero(p.c)
             for i in range(2 * n):
-                hpow = ChowClass.h_power(p, i)
                 idx = 2 * n - 1 - i - (n - 1)
                 if idx < 0:
                     continue
-                expected = expected + seg[idx] * hpow * (math.comb(2 * n - 1, i) * 2**i)
+                # h^i * s_idx lies in grade i + idx = n, where h^i has coefficient 1
+                expected = expected + seg[idx] * (math.comb(2 * n - 1, i) * 2**i)
             assert got == chow.integrate(expected), (N, n)
 
     def test_frozen_surface_value(self):

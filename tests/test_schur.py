@@ -79,11 +79,59 @@ class TestSchurDet:
                     assert schur_det(lam, [1] + cs) == schur_det(lam.conjugate(), [1] + ss)
 
     def test_works_over_chow_ring(self):
+        # Chow classes as lists of h-coefficients: the determinant of weight 2
+        # is the h^2 coefficient of s_1^2 - s_2
         p = ModelParams(4, 2)
         seg = chow.segre_cotangent(p, 0)
         det = schur_det(Partition((1, 1)), seg)
         expected = seg[1] * seg[1] - seg[2]
         assert det == expected
+
+
+class TestLeibnizOracle:
+    # schur_det skips the minors whose index sum exceeds the weight; compare it
+    # with the plain sum over permutations of the Jacobi-Trudi matrix
+    @staticmethod
+    def _leibniz(lam, classes):
+        parts = tuple(lam)
+        m = len(parts)
+
+        def entry(i, j):
+            idx = parts[i] + j - i
+            return classes[idx] if 0 <= idx < len(classes) else 0
+
+        total = 0
+        for perm in itertools.permutations(range(m)):
+            factors = [entry(i, perm[i]) for i in range(m)]
+            if any(isinstance(f, int) and f == 0 for f in factors):
+                continue
+            inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+            total = total + math.prod(factors, start=(-1) ** inversions)
+        return total
+
+    @staticmethod
+    def _random_poly(rng):
+        terms = {(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-3, 3) for _ in range(2)}
+        return MultidegreePoly(2, terms)
+
+    def test_matches_leibniz_sum(self):
+        rng = random.Random(2718)
+        for w in range(8):
+            for lam in partitions_of(w):
+                need = (lam[0] + len(lam)) if len(lam) else 1
+                # full length, one short, and much too short
+                for length in sorted({need, max(1, need - 1), min(2, need), 1}):
+                    ints = [1] + [rng.randint(-4, 4) for _ in range(length - 1)]
+                    polys = [MultidegreePoly.one(2)] + [self._random_poly(rng) for _ in range(length - 1)]
+                    for classes in (ints, polys):
+                        assert schur_det(lam, classes) == self._leibniz(lam, classes), (tuple(lam), classes)
+
+    def test_segre_classes_match_leibniz_sum(self):
+        p = ModelParams(8, 4)
+        seg = chow.segre_cotangent(p, -2)
+        for w in range(1, p.n + 1):
+            for lam in partitions_of(w):
+                assert schur_det(lam, seg) == self._leibniz(lam, seg), tuple(lam)
 
 
 def _brute_det(mat):
@@ -116,7 +164,7 @@ class TestDominantDeterminant:
                 for a in (0, 2):
                     seg = chow.segre_cotangent(p, -a)
                     doms = [MultidegreePoly.one(c)] + [
-                        seg[i].coeffs[i].dominant_part() for i in range(1, n + 1)
+                        seg[i].dominant_part() for i in range(1, n + 1)
                     ]
                     for w in range(1, n + 1):
                         for lam in partitions_of(w):
@@ -125,7 +173,7 @@ class TestDominantDeterminant:
                                 hasattr(det_doms, "is_zero") and det_doms.is_zero()
                             ):
                                 continue
-                            full = schur_det(lam, seg).coeffs[w]
+                            full = schur_det(lam, seg)
                             assert full.dominant_part() == det_doms, (N, n, a, tuple(lam))
 
 
@@ -154,7 +202,7 @@ class TestPositivityReport:
             report = positivity_report(p, a)
             twisted = chow.segre_cotangent(p, -a)
             for record in report.records:
-                poly = schur_det(record.conjugate, twisted).coeffs[record.partition.weight]
+                poly = schur_det(record.conjugate, twisted)
                 base = math.ceil(record.threshold)
                 for point in itertools.product((base, base + 1, base + 5), repeat=p.c):
                     assert poly.eval(point) > 0

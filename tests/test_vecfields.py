@@ -23,9 +23,13 @@ class TestChart:
         chart = UniversalChart(2, [1, 2])
         # 2 z's + 2 z''s + 3 linear coefficients + 6 quadratic coefficients
         assert chart.num_vars == 2 + 2 + 3 + 6
-        assert chart.var_name(0) == "z1"
-        assert chart.var_name(chart.zp_index(2)) == "zp2"
-        assert chart.var_name(chart.a_index(2, (1, 1))) == "a2_11"
+        # layout: z1, z2, zp1, zp2, then each block's coefficients by degree,
+        # then lexicographically: a1_00 a1_01 a1_10 | a2_00 a2_01 a2_10 a2_02 a2_11 a2_20
+        assert [chart.z_index(j) for j in (1, 2)] == [0, 1]
+        assert [chart.zp_index(k) for k in (1, 2)] == [2, 3]
+        assert [chart.a_index(1, alpha) for alpha in ((0, 0), (0, 1), (1, 0))] == [4, 5, 6]
+        block2 = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+        assert [chart.a_index(2, alpha) for alpha in block2] == list(range(7, 13))
 
     def test_missing_coefficient_rejected(self):
         chart = UniversalChart(2, [1])
@@ -43,7 +47,9 @@ class TestDefiningEquations:
     def test_linear_chart(self):
         chart = UniversalChart(2, [1])
         f, fp = (eqs[0] for eqs in defining_equations(chart))
-        names = chart.names()
+        names = ["z1", "z2", "zp1", "zp2", "a1_00", "a1_01", "a1_10"]
+        assert chart.num_vars == len(names)
+        assert (chart.zp_index(1), chart.a_index(1, (1, 0))) == (2, 6)
         assert f.text(names) == "z1*a1_10 + z2*a1_01 + a1_00"
         assert fp.text(names) == "zp1*a1_10 + zp2*a1_01"
 

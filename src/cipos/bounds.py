@@ -83,7 +83,10 @@ def shift_certifies(poly: MultidegreePoly, r: int) -> bool:
     return all(v > 0 for v in shifted.terms.values()) and shifted.constant_term() > 0
 
 
-def shifted_positivity_threshold(poly: MultidegreePoly, cap: int = 1 << 40) -> int:
+_SHIFT_CAP = 1 << 40  # largest shift the threshold search tries
+
+
+def shifted_positivity_threshold(poly: MultidegreePoly) -> int:
     """Smallest integer r such that poly(r + t_1, ..., r + t_c) has only
     nonnegative coefficients and a positive constant term.
 
@@ -97,7 +100,7 @@ def shifted_positivity_threshold(poly: MultidegreePoly, cap: int = 1 << 40) -> i
     hi = 2
     while not shift_certifies(poly, hi):
         hi *= 2
-        if hi > cap:
+        if hi > _SHIFT_CAP:
             raise ArithmeticError("no shifted-positivity threshold found below cap")
     lo = hi // 2  # known unsound
     while hi - lo > 1:

@@ -77,24 +77,26 @@ def _emit(args, payload: dict, text: str) -> None:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(content + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         print(content)
 
 
-def _params_or_exit(N: int, n: int, a: int = 0) -> ModelParams:
+def _params(N: int, n: int, a: int = 0) -> ModelParams:
+    if a < 0:
+        raise ValueError("twist a must be >= 0")
+    return ModelParams(N, n)
+
+
+def _int_list(text: str, option: str) -> list[int]:
     try:
-        if a < 0:
-            raise ValueError("twist a must be >= 0")
-        return ModelParams(N, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be a comma-separated integer list") from None
 
 
 def _cmd_segre(args) -> int:
-    params = _params_or_exit(args.N, args.n)
+    params = _params(args.N, args.n)
     seg = chow.segre_cotangent(params, args.twist)
     lines = [f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"]
     lines += [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
@@ -103,7 +105,7 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    params = _params_or_exit(args.N, args.n)
+    params = _params(args.N, args.n)
     report = schur.positivity_report(params, args.a)
     lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
     lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
@@ -117,7 +119,7 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    params = _params_or_exit(args.N, args.n, args.a)
+    params = _params(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
     if n > params.c:
         raise ValueError(f"bound requires n <= c, got n={n}, c={params.c}")
@@ -137,13 +139,15 @@ def _cmd_bound(args) -> int:
             ceiling = math.ceil(analytic) + 1
         gamma = jets.min_uniform_degree(params, a, ceiling)
     report = bounds.BoundReport(N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method)
+    # the tail "integer degrees >= r" is printed only when the shift test proves it
     if gamma is None:
         threshold_line = "threshold = none"
-    elif args.method != "scan" or bounds.shift_certifies(bounds.morse_closed_form(N, n, a), gamma):
+    elif bounds.shift_certifies(bounds.morse_closed_form(N, n, a), report.gamma_ceil):
         threshold_line = f"threshold = {gamma} (integer degrees >= {report.gamma_ceil})"
-    else:
-        # the scan only found the first positive diagonal value
+    elif args.method == "scan":
         threshold_line = f"threshold = {gamma} (first positive uniform degree; larger degrees not certified)"
+    else:
+        threshold_line = f"threshold = {gamma} (not certified: positivity from degree {report.gamma_ceil} on is unproven)"
     text = [
         f"Degree bound, N={N} n={n} a={a} method={args.method}",
         "difference coefficients (elementary symmetric basis, ascending): "
@@ -155,13 +159,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_jet(args) -> int:
-    params = _params_or_exit(args.N, args.n, args.a)
-    degrees = None
-    if args.degrees:
-        try:
-            degrees = tuple(int(part) for part in args.degrees.split(","))
-        except ValueError:
-            raise ValueError("--degrees must be a comma-separated integer list") from None
+    params = _params(args.N, args.n, args.a)
+    degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees else None
     cert = jets.morse_certificate(params, args.a, degrees)
     lines = [
         f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
@@ -175,7 +174,7 @@ def _cmd_jet(args) -> int:
 
 
 def _cmd_vecfields(args) -> int:
-    degrees = [int(part) for part in args.degrees.split(",")]
+    degrees = _int_list(args.degrees, "--degrees")
     chart = vecfields.UniversalChart(args.N, degrees)
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
@@ -235,18 +234,11 @@ def _cmd_vecfields(args) -> int:
         f"pole orders: z <= {payload['pole_orders']['z']}, a <= {payload['pole_orders']['a']}",
     ]
     _emit(args, payload, "\n".join(text))
-    if identical is False:
-        return 1
-    return 0
+    return 1 if identical is False else 0
 
 
 def _cmd_selftest(args) -> int:
-    numbers = None
-    if args.criteria:
-        try:
-            numbers = [int(part) for part in args.criteria.split(",")]
-        except ValueError:
-            raise ValueError("--criteria must be a comma-separated integer list") from None
+    numbers = _int_list(args.criteria, "--criteria") if args.criteria else None
     results = selftest.run_all(numbers)
     payload = {
         "results": [

@@ -70,6 +70,8 @@ class JetClass(_SparseTerms):
             key = tuple(key)
             if len(key) != width:
                 raise ValueError(f"term key {key} does not have length 1 + n + level = {width}")
+            if min(key) < 0:
+                raise ValueError(f"negative exponent in {key}")
             if coeff and self._alive(key):
                 clean[key] = coeff
         object.__setattr__(self, "terms", clean)
@@ -202,17 +204,6 @@ def pushforward(x: JetClass) -> JetClass:
     )
 
 
-_BASE_SEGRE_CACHE: dict[ModelParams, list[MultidegreePoly]] = {}
-
-
-def _base_segre_classes(params: ModelParams) -> list[MultidegreePoly]:
-    cached = _BASE_SEGRE_CACHE.get(params)
-    if cached is None:
-        cached = chow.segre_cotangent(params, 0)
-        _BASE_SEGRE_CACHE[params] = cached
-    return cached
-
-
 def reduce_to_base(x: JetClass) -> MultidegreePoly:
     """Iterate pushforwards down to the base, then substitute every base Segre
     symbol by its untwisted cotangent Segre class and multiply out.
@@ -224,7 +215,7 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
         x = pushforward(x)
     params = x.params
     n = params.n
-    segre = _base_segre_classes(params)
+    segre = chow.segre_cotangent(params, 0)
     one = MultidegreePoly.one(params.c)
     pieces = []
     for key, coeff in x.terms.items():

@@ -215,12 +215,8 @@ class MultidegreePoly(_SparseTerms):
         return cls(num_vars)
 
     @classmethod
-    def constant(cls, num_vars: int, value: int) -> "MultidegreePoly":
-        return cls(num_vars, {(0,) * num_vars: value})
-
-    @classmethod
     def one(cls, num_vars: int) -> "MultidegreePoly":
-        return cls.constant(num_vars, 1)
+        return cls(num_vars, {(0,) * num_vars: 1})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "MultidegreePoly":
@@ -360,10 +356,6 @@ def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
         raise ValueError("elementary symmetric index must be nonnegative")
     if c < 1:
         raise ValueError("need at least one variable")
-    if i > c:
-        return MultidegreePoly.zero(c)
-    if i == 0:
-        return MultidegreePoly.one(c)
     terms = {}
     for subset in itertools.combinations(range(c), i):
         exps = tuple(1 if j in subset else 0 for j in range(c))

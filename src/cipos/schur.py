@@ -147,10 +147,11 @@ def schur_det(partition: Partition, classes: Sequence):
 
 @dataclass
 class PartitionRecord:
+    """A partition whose dominant part passed both positivity routes."""
+
     partition: Partition
     conjugate: Partition
     dominant: MultidegreePoly
-    dominant_positive: bool
     threshold: Fraction
 
     def to_json(self) -> dict:
@@ -158,7 +159,7 @@ class PartitionRecord:
             "partition": list(self.partition),
             "conjugate": list(self.conjugate),
             "dominant": self.dominant.to_json(),
-            "dominant_positive": self.dominant_positive,
+            "dominant_positive": True,
             "threshold": str(self.threshold),
         }
 
@@ -182,10 +183,6 @@ class SchurReport:
             "records": [r.to_json() for r in self.records],
             "D": str(self.threshold),
         }
-
-
-def _dominant_is_nonneg_combination(poly: MultidegreePoly) -> bool:
-    return bool(poly.terms) and all(c > 0 for c in poly.terms.values())
 
 
 def _threshold_for(poly: MultidegreePoly, c: int) -> Fraction:
@@ -222,7 +219,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = dominant == via_chern and dominant == via_segre
-            direct = _dominant_is_nonneg_combination(dominant)
+            direct = bool(dominant.terms) and all(v > 0 for v in dominant.terms.values())
             if not (identified and direct):
                 raise ArithmeticError(
                     f"positivity routes disagree for partition {tuple(lam)}:"
@@ -233,7 +230,6 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    dominant_positive=True,
                     threshold=_threshold_for(graded, c),
                 )
             )

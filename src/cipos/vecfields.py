@@ -95,9 +95,7 @@ class UniversalChart:
 
     @staticmethod
     def _block_degree(poly: MultidegreePoly, lo: int, hi: int) -> int:
-        if poly.is_zero():
-            return 0
-        return max(sum(exps[lo:hi]) for exps in poly.terms)
+        return max((sum(exps[lo:hi]) for exps in poly.terms), default=0)
 
 
 def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
@@ -155,9 +153,6 @@ class VectorField:
     def a_pole_order(self) -> int:
         polys = self.coefficients.values()
         return max((self.chart.a_degree(p) for p in polys), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
 
 
 def lie_derivative(field_: VectorField, poly: MultidegreePoly) -> MultidegreePoly:
@@ -329,24 +324,8 @@ class TangencyReport:
     rational points of the universal locus.  ``identically_zero`` records
     whether every action of the field on the equations vanishes as a polynomial."""
 
-    family: str
-    samples: int
-    seed: int
     nonzero_residuals: list[str]
     identically_zero: bool
-
-    @property
-    def all_zero(self) -> bool:
-        return not self.nonzero_residuals
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "samples": self.samples,
-            "seed": self.seed,
-            "residuals": self.nonzero_residuals,
-            "all_zero": self.all_zero,
-        }
 
 
 def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0) -> TangencyReport:
@@ -372,13 +351,7 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
             value = action.eval(point)
             if value != 0:
                 nonzero.append(f"sample {s}: {label} = {value}")
-    return TangencyReport(
-        family=field_.family,
-        samples=samples,
-        seed=seed,
-        nonzero_residuals=nonzero,
-        identically_zero=all(action.is_zero() for _, action in actions),
-    )
+    return TangencyReport(nonzero, all(action.is_zero() for _, action in actions))
 
 
 def _sample_locus_point(chart, rng, eqs, deqs):

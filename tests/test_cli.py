@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +39,9 @@ class TestSegre:
         assert "s_2 = (d1*d2 - 5*d1 - 5*d2 + 15) * h^2" in out
 
     def test_invalid_frame_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["segre", "--N", "4", "--n", "5"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, ["segre", "--N", "4", "--n", "5"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_json_schema_roundtrip(self, capsys):
         code, out, _ = run(capsys, ["segre", "--N", "4", "--n", "2", "--format", "json"])
@@ -110,6 +112,42 @@ class TestBound:
         code, out, _ = run(capsys, argv + ["--format", "json"])
         blob = json.loads(out)
         assert (blob["gamma"], blob["gamma_ceil"], blob["method"]) == ("1", 1, "scan")
+
+    def test_claimed_tail_holds_at_sampled_degrees(self, capsys):
+        # every "integer degrees >= r" the text prints is checked by exact
+        # evaluation of the closed-form difference at (r, ..., r) and at
+        # seeded degree vectors above it, for every method
+        rng = random.Random(4417)
+        claims = 0
+        for n in range(1, 5):
+            for N in range(2 * n, 2 * n + 7):
+                c = N - n
+                for a in range(6):
+                    difference = morse_closed_form(N, n, a)
+                    methods = ["rough"]
+                    methods += ["dim2"] if n == 2 and N >= 4 else []
+                    methods += ["scan"] if N <= 2 * n + 2 else []
+                    for method in methods:
+                        argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a), "--method", method]
+                        code, out, _ = run(capsys, argv)
+                        assert code == 0
+                        claim = re.search(r"\(integer degrees >= (\d+)\)", out)
+                        if claim is None:
+                            continue
+                        r = int(claim.group(1))
+                        points = [(r,) * c] + [tuple(rng.randint(r, r + 40) for _ in range(c)) for _ in range(8)]
+                        for point in points:
+                            assert difference.eval(point) > 0, (N, n, a, method, point)
+                        claims += 1
+        assert claims > 150
+
+    def test_uncertified_rough_bound_is_not_claimed(self, capsys):
+        # the rough bound 3 for plane curves at a = 0: the difference d1 - 3
+        # vanishes at 3, so no tail is claimed and 3 is not called positive
+        code, out, _ = run(capsys, ["bound", "--N", "2", "--n", "1", "--a", "0", "--method", "rough"])
+        assert code == 0
+        assert "threshold = 3 (not certified: positivity from degree 3 on is unproven)" in out
+        assert "integer degrees >=" not in out and "first positive" not in out
 
     def test_dim2_needs_surfaces(self, capsys):
         code, _, err = run(capsys, ["bound", "--N", "8", "--n", "3", "--a", "0", "--method", "dim2"])
@@ -214,6 +252,22 @@ class TestRejectedInput:
         code, out, err = run_rejected(capsys, argv)
         assert (code, out) == (2, "")
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["selftest", "--criteria", "42"], "error: no criterion numbered 42"),
+            (["selftest", "--criteria", "4,42"], "error: no criterion numbered 42"),
+            (
+                ["vecfields", "verify", "--N", "2", "--degrees", "2,x", "--family", "tj"],
+                "error: --degrees must be a comma-separated integer list",
+            ),
+        ],
+        ids=["selftest-unknown", "selftest-partly-unknown", "vecfields-bad-degrees"],
+    )
+    def test_unknown_input_named(self, capsys, argv, message):
+        code, out, err = run_rejected(capsys, argv)
+        assert (code, out, err) == (2, "", [message])
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

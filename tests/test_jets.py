@@ -78,6 +78,14 @@ class TestJetAlgebra:
                         borderline += not expect and fits(p, key, lambda j: n + j * n)
             assert kept and dropped and borderline, (p, kept, dropped, borderline)
 
+    def test_negative_exponent_rejected(self):
+        # a negative exponent would survive the truncation test, whose
+        # prefix degrees it lowers; the constructor refuses it instead
+        with pytest.raises(ValueError, match="negative exponent"):
+            JetClass(P42, 1, {(0, 0, 0, -1): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            JetClass(P42, 0, {(-1, 1, 0): 2})
+
     def test_pushforward_is_linear(self):
         rng = random.Random(9)
         p = ModelParams(4, 2)

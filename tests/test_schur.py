@@ -185,7 +185,7 @@ class TestPositivityReport:
     def test_surface_report_contents(self):
         report = positivity_report(ModelParams(4, 2), 0)
         assert [tuple(r.partition) for r in report.records] == [(1,), (2,), (1, 1)]
-        assert all(r.dominant_positive for r in report.records)
+        assert all(r["dominant_positive"] is True for r in report.to_json()["records"])
         assert report.threshold == max(r.threshold for r in report.records)
         assert report.threshold > 0
 

@@ -119,7 +119,7 @@ class TestSolvedFamily:
 
     def test_zero_data_gives_zero_field(self):
         chart = UniversalChart(3, [2])
-        assert solved_coefficient_field(chart, 1, {}).is_zero()
+        assert solved_coefficient_field(chart, 1, {}).coefficients == {}
 
     def test_pole_order_audit(self):
         rng = random.Random(29)
@@ -209,7 +209,7 @@ class TestVelocityFamily:
         chart = UniversalChart(2, [2])
         field = velocity_field(chart, [[1, 0], [0, 1]])
         report = point_tangency_check(field, samples=25, seed=8)
-        assert report.all_zero
+        assert report.nonzero_residuals == []
 
     def test_singular_matrix_rejected(self):
         chart = UniversalChart(2, [2])
@@ -221,11 +221,11 @@ class TestPointChecks:
     def test_identically_tangent_fields_have_zero_residuals(self):
         chart = UniversalChart(3, [2, 2])
         field = coordinate_field(chart, 3)
-        assert point_tangency_check(field, samples=100, seed=1).all_zero
+        assert point_tangency_check(field, samples=100, seed=1).nonzero_residuals == []
         rng = random.Random(2)
         data = {alpha: rng.randint(-5, 5) for alpha in solved_free_slots(chart, 2)}
         solved = solved_coefficient_field(chart, 2, data)
-        assert point_tangency_check(solved, samples=100, seed=3).all_zero
+        assert point_tangency_check(solved, samples=100, seed=3).nonzero_residuals == []
 
     @pytest.mark.parametrize("N,degrees", [(2, [2]), (3, [3]), (4, [2]), (3, [2, 2]), (4, [3, 1])])
     def test_sampled_points_lie_on_the_locus(self, N, degrees):
@@ -238,7 +238,8 @@ class TestPointChecks:
 
     def test_zero_field_trivially_clean(self):
         chart = UniversalChart(2, [2])
-        assert point_tangency_check(VectorField(chart, {}), samples=5, seed=0).all_zero
+        report = point_tangency_check(VectorField(chart, {}), samples=5, seed=0)
+        assert report.nonzero_residuals == [] and report.identically_zero
 
     def test_corrupted_field_detected_quickly(self):
         chart = UniversalChart(3, [2, 2])
@@ -247,10 +248,4 @@ class TestPointChecks:
         victim = next(v for v in broken if v != chart.z_index(1))
         broken[victim] = broken[victim] * -1
         report = point_tangency_check(VectorField(chart, broken, family="tj"), samples=10, seed=4)
-        assert not report.all_zero
-
-    def test_report_json(self):
-        chart = UniversalChart(2, [1])
-        blob = point_tangency_check(coordinate_field(chart, 1), samples=3, seed=9).to_json()
-        assert set(blob) == {"family", "samples", "seed", "residuals", "all_zero"}
-        assert blob["all_zero"] is True
+        assert report.nonzero_residuals and not report.identically_zero

@@ -1,7 +1,8 @@
 """Effective degree thresholds, in exact rational arithmetic.
 
 Root bounds for monic polynomials, the derivative-cascade threshold for
-symmetric polynomials in the elementary-symmetric span, the closed-form
+symmetric polynomials in the elementary-symmetric span, the Taylor-shift
+threshold outside it (one symbolic shift per polynomial), the closed-form
 coefficients of the first-order Morse difference, and the explicit degree
 bounds (general rough form and sharpened surface form).  Degrees are
 integers, so callers are expected to ceil; every returned threshold is a
@@ -11,7 +12,7 @@ Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -75,37 +76,45 @@ def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k:
     return monic_root_bound([Fraction(table.get(i, 0) * math.comb(c, i), math.comb(c, k)) for i in range(k)])
 
 
-def shift_certifies(poly: MultidegreePoly, r: int) -> bool:
-    """Whether poly(r + t_1, ..., r + t_c) has only positive coefficients and a
-    positive constant term, which by Taylor expansion makes poly positive on
-    all of [r, inf)^c."""
-    shifted = poly.shifted(r)
-    return all(v > 0 for v in shifted.terms.values()) and shifted.constant_term() > 0
+def _horner(coeffs: Sequence[int], r: int) -> int:
+    value = 0
+    for a in reversed(coeffs):
+        value = value * r + a
+    return value
 
 
 _SHIFT_CAP = 1 << 40  # largest shift the threshold search tries
 
 
 def shifted_positivity_threshold(poly: MultidegreePoly) -> int:
-    """Smallest integer r such that poly(r + t_1, ..., r + t_c) has only
-    nonnegative coefficients and a positive constant term.
+    """Smallest integer r >= 1 such that poly(r + t_1, ..., r + t_c) has no
+    negative coefficient (zeros pass) and a positive constant term.
 
     Taylor expansion then makes the polynomial positive on all of [r, inf)^c.
     Used for symmetric polynomials outside the elementary-symmetric span,
-    where the derivative cascade does not apply.  The valid set of r is upward
-    closed, so a doubling scan plus bisection finds the frontier.
+    where the derivative cascade does not apply, and for the tail claim of
+    ``bound``.  The shift is expanded once, symbolically in r, and each probe
+    evaluates its coefficient polynomials g_j(r) by Horner's rule.  The valid
+    set of r is upward closed, so a doubling scan plus bisection finds the
+    frontier.
     """
-    if shift_certifies(poly, 1):
+    table = poly.taylor_shift()
+    constant = table.get((0,) * poly.num_vars, [])
+
+    def certifies(r: int) -> bool:
+        return _horner(constant, r) > 0 and all(_horner(g, r) >= 0 for g in table.values())
+
+    if certifies(1):
         return 1
     hi = 2
-    while not shift_certifies(poly, hi):
+    while not certifies(hi):
         hi *= 2
         if hi > _SHIFT_CAP:
             raise ArithmeticError("no shifted-positivity threshold found below cap")
     lo = hi // 2  # known unsound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if shift_certifies(poly, mid):
+        if certifies(mid):
             hi = mid
         else:
             lo = mid
@@ -150,6 +159,8 @@ class BoundReport:
 
     Bounds are exact rationals; degrees are integers, so the ceiling is
     reported alongside and is the value to compare degrees against.
+    ``certified_from`` is the least r >= 1 from which the shift test proves
+    the difference positive on [r, inf)^c.
     """
 
     N: int
@@ -158,10 +169,12 @@ class BoundReport:
     coefficients: list[int]
     gamma: Fraction | None
     method: str
+    certified_from: int = field(init=False)
 
     def __post_init__(self):
         if self.coefficients[-1] != 1:
             raise ArithmeticError("leading elementary coefficient must be 1")
+        self.certified_from = shifted_positivity_threshold(morse_closed_form(self.N, self.n, self.a))
 
     @property
     def gamma_ceil(self) -> int | None:
@@ -175,5 +188,6 @@ class BoundReport:
             "coefficients": [str(v) for v in self.coefficients],
             "gamma": str(self.gamma) if self.gamma is not None else None,
             "gamma_ceil": self.gamma_ceil,
+            "certified_from": self.certified_from,
             "method": self.method,
         }

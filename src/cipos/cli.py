@@ -123,6 +123,8 @@ def _cmd_bound(args) -> int:
     N, n, a = args.N, args.n, args.a
     if n > params.c:
         raise ValueError(f"bound requires n <= c, got n={n}, c={params.c}")
+    if args.d_max is not None and args.method != "scan":
+        raise ValueError("--d-max applies to --method scan only")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
     if args.method == "dim2":
         if n != 2:
@@ -139,10 +141,10 @@ def _cmd_bound(args) -> int:
             ceiling = math.ceil(analytic) + 1
         gamma = jets.min_uniform_degree(params, a, ceiling)
     report = bounds.BoundReport(N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method)
-    # the tail "integer degrees >= r" is printed only when the shift test proves it
+    # "integer degrees >= r" only where the shift test proves it (an upward-closed set)
     if gamma is None:
         threshold_line = "threshold = none"
-    elif bounds.shift_certifies(bounds.morse_closed_form(N, n, a), report.gamma_ceil):
+    elif report.gamma_ceil >= report.certified_from:
         threshold_line = f"threshold = {gamma} (integer degrees >= {report.gamma_ceil})"
     elif args.method == "scan":
         threshold_line = f"threshold = {gamma} (first positive uniform degree; larger degrees not certified)"

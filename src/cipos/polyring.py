@@ -6,7 +6,8 @@ degrees of the hypersurfaces being intersected, so this ring is the substrate
 for everything else.  Coefficients are arbitrary-precision Python ints (the
 bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
-is reproducible bit for bit.
+is reproducible bit for bit.  ``MultidegreePoly.taylor_shift`` expands
+p(r + t) once, symbolically in r, for the positivity thresholds.
 
 The ring core is one base class, ``_SparseTerms``, shared by
 ``MultidegreePoly`` and ``JetClass``: each stores its element as a dict from a
@@ -235,9 +236,6 @@ class MultidegreePoly(_SparseTerms):
     def coeff(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> int:
-        return self.terms.get(self._unit_key(), 0)
-
     def total_degree(self):
         """Total degree, or the -infinity sentinel for the zero polynomial."""
         if not self.terms:
@@ -292,21 +290,30 @@ class MultidegreePoly(_SparseTerms):
                 out[exps[:index] + (e - 1,) + exps[index + 1 :]] = coeff * e
         return self._wrap(out)
 
-    def shifted(self, offset: int) -> "MultidegreePoly":
-        """Substitute d_i -> d_i + offset in every variable, expanding each power
-        binomially: d^e -> sum_j C(e, j) offset^(e-j) d^j."""
-        top = max((max(exps) for exps in self.terms), default=0)
-        rows = [[(j, math.comb(e, j) * offset ** (e - j)) for j in range(e + 1)] for e in range(top + 1)]
+    def taylor_shift(self) -> dict[tuple[int, ...], list[int]]:
+        """The shift by a symbolic r: poly(r + t_1, ..., r + t_c) = sum_j g_j(r) t^j.
 
-        def pieces():
-            for exps, coeff in self.terms.items():
-                for choice in itertools.product(*(rows[e] for e in exps)):
-                    value = coeff
-                    for _, weight in choice:
-                        value *= weight
-                    yield tuple(j for j, _ in choice), value
-
-        return self._wrap(_accumulate({}, pieces()))
+        Returns {j: [g_j(0), coefficient of r, ...]} for every g_j that is not
+        identically zero; each list ends in a nonzero int.  One variable at a
+        time (von zur Gathen and Gerhard, ISSAC 1997): exponent e of d_i
+        becomes t_i^j r^(e-j) with weight C(e, j), j = 0..e, and equal keys
+        merge before the next variable, so shared parts expand once.
+        """
+        # key: t-exponents of the variables done, then d-exponents of the rest;
+        # value: {r-degree: coefficient}.  The j = e part keeps its key and row.
+        table = {exps: {0: coeff} for exps, coeff in self.terms.items()}
+        for i in range(self.num_vars):
+            lower: dict[tuple[int, ...], dict[int, int]] = {}
+            for key, row in table.items():
+                e = key[i]
+                for j in range(e):
+                    weight, rise = math.comb(e, j), e - j
+                    target = lower.setdefault(key[:i] + (j,) + key[i + 1 :], {})
+                    for k, v in row.items():
+                        target[k + rise] = target.get(k + rise, 0) + weight * v
+            for key, row in lower.items():
+                _accumulate(table.setdefault(key, {}), row.items())
+        return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in table.items() if row}
 
     # -- rendering ----------------------------------------------------------
 

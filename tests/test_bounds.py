@@ -21,6 +21,18 @@ from cipos import cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric
 
 
+def substituted(p, r):
+    """p(d_1 + r, ..., d_c + r) by ring + and *."""
+    c = p.num_vars
+    total = MultidegreePoly.zero(c)
+    for exps, coeff in p.terms.items():
+        term = MultidegreePoly.one(c) * coeff
+        for i, e in enumerate(exps):
+            term = term * (MultidegreePoly.variable(c, i) + r) ** e
+        total = total + term
+    return total
+
+
 class TestMonicRootBound:
     def test_quadratic(self):
         assert monic_root_bound([1, -3]) == 4
@@ -115,10 +127,31 @@ class TestShiftedThreshold:
         poly = d1**2 + d1 * d2 + d2**2 - 5 * d1 - 5 * d2 + 10
         r = shifted_positivity_threshold(poly)
         assert r == 2
-        shifted = poly.shifted(r)
+        shifted = substituted(poly, r)
         assert all(v > 0 for v in shifted.terms.values())
-        bad = poly.shifted(r - 1)
+        bad = substituted(poly, r - 1)
         assert any(v < 0 for v in bad.terms.values())
+
+    def test_zero_coefficient_allowed(self):
+        # (1 + t)^2 - 2(1 + t) + 5 = t^2 + 4: the zero linear coefficient
+        # passes, so a strictly-positive reading (which gives 2) is wrong
+        d = MultidegreePoly.variable(1, 0)
+        assert shifted_positivity_threshold(d**2 - 2 * d + 5) == 1
+
+    def test_matches_substitution_frontier(self):
+        # the least r >= 1 at which the substituted polynomial has no negative
+        # coefficient and a positive constant term, found by a linear scan
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(30):
+            c = rng.randint(1, 3)
+            poly = elementary_symmetric(1, c) ** rng.randint(2, 3) + elementary_symmetric(c, c) * rng.randint(0, 9)
+            poly = poly + elementary_symmetric(1, c) * rng.randint(-30, 5) + rng.randint(-40, 40)
+            shifts = ((r, substituted(poly, r)) for r in range(1, 200))
+            r = next(r for r, q in shifts if min(q.terms.values()) >= 0 and q.coeff((0,) * c) > 0)
+            assert shifted_positivity_threshold(poly) == r
+            seen.add(r)
+        assert len(seen) > 5
 
     def test_soundness(self):
         rng = random.Random(47)

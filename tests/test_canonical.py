@@ -1,7 +1,7 @@
 """Arithmetic results are built without re-validation; check that every one is
 canonical anyway: passing its terms back through the validating constructor
-changes nothing, no stored coefficient is 0 and every stored jet term is
-alive."""
+changes nothing, no stored coefficient is 0, every stored jet term is
+alive and no Taylor shift row is zero or ends in 0."""
 
 import random
 
@@ -52,11 +52,14 @@ def test_poly_results_canonical():
         results = [p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p + k, k - p, p * k, -p]
         results += [p ** rng.randint(0, 3), (p + q) * (p - q) - (p * p - q * q)]
         results += [p.derivative(i) for i in range(c)]
-        results += [p.shifted(r) for r in (-2, 0, 1, 3)]
         results += [p.dominant_part(), p.add_all([q, -p, k])]
         results.append(recombine_elementary([(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)], c))
         for result in results:
             assert_canonical_poly(result)
+        # the Taylor shift table: valid t-keys, no zero row, no trailing zero
+        table = p.taylor_shift()
+        assert all(len(j) == c and min(j) >= 0 for j in table)
+        assert all(row and row[-1] and all(type(v) is int for v in row) for row in table.values())
 
 
 @pytest.mark.parametrize("N,n", [(4, 2), (5, 3), (6, 3)])

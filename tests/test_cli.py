@@ -32,6 +32,19 @@ def run_rejected(capsys, argv):
     return code, captured.out, captured.err.splitlines()
 
 
+def shift_holds(p, r):
+    """Whether p(d_1 + r, ..., d_c + r), built by ring + and *, has no negative
+    coefficient and a positive constant term."""
+    c = p.num_vars
+    total = MultidegreePoly.zero(c)
+    for exps, coeff in p.terms.items():
+        term = MultidegreePoly.one(c) * coeff
+        for i, e in enumerate(exps):
+            term = term * (MultidegreePoly.variable(c, i) + r) ** e
+        total = total + term
+    return min(total.terms.values()) >= 0 and total.coeff((0,) * c) > 0
+
+
 class TestSegre:
     def test_text_table(self, capsys):
         code, out, _ = run(capsys, ["segre", "--N", "4", "--n", "2", "--twist", "0"])
@@ -111,7 +124,7 @@ class TestBound:
         assert "integer degrees >=" not in out
         code, out, _ = run(capsys, argv + ["--format", "json"])
         blob = json.loads(out)
-        assert (blob["gamma"], blob["gamma_ceil"], blob["method"]) == ("1", 1, "scan")
+        assert (blob["gamma"], blob["gamma_ceil"], blob["certified_from"], blob["method"]) == ("1", 1, 34, "scan")
 
     def test_claimed_tail_holds_at_sampled_degrees(self, capsys):
         # every "integer degrees >= r" the text prints is checked by exact
@@ -148,6 +161,25 @@ class TestBound:
         assert code == 0
         assert "threshold = 3 (not certified: positivity from degree 3 on is unproven)" in out
         assert "integer degrees >=" not in out and "first positive" not in out
+        code, out, _ = run(capsys, ["bound", "--N", "2", "--n", "1", "--a", "0", "--format", "json"])
+        blob = json.loads(out)
+        assert (blob["gamma_ceil"], blob["certified_from"]) == (3, 4)
+
+    def test_certified_from_is_the_shift_frontier(self, capsys):
+        # certified_from is the least r >= 1 at which the difference shifted to
+        # r + t (by ring substitution) has no negative coefficient and a
+        # positive constant term; the text claims the tail exactly from there
+        for n in range(1, 4):
+            for N in range(2 * n, 2 * n + 4):
+                for a in range(4):
+                    argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a)]
+                    code, out, _ = run(capsys, argv + ["--format", "json"])
+                    blob = json.loads(out)
+                    r, difference = blob["certified_from"], morse_closed_form(N, n, a)
+                    assert shift_holds(difference, r) and (r == 1 or not shift_holds(difference, r - 1))
+                    code, out, _ = run(capsys, argv)
+                    claimed = f"(integer degrees >= {blob['gamma_ceil']})" in out
+                    assert claimed == (blob["gamma_ceil"] >= r), (N, n, a)
 
     def test_dim2_needs_surfaces(self, capsys):
         code, _, err = run(capsys, ["bound", "--N", "8", "--n", "3", "--a", "0", "--method", "dim2"])
@@ -245,8 +277,18 @@ class TestRejectedInput:
             ["bound", "--N", "4", "--n", "2", "--a", "-1"],
             ["jet", "--N", "5", "--n", "2", "--a", "0", "--degrees", "0,0,0"],
             ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,-1"],
+            ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "rough", "--d-max", "5"],
+            ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2", "--d-max", "40"],
         ],
-        ids=["samples-0", "positivity-negative-twist", "bound-negative-twist", "jet-degree-0", "jet-negative-degree"],
+        ids=[
+            "samples-0",
+            "positivity-negative-twist",
+            "bound-negative-twist",
+            "jet-degree-0",
+            "jet-negative-degree",
+            "bound-rough-d-max",
+            "bound-dim2-d-max",
+        ],
     )
     def test_one_error_line_and_exit_2(self, capsys, argv):
         code, out, err = run_rejected(capsys, argv)

@@ -24,6 +24,30 @@ def random_poly(rng, c, max_deg=3, max_terms=6):
     return MultidegreePoly(c, terms)
 
 
+def substituted(p, offset):
+    """p(d_1 + offset, ..., d_c + offset) by ring + and *; offset is an int or
+    a polynomial in the same variables."""
+    c = p.num_vars
+    total = MultidegreePoly.zero(c)
+    for exps, coeff in p.terms.items():
+        term = MultidegreePoly.one(c) * coeff
+        for i, e in enumerate(exps):
+            term = term * (MultidegreePoly.variable(c, i) + offset) ** e
+        total = total + term
+    return total
+
+
+def shift_oracle(p):
+    """p(r + t) as {t-exponents: coefficient list in r}, by substitution in the
+    ring of (t_1, ..., t_c, r); independent of ``taylor_shift``."""
+    c = p.num_vars
+    lifted = MultidegreePoly(c + 1, {exps + (0,): coeff for exps, coeff in p.terms.items()})
+    rows = {}
+    for key, coeff in substituted(lifted, MultidegreePoly.variable(c + 1, c)).terms.items():
+        rows.setdefault(key[:c], {})[key[c]] = coeff
+    return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in rows.items()}
+
+
 class TestArithmetic:
     def test_product_of_conjugates(self):
         d1, d2 = dvar(0), dvar(1)
@@ -141,7 +165,7 @@ class TestEval:
         rng = random.Random(5)
         for _ in range(20):
             p = random_poly(rng, 3)
-            assert p.eval((0, 0, 0)) == p.constant_term()
+            assert p.eval((0, 0, 0)) == p.coeff((0, 0, 0))
 
     def test_square(self):
         assert elementary_symmetric(2, 2).eval((34, 34)) == 1156
@@ -212,13 +236,22 @@ class TestCalculus:
 
     def test_shift(self):
         d = MultidegreePoly.variable(1, 0)
-        p = d**2 - 3 * d
-        assert p.shifted(5) == (d + 5) ** 2 - 3 * (d + 5)
+        # (r + t)^2 - 3(r + t) = t^2 + (2r - 3) t + (r^2 - 3r)
+        assert (d**2 - 3 * d).taylor_shift() == {(2,): [1], (1,): [-3, 2], (0,): [0, -3, 1]}
+        assert MultidegreePoly.zero(2).taylor_shift() == {}
+        rng = random.Random(43)
+        for _ in range(30):
+            p = random_poly(rng, rng.randint(1, 3))
+            assert p.taylor_shift() == shift_oracle(p)
 
     def test_shift_multivariate(self):
+        # sum_j g_j(3) t^j at t = pt is p(pt + 3)
         rng = random.Random(41)
         for _ in range(10):
             p = random_poly(rng, 2, max_deg=2)
-            shifted = p.shifted(3)
+            table = p.taylor_shift()
             for pt in ((0, 0), (1, 2), (-4, 5)):
-                assert shifted.eval(pt) == p.eval((pt[0] + 3, pt[1] + 3))
+                value = sum(
+                    sum(a * 3**k for k, a in enumerate(g)) * pt[0] ** j[0] * pt[1] ** j[1] for j, g in table.items()
+                )
+                assert value == p.eval((pt[0] + 3, pt[1] + 3))

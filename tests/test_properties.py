@@ -1,7 +1,8 @@
 """Property tests of the ring layer: ring laws for polynomials and for
-truncated jet classes, the product rule, composition of shifts and
-associativity of truncated series products.  Skipped when hypothesis is
-not installed; the runtime itself needs no dependency."""
+truncated jet classes, the product rule, the Taylor shift against
+substitution and under composition, and associativity of truncated series
+products.  Skipped when hypothesis is not installed; the runtime itself needs
+no dependency."""
 
 import pytest
 
@@ -77,11 +78,29 @@ def test_derivative_product_rule(case):
     assert (p * q).derivative(index) == p.derivative(index) * q + p * q.derivative(index)
 
 
+def shift_at(p, a):
+    """p(a + t_1, ..., a + t_c): the Taylor shift table evaluated at r = a."""
+    return MultidegreePoly(p.num_vars, {j: sum(x * a**k for k, x in enumerate(g)) for j, g in p.taylor_shift().items()})
+
+
+def substituted(p, a):
+    """p(d_1 + a, ..., d_c + a) by ring + and *, without ``taylor_shift``."""
+    c = p.num_vars
+    total = MultidegreePoly.zero(c)
+    for exps, coeff in p.terms.items():
+        term = MultidegreePoly.one(c) * coeff
+        for i, e in enumerate(exps):
+            term = term * (MultidegreePoly.variable(c, i) + a) ** e
+        total = total + term
+    return total
+
+
 @PROPERTY
 @given(st.integers(1, 3).flatmap(polys), st.integers(-6, 6), st.integers(-6, 6))
 def test_shifts_compose(p, a, b):
-    assert p.shifted(a).shifted(b) == p.shifted(a + b)
-    assert p.shifted(0) == p
+    assert shift_at(p, a) == substituted(p, a)
+    assert shift_at(shift_at(p, a), b) == shift_at(p, a + b)
+    assert shift_at(p, 0) == p
 
 
 def int_series():

@@ -1,0 +1,63 @@
+"""Dev-only oracle: sympy expands p(d_1 + r, ..., d_c + r) and its
+r-coefficients must equal ``MultidegreePoly.taylor_shift``.  Covers every
+graded Schur determinant of the positivity report at two frames and seeded
+random polynomials.  Skipped when sympy is not installed; the runtime itself
+needs no dependency."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from sympy.polys.rings import ring  # noqa: E402
+
+from cipos.chow import ModelParams, segre_cotangent  # noqa: E402
+from cipos.polyring import MultidegreePoly  # noqa: E402
+from cipos.schur import partitions_of, schur_det  # noqa: E402
+
+
+def rows_in_r(items, c):
+    """{(t-exponents, r-degree): coefficient} pairs as {t-exponents: coefficient list in r}."""
+    rows = {}
+    for key, coeff in items:
+        rows.setdefault(tuple(key[:c]), {})[key[c]] = int(coeff)
+    return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in rows.items()}
+
+
+def expanded_shift(p):
+    """The r-coefficients of expand(p.subs(d_i -> d_i + r))."""
+    c = p.num_vars
+    d, r = sympy.symbols(f"d1:{c + 1}"), sympy.Symbol("r")
+    expr = sympy.Add(*(coeff * sympy.Mul(*(x**e for x, e in zip(d, exps))) for exps, coeff in p.terms.items()))
+    shifted = sympy.expand(expr.subs({x: x + r for x in d}, simultaneous=True))
+    return rows_in_r(sympy.Poly(shifted, *d, r).as_dict().items(), c) if shifted != 0 else {}
+
+
+def composed_shift(p):
+    """The same substitution in sympy's sparse polynomial ring, fast enough for
+    the determinants of weight 5 in five variables."""
+    c = p.num_vars
+    R, *gens = ring(",".join([f"d{i + 1}" for i in range(c)] + ["r"]), sympy.ZZ)
+    lifted = R.from_dict({exps + (0,): coeff for exps, coeff in p.terms.items()})
+    return rows_in_r(lifted.compose([(gens[i], gens[i] + gens[c]) for i in range(c)]).items(), c)
+
+
+@pytest.mark.parametrize("N,n,a", [(8, 4, 2), (10, 5, 3)])
+def test_graded_determinants(N, n, a):
+    twisted = segre_cotangent(ModelParams(N, n), -a)
+    for weight in range(1, n + 1):
+        for lam in partitions_of(weight):
+            graded = schur_det(lam.conjugate(), twisted)
+            assert graded.taylor_shift() == composed_shift(graded), tuple(lam)
+
+
+def test_random_polynomials():
+    rng = random.Random(71)
+    for _ in range(30):
+        c = rng.randint(1, 3)
+        terms = {tuple(rng.randint(0, 3) for _ in range(c)): rng.randint(-20, 20) for _ in range(rng.randint(0, 6))}
+        p = MultidegreePoly(c, terms)
+        expected = expanded_shift(p)
+        assert p.taylor_shift() == expected
+        assert composed_shift(p) == expected

@@ -190,7 +190,8 @@ class MultidegreePoly(_SparseTerms):
     ints mix freely with polynomials in ``+``, ``-`` and ``*``.
     """
 
-    __slots__ = ("num_vars", "terms")
+    # _sparse: the term list ``eval`` builds on its first call; unset until then
+    __slots__ = ("num_vars", "terms", "_sparse")
     _SHAPE = ("num_vars",)
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
@@ -267,17 +268,32 @@ class MultidegreePoly(_SparseTerms):
     # -- evaluation and calculus -------------------------------------------
 
     def eval(self, point: Sequence):
-        """Exact evaluation; ints stay ints, Fractions stay Fractions."""
+        """Exact evaluation: ints stay ints, Fractions stay Fractions.
+
+        The first call keeps each term's coefficient and nonzero (index,
+        exponent) pairs with the polynomial, so a call costs the nonzero
+        exponents, not the number of variables.  Int terms are summed as ints
+        and the other terms are added to that sum once, at the end.
+        """
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        total = 0
-        for exps, coeff in self.terms.items():
+        try:
+            sparse = self._sparse
+        except AttributeError:
+            sparse = [
+                (coeff, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, coeff in self.terms.items()
+            ]
+            object.__setattr__(self, "_sparse", sparse)
+        total, rest = 0, []
+        for coeff, pairs in sparse:
             value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
+            for i, e in pairs:
+                value *= point[i] ** e
+            if type(value) is int:
+                total += value
+            else:
+                rest.append(value)
+        return total + sum(rest) if rest else total
 
     def derivative(self, index: int) -> "MultidegreePoly":
         """Partial derivative with respect to variable ``index`` (0-based)."""

@@ -10,6 +10,7 @@ random rational points of the locus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -54,6 +55,7 @@ class UniversalChart:
             self._a_pos.append({alpha: offset + t for t, alpha in enumerate(alphas)})
             offset += len(alphas)
         self.num_vars = offset
+        self._zero = MultidegreePoly.zero(offset)
 
     # -- variable indexing ----------------------------------------------------
 
@@ -79,13 +81,26 @@ class UniversalChart:
     # -- polynomial builders ----------------------------------------------------
 
     def var(self, index: int) -> MultidegreePoly:
-        return MultidegreePoly.variable(self.num_vars, index)
+        return self.monomial({index: 1})
 
     def monomial(self, pairs: Mapping[int, int], coeff: int = 1) -> MultidegreePoly:
+        """coeff times the product of variable ``index`` to the power ``e`` over
+        the (index, e) pairs; only the pairs are checked, not the whole width."""
         exps = [0] * self.num_vars
         for index, e in pairs.items():
-            exps[index] += e
-        return MultidegreePoly.monomial(self.num_vars, exps, coeff)
+            if not 0 <= index < self.num_vars:
+                raise ValueError(f"variable index {index} out of range")
+            if e < 0:
+                raise ValueError(f"negative exponent {e} of variable {index}")
+            exps[index] = e
+        return self._zero._wrap({tuple(exps): coeff} if coeff else {})
+
+    @functools.cached_property
+    def equations(self) -> tuple[tuple[MultidegreePoly, ...], tuple[MultidegreePoly, ...]]:
+        """:func:`defining_equations` of this chart, built on first use and
+        shared, as tuples, by every field checked on the chart."""
+        eqs, deqs = defining_equations(self)
+        return tuple(eqs), tuple(deqs)
 
     def z_degree(self, poly: MultidegreePoly) -> int:
         return self._block_degree(poly, 0, self.N)
@@ -340,7 +355,7 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
     chart = field_.chart
     if samples < 1:
         raise ValueError("need at least one sample")
-    eqs, deqs = defining_equations(chart)
+    eqs, deqs = chart.equations
     actions = [(f"T(f{i + 1})", lie_derivative(field_, eqs[i])) for i in range(chart.c)]
     actions += [(f"T(f'{i + 1})", lie_derivative(field_, deqs[i])) for i in range(chart.c)]
     rng = random.Random(seed)

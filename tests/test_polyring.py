@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,18 @@ def substituted(p, offset):
         for i, e in enumerate(exps):
             term = term * (MultidegreePoly.variable(c, i) + offset) ** e
         total = total + term
+    return total
+
+
+def dense_eval(p, point):
+    """p at ``point`` by a walk over every slot of every exponent vector."""
+    total = 0
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x**e
+        total += value
     return total
 
 
@@ -173,6 +186,32 @@ class TestEval:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             MultidegreePoly.one(2).eval((1,))
+
+    def test_wide_sparse_against_dense_walk(self):
+        # chart-like polynomials: 150-220 slots, at most 6 nonzero exponents a
+        # term, integer coordinates but for a few Fractions over one shared
+        # denominator, the way the locus sampler solves the pinned slots
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(40):
+            width = rng.randint(150, 220)
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                exps = [0] * width
+                for index in rng.sample(range(width), rng.randint(0, 6)):
+                    exps[index] = rng.randint(1, 3)
+                terms[tuple(exps)] = rng.randint(-9, 9)
+            p = MultidegreePoly(width, terms)
+            denominator = rng.randint(1, 5) * rng.choice((-1, 1))
+            point = [rng.randint(-5, 5) for _ in range(width)]
+            for index in rng.sample(range(width), rng.randint(0, 4)):
+                point[index] = Fraction(rng.randint(-30, 30), denominator)
+            expected = dense_eval(p, point)
+            for _ in range(2):  # the first call builds the memo, the second reads it
+                value = p.eval(point)
+                assert value == expected and type(value) is type(expected)
+            kinds.add(type(expected))
+        assert kinds == {int, Fraction}
 
 
 class TestSeriesInverse:

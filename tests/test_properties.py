@@ -1,8 +1,11 @@
 """Property tests of the ring layer: ring laws for polynomials and for
 truncated jet classes, the product rule, the Taylor shift against
-substitution and under composition, and associativity of truncated series
-products.  Skipped when hypothesis is not installed; the runtime itself needs
-no dependency."""
+substitution and under composition, associativity of truncated series
+products, and evaluation (memoized on first use) as a ring homomorphism that
+leaves the polynomial unchanged.  Skipped when hypothesis is not installed;
+the runtime itself needs no dependency."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -124,3 +127,61 @@ def test_series_product_associative(series, order):
     left = series_product(series_product(a, b, order), c, order)
     right = series_product(a, series_product(b, c, order), order)
     assert left == right
+
+
+def dense_eval(p, point):
+    """p at ``point`` by a walk over every slot of every exponent vector."""
+    total = 0
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x**e
+        total += value
+    return total
+
+
+def points(c):
+    ints = st.integers(-6, 6)
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.one_of(st.tuples(*[ints] * c), st.tuples(*[st.one_of(ints, fractions)] * c))
+
+
+def eval_cases():
+    return st.integers(1, 3).flatmap(lambda c: st.tuples(polys(c), polys(c), points(c)))
+
+
+@PROPERTY
+@given(eval_cases())
+def test_eval_is_a_ring_homomorphism(case):
+    p, q, point = case
+    for _ in range(2):  # the first call builds the memo, the second reads it
+        assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+        assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+        assert (-p).eval(point) == -p.eval(point)
+
+
+@PROPERTY
+@given(eval_cases())
+def test_eval_matches_dense_walk(case):
+    p, _, point = case
+    expected = dense_eval(p, point)
+    for _ in range(2):  # built, then read from the memo
+        value = p.eval(point)
+        assert value == expected and type(value) is type(expected)
+
+
+@PROPERTY
+@given(eval_cases())
+def test_eval_leaves_the_polynomial_unchanged(case):
+    p, _, point = case
+    twin = MultidegreePoly(p.num_vars, dict(p.terms))
+    before = (hash(p), p.text(), p.sorted_terms())
+    p.eval(point)
+    assert p == twin and twin == p
+    assert (hash(p), p.text(), p.sorted_terms()) == before
+    assert hash(p) == hash(twin)
+    with pytest.raises(AttributeError):
+        p.num_vars = p.num_vars + 1
+    with pytest.raises(AttributeError):
+        p.terms = {}

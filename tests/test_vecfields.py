@@ -1,7 +1,10 @@
+import contextlib
+import io
 import random
 
 import pytest
 
+from cipos import cli, vecfields
 from cipos.polyring import MultidegreePoly
 from cipos.vecfields import (
     UniversalChart,
@@ -41,6 +44,17 @@ class TestChart:
             UniversalChart(2, [0])
         with pytest.raises(ValueError):
             UniversalChart(0, [1])
+
+    def test_monomial_checks_its_pairs(self):
+        chart = UniversalChart(2, [2])
+        a20 = chart.a_index(1, (2, 0))
+        exps = [0] * chart.num_vars
+        exps[0], exps[a20] = 2, 1
+        assert chart.monomial({0: 2, a20: 1}, -3) == MultidegreePoly.monomial(chart.num_vars, exps, -3)
+        assert chart.monomial({0: 1}, 0).is_zero()
+        for pairs in ({chart.num_vars: 1}, {-1: 1}, {0: -1}):
+            with pytest.raises(ValueError):
+                chart.monomial(pairs)
 
 
 class TestDefiningEquations:
@@ -240,6 +254,20 @@ class TestPointChecks:
         chart = UniversalChart(2, [2])
         report = point_tangency_check(VectorField(chart, {}), samples=5, seed=0)
         assert report.nonzero_residuals == [] and report.identically_zero
+
+    def test_equations_built_once_per_verify(self, monkeypatch):
+        # the tj family has N fields; all of them share one build of the chart's equations
+        calls = []
+
+        def counted(chart):
+            calls.append(chart)
+            return defining_equations(chart)
+
+        monkeypatch.setattr(vecfields, "defining_equations", counted)
+        argv = ["vecfields", "verify", "--family", "tj", "--N", "4", "--degrees", "4", "--samples", "5"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == 1
 
     def test_corrupted_field_detected_quickly(self):
         chart = UniversalChart(3, [2, 2])

@@ -1,104 +1,4 @@
 """Exact intersection-theoretic positivity certificates for complete
 intersections in projective space and their jet towers."""
 
-from .bounds import (
-    BoundReport,
-    monic_root_bound,
-    morse_closed_form,
-    morse_coeff,
-    rough_bound_limit,
-    rough_degree_bound,
-    shifted_positivity_threshold,
-    surface_degree_bound,
-    symmetric_positivity_threshold,
-)
-from .chow import (
-    ModelParams,
-    integrate,
-    segre_closed_form,
-    segre_cotangent,
-    twist_segre,
-)
-from .jets import (
-    JetClass,
-    MorseCertificate,
-    integrate_tower,
-    min_uniform_degree,
-    morse_certificate,
-    nef_tower_class,
-    pushforward,
-    reduce_to_base,
-    segre_recursion_coeff,
-    tower_segre,
-)
-from .polyring import (
-    MultidegreePoly,
-    elementary_symmetric,
-    express_in_elementary,
-    recombine_elementary,
-    series_inverse,
-    series_product,
-)
-from .schur import Partition, SchurReport, partitions_of, positivity_report, schur_det
-from .vecfields import (
-    TangencyReport,
-    UniversalChart,
-    VectorField,
-    coefficient_shift_field,
-    coordinate_field,
-    defining_equations,
-    lie_derivative,
-    point_tangency_check,
-    solved_coefficient_field,
-    velocity_field,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "JetClass",
-    "ModelParams",
-    "MorseCertificate",
-    "MultidegreePoly",
-    "Partition",
-    "SchurReport",
-    "TangencyReport",
-    "UniversalChart",
-    "VectorField",
-    "coefficient_shift_field",
-    "coordinate_field",
-    "defining_equations",
-    "elementary_symmetric",
-    "express_in_elementary",
-    "integrate",
-    "integrate_tower",
-    "lie_derivative",
-    "min_uniform_degree",
-    "monic_root_bound",
-    "morse_certificate",
-    "morse_closed_form",
-    "morse_coeff",
-    "nef_tower_class",
-    "partitions_of",
-    "point_tangency_check",
-    "positivity_report",
-    "pushforward",
-    "recombine_elementary",
-    "reduce_to_base",
-    "rough_bound_limit",
-    "rough_degree_bound",
-    "schur_det",
-    "segre_closed_form",
-    "segre_cotangent",
-    "segre_recursion_coeff",
-    "series_inverse",
-    "series_product",
-    "shifted_positivity_threshold",
-    "solved_coefficient_field",
-    "surface_degree_bound",
-    "symmetric_positivity_threshold",
-    "tower_segre",
-    "twist_segre",
-    "velocity_field",
-]

@@ -3,16 +3,16 @@
 Root bounds for monic polynomials, the derivative-cascade threshold for
 symmetric polynomials in the elementary-symmetric span, the Taylor-shift
 threshold outside it (one symbolic shift per polynomial), the closed-form
-coefficients of the first-order Morse difference, and the explicit degree
-bounds (general rough form and sharpened surface form).  Degrees are
-integers, so callers are expected to ceil; every returned threshold is a
-Fraction.
+coefficients of the first-order Morse difference, the scan for its first
+positive uniform degree, and the explicit degree bounds (general rough form
+and sharpened surface form).  Degrees are integers, so callers are expected
+to ceil; every returned threshold is a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -121,6 +121,16 @@ def shifted_positivity_threshold(poly: MultidegreePoly) -> int:
     return hi
 
 
+def first_positive_uniform_degree(poly: MultidegreePoly, d_max: int) -> int | None:
+    """Smallest r in 1..d_max with poly(r, ..., r) > 0, or None when there is
+    none.  At r = shifted_positivity_threshold(poly) the value is the shifted
+    constant term, which is positive, so a scan up to there always succeeds."""
+    for r in range(1, d_max + 1):
+        if poly.eval((r,) * poly.num_vars) > 0:
+            return r
+    return None
+
+
 def surface_degree_bound(N: int, a: int) -> Fraction:
     """Sharpened uniform degree bound for surfaces (dimension 2) in P^N.
 
@@ -169,12 +179,11 @@ class BoundReport:
     coefficients: list[int]
     gamma: Fraction | None
     method: str
-    certified_from: int = field(init=False)
+    certified_from: int
 
     def __post_init__(self):
         if self.coefficients[-1] != 1:
             raise ArithmeticError("leading elementary coefficient must be 1")
-        self.certified_from = shifted_positivity_threshold(morse_closed_form(self.N, self.n, self.a))
 
     @property
     def gamma_ceil(self) -> int | None:

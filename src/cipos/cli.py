@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
 
 from . import bounds, chow, jets, schur, selftest, vecfields
 from .chow import ModelParams
+from .polyring import recombine_elementary
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -125,22 +125,24 @@ def _cmd_bound(args) -> int:
         raise ValueError(f"bound requires n <= c, got n={n}, c={params.c}")
     if args.d_max is not None and args.method != "scan":
         raise ValueError("--d-max applies to --method scan only")
+    if args.d_max is not None and args.d_max < 1:
+        raise ValueError("--d-max must be >= 1")
+    if args.method == "dim2" and n != 2:
+        raise ValueError("dim2 method requires n = 2")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
+    difference = recombine_elementary(enumerate(coefficients), params.c)
+    certified_from = bounds.shifted_positivity_threshold(difference)
     if args.method == "dim2":
-        if n != 2:
-            raise ValueError("dim2 method requires n = 2")
         gamma = bounds.surface_degree_bound(N, a)
     elif args.method == "rough":
         gamma = bounds.rough_degree_bound(N, n, a)
     else:
-        ceiling = args.d_max
-        if ceiling is None:
-            analytic = (
-                bounds.surface_degree_bound(N, a) if n == 2 and N >= 4 else bounds.rough_degree_bound(N, n, a)
-            )
-            ceiling = math.ceil(analytic) + 1
-        gamma = jets.min_uniform_degree(params, a, ceiling)
-    report = bounds.BoundReport(N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method)
+        # the scan succeeds by certified_from, so it never needs to look further
+        ceiling = certified_from if args.d_max is None else min(args.d_max, certified_from)
+        gamma = bounds.first_positive_uniform_degree(difference, ceiling)
+    report = bounds.BoundReport(
+        N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method, certified_from=certified_from
+    )
     # "integer degrees >= r" only where the shift test proves it (an upward-closed set)
     if gamma is None:
         threshold_line = "threshold = none"
@@ -162,7 +164,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_jet(args) -> int:
     params = _params(args.N, args.n, args.a)
-    degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees else None
+    degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees is not None else None
     cert = jets.morse_certificate(params, args.a, degrees)
     lines = [
         f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
@@ -240,7 +242,7 @@ def _cmd_vecfields(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    numbers = _int_list(args.criteria, "--criteria") if args.criteria else None
+    numbers = _int_list(args.criteria, "--criteria") if args.criteria is not None else None
     results = selftest.run_all(numbers)
     payload = {
         "results": [

@@ -8,7 +8,7 @@ stage of the tower.  Tower Segre classes are expanded eagerly through the
 fiberwise recursion, pushforwards trade the top tautological power for a
 base-level Segre class, and iterating down to the base turns any top-degree
 class into an exact multidegree polynomial, its coefficient of h^n.  The holomorphic-Morse bigness
-certificate and the uniform-degree scan sit on top of that reduction.
+certificate sits on top of that reduction.
 """
 
 from __future__ import annotations
@@ -314,15 +314,3 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
         cert.positive = cert.value > 0
     return cert
 
-
-def min_uniform_degree(params: ModelParams, a: int, d_max: int) -> int | None:
-    """Smallest uniform degree r <= d_max with a positive Morse difference at
-    (r, ..., r), or None when the scan is exhausted."""
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    difference = morse_certificate(params, a).difference
-    c = params.c
-    for r in range(1, d_max + 1):
-        if difference.eval((r,) * c) > 0:
-            return r
-    return None

@@ -101,7 +101,7 @@ def _criterion_4() -> tuple[bool, str]:
         return False, f"value at (34,34) is {at34}, expected 15"
     if at33 != -18:
         return False, f"value at (33,33) is {at33}, expected -18"
-    frontier = jets.min_uniform_degree(params, 4, 40)
+    frontier = bounds.first_positive_uniform_degree(cert.difference, 40)
     if frontier != 34:
         return False, f"scan frontier is {frontier}, expected 34"
     return True, "bound 34, values +15/-18, scan frontier 34"

@@ -233,8 +233,10 @@ class TestClosedFormPolynomial:
 
 
 def test_bound_report_leading_invariant():
-    report = BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 1], gamma=Fraction(34), method="dim2")
+    report = BoundReport(
+        N=4, n=2, a=4, coefficients=[15, -17, 1], gamma=Fraction(34), method="dim2", certified_from=34
+    )
     blob = report.to_json()
     assert blob["coefficients"] == ["15", "-17", "1"]
     with pytest.raises(ArithmeticError):
-        BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method="scan")
+        BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method="scan", certified_from=1)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from cipos import cli
-from cipos.bounds import morse_closed_form
+from cipos.bounds import first_positive_uniform_degree, morse_closed_form, rough_degree_bound, surface_degree_bound
+from cipos.chow import ModelParams
+from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
 
@@ -116,7 +119,7 @@ class TestBound:
     def test_uncertified_scan_tail_is_not_claimed(self, capsys, monkeypatch):
         # a scan that stops at 1 proves nothing about larger degrees: the
         # difference e2 - 17 e1 + 15 is negative at (2, 2), so the shift test fails
-        monkeypatch.setattr(cli.jets, "min_uniform_degree", lambda params, a, d_max: 1)
+        monkeypatch.setattr(cli.bounds, "first_positive_uniform_degree", lambda poly, d_max: 1)
         argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan"]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -180,6 +183,22 @@ class TestBound:
                     code, out, _ = run(capsys, argv)
                     claimed = f"(integer degrees >= {blob['gamma_ceil']})" in out
                     assert claimed == (blob["gamma_ceil"] >= r), (N, n, a)
+
+    def test_scan_agrees_with_engine(self, capsys):
+        # second route: the scan of the closed-form difference, stopped at
+        # certified_from, equals the scan of the jet-tower engine's difference
+        # up to the analytic bound's ceiling plus one
+        for n in range(1, 5):
+            for c in range(n, 7):
+                N = n + c
+                for a in sorted({0, 2, N}):
+                    argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a), "--method", "scan"]
+                    code, out, _ = run(capsys, argv + ["--format", "json"])
+                    gamma = json.loads(out)["gamma"]
+                    analytic = surface_degree_bound(N, a) if n == 2 and N >= 4 else rough_degree_bound(N, n, a)
+                    engine = morse_certificate(ModelParams(N, n), a).difference
+                    expected = first_positive_uniform_degree(engine, math.ceil(analytic) + 1)
+                    assert code == 0 and gamma == str(expected), (N, n, a)
 
     def test_dim2_needs_surfaces(self, capsys):
         code, _, err = run(capsys, ["bound", "--N", "8", "--n", "3", "--a", "0", "--method", "dim2"])
@@ -279,6 +298,8 @@ class TestRejectedInput:
             ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,-1"],
             ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "rough", "--d-max", "5"],
             ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2", "--d-max", "40"],
+            ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", ""],
+            ["selftest", "--criteria", ""],
         ],
         ids=[
             "samples-0",
@@ -288,6 +309,8 @@ class TestRejectedInput:
             "jet-negative-degree",
             "bound-rough-d-max",
             "bound-dim2-d-max",
+            "jet-empty-degrees",
+            "selftest-empty-criteria",
         ],
     )
     def test_one_error_line_and_exit_2(self, capsys, argv):
@@ -304,8 +327,12 @@ class TestRejectedInput:
                 ["vecfields", "verify", "--N", "2", "--degrees", "2,x", "--family", "tj"],
                 "error: --degrees must be a comma-separated integer list",
             ),
+            (
+                ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan", "--d-max", "0"],
+                "error: --d-max must be >= 1",
+            ),
         ],
-        ids=["selftest-unknown", "selftest-partly-unknown", "vecfields-bad-degrees"],
+        ids=["selftest-unknown", "selftest-partly-unknown", "vecfields-bad-degrees", "bound-scan-d-max-0"],
     )
     def test_unknown_input_named(self, capsys, argv, message):
         code, out, err = run_rejected(capsys, argv)
@@ -360,7 +387,7 @@ class TestRejectedInput:
         script = (
             "from cipos.bounds import BoundReport\n"
             "try:\n"
-            "    BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method='scan')\n"
+            "    BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method='scan', certified_from=1)\n"
             "except ArithmeticError:\n"
             "    raise SystemExit(3)\n"
         )

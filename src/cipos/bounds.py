@@ -12,9 +12,8 @@ to ceil; every returned threshold is a Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary
 
@@ -163,8 +162,20 @@ def rough_bound_limit(n: int) -> int:
     return 2 ** (n - 1) * n**3 * math.comb(2 * n - 1, n) * math.comb(n, n // 2)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(
+    NamedTuple(
+        "BoundReport",
+        [
+            ("N", int),
+            ("n", int),
+            ("a", int),
+            ("coefficients", list[int]),
+            ("gamma", Fraction | None),
+            ("method", str),
+            ("certified_from", int),
+        ],
+    )
+):
     """Closed-form Morse coefficients plus the selected degree threshold.
 
     Bounds are exact rationals; degrees are integers, so the ceiling is
@@ -173,17 +184,13 @@ class BoundReport:
     the difference positive on [r, inf)^c.
     """
 
-    N: int
-    n: int
-    a: int
-    coefficients: list[int]
-    gamma: Fraction | None
-    method: str
-    certified_from: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.coefficients[-1] != 1:
             raise ArithmeticError("leading elementary coefficient must be 1")
+        return self
 
     @property
     def gamma_ceil(self) -> int | None:

@@ -12,14 +12,12 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary, series_product
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
     """Numerical frame: ambient dimension N, dimension n, codimension c = N - n.
 
     ``kappa`` is the smallest jet order ceil(n/c) at which the tower
@@ -27,14 +25,15 @@ class ModelParams:
     n = (kappa - 1) c + b, 0 < b <= c.
     """
 
-    N: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if self.c < 1:
             raise ValueError(f"codimension N - n = {self.N - self.n} must be >= 1")
+        return self
 
     @property
     def c(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
+Each subcommand imports the layers it runs, so a cold process loads only those.
 Exit codes: 0 on success, 1 on an internal invariant failure (or a failing
 selftest), 2 on argument or validation errors.
 """
@@ -9,12 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-
-from . import bounds, chow, jets, schur, selftest, vecfields
-from .chow import ModelParams
-from .polyring import recombine_elementary
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -82,7 +78,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(content)
 
 
-def _params(N: int, n: int, a: int = 0) -> ModelParams:
+def _params(N: int, n: int, a: int = 0):
+    from .chow import ModelParams
+
     if a < 0:
         raise ValueError("twist a must be >= 0")
     return ModelParams(N, n)
@@ -96,6 +94,8 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def _cmd_segre(args) -> int:
+    from . import chow
+
     params = _params(args.N, args.n)
     seg = chow.segre_cotangent(params, args.twist)
     lines = [f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"]
@@ -105,6 +105,8 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
+    from . import schur
+
     params = _params(args.N, args.n)
     report = schur.positivity_report(params, args.a)
     lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
@@ -119,6 +121,9 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
+    from .polyring import recombine_elementary
+
     params = _params(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
     if n > params.c:
@@ -163,6 +168,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_jet(args) -> int:
+    from . import jets
+
     params = _params(args.N, args.n, args.a)
     degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees is not None else None
     cert = jets.morse_certificate(params, args.a, degrees)
@@ -178,6 +185,10 @@ def _cmd_jet(args) -> int:
 
 
 def _cmd_vecfields(args) -> int:
+    import random
+
+    from . import vecfields
+
     degrees = _int_list(args.degrees, "--degrees")
     chart = vecfields.UniversalChart(args.N, degrees)
     if args.samples < 1:
@@ -242,6 +253,8 @@ def _cmd_vecfields(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     numbers = _int_list(args.criteria, "--criteria") if args.criteria is not None else None
     results = selftest.run_all(numbers)
     payload = {

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import chow
 from .chow import ModelParams
@@ -255,8 +254,7 @@ def nef_tower_class(params: ModelParams, k: int) -> JetClass:
     return cls + JetClass.hyperplane(params, k) * (2 * 3 ** (k - 1))
 
 
-@dataclass
-class MorseCertificate:
+class MorseCertificate(NamedTuple):
     """Outcome of the bigness test: exact difference polynomial and, when a
     degree vector was supplied, its value and sign there."""
 
@@ -307,10 +305,8 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     # reduce_to_base is linear, so one reduction covers both terms
     tail = total - JetClass.hyperplane(params, kappa) * (top * (m + a))
     difference = reduce_to_base(total ** (top - 1) * tail)
-    cert = MorseCertificate(params=params, a=a, m=m, difference=difference)
-    if degrees is not None:
-        cert.evaluated_at = degrees
-        cert.value = difference.eval(degrees)
-        cert.positive = cert.value > 0
-    return cert
+    if degrees is None:
+        return MorseCertificate(params, a, m, difference)
+    value = difference.eval(degrees)
+    return MorseCertificate(params, a, m, difference, degrees, value, value > 0)
 

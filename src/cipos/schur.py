@@ -11,9 +11,8 @@ monomial coefficients.  Disagreement between the two routes is a hard error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
@@ -145,8 +144,7 @@ def schur_det(partition: Partition, classes: Sequence):
     return minors[(1 << m) - 1]
 
 
-@dataclass
-class PartitionRecord:
+class PartitionRecord(NamedTuple):
     """A partition whose dominant part passed both positivity routes."""
 
     partition: Partition
@@ -164,8 +162,7 @@ class PartitionRecord:
         }
 
 
-@dataclass
-class SchurReport:
+class SchurReport(NamedTuple):
     """One record per partition of each weight up to the dimension, plus the
     maximal sufficient uniform degree threshold."""
 

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
@@ -20,8 +20,7 @@ from .jets import JetClass
 from .polyring import MultidegreePoly, elementary_symmetric, series_inverse
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

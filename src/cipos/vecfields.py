@@ -14,9 +14,8 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polyring import MultidegreePoly
 
@@ -144,20 +143,22 @@ def defining_equations(chart: UniversalChart) -> tuple[list[MultidegreePoly], li
     return eqs, deqs
 
 
-@dataclass
 class VectorField:
     """Coefficient table: variable index -> polynomial coefficient of that
-    partial derivative.  Pole orders record the actual maximal z- and
-    a-degrees over the stored coefficients."""
+    partial derivative; zero coefficients are dropped.  Pole orders record the
+    actual maximal z- and a-degrees over the stored coefficients."""
 
-    chart: UniversalChart
-    coefficients: dict[int, MultidegreePoly] = field(default_factory=dict)
-    family: str = "custom"
+    def __init__(
+        self, chart: UniversalChart, coefficients: Mapping[int, MultidegreePoly] | None = None, family: str = "custom"
+    ):
+        self.chart = chart
+        self.coefficients = {v: p for v, p in (coefficients or {}).items() if not p.is_zero()}
+        self.family = family
 
-    def __post_init__(self):
-        self.coefficients = {
-            v: p for v, p in self.coefficients.items() if not p.is_zero()
-        }
+    def __eq__(self, other):
+        if type(other) is not VectorField:
+            return NotImplemented
+        return (self.chart, self.coefficients, self.family) == (other.chart, other.coefficients, other.family)
 
     @property
     def z_pole_order(self) -> int:
@@ -333,8 +334,7 @@ def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
     return det
 
 
-@dataclass
-class TangencyReport:
+class TangencyReport(NamedTuple):
     """Exact residuals of the field against every defining equation at sampled
     rational points of the universal locus.  ``identically_zero`` records
     whether every action of the field on the equations vanishes as a polynomial."""

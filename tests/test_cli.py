@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cipos import cli
+from cipos import bounds, cli, schur
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
@@ -119,7 +119,7 @@ class TestBound:
     def test_uncertified_scan_tail_is_not_claimed(self, capsys, monkeypatch):
         # a scan that stops at 1 proves nothing about larger degrees: the
         # difference e2 - 17 e1 + 15 is negative at (2, 2), so the shift test fails
-        monkeypatch.setattr(cli.bounds, "first_positive_uniform_degree", lambda poly, d_max: 1)
+        monkeypatch.setattr(bounds, "first_positive_uniform_degree", lambda poly, d_max: 1)
         argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan"]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -349,7 +349,7 @@ class TestRejectedInput:
         def broken(params, a):
             raise ArithmeticError("leading coefficient vanished")
 
-        monkeypatch.setattr(cli.schur, "positivity_report", broken)
+        monkeypatch.setattr(schur, "positivity_report", broken)
         code, out, err = run_rejected(capsys, ["positivity", "--N", "4", "--n", "2", "--a", "0"])
         assert (code, out) == (1, "")
         assert len(err) == 1 and err[0].startswith("error: ") and "leading coefficient vanished" in err[0]

@@ -1,24 +1,61 @@
-"""Importing one layer loads only that layer and the layers below it."""
+"""Importing one layer loads only that layer and the layers below it, and
+each subcommand loads only the layers it runs."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def loaded_after(module: str) -> set[str]:
+def modules_after(statements: str) -> set[str]:
+    """Every module name in sys.modules once ``statements`` have run in a fresh interpreter."""
     # -I ignores PYTHONPATH and the user site, -S skips site-packages, so the
     # only cipos on the path is the one under src/
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
-        f"import {module}\n"
-        "print(' '.join(name for name in sys.modules if name.split('.')[0] == 'cipos'))\n"
+        f"{statements}\n"
+        "print(' '.join(sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def loaded_after(module: str) -> set[str]:
+    return {name for name in modules_after(f"import {module}") if name.split(".")[0] == "cipos"}
+
+
+# subcommand -> (argv, cipos layers it must leave unloaded)
+SUBCOMMANDS = {
+    "segre": (["segre", "--N", "4", "--n", "2"], {"jets", "schur", "bounds", "vecfields", "selftest"}),
+    "positivity": (["positivity", "--N", "4", "--n", "2", "--a", "0"], {"jets", "vecfields", "selftest"}),
+    "bound": (["bound", "--N", "4", "--n", "2", "--a", "0"], {"jets", "schur", "vecfields", "selftest"}),
+    "jet": (["jet", "--N", "4", "--n", "2", "--a", "0"], {"schur", "bounds", "vecfields", "selftest"}),
+    # polyring and vecfields only
+    "vecfields": (
+        ["vecfields", "verify", "--N", "2", "--degrees", "2", "--family", "tj", "--samples", "2"],
+        {"chow", "jets", "schur", "bounds", "selftest"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_subcommand_loads_only_its_layers(command):
+    argv, forbidden = SUBCOMMANDS[command]
+    loaded = modules_after(
+        "import contextlib, io\n"
+        "from cipos import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert "cipos.cli" in loaded
+    assert not loaded & {f"cipos.{layer}" for layer in forbidden}
+    # dataclasses alone loads inspect, ast, dis and tokenize
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_polyring_loads_nothing_else():

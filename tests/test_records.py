@@ -1,0 +1,89 @@
+"""The constructors, equality and checks of the report records."""
+
+from fractions import Fraction
+
+import pytest
+
+from cipos.bounds import BoundReport
+from cipos.chow import ModelParams
+from cipos.jets import _TOWER_SEGRE_CACHE, morse_certificate, tower_segre
+from cipos.polyring import MultidegreePoly
+from cipos.vecfields import UniversalChart, VectorField
+
+
+class TestModelParams:
+    def test_keyword_and_positional_agree(self):
+        assert ModelParams(N=5, n=3) == ModelParams(5, 3)
+        assert ModelParams(5, 3) != ModelParams(5, 2)
+        assert hash(ModelParams(N=5, n=3)) == hash(ModelParams(5, 3))
+        assert (ModelParams(5, 3).N, ModelParams(5, 3).n) == (5, 3)
+
+    @pytest.mark.parametrize(
+        "N,n,message",
+        [(4, 0, "dimension n must be >= 1"), (4, 4, "codimension N - n = 0 must be >= 1"), (3, 5, "= -2 must")],
+    )
+    def test_ranges_checked(self, N, n, message):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(N, n)
+        with pytest.raises(ValueError, match=message):
+            ModelParams(N=N, n=n)
+
+    def test_is_a_tuple_of_its_fields(self):
+        assert ModelParams(4, 2) == (4, 2)
+        assert tuple(ModelParams(N=4, n=2)) == (4, 2)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            ModelParams(5, 3).n = 4
+
+    def test_equal_frames_share_cache_entries(self):
+        first = tower_segre(ModelParams(3, 2), 1, 2)
+        entries = len(_TOWER_SEGRE_CACHE)
+        assert tower_segre(ModelParams(N=3, n=2), 1, 2) is first
+        assert len(_TOWER_SEGRE_CACHE) == entries
+
+
+class TestVectorField:
+    def test_zero_coefficients_dropped(self):
+        chart = UniversalChart(2, [1])
+        one, zero = MultidegreePoly.one(chart.num_vars), MultidegreePoly.zero(chart.num_vars)
+        field = VectorField(chart, {0: one, 1: zero, 2: one - one})
+        assert field.coefficients == {0: one}
+        assert field.family == "custom"
+        assert VectorField(chart, coefficients={0: one}, family="tj").family == "tj"
+
+    def test_defaults_and_equality(self):
+        chart = UniversalChart(2, [1])
+        one = MultidegreePoly.one(chart.num_vars)
+        assert VectorField(chart).coefficients == {}
+        assert VectorField(chart, {0: one}) == VectorField(chart, {0: one, 1: one - one}, "custom")
+        assert VectorField(chart, {0: one}) != VectorField(chart, {0: one}, "tj")
+
+
+class TestBoundReport:
+    FIELDS = dict(N=4, n=2, a=4, coefficients=[15, -17, 1], gamma=Fraction(34), method="dim2", certified_from=34)
+
+    def test_keyword_construction(self):
+        report = BoundReport(**self.FIELDS)
+        assert report == BoundReport(*self.FIELDS.values())
+        assert (report.gamma, report.gamma_ceil, report.certified_from) == (Fraction(34), 34, 34)
+        assert report.to_json()["coefficients"] == ["15", "-17", "1"]
+
+    @pytest.mark.parametrize("keywords", [True, False])
+    def test_leading_coefficient_checked(self, keywords):
+        fields = {**self.FIELDS, "coefficients": [15, -17, 2]}
+        with pytest.raises(ArithmeticError, match="leading elementary coefficient must be 1"):
+            BoundReport(**fields) if keywords else BoundReport(*fields.values())
+
+
+class TestMorseCertificate:
+    def test_json_without_degrees(self):
+        blob = morse_certificate(ModelParams(4, 2), 4).to_json()
+        assert (blob["N"], blob["n"], blob["c"], blob["kappa"], blob["a"], blob["m"]) == (4, 2, 2, 1, 4, 2)
+        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == (None, None, None)
+
+    def test_json_with_degrees(self):
+        blob = morse_certificate(ModelParams(4, 2), 4, [33, 33]).to_json()
+        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == ([33, 33], "-18", False)
+        blob = morse_certificate(ModelParams(4, 2), 4, (34, 34)).to_json()
+        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == ([34, 34], "15", True)

@@ -13,6 +13,14 @@ import os
 import sys
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose own errors, like every other rejected input, are one
+    ``error:`` line on stderr and exit code 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _parent() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -21,7 +29,7 @@ def _parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cipos",
         description="Exact positivity certificates for complete intersections in projective space.",
     )

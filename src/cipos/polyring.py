@@ -333,20 +333,18 @@ class MultidegreePoly(_SparseTerms):
 
     # -- rendering ----------------------------------------------------------
 
-    def text(self, names: Sequence[str] | None = None) -> str:
+    def text(self) -> str:
         """Canonical rendering, terms in graded-lex order, e.g. ``d1^2*d2 - 5*d1 + 3``."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = [f"d{i + 1}" for i in range(self.num_vars)]
         pieces = []
         for exps, coeff in self.sorted_terms():
             factors = []
-            for name, e in zip(names, exps):
+            for i, e in enumerate(exps, 1):
                 if e == 1:
-                    factors.append(name)
+                    factors.append(f"d{i}")
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"d{i}^{e}")
             mag = abs(coeff)
             if factors:
                 body = "*".join(factors)

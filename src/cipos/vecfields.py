@@ -117,15 +117,6 @@ def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
     return {chart.z_index(j + 1): e for j, e in enumerate(alpha) if e}
 
 
-def _velocity_pairs(chart: UniversalChart, alpha: Sequence[int]):
-    """(exponents, weight) of each monomial of the velocity pairing of z^alpha:
-    alpha_k * z'_k * z^(alpha - e_k) for every k with alpha_k > 0."""
-    for k, e in enumerate(alpha):
-        if e:
-            lowered = tuple(x - 1 if j == k else x for j, x in enumerate(alpha))
-            yield {chart.zp_index(k + 1): 1, **_z_pairs(chart, lowered)}, e
-
-
 def defining_equations(chart: UniversalChart) -> tuple[list[MultidegreePoly], list[MultidegreePoly]]:
     """The equation of each hypersurface block and its derivative pairing with
     the velocities; both are linear in the block's coefficient variables."""
@@ -136,8 +127,11 @@ def defining_equations(chart: UniversalChart) -> tuple[list[MultidegreePoly], li
         for alpha in chart.alphas[i - 1]:
             a_var = chart.a_index(i, alpha)
             f_terms.append(chart.monomial({a_var: 1, **_z_pairs(chart, alpha)}))
-            for pairs, e in _velocity_pairs(chart, alpha):
-                fp_terms.append(chart.monomial({a_var: 1, **pairs}, e))
+            # the velocity pairing of z^alpha: alpha_k * z'_k * z^(alpha - e_k)
+            for k, e in enumerate(alpha):
+                if e:
+                    lowered = _z_pairs(chart, alpha[:k] + (e - 1,) + alpha[k + 1 :])
+                    fp_terms.append(chart.monomial({a_var: 1, chart.zp_index(k + 1): 1, **lowered}, e))
         eqs.append(zero.add_all(f_terms))
         deqs.append(zero.add_all(fp_terms))
     return eqs, deqs
@@ -199,10 +193,12 @@ def solved_coefficient_field(
 
     Free data assigns integers to the coefficient slots of block i with
     exponent weight at most min(N, d_i), excluding the constant and the first
-    linear slot, which are pinned by the two tangency equations.  The raw
-    solution has a single velocity denominator; the returned field is the
-    cleared form (multiplied through by z'_1), so tangency holds as an exact
-    polynomial identity and the z-degree of every coefficient is at most N.
+    linear slot, which are pinned by the two tangency equations.  The field is
+    the completion of the constant field V = sum value * d/da_alpha: with
+    r0 = V(f_i) and r1 = V(f'_i) taken on the chart's equations, it is
+    z'_1 * V - r1 * d/da_e1 + (z_1 * r1 - z'_1 * r0) * d/da_0, so tangency holds
+    as an exact polynomial identity and the z-degree of every coefficient is
+    at most N.
     """
     N = chart.N
     if not 1 <= i <= chart.c:
@@ -218,25 +214,14 @@ def solved_coefficient_field(
         if alpha in (zero_alpha, e1):
             raise ValueError(f"slot {alpha} is pinned by the tangency system, not free")
 
+    constant = VectorField(chart, {chart.a_index(i, alpha): chart.monomial({}, v) for alpha, v in free_data.items()})
+    eqs, deqs = chart.equations
+    r0, r1 = lie_derivative(constant, eqs[i - 1]), lie_derivative(constant, deqs[i - 1])
     z1 = chart.var(chart.z_index(1))
     zp1 = chart.var(chart.zp_index(1))
-    # residuals of the two tangency equations over the free slots
-    zero = MultidegreePoly.zero(chart.num_vars)
-    used = [(tuple(alpha), value) for alpha, value in free_data.items() if value]
-    r0 = zero.add_all(chart.monomial(_z_pairs(chart, alpha), value) for alpha, value in used)
-    r1 = zero.add_all(
-        chart.monomial(pairs, value * e) for alpha, value in used for pairs, e in _velocity_pairs(chart, alpha)
-    )
-    coefficients = {}
-    for alpha, value in free_data.items():
-        if value:
-            coefficients[chart.a_index(i, tuple(alpha))] = zp1 * value
-    lin = -r1
-    const = z1 * r1 - zp1 * r0
-    if not lin.is_zero():
-        coefficients[chart.a_index(i, e1)] = lin
-    if not const.is_zero():
-        coefficients[chart.a_index(i, zero_alpha)] = const
+    coefficients = {index: zp1 * coeff for index, coeff in constant.coefficients.items()}
+    coefficients[chart.a_index(i, e1)] = -r1
+    coefficients[chart.a_index(i, zero_alpha)] = z1 * r1 - zp1 * r0
     return VectorField(chart, coefficients, family="solved")
 
 
@@ -344,29 +329,33 @@ class TangencyReport(NamedTuple):
 
 
 def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0) -> TangencyReport:
-    """Evaluate the field's action on the defining equations at exact rational
-    points of the locus.
+    """Evaluate the field's live actions on the defining equations at exact
+    rational points of the locus.
 
-    Points are built by drawing integer coordinates and velocities (first
-    velocity nonzero) and integer values for all but two coefficient slots per
-    block; the remaining two are solved from the block's pair of equations,
-    which are linear with triangular structure, so the solve is exact.
+    An action is live when it is not identically zero; the others vanish at
+    every point, so a field with no live action draws no point.  Points are
+    built by drawing integer coordinates and velocities (first velocity
+    nonzero) and integer values for all but two coefficient slots per block;
+    the remaining two are solved from the block's pair of equations, which are
+    linear with triangular structure, so the solve is exact.
     """
     chart = field_.chart
     if samples < 1:
         raise ValueError("need at least one sample")
     eqs, deqs = chart.equations
-    actions = [(f"T(f{i + 1})", lie_derivative(field_, eqs[i])) for i in range(chart.c)]
-    actions += [(f"T(f'{i + 1})", lie_derivative(field_, deqs[i])) for i in range(chart.c)]
-    rng = random.Random(seed)
+    labels = [f"T(f{i + 1})" for i in range(chart.c)] + [f"T(f'{i + 1})" for i in range(chart.c)]
+    actions = (lie_derivative(field_, g) for g in eqs + deqs)
+    live = [(label, action) for label, action in zip(labels, actions) if not action.is_zero()]
     nonzero: list[str] = []
-    for s in range(samples):
-        point = _sample_locus_point(chart, rng, eqs, deqs)
-        for label, action in actions:
-            value = action.eval(point)
-            if value != 0:
-                nonzero.append(f"sample {s}: {label} = {value}")
-    return TangencyReport(nonzero, all(action.is_zero() for _, action in actions))
+    if live:
+        rng = random.Random(seed)
+        for s in range(samples):
+            point = _sample_locus_point(chart, rng, eqs, deqs)
+            for label, action in live:
+                value = action.eval(point)
+                if value != 0:
+                    nonzero.append(f"sample {s}: {label} = {value}")
+    return TangencyReport(nonzero, not live)
 
 
 def _sample_locus_point(chart, rng, eqs, deqs):

@@ -300,6 +300,11 @@ class TestRejectedInput:
             ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2", "--d-max", "40"],
             ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", ""],
             ["selftest", "--criteria", ""],
+            # argparse's own errors: no usage block in front of the error line
+            ["segre", "--N", "4"],
+            ["segre", "--N", "x", "--n", "2"],
+            ["vecfields", "--format", "json", "verify", "--N", "2", "--degrees", "2", "--family", "tj"],
+            [],
         ],
         ids=[
             "samples-0",
@@ -311,6 +316,10 @@ class TestRejectedInput:
             "bound-dim2-d-max",
             "jet-empty-degrees",
             "selftest-empty-criteria",
+            "parser-missing-n",
+            "parser-non-integer-N",
+            "parser-format-before-verify",
+            "parser-no-subcommand",
         ],
     )
     def test_one_error_line_and_exit_2(self, capsys, argv):

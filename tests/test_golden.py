@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and six frames the README misses, in text and JSON.
+carries timings) and nine frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -40,6 +40,17 @@ COMMANDS = {
     "segre_N7_n3_twist_m2": ["segre", "--N", "7", "--n", "3", "--twist", "-2"],
     # five-row Schur determinants with a twist
     "positivity_N10_n5_a3": ["positivity", "--N", "10", "--n", "5", "--a", "3"],
+    # identically tangent coordinate fields
+    "vecfields_tj_N4_seed3": [
+        "vecfields", "verify", "--N", "4", "--degrees", "4", "--family", "tj", "--samples", "20", "--seed", "3",
+    ],
+    # sampled residuals: 40 of the velocity field, 63 of the coefficient-shift fields
+    "vecfields_tlambda_N4_seed5": [
+        "vecfields", "verify", "--N", "4", "--degrees", "3,2", "--family", "tlambda", "--samples", "20", "--seed", "5",
+    ],
+    "vecfields_talpha_N3_seed2": [
+        "vecfields", "verify", "--N", "3", "--degrees", "2,2", "--family", "talpha", "--samples", "10", "--seed", "2",
+    ],
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]

@@ -61,11 +61,13 @@ class TestDefiningEquations:
     def test_linear_chart(self):
         chart = UniversalChart(2, [1])
         f, fp = (eqs[0] for eqs in defining_equations(chart))
-        names = ["z1", "z2", "zp1", "zp2", "a1_00", "a1_01", "a1_10"]
-        assert chart.num_vars == len(names)
+        assert chart.num_vars == 7
         assert (chart.zp_index(1), chart.a_index(1, (1, 0))) == (2, 6)
-        assert f.text(names) == "z1*a1_10 + z2*a1_01 + a1_00"
-        assert fp.text(names) == "zp1*a1_10 + zp2*a1_01"
+        z1, z2, zp1, zp2 = chart.z_index(1), chart.z_index(2), chart.zp_index(1), chart.zp_index(2)
+        a00, a01, a10 = (chart.a_index(1, alpha) for alpha in ((0, 0), (0, 1), (1, 0)))
+        m = chart.monomial
+        assert f == m({z1: 1, a10: 1}) + m({z2: 1, a01: 1}) + m({a00: 1})
+        assert fp == m({zp1: 1, a10: 1}) + m({zp2: 1, a01: 1})
 
     def test_single_quadratic_monomial(self):
         chart = UniversalChart(2, [2])
@@ -130,6 +132,27 @@ class TestSolvedFamily:
                     field = solved_coefficient_field(chart, i, data)
                     assert lie_derivative(field, eqs[i - 1]).is_zero()
                     assert lie_derivative(field, deqs[i - 1]).is_zero()
+
+    def test_completion_formula_by_hand(self):
+        # V = 2 d/da01 - d/da20 + 3 d/da11 on f = a00 + a01 z2 + a10 z1 + a02 z2^2 + a11 z1 z2 + a20 z1^2:
+        # r0 = V(f) = 2 z2 - z1^2 + 3 z1 z2 and r1 = V(f') = 2 zp2 + 3 (z2 zp1 + z1 zp2) - 2 z1 zp1
+        chart = UniversalChart(2, [2])
+        z1, z2 = chart.var(chart.z_index(1)), chart.var(chart.z_index(2))
+        zp1, zp2 = chart.var(chart.zp_index(1)), chart.var(chart.zp_index(2))
+        slot = {alpha: chart.a_index(1, alpha) for alpha in ((0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0))}
+        field = solved_coefficient_field(chart, 1, {(0, 1): 2, (2, 0): -1, (0, 2): 0, (1, 1): 3})
+        r0 = z2 * 2 - z1 * z1 + z1 * z2 * 3
+        r1 = zp2 * 2 + (z2 * zp1 + z1 * zp2) * 3 - z1 * zp1 * 2
+        expected = {
+            slot[(0, 1)]: zp1 * 2,
+            slot[(2, 0)]: -zp1,
+            slot[(1, 1)]: zp1 * 3,
+            slot[(1, 0)]: -zp2 * 2 - z2 * zp1 * 3 - z1 * zp2 * 3 + z1 * zp1 * 2,
+            slot[(0, 0)]: z1 * zp2 * 2 + z1 * z1 * zp2 * 3 - z1 * z1 * zp1 - z2 * zp1 * 2,
+        }
+        assert list(field.coefficients) == list(expected)
+        assert field.coefficients == expected
+        assert expected[slot[(1, 0)]] == -r1 and expected[slot[(0, 0)]] == z1 * r1 - zp1 * r0
 
     def test_zero_data_gives_zero_field(self):
         chart = UniversalChart(3, [2])
@@ -268,6 +291,26 @@ class TestPointChecks:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert len(calls) == 1
+
+    def test_fields_without_live_actions_draw_no_point(self, monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drew
+
+        monkeypatch.setattr(vecfields, "_sample_locus_point", no_draw)
+        chart = UniversalChart(3, [2, 2])
+        rng = random.Random(5)
+        data = {alpha: rng.randint(-5, 5) for alpha in solved_free_slots(chart, 1)}
+        for field in (coordinate_field(chart, 2), solved_coefficient_field(chart, 1, data)):
+            report = point_tangency_check(field, samples=50, seed=1)
+            assert report.nonzero_residuals == [] and report.identically_zero
+        # a field with a live action is still sampled
+        broken = dict(coordinate_field(chart, 1).coefficients)
+        broken[chart.a_index(1, (0, 0, 0))] *= -1
+        with pytest.raises(Drew):
+            point_tangency_check(VectorField(chart, broken), samples=1, seed=0)
 
     def test_corrupted_field_detected_quickly(self):
         chart = UniversalChart(3, [2, 2])

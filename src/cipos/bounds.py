@@ -2,15 +2,16 @@
 
 Root bounds for monic polynomials, the derivative-cascade threshold for
 symmetric polynomials in the elementary-symmetric span, the Taylor-shift
-threshold outside it (one symbolic shift per polynomial), the closed-form
-coefficients of the first-order Morse difference, the scan for its first
-positive uniform degree, and the explicit degree bounds (general rough form
-and sharpened surface form).  Degrees are integers, so callers are expected
-to ceil; every returned threshold is a Fraction.
+threshold outside it (one search over the rows of a Taylor table), the
+first-order Morse difference's closed-form coefficients and shift rows, the
+scan for its first positive uniform degree, and the explicit degree bounds
+(general rough form and sharpened surface form).  Degrees are integers, so
+callers are expected to ceil; every returned threshold is a Fraction.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -82,50 +83,48 @@ def _horner(coeffs: Sequence[int], r: int) -> int:
     return value
 
 
-_SHIFT_CAP = 1 << 40  # largest shift the threshold search tries
+def elementary_shift_rows(coefficients: Sequence[int], c: int) -> list[list[int]]:
+    """Rows of the Taylor table of sum_j a_j e_j(d_1..d_c), n <= c, at
+    d = r + t.  As e_k(r + t) = sum_i C(c-i, k-i) r^(k-i) e_i(t), row i lists
+    g_i(r) = sum_k a_{i+k} C(c-i, k) r^k; the e_i share no monomial and have
+    unit coefficients, so these are the rows of the table expanded in d, and
+    row 0 is the diagonal d = (r, ..., r)."""
+    n = len(coefficients) - 1
+    return [[coefficients[i + k] * math.comb(c - i, k) for k in range(n - i + 1)] for i in range(n + 1)]
 
 
-def shifted_positivity_threshold(poly: MultidegreePoly) -> int:
-    """Smallest integer r >= 1 such that poly(r + t_1, ..., r + t_c) has no
-    negative coefficient (zeros pass) and a positive constant term.
+def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:
+    """Smallest integer r >= 1 at which the rows g_j(r) of a Taylor table,
+    poly(r + t) = sum_j g_j(r) t^j, are nonnegative (zeros pass) and the
+    first, constant row is positive.
 
     Taylor expansion then makes the polynomial positive on all of [r, inf)^c.
     Used for symmetric polynomials outside the elementary-symmetric span,
     where the derivative cascade does not apply, and for the tail claim of
-    ``bound``.  The shift is expanded once, symbolically in r, and each probe
-    evaluates its coefficient polynomials g_j(r) by Horner's rule.  The valid
-    set of r is upward closed, so a doubling scan plus bisection finds the
-    frontier.
-    """
-    table = poly.taylor_shift()
-    constant = table.get((0,) * poly.num_vars, [])
+    ``bound``.  Each probe evaluates the rows (lists by powers of r) by
+    Horner's rule.  The valid set of r is upward closed, so doubling plus
+    bisection finds the frontier.  The set is empty exactly when the constant
+    row is zero or a row's last nonzero coefficient is negative."""
+    leads = [next((v for v in reversed(row) if v), 0) for row in rows]
+    if leads[0] == 0 or min(leads) < 0:
+        raise ArithmeticError("no shifted-positivity threshold: a row is not positive for large r")
 
     def certifies(r: int) -> bool:
-        return _horner(constant, r) > 0 and all(_horner(g, r) >= 0 for g in table.values())
+        return _horner(rows[0], r) > 0 and all(_horner(g, r) >= 0 for g in rows)
 
-    if certifies(1):
-        return 1
-    hi = 2
+    hi = 1
     while not certifies(hi):
         hi *= 2
-        if hi > _SHIFT_CAP:
-            raise ArithmeticError("no shifted-positivity threshold found below cap")
-    lo = hi // 2  # known unsound
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if certifies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo = hi // 2 + 1  # every r below lo is unsound, and hi is sound
+    return lo + bisect.bisect_left(range(lo, hi), True, key=certifies)
 
 
-def first_positive_uniform_degree(poly: MultidegreePoly, d_max: int) -> int | None:
-    """Smallest r in 1..d_max with poly(r, ..., r) > 0, or None when there is
-    none.  At r = shifted_positivity_threshold(poly) the value is the shifted
-    constant term, which is positive, so a scan up to there always succeeds."""
+def first_positive_uniform_degree(diagonal: Sequence[int], d_max: int) -> int | None:
+    """Smallest r in 1..d_max with diagonal(r) > 0, or None when there is
+    none.  ``diagonal``, a constant row by powers of r, is positive at
+    shifted_positivity_threshold(rows), so a scan up to there succeeds."""
     for r in range(1, d_max + 1):
-        if poly.eval((r,) * poly.num_vars) > 0:
+        if _horner(diagonal, r) > 0:
             return r
     return None
 

@@ -130,7 +130,6 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_bound(args) -> int:
     from . import bounds
-    from .polyring import recombine_elementary
 
     params = _params(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
@@ -143,8 +142,8 @@ def _cmd_bound(args) -> int:
     if args.method == "dim2" and n != 2:
         raise ValueError("dim2 method requires n = 2")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
-    difference = recombine_elementary(enumerate(coefficients), params.c)
-    certified_from = bounds.shifted_positivity_threshold(difference)
+    rows = bounds.elementary_shift_rows(coefficients, params.c)
+    certified_from = bounds.shifted_positivity_threshold(rows)
     if args.method == "dim2":
         gamma = bounds.surface_degree_bound(N, a)
     elif args.method == "rough":
@@ -152,7 +151,7 @@ def _cmd_bound(args) -> int:
     else:
         # the scan succeeds by certified_from, so it never needs to look further
         ceiling = certified_from if args.d_max is None else min(args.d_max, certified_from)
-        gamma = bounds.first_positive_uniform_degree(difference, ceiling)
+        gamma = bounds.first_positive_uniform_degree(rows[0], ceiling)
     report = bounds.BoundReport(
         N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method, certified_from=certified_from
     )

@@ -187,7 +187,8 @@ def _threshold_for(poly: MultidegreePoly, c: int) -> Fraction:
         coeffs = express_in_elementary(poly)
         k = coeffs[0][0]
         return bounds.symmetric_positivity_threshold(coeffs, c, k)
-    return Fraction(bounds.shifted_positivity_threshold(poly))
+    table = poly.taylor_shift()
+    return Fraction(bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()]))
 
 
 def positivity_report(params: ModelParams, a: int) -> SchurReport:

@@ -22,9 +22,9 @@ from .polyring import MultidegreePoly
 
 def _monomials_up_to(N: int, degree: int) -> list[tuple[int, ...]]:
     out = [
-        alpha
-        for alpha in itertools.product(range(degree + 1), repeat=N)
-        if sum(alpha) <= degree
+        tuple(combo.count(j) for j in range(N))
+        for k in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(N), k)
     ]
     out.sort(key=lambda a: (sum(a), a))
     return out

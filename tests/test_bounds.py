@@ -8,6 +8,7 @@ import pytest
 
 from cipos.bounds import (
     BoundReport,
+    elementary_shift_rows,
     monic_root_bound,
     morse_closed_form,
     morse_coeff,
@@ -17,8 +18,8 @@ from cipos.bounds import (
     surface_degree_bound,
     symmetric_positivity_threshold,
 )
-from cipos import cli
-from cipos.polyring import MultidegreePoly, elementary_symmetric
+from cipos import bounds, cli
+from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
 
 def substituted(p, r):
@@ -31,6 +32,12 @@ def substituted(p, r):
             term = term * (MultidegreePoly.variable(c, i) + r) ** e
         total = total + term
     return total
+
+
+def rows_of(p):
+    """The rows of p's Taylor table, constant row first."""
+    table = p.taylor_shift()
+    return [table.pop((0,) * p.num_vars, []), *table.values()]
 
 
 class TestMonicRootBound:
@@ -119,13 +126,13 @@ class TestCascadeThreshold:
 class TestShiftedThreshold:
     def test_already_positive(self):
         poly = elementary_symmetric(2, 2) + 1
-        assert shifted_positivity_threshold(poly) == 1
+        assert shifted_positivity_threshold(rows_of(poly)) == 1
 
     def test_square_difference(self):
         d1 = MultidegreePoly.variable(2, 0)
         d2 = MultidegreePoly.variable(2, 1)
         poly = d1**2 + d1 * d2 + d2**2 - 5 * d1 - 5 * d2 + 10
-        r = shifted_positivity_threshold(poly)
+        r = shifted_positivity_threshold(rows_of(poly))
         assert r == 2
         shifted = substituted(poly, r)
         assert all(v > 0 for v in shifted.terms.values())
@@ -136,7 +143,7 @@ class TestShiftedThreshold:
         # (1 + t)^2 - 2(1 + t) + 5 = t^2 + 4: the zero linear coefficient
         # passes, so a strictly-positive reading (which gives 2) is wrong
         d = MultidegreePoly.variable(1, 0)
-        assert shifted_positivity_threshold(d**2 - 2 * d + 5) == 1
+        assert shifted_positivity_threshold(rows_of(d**2 - 2 * d + 5)) == 1
 
     def test_matches_substitution_frontier(self):
         # the least r >= 1 at which the substituted polynomial has no negative
@@ -149,9 +156,20 @@ class TestShiftedThreshold:
             poly = poly + elementary_symmetric(1, c) * rng.randint(-30, 5) + rng.randint(-40, 40)
             shifts = ((r, substituted(poly, r)) for r in range(1, 200))
             r = next(r for r, q in shifts if min(q.terms.values()) >= 0 and q.coeff((0,) * c) > 0)
-            assert shifted_positivity_threshold(poly) == r
+            assert shifted_positivity_threshold(rows_of(poly)) == r
             seen.add(r)
         assert len(seen) > 5
+
+    def test_no_frontier_raises_before_any_probe(self, monkeypatch):
+        # a row ending negative fails at every large r, and so does a zero
+        # constant row; the certified set is upward closed, so none certifies
+        def no_probe(*args):
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(bounds, "_horner", no_probe)
+        for rows in ([[5], [3, 1, -1]], [[1, -1], [2]], [[], [1]], [[0, 0], [1]]):
+            with pytest.raises(ArithmeticError):
+                shifted_positivity_threshold(rows)
 
     def test_soundness(self):
         rng = random.Random(47)
@@ -160,9 +178,29 @@ class TestShiftedThreshold:
             dom = elementary_symmetric(1, c) ** 2
             noise = elementary_symmetric(1, c) * rng.randint(-20, 0) + rng.randint(-20, 20)
             poly = dom + noise
-            r = shifted_positivity_threshold(poly)
+            r = shifted_positivity_threshold(rows_of(poly))
             for point in itertools.product((r, r + 2, r + 9), repeat=c):
                 assert poly.eval(point) > 0
+
+
+class TestElementaryShiftRows:
+    def test_flagship_rows(self):
+        # e2 - 17 e1 + 15 at d = r + t: (r^2 - 34 r + 15) + (r - 17) e1(t) + e2(t)
+        assert elementary_shift_rows([15, -17, 1], 2) == [[15, -34, 1], [-17, 1], [1]]
+
+    def test_rows_are_the_expanded_table(self):
+        # the shift of the difference expanded in d has exactly the squarefree
+        # keys, and each key of weight i carries row i
+        for n in range(1, 5):
+            for N in range(2 * n, 2 * n + 7):
+                c = N - n
+                for a in range(6):
+                    coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
+                    table = recombine_elementary(enumerate(coefficients), c).taylor_shift()
+                    rows = elementary_shift_rows(coefficients, c)
+                    squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}
+                    assert set(table) == squarefree, (N, n, a)
+                    assert all(row == rows[sum(key)] for key, row in table.items()), (N, n, a)
 
 
 class TestDegreeBounds:

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from cipos import bounds, cli, schur
-from cipos.bounds import first_positive_uniform_degree, morse_closed_form, rough_degree_bound, surface_degree_bound
+from cipos import bounds, cli, polyring, schur
+from cipos.bounds import morse_closed_form, morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, argv):
@@ -119,7 +120,7 @@ class TestBound:
     def test_uncertified_scan_tail_is_not_claimed(self, capsys, monkeypatch):
         # a scan that stops at 1 proves nothing about larger degrees: the
         # difference e2 - 17 e1 + 15 is negative at (2, 2), so the shift test fails
-        monkeypatch.setattr(bounds, "first_positive_uniform_degree", lambda poly, d_max: 1)
+        monkeypatch.setattr(bounds, "first_positive_uniform_degree", lambda diagonal, d_max: 1)
         argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan"]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -174,7 +175,8 @@ class TestBound:
         # positive constant term; the text claims the tail exactly from there
         for n in range(1, 4):
             for N in range(2 * n, 2 * n + 4):
-                for a in range(4):
+                # at a = 10^13 the frontier lies above 10^13, reached only by doubling
+                for a in (*range(4), 10**13):
                     argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a)]
                     code, out, _ = run(capsys, argv + ["--format", "json"])
                     blob = json.loads(out)
@@ -197,8 +199,28 @@ class TestBound:
                     gamma = json.loads(out)["gamma"]
                     analytic = surface_degree_bound(N, a) if n == 2 and N >= 4 else rough_degree_bound(N, n, a)
                     engine = morse_certificate(ModelParams(N, n), a).difference
-                    expected = first_positive_uniform_degree(engine, math.ceil(analytic) + 1)
+                    ceiling = math.ceil(analytic) + 1
+                    expected = next((r for r in range(1, ceiling + 1) if engine.eval((r,) * c) > 0), None)
                     assert code == 0 and gamma == str(expected), (N, n, a)
+
+    def test_builds_no_polynomial_in_the_degrees(self, capsys, monkeypatch):
+        # bound reads the n + 1 rows of the shifted difference straight from
+        # the Morse coefficients: no elementary symmetric polynomial, no shift
+        def refuse(*args):
+            raise AssertionError("bound built a polynomial in the degrees")
+
+        monkeypatch.setattr(polyring, "elementary_symmetric", refuse)
+        monkeypatch.setattr(polyring.MultidegreePoly, "taylor_shift", refuse)
+        for method in ("dim2", "scan", "rough"):
+            argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", method, "--format", "json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and out == (GOLDEN / f"bound_{method}.json").read_text(encoding="utf-8")
+        argv = ["bound", "--N", "200", "--n", "20", "--a", "0", "--method", "scan", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        # the first r at which the difference on the diagonal, sum_j a_j C(c, j) r^j, is positive
+        coefficients = [morse_coeff(200, 20, 0, j) for j in range(21)]
+        diagonal = (sum(a * math.comb(180, j) * r**j for j, a in enumerate(coefficients)) for r in range(1, 100))
+        assert code == 0 and json.loads(out)["gamma"] == str(next(r for r, v in enumerate(diagonal, 1) if v > 0))
 
     def test_dim2_needs_surfaces(self, capsys):
         code, _, err = run(capsys, ["bound", "--N", "8", "--n", "3", "--a", "0", "--method", "dim2"])

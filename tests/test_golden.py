@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and nine frames the README misses, in text and JSON.
+carries timings) and eleven frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -34,6 +34,9 @@ COMMANDS = {
     "jet_N4_n3_a0_at_7": ["jet", "--N", "4", "--n", "3", "--a", "0", "--degrees", "7"],
     # the kappa = 4 hypersurface
     "jet_N5_n4_a0_at_7": ["jet", "--N", "5", "--n", "4", "--a", "0", "--degrees", "7"],
+    # shift rows of a difference that holds 68406 terms when expanded in the 25 degrees
+    "bound_N30_n5_a0_scan": ["bound", "--N", "30", "--n", "5", "--a", "0", "--method", "scan"],
+    "bound_N12_n3_a2_rough": ["bound", "--N", "12", "--n", "3", "--a", "2", "--method", "rough"],
     # a codimension-3 frame (kappa = 3)
     "jet_N10_n7_a0_at_345": ["jet", "--N", "10", "--n", "7", "--a", "0", "--degrees", "3,4,5"],
     # a negative twist through the Segre product route

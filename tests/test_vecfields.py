@@ -1,14 +1,20 @@
 import contextlib
 import io
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cipos import cli, vecfields
+from cipos import cli, selftest, vecfields
 from cipos.polyring import MultidegreePoly
 from cipos.vecfields import (
     UniversalChart,
     VectorField,
+    _monomials_up_to,
     _sample_locus_point,
     coefficient_shift_field,
     coordinate_field,
@@ -33,6 +39,23 @@ class TestChart:
         assert [chart.a_index(1, alpha) for alpha in ((0, 0), (0, 1), (1, 0))] == [4, 5, 6]
         block2 = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
         assert [chart.a_index(2, alpha) for alpha in block2] == list(range(7, 13))
+
+    def test_monomials_against_filtered_product(self):
+        for N in range(1, 7):
+            for d in range(6):
+                oracle = sorted(
+                    (alpha for alpha in itertools.product(range(d + 1), repeat=N) if sum(alpha) <= d),
+                    key=lambda a: (sum(a), a),
+                )
+                assert _monomials_up_to(N, d) == oracle, (N, d)
+
+    def test_wide_chart_builds_quickly(self):
+        # a chart of 20 coordinates holds C(22, 2) = 231 coefficient slots;
+        # enumerating them must not scan the 3^20 candidate exponent vectors
+        argv = ["vecfields", "verify", "--N", "20", "--degrees", "2", "--family", "tj", "--samples", "1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-m", "cipos", *argv], env=env, capture_output=True, timeout=20)
+        assert proc.returncode == 0 and b"identical vanishing: True" in proc.stdout
 
     def test_missing_coefficient_rejected(self):
         chart = UniversalChart(2, [1])
@@ -311,6 +334,19 @@ class TestPointChecks:
         broken[chart.a_index(1, (0, 0, 0))] *= -1
         with pytest.raises(Drew):
             point_tangency_check(VectorField(chart, broken), samples=1, seed=0)
+
+    def test_criterion_9_samples_the_locus(self, monkeypatch):
+        # the criterion checks a field that is tangent only on the locus, so
+        # it draws points; with the sampler broken it cannot pass
+        class Drew(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drew
+
+        monkeypatch.setattr(vecfields, "_sample_locus_point", no_draw)
+        with pytest.raises(Drew):
+            selftest.run_criterion(9)
 
     def test_corrupted_field_detected_quickly(self):
         chart = UniversalChart(3, [2, 2])

@@ -119,13 +119,38 @@ def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:
     return lo + bisect.bisect_left(range(lo, hi), True, key=certifies)
 
 
+def _monotone_blocks(p: Sequence[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Integer intervals (s, e), in order and covering lo..hi, on each of
+    which p (a list by powers of r) is monotone as a real function: the blocks
+    of p' split where p', monotone there, changes strict sign."""
+    if len(p) <= 2:
+        return [(lo, hi)]
+    dp = [i * a for i, a in enumerate(p)][1:]
+    blocks = []
+    for s, e in _monotone_blocks(dp, lo, hi):
+        sign = _horner(dp, e)
+        if _horner(dp, s) * sign >= 0:
+            blocks.append((s, e))
+        else:
+            t = s + bisect.bisect_left(range(s, e + 1), True, key=lambda r: _horner(dp, r) * sign > 0)
+            blocks += [(s, t - 1), (t, e)]
+    return blocks
+
+
 def first_positive_uniform_degree(diagonal: Sequence[int], d_max: int) -> int | None:
     """Smallest r in 1..d_max with diagonal(r) > 0, or None when there is
     none.  ``diagonal``, a constant row by powers of r, is positive at
-    shifted_positivity_threshold(rows), so a scan up to there succeeds."""
-    for r in range(1, d_max + 1):
-        if _horner(diagonal, r) > 0:
-            return r
+    shifted_positivity_threshold(rows), so a scan up to there succeeds.  On a
+    block where the diagonal is monotone, it is positive somewhere only if it
+    is at an end, so the block's first positive r is its start, a bisection
+    toward its end, or absent."""
+    if d_max < 1:
+        return None
+    for s, e in _monotone_blocks(diagonal, 1, d_max):
+        if _horner(diagonal, s) > 0:
+            return s
+        if _horner(diagonal, e) > 0:
+            return s + bisect.bisect_left(range(s, e + 1), True, key=lambda r: _horner(diagonal, r) > 0)
     return None
 
 

@@ -4,19 +4,20 @@ A level-k class is an integer combination of monomials in the tautological
 divisors u_1..u_k, the hyperplane class h, and formal symbols for the base
 Segre classes, stored on the ring core of ``polyring`` under flat keys
 ``(h, s1, ..., sn, u1, ..., uk)`` and truncated wherever a prefix overflows a
-stage of the tower.  Tower Segre classes are expanded eagerly through the
-fiberwise recursion, pushforwards trade the top tautological power for a
-base-level Segre class, and iterating down to the base turns any top-degree
-class into an exact multidegree polynomial, its coefficient of h^n.  The holomorphic-Morse bigness
-certificate sits on top of that reduction.
+stage of the tower.  One memoized recursion pushes each monomial down to the
+base by pi_*(u^p) = s_{p-(n-1)}, expanding a tower Segre class one level at a
+time through the fiberwise recursion, and so turns any top-degree class into
+an exact multidegree polynomial, its coefficient of h^n.  The
+holomorphic-Morse bigness certificate sits on top of that reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
-from functools import lru_cache
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import chow
@@ -27,7 +28,7 @@ from .polyring import MultidegreePoly, _SparseTerms
 TermKey = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@cache
 def segre_recursion_coeff(n: int, ell: int, j: int) -> int:
     """Integer coefficient of s_{k-1,j} u_k^{ell-j} in the fiberwise Segre recursion.
 
@@ -101,15 +102,6 @@ class JetClass(_SparseTerms):
             raise ValueError(f"tautological index {i} outside 1..{level}")
         return cls._generator(params, level, params.n + i)
 
-    @classmethod
-    def base_segre_symbol(cls, params: ModelParams, level: int, i: int) -> "JetClass":
-        """The formal base Segre symbol of index i (zero beyond the dimension)."""
-        if i < 0 or i > params.n:
-            return cls.zero(params, level)
-        if i == 0:
-            return cls.unit(params, level)
-        return cls._generator(params, level, i)
-
     # -- ring kernel -------------------------------------------------------------
 
     def _unit_key(self) -> TermKey:
@@ -152,73 +144,47 @@ class JetClass(_SparseTerms):
         return f"JetClass(level={self.level}, {len(self.terms)} terms)"
 
 
-_TOWER_SEGRE_CACHE: dict[tuple[ModelParams, int, int], JetClass] = {}
-
-
-def tower_segre(params: ModelParams, level: int, index: int) -> JetClass:
-    """Tower Segre class of the given index at the given level, fully expanded.
-
-    Level 0 returns the bare base symbol; higher levels apply the fiberwise
-    recursion eagerly, so the result involves only tautological monomials and
-    base symbols.  Negative index gives 0, index 0 gives 1.
-    """
-    if index < 0:
-        return JetClass.zero(params, level)
-    if index == 0:
-        return JetClass.unit(params, level)
-    key = (params, level, index)
-    cached = _TOWER_SEGRE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if level == 0:
-        result = JetClass.base_segre_symbol(params, 0, index)
-    else:
-        u_top = JetClass.tautological(params, level, level)
-        coeffs = ((j, segre_recursion_coeff(params.n, index, j)) for j in range(index + 1))
-        result = JetClass.zero(params, level).add_all(
-            tower_segre(params, level - 1, j).lift(level) * u_top ** (index - j) * coeff
-            for j, coeff in coeffs
-            if coeff
-        )
-    _TOWER_SEGRE_CACHE[key] = result
-    return result
-
-
-def pushforward(x: JetClass) -> JetClass:
-    """Push a class one level down: u_top^p becomes the Segre class of index
-    p - (n-1) on the level below (0 for p < n-1, 1 for p = n-1)."""
-    if x.level < 1:
-        raise ValueError("cannot push a base-level class further down")
-    params, level = x.params, x.level
-    shift = params.n - 1
-    buckets: dict[int, dict[TermKey, int]] = {}
-    for key, coeff in x.terms.items():
-        buckets.setdefault(key[-1], {})[key[:-1]] = coeff
-    # every prefix of a stored key fits the stages below, so the rests are canonical
-    below = JetClass.zero(params, level - 1)
-    return below.add_all(
-        below._wrap(rest) * tower_segre(params, level - 1, p - shift)
-        for p, rest in buckets.items()
-        if p >= shift
-    )
-
-
 def reduce_to_base(x: JetClass) -> MultidegreePoly:
-    """Iterate pushforwards down to the base, then substitute every base Segre
-    symbol by its untwisted cotangent Segre class and multiply out.
+    """Push a class down to the base, monomial by monomial, then substitute
+    every base Segre symbol by its untwisted cotangent Segre class.
 
-    Returns the coefficient of h^n; base terms of lower degree lie in lower
-    h-grades and are dropped.
+    A state is a stored key at level L times the tower Segre classes s_{L,q},
+    q in ``pending`` (sorted, zeros dropped).  Expanding each s_{L,q} by the
+    fiberwise recursion collects a power e of u_L, which pushes down to
+    s_{L-1, e-(n-1)}; at the base each pending q becomes the symbol s_q.
+    Each step lowers the degree by n-1, and a stored key never exceeds its
+    stage's dimension, so no pending index reaches past n at the base.
+    States are memoized for the length of one call.  Returns the coefficient
+    of h^n; base terms of lower degree lie in lower h-grades and are dropped.
     """
-    while x.level > 0:
-        x = pushforward(x)
-    params = x.params
-    n = params.n
+    params, n = x.params, x.params.n
+    shift = n - 1
+
+    @cache
+    def down(key: TermKey, pending: tuple[int, ...]) -> dict[TermKey, int]:
+        if len(key) == n + 1:
+            slots = list(key)
+            for q in pending:
+                slots[q] += 1
+            return {tuple(slots): 1} if slots[0] + sum(map(operator.mul, slots, range(n + 1))) == n else {}
+        rest, top, out = key[:-1], key[-1] + sum(pending), {}
+        for js in itertools.product(*(range(q + 1) for q in pending)):
+            coeff = math.prod(segre_recursion_coeff(n, q, j) for q, j in zip(pending, js))
+            e = top - sum(js)
+            if coeff and e >= shift:
+                for base, value in down(rest, tuple(sorted(j for j in (*js, e - shift) if j))).items():
+                    out[base] = out.get(base, 0) + coeff * value
+        return out
+
+    totals: dict[TermKey, int] = {}
+    for key, coeff in x.terms.items():
+        for base, value in down(key, ()).items():
+            totals[base] = totals.get(base, 0) + coeff * value
     segre = chow.segre_cotangent(params, 0)
     one = MultidegreePoly.one(params.c)
     pieces = []
-    for key, coeff in x.terms.items():
-        if key[0] + sum(map(operator.mul, key, range(n + 1))) == n:
+    for key, coeff in totals.items():
+        if coeff:
             factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
             pieces.append(math.prod(factors, start=one) * coeff)
     return MultidegreePoly.zero(params.c).add_all(pieces)

@@ -366,10 +366,6 @@ class MultidegreePoly(_SparseTerms):
             {"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json(cls, data: Iterable[dict], num_vars: int) -> "MultidegreePoly":
-        return cls(num_vars, {tuple(item["exps"]): int(item["coeff"]) for item in data})
-
 
 def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
     """The i-th elementary symmetric polynomial in c variables (0 for i > c)."""

@@ -142,17 +142,9 @@ class VectorField:
     partial derivative; zero coefficients are dropped.  Pole orders record the
     actual maximal z- and a-degrees over the stored coefficients."""
 
-    def __init__(
-        self, chart: UniversalChart, coefficients: Mapping[int, MultidegreePoly] | None = None, family: str = "custom"
-    ):
+    def __init__(self, chart: UniversalChart, coefficients: Mapping[int, MultidegreePoly] | None = None):
         self.chart = chart
         self.coefficients = {v: p for v, p in (coefficients or {}).items() if not p.is_zero()}
-        self.family = family
-
-    def __eq__(self, other):
-        if type(other) is not VectorField:
-            return NotImplemented
-        return (self.chart, self.coefficients, self.family) == (other.chart, other.coefficients, other.family)
 
     @property
     def z_pole_order(self) -> int:
@@ -222,7 +214,7 @@ def solved_coefficient_field(
     coefficients = {index: zp1 * coeff for index, coeff in constant.coefficients.items()}
     coefficients[chart.a_index(i, e1)] = -r1
     coefficients[chart.a_index(i, zero_alpha)] = z1 * r1 - zp1 * r0
-    return VectorField(chart, coefficients, family="solved")
+    return VectorField(chart, coefficients)
 
 
 def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
@@ -241,7 +233,7 @@ def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
             source = chart.a_index(i, shifted)
             target = chart.a_index(i, alpha)
             coefficients[target] = chart.var(source) * -(alpha[j - 1] + 1)
-    return VectorField(chart, coefficients, family="tj")
+    return VectorField(chart, coefficients)
 
 
 def coefficient_shift_field(
@@ -278,7 +270,7 @@ def coefficient_shift_field(
         pieces.setdefault(target, []).append(chart.monomial(_z_pairs(chart, second), weight))
     zero = MultidegreePoly.zero(chart.num_vars)
     coefficients = {target: zero.add_all(polys) for target, polys in pieces.items()}
-    return VectorField(chart, coefficients, family="talpha")
+    return VectorField(chart, coefficients)
 
 
 def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorField:
@@ -296,7 +288,7 @@ def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorF
         )
         if not poly.is_zero():
             coefficients[chart.zp_index(k)] = poly
-    return VectorField(chart, coefficients, family="tlambda")
+    return VectorField(chart, coefficients)
 
 
 def _rational_det(matrix: Sequence[Sequence]) -> Fraction:

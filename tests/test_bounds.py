@@ -9,6 +9,7 @@ import pytest
 from cipos.bounds import (
     BoundReport,
     elementary_shift_rows,
+    first_positive_uniform_degree,
     monic_root_bound,
     morse_closed_form,
     morse_coeff,
@@ -181,6 +182,44 @@ class TestShiftedThreshold:
             r = shifted_positivity_threshold(rows_of(poly))
             for point in itertools.product((r, r + 2, r + 9), repeat=c):
                 assert poly.eval(point) > 0
+
+
+def random_diagonal(rng):
+    """A random integer polynomial of degree <= 6, by powers of r: either
+    random coefficients, or a product of factors (q r - k) with integer and
+    half-integer roots k/q near the scanned range, some of them repeated."""
+    if rng.random() < 0.3:
+        return [rng.randint(-30, 30) for _ in range(rng.randint(0, 7))]
+    poly = [rng.choice([-3, -2, -1, 1, 2, 3])]
+    for _ in range(rng.randint(0, 6)):
+        q = rng.choice([1, 2])
+        k = rng.randint(-4, 62 * q)
+        for _ in range(rng.choice([1, 1, 2])):
+            if len(poly) <= 6:
+                poly = [(poly[i - 1] * q if i else 0) - (poly[i] * k if i < len(poly) else 0) for i in range(len(poly) + 1)]
+    return poly
+
+
+class TestFirstPositiveDegree:
+    def test_matches_the_walk(self):
+        # the walk r = 1, 2, ..., d_max is the definition; the block search must agree
+        rng = random.Random(1117)
+        found = 0
+        for _ in range(4000):
+            diagonal, d_max = random_diagonal(rng), rng.randint(0, 60)
+            walk = next((r for r in range(1, d_max + 1) if bounds._horner(diagonal, r) > 0), None)
+            assert first_positive_uniform_degree(diagonal, d_max) == walk, (diagonal, d_max)
+            found += walk not in (None, 1)
+        assert found > 400
+
+    def test_huge_frontier_without_walking(self):
+        # r (r - 2)^2 (r - B): zero at 2 and at B, negative elsewhere below B,
+        # so the first positive degree is B + 1, found without visiting 1..B
+        big = 10**12
+        diagonal = [0, -4 * big, 4 * big + 4, -big - 4, 1]
+        assert first_positive_uniform_degree(diagonal, 10 * big) == big + 1
+        assert first_positive_uniform_degree(diagonal, big) is None
+        assert first_positive_uniform_degree(diagonal, 0) is None
 
 
 class TestElementaryShiftRows:

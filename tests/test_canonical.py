@@ -8,9 +8,11 @@ import random
 import pytest
 
 from cipos.chow import ModelParams, integrate, segre_cotangent, twist_segre
-from cipos.jets import JetClass, nef_tower_class, tower_segre
+from cipos.jets import JetClass, nef_tower_class
 from cipos.polyring import MultidegreePoly, recombine_elementary, series_product
 from cipos.schur import partitions_of, schur_det
+
+from tower_reference import tower_segre
 
 
 def random_poly(rng, c, max_deg=3, max_terms=6):

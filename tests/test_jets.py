@@ -6,17 +6,11 @@ import pytest
 
 from cipos import chow
 from cipos.chow import ModelParams
-from cipos.jets import (
-    JetClass,
-    integrate_tower,
-    morse_certificate,
-    nef_tower_class,
-    pushforward,
-    segre_recursion_coeff,
-    tower_segre,
-)
+from cipos.jets import JetClass, integrate_tower, morse_certificate, nef_tower_class, reduce_to_base, segre_recursion_coeff
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
 from cipos.polyring import MultidegreePoly, elementary_symmetric, express_in_elementary
+
+from tower_reference import base_segre_symbol, pushforward, reduce_reference, tower_segre
 
 P42 = ModelParams(4, 2)
 
@@ -37,7 +31,7 @@ class TestJetAlgebra:
             factor = rng.choice(
                 [JetClass.hyperplane(p, level)]
                 + [JetClass.tautological(p, level, i) for i in range(1, level + 1)]
-                + [JetClass.base_segre_symbol(p, level, rng.randint(1, p.n))]
+                + [base_segre_symbol(p, level, rng.randint(1, p.n))]
             )
             cls = cls + factor * rng.randint(-3, 3)
         return cls
@@ -118,11 +112,11 @@ class TestRecursionCoeff:
 
 class TestTowerSegre:
     def test_base_symbol(self):
-        assert tower_segre(P42, 0, 2) == JetClass.base_segre_symbol(P42, 0, 2)
+        assert tower_segre(P42, 0, 2) == base_segre_symbol(P42, 0, 2)
 
     def test_level_one_first(self):
         got = tower_segre(P42, 1, 1)
-        expected = JetClass.base_segre_symbol(P42, 1, 1) + JetClass.tautological(
+        expected = base_segre_symbol(P42, 1, 1) + JetClass.tautological(
             P42, 1, 1
         ) * segre_recursion_coeff(2, 1, 0)
         assert got == expected
@@ -142,7 +136,7 @@ class TestPushforward:
         u = JetClass.tautological(P42, 1, 1)
         assert pushforward(u ** 1) == JetClass.unit(P42, 0)
         assert pushforward(JetClass.unit(P42, 1)).is_zero()
-        assert pushforward(u ** 2) == JetClass.base_segre_symbol(P42, 0, 1)
+        assert pushforward(u ** 2) == base_segre_symbol(P42, 0, 1)
 
     def test_projection_formula(self):
         # pullback factors ride along unchanged
@@ -153,6 +147,53 @@ class TestPushforward:
     def test_base_level_rejected(self):
         with pytest.raises(ValueError):
             pushforward(JetClass.unit(P42, 0))
+
+
+class TestReduceToBase:
+    # the memoized monomial pushdown against the eager route of tower_reference
+
+    def _random_class(self, rng, p, level):
+        # a term of the top degree, up to three more of the top degree or one
+        # below, each a product of h, the u_i and base Segre symbols
+        generators = [JetClass.hyperplane(p, level)] + [JetClass.tautological(p, level, i) for i in range(1, level + 1)]
+        cls = JetClass.zero(p, level)
+        for drop in [0] + [rng.randint(0, 1) for _ in range(rng.randint(0, 3))]:
+            term = JetClass.unit(p, level) * rng.choice([-3, -2, -1, 1, 2, 3])
+            degree = p.tower_dim(level) - drop
+            while degree > 0:
+                i = rng.randint(1, min(degree, p.n)) if rng.random() < 0.25 else 0
+                term = term * (base_segre_symbol(p, level, i) if i else rng.choice(generators))
+                degree -= max(i, 1)
+            cls = cls + term
+        return cls
+
+    def test_random_classes_match_reference(self):
+        rng = random.Random(15)
+        nonzero = 0
+        for _ in range(72):
+            n = rng.randint(2, 4)
+            p = ModelParams(n + rng.randint(1, 3), n)
+            x = self._random_class(rng, p, rng.randint(1, 3))
+            got = reduce_to_base(x)
+            assert got == reduce_reference(x), (p, x.level, x.terms)
+            nonzero += not got.is_zero()
+        # truncation kills many random products; a third must survive the descent
+        assert nonzero >= 24
+
+    def test_morse_integrands_match_reference(self):
+        frames = [ModelParams(N, n) for N in range(3, 8) for n in range(1, N)]
+        frames = [p for p in frames if 2 <= p.kappa <= 4]
+        assert len(frames) == 7
+        for p in frames:
+            kappa, m = p.kappa, 3**p.kappa - 1
+            top = p.tower_dim(kappa)
+            total = JetClass.zero(p, kappa).add_all(nef_tower_class(p, i).lift(kappa) for i in range(1, kappa + 1))
+            power = total ** (top - 1)
+            for a in (0, 2):
+                integrand = power * (total - JetClass.hyperplane(p, kappa) * (top * (m + a)))
+                expected = reduce_reference(integrand)
+                assert reduce_to_base(integrand) == expected, (p, a)
+                assert morse_certificate(p, a).difference == expected, (p, a)
 
 
 class TestIntegrate:
@@ -282,7 +323,7 @@ class TestMorseCertificate:
             "N", "n", "c", "kappa", "a", "m", "difference", "evaluated_at", "value", "positive",
         }
         assert blob["m"] == 2 and blob["value"] == "15" and blob["positive"] is True
-        assert MultidegreePoly.from_json(blob["difference"], 2) == morse_closed_form(4, 2, 4)
+        assert blob["difference"] == morse_closed_form(4, 2, 4).to_json()
 
     def test_degree_vector_length_checked(self):
         with pytest.raises(ValueError):

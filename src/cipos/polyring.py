@@ -7,7 +7,7 @@ for everything else.  Coefficients are arbitrary-precision Python ints (the
 bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.  ``MultidegreePoly.taylor_shift`` expands
-p(r + t) once, symbolically in r, for the positivity thresholds.
+p(r + t) once, symbolically in r, for a diagonal or a threshold in d.
 
 The ring core is one base class, ``_SparseTerms``, shared by
 ``MultidegreePoly`` and ``JetClass``: each stores its element as a dict from a
@@ -249,9 +249,6 @@ class MultidegreePoly(_SparseTerms):
             return self
         top = self.total_degree()
         return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
-
-    def is_multilinear(self) -> bool:
-        return all(e <= 1 for exps in self.terms for e in exps)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))

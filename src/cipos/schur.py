@@ -6,22 +6,25 @@ positive when the codimension dominates the dimension.  Positivity of each
 dominant part is established twice: by identifying it with the corresponding
 determinant for an ample sum of line bundles, and by directly inspecting its
 monomial coefficients.  Disagreement between the two routes is a hard error.
+
+Every class of the report depends on the degrees only through e_1..e_n, and
+n <= c makes them algebraically independent, so the report works in the ring
+of E_1..E_n: the Segre classes enter by their elementary coefficients, the
+determinants and the identification route run there, and the thresholds are
+read from one shifted row per S_c orbit.  Only the dominant parts are
+expanded in d, for the direct route and the output.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import (
-    MultidegreePoly,
-    elementary_symmetric,
-    express_in_elementary,
-    series_inverse,
-)
+from .polyring import MultidegreePoly, _accumulate, elementary_symmetric, express_in_elementary, series_inverse
 
 
 class Partition:
@@ -182,13 +185,97 @@ class SchurReport(NamedTuple):
         }
 
 
-def _threshold_for(poly: MultidegreePoly, c: int) -> Fraction:
-    if poly.is_multilinear():
-        coeffs = express_in_elementary(poly)
-        k = coeffs[0][0]
-        return bounds.symmetric_positivity_threshold(coeffs, c, k)
-    table = poly.taylor_shift()
-    return Fraction(bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()]))
+class _ElementaryRing:
+    """Z[E_1..E_n], E_k = e_k(d_1..d_c) with n <= c, so the E_k are
+    algebraically independent and a class has one expansion in them.
+
+    Keys are exponent tuples of E_1..E_n; the weighted degree sum_k k*m_k is
+    the degree in d.  Two maps leave the ring, each memoized per E-monomial
+    for the life of one report and built as a smaller monomial's image times
+    one factor: the expansion in d, and the symmetric shift d = r + t, as a
+    polynomial in E_1(t)..E_n(t) whose last key slot is the power of r.
+    """
+
+    def __init__(self, n: int, c: int):
+        self.n, self.c = n, c
+        zero = (0,) * n
+        # E_k(r + t) = sum_i C(c - i, k - i) r^(k - i) E_i(t), the rule of bounds.elementary_shift_rows
+        shift = [
+            MultidegreePoly(n + 1, {self.key(i) + (k - i,): math.comb(c - i, k - i) for i in range(k + 1)})
+            for k in range(1, n + 1)
+        ]
+        # (memo of monomial images, image of E_1..E_n) per map
+        self._in_d = ({zero: MultidegreePoly.one(c)}, [elementary_symmetric(k, c) for k in range(1, n + 1)])
+        self._shifted = ({zero: MultidegreePoly.one(n + 1)}, shift)
+
+    def key(self, j: int) -> tuple[int, ...]:
+        """Exponent tuple of E_j; E_0 = 1."""
+        return tuple(int(k == j) for k in range(1, self.n + 1))
+
+    def from_multilinear(self, poly: MultidegreePoly) -> MultidegreePoly:
+        """A multilinear symmetric polynomial in d, in the E-basis."""
+        return MultidegreePoly(self.n, {self.key(j): a for j, a in express_in_elementary(poly)})
+
+    @staticmethod
+    def weight(key: tuple[int, ...]) -> int:
+        return sum(k * m for k, m in enumerate(key, 1))
+
+    def dominant_part(self, poly: MultidegreePoly) -> MultidegreePoly:
+        """The terms of top weighted degree: the dominant part in d, in the E-basis."""
+        top = max(map(self.weight, poly.terms), default=None)
+        return MultidegreePoly(self.n, {m: a for m, a in poly.terms.items() if self.weight(m) == top})
+
+    def _image(self, images, key: tuple[int, ...]) -> MultidegreePoly:
+        memo, factors = images
+        value = memo.get(key)
+        if value is None:
+            # peel one factor of the lowest E_k present: e_k has the fewest terms
+            k = next(k for k, m in enumerate(key) if m)
+            value = self._image(images, key[:k] + (key[k] - 1,) + key[k + 1 :]) * factors[k]
+            memo[key] = value
+        return value
+
+    def expand(self, poly: MultidegreePoly) -> MultidegreePoly:
+        """The same class as a polynomial in d_1..d_c."""
+        return MultidegreePoly.zero(self.c).add_all(self._image(self._in_d, m) * a for m, a in poly.terms.items())
+
+    def orbit_rows(self, poly: MultidegreePoly) -> dict[tuple[int, ...], list[int]]:
+        """The rows of poly(r + t) = sum_mu g_mu(r) t^mu, one per S_c orbit.
+
+        poly(r + t) is symmetric in t, so the rows of an orbit of t-exponents
+        are equal, and the orbits are the partitions mu of weight <= n (at most
+        n <= c parts).  With poly(r + t) = sum_m G_m(r) E(t)^m, g_mu is
+        sum_m G_m [t^mu] E(t)^m.  Returns {mu padded to c slots: g_mu by
+        powers of r, up to its last nonzero coefficient} for every nonzero
+        g_mu, the constant row (the diagonal G_0) first even when it is zero.
+        """
+        n = self.n
+        shifted = MultidegreePoly.zero(n + 1).add_all(self._image(self._shifted, m) * a for m, a in poly.terms.items())
+        # weight -> [(E(t)^m in t, power of r, coefficient)]; [t^mu] E(t)^m is 0 unless |mu| = weight(m)
+        by_weight: dict[int, list] = {}
+        for key, v in shifted.terms.items():
+            m = key[:n]
+            by_weight.setdefault(self.weight(m), []).append((self._image(self._in_d, m), key[n], v))
+        rows = {}
+        for weight in range(max(by_weight, default=0) + 1):
+            for mu in partitions_of(weight):
+                t_key = mu.parts + (0,) * (self.c - len(mu))
+                row = _accumulate({}, ((k, in_t.coeff(t_key) * v) for in_t, k, v in by_weight.get(weight, ())))
+                if row or not weight:
+                    rows[t_key] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
+        return rows
+
+    def threshold(self, poly: MultidegreePoly) -> Fraction:
+        """Uniform degree threshold for ``poly``, nonzero in weight >= 1.
+
+        Linear in E (multilinear in d): the derivative cascade on its
+        E-coefficients.  Otherwise the least r that certifies the orbit rows,
+        which is the least r that certifies every row of the Taylor table.
+        """
+        if all(sum(m) <= 1 for m in poly.terms):
+            coeffs = {self.weight(m): a for m, a in poly.terms.items()}
+            return bounds.symmetric_positivity_threshold(coeffs.items(), self.c, max(coeffs))
+        return Fraction(bounds.shifted_positivity_threshold(list(self.orbit_rows(poly).values())))
 
 
 def positivity_report(params: ModelParams, a: int) -> SchurReport:
@@ -199,24 +286,31 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     twisted Segre classes (it is the coefficient of h^weight of the class),
     extract its dominant part, verify the two positivity routes agree, and
     attach a sufficient uniform degree threshold.
+
+    The determinants, the identification and the threshold rows run in the
+    ring of E_1..E_n (``_ElementaryRing``); the dominant part, the top
+    weighted-degree part there, is expanded in d once, for the direct
+    coefficient check and the output.
     """
     n, c = params.n, params.c
     if c < n:
         raise ValueError(f"numerical positivity requires c >= n, got c={c} < n={n}")
     if a < 0:
         raise ValueError("twist a must be >= 0")
-    twisted = chow.segre_cotangent(params, -a)
-    chern_data = [MultidegreePoly.one(c)] + [elementary_symmetric(j, c) for j in range(1, n + 1)]
-    segre_data = [MultidegreePoly.one(c)] + series_inverse(chern_data[1:], n)
+    ring = _ElementaryRing(n, c)
+    twisted = [ring.from_multilinear(s) for s in chow.segre_cotangent(params, -a)]
+    chern_data = [MultidegreePoly.one(n)] + [MultidegreePoly.monomial(n, ring.key(j)) for j in range(1, n + 1)]
+    segre_data = [MultidegreePoly.one(n)] + series_inverse(chern_data[1:], n)
     records = []
     for ell in range(1, n + 1):
         for lam in partitions_of(ell):
             conj = lam.conjugate()
             graded = schur_det(conj, twisted)
-            dominant = graded.dominant_part()
+            top = ring.dominant_part(graded)
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
-            identified = dominant == via_chern and dominant == via_segre
+            identified = top == via_chern and top == via_segre
+            dominant = ring.expand(top)
             direct = bool(dominant.terms) and all(v > 0 for v in dominant.terms.values())
             if not (identified and direct):
                 raise ArithmeticError(
@@ -228,7 +322,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    threshold=_threshold_for(graded, c),
+                    threshold=ring.threshold(graded),
                 )
             )
     overall = max(record.threshold for record in records)

@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from cipos import chow
+from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
+from cipos.polyring import MultidegreePoly, elementary_symmetric, express_in_elementary, series_inverse
 from cipos.schur import Partition, partitions_of, positivity_report, schur_det
 
 
@@ -213,3 +214,44 @@ class TestPositivityReport:
         assert set(blob) == {"N", "n", "c", "a", "records", "D"}
         assert blob["records"][0]["partition"] == [1]
         assert isinstance(blob["D"], str)
+
+
+def d_basis_threshold(poly, c):
+    """The threshold read from the class expanded in d: the derivative cascade
+    on its elementary coefficients when it is multilinear, else one search over
+    every row of its Taylor table."""
+    if all(e <= 1 for exps in poly.terms for e in exps):
+        coeffs = express_in_elementary(poly)
+        return bounds.symmetric_positivity_threshold(coeffs, c, coeffs[0][0])
+    table = poly.taylor_shift()
+    return Fraction(bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()]))
+
+
+class TestElementaryRoute:
+    # the report runs in Z[E_1..E_n]; the d-basis determinant and threshold are
+    # the second route, for every partition of every frame with n <= c <= 6
+    FRAMES = [(n + c, n) for c in range(1, 7) for n in range(1, c + 1)]
+
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_determinants_and_thresholds_match_the_d_basis(self, a):
+        for N, n in self.FRAMES:
+            p = ModelParams(N, n)
+            ring = schur._ElementaryRing(n, p.c)
+            in_d = chow.segre_cotangent(p, -a)
+            in_e = [ring.from_multilinear(s) for s in in_d]
+            for weight in range(1, n + 1):
+                for lam in partitions_of(weight):
+                    conj = lam.conjugate()
+                    graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
+                    assert ring.expand(graded_e) == graded_d, (N, n, a, tuple(lam))
+                    assert ring.threshold(graded_e) == d_basis_threshold(graded_d, p.c), (N, n, a, tuple(lam))
+
+    def test_zero_diagonal_has_no_threshold_on_either_route(self):
+        # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
+        ring = schur._ElementaryRing(2, 3)
+        poly = MultidegreePoly(2, {(2, 0): 1, (0, 1): -3})
+        # the constant row comes first even when it is zero
+        assert next(iter(ring.orbit_rows(poly).items())) == ((0, 0, 0), [])
+        for route in (lambda: ring.threshold(poly), lambda: d_basis_threshold(ring.expand(poly), 3)):
+            with pytest.raises(ArithmeticError, match="no shifted-positivity threshold"):
+                route()

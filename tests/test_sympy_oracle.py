@@ -1,8 +1,9 @@
 """Dev-only oracle: sympy expands p(d_1 + r, ..., d_c + r) and its
-r-coefficients must equal ``MultidegreePoly.taylor_shift``.  Covers every
-graded Schur determinant of the positivity report at two frames and seeded
-random polynomials.  Skipped when sympy is not installed; the runtime itself
-needs no dependency."""
+r-coefficients must equal ``MultidegreePoly.taylor_shift``, and, at the sorted
+t-exponents, the orbit rows the positivity report reads in the
+elementary-symmetric basis.  Covers every graded Schur determinant of the
+positivity report at two frames and seeded random polynomials.  Skipped when
+sympy is not installed; the runtime itself needs no dependency."""
 
 import random
 
@@ -14,7 +15,7 @@ from sympy.polys.rings import ring  # noqa: E402
 
 from cipos.chow import ModelParams, segre_cotangent  # noqa: E402
 from cipos.polyring import MultidegreePoly  # noqa: E402
-from cipos.schur import partitions_of, schur_det  # noqa: E402
+from cipos.schur import _ElementaryRing, partitions_of, schur_det  # noqa: E402
 
 
 def rows_in_r(items, c):
@@ -50,6 +51,20 @@ def test_graded_determinants(N, n, a):
         for lam in partitions_of(weight):
             graded = schur_det(lam.conjugate(), twisted)
             assert graded.taylor_shift() == composed_shift(graded), tuple(lam)
+
+
+@pytest.mark.parametrize("N,n,a", [(8, 4, 2), (10, 5, 3)])
+def test_orbit_rows(N, n, a):
+    # sympy shifts the determinant taken in d; the rows come from the one taken in E
+    ring = _ElementaryRing(n, N - n)
+    in_d = segre_cotangent(ModelParams(N, n), -a)
+    in_e = [ring.from_multilinear(s) for s in in_d]
+    for weight in range(1, n + 1):
+        for lam in partitions_of(weight):
+            conj = lam.conjugate()
+            rows = composed_shift(schur_det(conj, in_d))
+            sorted_keys = {j: row for j, row in rows.items() if list(j) == sorted(j, reverse=True)}
+            assert ring.orbit_rows(schur_det(conj, in_e)) == sorted_keys, tuple(lam)
 
 
 def test_random_polynomials():

@@ -1,12 +1,11 @@
-"""Effective degree thresholds, in exact rational arithmetic.
+"""Effective degree thresholds, in exact arithmetic.
 
-Root bounds for monic polynomials, the derivative-cascade threshold for
-symmetric polynomials in the elementary-symmetric span, the Taylor-shift
-threshold outside it (one search over the rows of a Taylor table), the
-first-order Morse difference's closed-form coefficients and shift rows, the
-scan for its first positive uniform degree, and the explicit degree bounds
-(general rough form and sharpened surface form).  Degrees are integers, so
-callers are expected to ceil; every returned threshold is a Fraction.
+The Taylor-shift threshold (one search over the rows of a Taylor table, the
+least r that the shift test certifies), the first-order Morse difference's
+closed-form coefficients and shift rows, the scan for its first positive
+uniform degree, and the explicit degree bounds (general rough form and
+sharpened surface form).  The explicit bounds are Fractions, and callers
+compare integer degrees with their ceiling; the searches return integers.
 """
 
 from __future__ import annotations
@@ -14,21 +13,9 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary
-
-
-def monic_root_bound(coeffs: Sequence) -> Fraction:
-    """Bound beyond which a monic univariate polynomial is positive.
-
-    ``coeffs`` lists the non-leading coefficients a_0..a_{k-1} of
-    x^k + a_{k-1} x^{k-1} + ... + a_0; at any x >= 1 + max |a_i| the value is
-    positive (each trailing term is dominated by a slice of x^k).
-    """
-    if len(coeffs) < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    return 1 + max(abs(Fraction(a)) for a in coeffs)
 
 
 def morse_coeff(N: int, n: int, a: int, j: int) -> int:
@@ -56,26 +43,6 @@ def morse_closed_form(N: int, n: int, a: int) -> MultidegreePoly:
     return recombine_elementary(((j, morse_coeff(N, n, a, j)) for j in range(n + 1)), N - n)
 
 
-def symmetric_positivity_threshold(coeffs: Iterable[tuple[int, int]], c: int, k: int) -> Fraction:
-    """Uniform positivity threshold for a monic combination of elementary
-    symmetric polynomials in c variables.
-
-    ``coeffs`` lists (j, a_j) with a_k = 1 required (callers divide first).
-    The iterated-derivative cascade reduces positivity on [r, inf)^c to the
-    monic root bound applied to each diagonal derivative, and those bounds are
-    all dominated by the monic root bound of the scaled coefficients
-    a_i binom(c, i) / binom(c, k), i < k.
-    """
-    table = dict(coeffs)
-    if k < 1 or k > c:
-        raise ValueError(f"leading index k={k} must satisfy 1 <= k <= c")
-    if table.get(k) != 1:
-        raise ValueError("leading coefficient a_k must be 1; divide it out first")
-    if any(j < 0 or j > k for j in table):
-        raise ValueError("coefficient indices must lie in 0..k")
-    return monic_root_bound([Fraction(table.get(i, 0) * math.comb(c, i), math.comb(c, k)) for i in range(k)])
-
-
 def _horner(coeffs: Sequence[int], r: int) -> int:
     value = 0
     for a in reversed(coeffs):
@@ -99,9 +66,8 @@ def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:
     first, constant row is positive.
 
     Taylor expansion then makes the polynomial positive on all of [r, inf)^c.
-    Used for symmetric polynomials outside the elementary-symmetric span,
-    where the derivative cascade does not apply, and for the tail claim of
-    ``bound``.  Each probe evaluates the rows (lists by powers of r) by
+    Every threshold of ``positivity`` and the tail claim of ``bound`` come
+    from here.  Each probe evaluates the rows (lists by powers of r) by
     Horner's rule.  The valid set of r is upward closed, so doubling plus
     bisection finds the frontier.  The set is empty exactly when the constant
     row is zero or a row's last nonzero coefficient is negative."""

@@ -74,8 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    content = json.dumps(payload, indent=2) if args.format == "json" else text
+def _emit(args, payload, text) -> None:
+    """Write the rendering that --format selects; ``payload`` (a JSON-ready
+    dict) and ``text`` are zero-argument callables, and only that one runs."""
+    content = json.dumps(payload(), indent=2) if args.format == "json" else text()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -106,9 +108,12 @@ def _cmd_segre(args) -> int:
 
     params = _params(args.N, args.n)
     seg = chow.segre_cotangent(params, args.twist)
-    lines = [f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"]
-    lines += [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
-    _emit(args, chow.segre_table_json(params, args.twist, seg), "\n".join(lines))
+    head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
+    _emit(
+        args,
+        lambda: chow.segre_table_json(params, args.twist, seg),
+        lambda: "\n".join([head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]),
+    )
     return 0
 
 
@@ -117,14 +122,18 @@ def _cmd_positivity(args) -> int:
 
     params = _params(args.N, args.n)
     report = schur.positivity_report(params, args.a)
-    lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
-    lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
-    for record in report.records:
-        lines.append(
-            f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}"
-        )
-    lines.append(f"sufficient uniform degree D = {report.threshold}")
-    _emit(args, report.to_json(), "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
+        lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
+        for record in report.records:
+            lines.append(
+                f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}"
+            )
+        lines.append(f"sufficient uniform degree D = {report.threshold}")
+        return "\n".join(lines)
+
+    _emit(args, report.to_json, text)
     return 0
 
 
@@ -170,7 +179,7 @@ def _cmd_bound(args) -> int:
         + ", ".join(str(v) for v in coefficients),
         threshold_line,
     ]
-    _emit(args, report.to_json(), "\n".join(text))
+    _emit(args, report.to_json, lambda: "\n".join(text))
     return 0
 
 
@@ -180,14 +189,18 @@ def _cmd_jet(args) -> int:
     params = _params(args.N, args.n, args.a)
     degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees is not None else None
     cert = jets.morse_certificate(params, args.a, degrees)
-    lines = [
-        f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
-        f"difference = {cert.difference.text()}",
-    ]
-    if degrees is not None:
-        verdict = "positive (big twist certified)" if cert.positive else "not positive"
-        lines.append(f"value at {degrees} = {cert.value} -> {verdict}")
-    _emit(args, cert.to_json(), "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
+            f"difference = {cert.difference.text()}",
+        ]
+        if degrees is not None:
+            verdict = "positive (big twist certified)" if cert.positive else "not positive"
+            lines.append(f"value at {degrees} = {cert.value} -> {verdict}")
+        return "\n".join(lines)
+
+    _emit(args, cert.to_json, text)
     return 0
 
 
@@ -255,7 +268,7 @@ def _cmd_vecfields(args) -> int:
         f"nonzero residuals over {args.samples} samples per field: {len(residuals)}",
         f"pole orders: z <= {payload['pole_orders']['z']}, a <= {payload['pole_orders']['a']}",
     ]
-    _emit(args, payload, "\n".join(text))
+    _emit(args, lambda: payload, lambda: "\n".join(text))
     return 1 if identical is False else 0
 
 
@@ -278,8 +291,7 @@ def _cmd_selftest(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    text = "\n".join(r.line() for r in results)
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, lambda: "\n".join(r.line() for r in results))
     return 0 if payload["all_passed"] else 1
 
 

@@ -10,16 +10,16 @@ monomial coefficients.  Disagreement between the two routes is a hard error.
 Every class of the report depends on the degrees only through e_1..e_n, and
 n <= c makes them algebraically independent, so the report works in the ring
 of E_1..E_n: the Segre classes enter by their elementary coefficients, the
-determinants and the identification route run there, and the thresholds are
-read from one shifted row per S_c orbit.  Only the dominant parts are
-expanded in d, for the direct route and the output.
+determinants and the identification route run there, and each threshold is
+the least integer r that the Taylor-shift test of ``bounds`` certifies, read
+from one shifted row per S_c orbit.  Only the dominant parts are expanded in
+d, for the direct route and the output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import bounds, chow
@@ -153,7 +153,7 @@ class PartitionRecord(NamedTuple):
     partition: Partition
     conjugate: Partition
     dominant: MultidegreePoly
-    threshold: Fraction
+    threshold: int
 
     def to_json(self) -> dict:
         return {
@@ -167,12 +167,12 @@ class PartitionRecord(NamedTuple):
 
 class SchurReport(NamedTuple):
     """One record per partition of each weight up to the dimension, plus the
-    maximal sufficient uniform degree threshold."""
+    largest threshold D: every class is positive on [D, inf)^c."""
 
     params: ModelParams
     a: int
     records: list[PartitionRecord]
-    threshold: Fraction
+    threshold: int
 
     def to_json(self) -> dict:
         return {
@@ -265,17 +265,11 @@ class _ElementaryRing:
                     rows[t_key] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
         return rows
 
-    def threshold(self, poly: MultidegreePoly) -> Fraction:
-        """Uniform degree threshold for ``poly``, nonzero in weight >= 1.
-
-        Linear in E (multilinear in d): the derivative cascade on its
-        E-coefficients.  Otherwise the least r that certifies the orbit rows,
-        which is the least r that certifies every row of the Taylor table.
-        """
-        if all(sum(m) <= 1 for m in poly.terms):
-            coeffs = {self.weight(m): a for m, a in poly.terms.items()}
-            return bounds.symmetric_positivity_threshold(coeffs.items(), self.c, max(coeffs))
-        return Fraction(bounds.shifted_positivity_threshold(list(self.orbit_rows(poly).values())))
+    def threshold(self, poly: MultidegreePoly) -> int:
+        """Uniform degree threshold for ``poly``, nonzero in weight >= 1: the
+        least r that certifies the orbit rows, which is the least r that
+        certifies every row of the Taylor table."""
+        return bounds.shifted_positivity_threshold(list(self.orbit_rows(poly).values()))
 
 
 def positivity_report(params: ModelParams, a: int) -> SchurReport:
@@ -285,7 +279,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     to the dimension: form the determinant in the h-coefficients of the
     twisted Segre classes (it is the coefficient of h^weight of the class),
     extract its dominant part, verify the two positivity routes agree, and
-    attach a sufficient uniform degree threshold.
+    attach the least uniform degree threshold the shift test certifies.
 
     The determinants, the identification and the threshold rows run in the
     ring of E_1..E_n (``_ElementaryRing``); the dominant part, the top

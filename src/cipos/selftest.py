@@ -216,8 +216,7 @@ def _criterion_8() -> tuple[bool, str]:
     rng = random.Random(98017)
     instances = 0
 
-    def grid_positive(poly, c, threshold) -> bool:
-        base = math.ceil(threshold)
+    def grid_positive(poly, c, base) -> bool:
         for point in itertools.product((base, base + 1, base + 5), repeat=c):
             if not poly.eval(point) > 0:
                 return False
@@ -229,12 +228,12 @@ def _criterion_8() -> tuple[bool, str]:
         table = {k: 1}
         for i in range(k):
             table[i] = rng.randint(-40, 40)
-        r = bounds.symmetric_positivity_threshold(sorted(table.items()), c, k)
+        r = bounds.shifted_positivity_threshold(bounds.elementary_shift_rows([table[i] for i in range(k + 1)], c))
         poly = MultidegreePoly.zero(c)
         for j, a in table.items():
             poly = poly + elementary_symmetric(j, c) * a
         if not grid_positive(poly, c, r):
-            return False, f"cascade threshold unsound for c={c} coeffs={table}"
+            return False, f"shift threshold unsound for c={c} coeffs={table}"
         instances += 1
 
     for N, n, a in ((4, 2, 0), (4, 2, 3), (5, 2, 0), (6, 2, 1), (6, 3, 0), (7, 3, 2)):

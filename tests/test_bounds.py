@@ -10,17 +10,17 @@ from cipos.bounds import (
     BoundReport,
     elementary_shift_rows,
     first_positive_uniform_degree,
-    monic_root_bound,
     morse_closed_form,
     morse_coeff,
     rough_bound_limit,
     rough_degree_bound,
     shifted_positivity_threshold,
     surface_degree_bound,
-    symmetric_positivity_threshold,
 )
 from cipos import bounds, cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
+
+from cascade_reference import cascade_threshold, monic_root_bound
 
 
 def substituted(p, r):
@@ -42,6 +42,7 @@ def rows_of(p):
 
 
 class TestMonicRootBound:
+    # the building block of the cascade oracle
     def test_quadratic(self):
         assert monic_root_bound([1, -3]) == 4
         # soundness at the bound: 16 - 12 + 1 = 5 > 0
@@ -95,17 +96,17 @@ class TestMorseCoeff:
 
 class TestCascadeThreshold:
     def test_flagship(self):
-        assert symmetric_positivity_threshold([(2, 1), (1, -17), (0, 15)], 2, 2) == 35
+        assert cascade_threshold([(2, 1), (1, -17), (0, 15)], 2, 2) == 35
 
     def test_linear_case(self):
-        assert symmetric_positivity_threshold([(1, 1), (0, -6)], 3, 1) == 1 + Fraction(6, 3)
+        assert cascade_threshold([(1, 1), (0, -6)], 3, 1) == 1 + Fraction(6, 3)
 
     def test_no_lower_terms(self):
-        assert symmetric_positivity_threshold([(2, 1)], 4, 2) == 1
+        assert cascade_threshold([(2, 1)], 4, 2) == 1
 
     def test_leading_must_be_monic(self):
         with pytest.raises(ValueError):
-            symmetric_positivity_threshold([(2, 2), (0, 1)], 3, 2)
+            cascade_threshold([(2, 2), (0, 1)], 3, 2)
 
     def test_soundness_on_grid(self):
         rng = random.Random(31)
@@ -115,7 +116,7 @@ class TestCascadeThreshold:
             table = {k: 1}
             for i in range(k):
                 table[i] = rng.randint(-25, 25)
-            r = symmetric_positivity_threshold(sorted(table.items()), c, k)
+            r = cascade_threshold(sorted(table.items()), c, k)
             poly = MultidegreePoly.zero(c)
             for j, a in table.items():
                 poly = poly + elementary_symmetric(j, c) * a

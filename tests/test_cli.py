@@ -88,6 +88,15 @@ class TestPositivity:
         blob = json.loads(out)
         assert blob["c"] == 3 and len(blob["records"]) == 3
 
+    def test_json_renders_no_text(self, capsys, monkeypatch):
+        # only the rendering --format selects is built
+        def refuse(self):
+            raise RuntimeError("text rendered under --format json")
+
+        monkeypatch.setattr(MultidegreePoly, "text", refuse)
+        code, out, _ = run(capsys, ["positivity", "--N", "8", "--n", "4", "--a", "2", "--format", "json"])
+        assert code == 0 and json.loads(out)["D"] == "73"
+
 
 class TestBound:
     @pytest.mark.parametrize(

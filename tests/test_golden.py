@@ -28,7 +28,7 @@ COMMANDS = {
         "vecfields", "verify", "--N", "3", "--degrees", "2,2", "--family", "solved",
         "--samples", "100", "--seed", "7",
     ],
-    # shifted_positivity_threshold searches (non-multilinear dominant parts)
+    # four-row Schur determinants with a twist
     "positivity_N8_n4_a2": ["positivity", "--N", "8", "--n", "4", "--a", "2"],
     # a kappa = 3 tower
     "jet_N4_n3_a0_at_7": ["jet", "--N", "4", "--n", "3", "--a", "0", "--degrees", "7"],

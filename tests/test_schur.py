@@ -1,14 +1,15 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, elementary_symmetric, express_in_elementary, series_inverse
+from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
 from cipos.schur import Partition, partitions_of, positivity_report, schur_det
+
+from cascade_reference import cascade_threshold
 
 
 class TestPartition:
@@ -217,14 +218,10 @@ class TestPositivityReport:
 
 
 def d_basis_threshold(poly, c):
-    """The threshold read from the class expanded in d: the derivative cascade
-    on its elementary coefficients when it is multilinear, else one search over
-    every row of its Taylor table."""
-    if all(e <= 1 for exps in poly.terms for e in exps):
-        coeffs = express_in_elementary(poly)
-        return bounds.symmetric_positivity_threshold(coeffs, c, coeffs[0][0])
+    """The threshold read from the class expanded in d: one search over every
+    row of its Taylor table, with no orbit rows."""
     table = poly.taylor_shift()
-    return Fraction(bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()]))
+    return bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()])
 
 
 class TestElementaryRoute:
@@ -255,3 +252,50 @@ class TestElementaryRoute:
         for route in (lambda: ring.threshold(poly), lambda: d_basis_threshold(ring.expand(poly), 3)):
             with pytest.raises(ArithmeticError, match="no shifted-positivity threshold"):
                 route()
+
+
+class TestThresholdIsTheShiftSearch:
+    # every threshold is the least r the shift test certifies, for every class
+    SWEEP = [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 2, 5)]
+
+    def test_never_above_the_cascade(self):
+        # where a class is linear in E the derivative cascade also applies; the
+        # shift search is exact, so it never lands above the cascade's ceiling
+        linear = below = 0
+        for N, n, a in self.SWEEP:
+            p = ModelParams(N, n)
+            ring = schur._ElementaryRing(n, p.c)
+            twisted = [ring.from_multilinear(s) for s in chow.segre_cotangent(p, -a)]
+            for record in positivity_report(p, a).records:
+                graded = schur_det(record.conjugate, twisted)
+                if any(sum(m) > 1 for m in graded.terms):
+                    continue
+                coeffs = {ring.weight(m): v for m, v in graded.terms.items()}
+                cascade = math.ceil(cascade_threshold(coeffs.items(), p.c, max(coeffs)))
+                assert record.threshold <= cascade, (N, n, a, tuple(record.partition))
+                linear += 1
+                below += record.threshold < cascade
+        assert (linear, below) == (364, 346)
+
+    @pytest.mark.parametrize(
+        "N,n,a,D",
+        [
+            (4, 2, 0, 9), (4, 2, 1, 14), (6, 2, 0, 4), (6, 2, 1, 5), (6, 3, 0, 17), (7, 3, 0, 8), (8, 4, 0, 27),
+            (8, 4, 1, 50), (9, 4, 1, 23), (10, 5, 0, 41), (10, 5, 1, 76), (11, 5, 0, 19), (12, 6, 0, 57),
+            (12, 6, 1, 108),
+        ],
+    )
+    def test_D_is_exact_on_the_diagonal(self, N, n, a, D):
+        # evaluation is a ring map: the classes at a point are the determinants
+        # of the Segre classes' values there
+        p = ModelParams(N, n)
+        report = positivity_report(p, a)
+        assert report.threshold == D
+        segre = chow.segre_cotangent(p, -a)
+
+        def values(r):
+            at = [s.eval((r,) * p.c) for s in segre]
+            return [schur_det(record.conjugate, at) for record in report.records]
+
+        assert min(values(D)) > 0
+        assert min(values(D - 1)) <= 0

@@ -9,16 +9,17 @@ canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.  ``MultidegreePoly.taylor_shift`` expands
 p(r + t) once, symbolically in r, for a diagonal or a threshold in d.
 
-The ring core is one base class, ``_SparseTerms``, shared by
-``MultidegreePoly`` and ``JetClass``: each stores its element as a dict from a
-flat exponent tuple to a nonzero int, and the core writes promotion, ``+``,
-``-``, the one product kernel (add exponent tuples slot by slot, keep what the
-class's truncation predicate ``_alive`` accepts), square-and-multiply
-powering, equality, hashing, immutability and the trusted constructor
-``_wrap`` once for both.  Key layouts: ``(d1, ..., dc)`` for
-``MultidegreePoly`` and ``(h, s1, ..., sn, u1, ..., u_level)`` for
-``JetClass``.  Public constructors validate their input; arithmetic results
-are canonical by construction and are wrapped without a second check.
+The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
+``JetClass`` and ``vecfields.ChartPoly``: each stores its element as a dict from a
+monomial key to a nonzero int, and the core writes promotion, ``+``, ``-``, the
+product kernel (add exponent tuples slot by slot, keep what the class's truncation
+predicate ``_alive`` accepts), square-and-multiply powering, equality, hashing,
+immutability and the trusted constructor ``_wrap`` once for all three.  Key
+layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h, s1, ..., sn, u1, ...,
+u_level)`` for ``JetClass``, and for ``ChartPoly`` (hundreds of variables, a few
+nonzero exponents a term) the sorted tuple of the term's ``(index, exponent)``
+pairs with exponent > 0, multiplied by its own pair merge.  Public constructors
+validate their input; arithmetic results are canonical by construction.
 
 Truncated power series (a class in the Chow ring of a complete intersection
 is the list of its h-power coefficients) are plain lists of coefficients,
@@ -56,12 +57,12 @@ def _accumulate(out: dict, items: Iterable) -> dict:
 class _SparseTerms:
     """Immutable commutative ring element stored as ``terms``: monomial key -> nonzero int.
 
-    Keys are flat exponent tuples.  Subclasses name the attributes that
-    operands must share in ``_SHAPE``, supply ``_unit_key`` and may override
-    ``_alive``, the truncation predicate: the product keeps a key only if it
-    is alive, and every key is by default.  ``_promote`` turns
-    an operand into an element of the same ring (NotImplemented for foreign
-    types); a subclass widens it to take more operand types.
+    Keys are flat exponent tuples, which ``_product`` adds slot by slot (a subclass
+    with other keys overrides it).  Subclasses name the attributes that operands
+    must share in ``_SHAPE``, supply ``_unit_key`` and may override ``_alive``, the
+    truncation predicate: the product keeps a key only if it is alive, and every
+    key is by default.  ``_promote`` turns an operand into an element of the same
+    ring (NotImplemented for foreign types); a subclass widens it to take more.
     """
 
     __slots__ = ()
@@ -190,8 +191,7 @@ class MultidegreePoly(_SparseTerms):
     ints mix freely with polynomials in ``+``, ``-`` and ``*``.
     """
 
-    # _sparse: the term list ``eval`` builds on its first call; unset until then
-    __slots__ = ("num_vars", "terms", "_sparse")
+    __slots__ = ("num_vars", "terms")
     _SHAPE = ("num_vars",)
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
@@ -262,46 +262,20 @@ class MultidegreePoly(_SparseTerms):
     __add__ = _SparseTerms.__add__
     __mul__ = _SparseTerms.__mul__
 
-    # -- evaluation and calculus -------------------------------------------
+    # -- evaluation and shifts ----------------------------------------------
 
     def eval(self, point: Sequence):
-        """Exact evaluation: ints stay ints, Fractions stay Fractions.
-
-        The first call keeps each term's coefficient and nonzero (index,
-        exponent) pairs with the polynomial, so a call costs the nonzero
-        exponents, not the number of variables.  Int terms are summed as ints
-        and the other terms are added to that sum once, at the end.
-        """
+        """Exact evaluation: ints stay ints, Fractions stay Fractions."""
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        try:
-            sparse = self._sparse
-        except AttributeError:
-            sparse = [
-                (coeff, tuple((i, e) for i, e in enumerate(exps) if e)) for exps, coeff in self.terms.items()
-            ]
-            object.__setattr__(self, "_sparse", sparse)
-        total, rest = 0, []
-        for coeff, pairs in sparse:
-            value = coeff
-            for i, e in pairs:
-                value *= point[i] ** e
-            if type(value) is int:
-                total += value
-            else:
-                rest.append(value)
-        return total + sum(rest) if rest else total
-
-    def derivative(self, index: int) -> "MultidegreePoly":
-        """Partial derivative with respect to variable ``index`` (0-based)."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        out: dict[tuple[int, ...], int] = {}
+        total = 0
         for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                out[exps[:index] + (e - 1,) + exps[index + 1 :]] = coeff * e
-        return self._wrap(out)
+            value = coeff
+            for x, e in zip(point, exps):
+                if e:
+                    value *= x**e
+            total += value
+        return total
 
     def taylor_shift(self) -> dict[tuple[int, ...], list[int]]:
         """The shift by a symbolic r: poly(r + t_1, ..., r + t_c) = sum_j g_j(r) t^j.

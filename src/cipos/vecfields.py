@@ -14,10 +14,9 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .polyring import MultidegreePoly
+from .polyring import _SparseTerms
 
 
 def _monomials_up_to(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -28,6 +27,72 @@ def _monomials_up_to(N: int, degree: int) -> list[tuple[int, ...]]:
     ]
     out.sort(key=lambda a: (sum(a), a))
     return out
+
+
+def _merge(key1: tuple, key2: tuple) -> tuple:
+    """Pair key of the product of two monomials: exponents of a shared index add.
+    A unit factor returns the other key itself, so the product shares its tuple."""
+    if not key1 or not key2:
+        return key1 or key2
+    merged = dict(key1)
+    for index, e in key2:
+        merged[index] = merged.get(index, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+class ChartPoly(_SparseTerms):
+    """Integer polynomial on a chart of ``num_vars`` variables, each term keyed by
+    the sorted tuple of its (index, exponent) pairs with exponent > 0, so a term
+    costs the few variables it holds, not the chart's width.  ``ChartPoly(num_vars)``
+    is 0; the others come from :meth:`UniversalChart.monomial` and arithmetic."""
+
+    __slots__ = ("num_vars", "terms", "_by_var")
+    _SHAPE = ("num_vars",)
+
+    def __init__(self, num_vars: int):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "terms", {})
+
+    def _unit_key(self) -> tuple:
+        return ()
+
+    def _product(self, other):
+        for key1, c1 in self.terms.items():
+            for key2, c2 in other.terms.items():
+                yield _merge(key1, key2), c1 * c2
+
+    def derivative(self, index: int) -> "ChartPoly":
+        """Partial derivative by variable ``index`` (0-based).  The first call
+        lists, per variable, the (lowered key, coefficient * exponent) pair of each
+        term holding it and keeps that index in ``_by_var``, so each call reads one list."""
+        if not 0 <= index < self.num_vars:
+            raise ValueError(f"variable index {index} out of range")
+        try:
+            by_var = self._by_var
+        except AttributeError:
+            by_var = {}
+            for key, coeff in self.terms.items():
+                for pos, (i, e) in enumerate(key):
+                    lowered = key[:pos] + (((i, e - 1),) if e > 1 else ()) + key[pos + 1 :]
+                    by_var.setdefault(i, []).append((lowered, coeff * e))
+            object.__setattr__(self, "_by_var", by_var)
+        return self._wrap(dict(by_var.get(index, ())))
+
+    def eval(self, point: Sequence):
+        """Exact evaluation: ints stay ints, Fractions stay Fractions; int terms
+        are summed as ints and the others added to that sum once, at the end."""
+        if len(point) != self.num_vars:
+            raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
+        total, rest = 0, []
+        for key, coeff in self.terms.items():
+            value = coeff
+            for i, e in key:
+                value *= point[i] ** e
+            if type(value) is int:
+                total += value
+            else:
+                rest.append(value)
+        return total + sum(rest) if rest else total
 
 
 class UniversalChart:
@@ -54,7 +119,7 @@ class UniversalChart:
             self._a_pos.append({alpha: offset + t for t, alpha in enumerate(alphas)})
             offset += len(alphas)
         self.num_vars = offset
-        self._zero = MultidegreePoly.zero(offset)
+        self._zero = ChartPoly(offset)
 
     # -- variable indexing ----------------------------------------------------
 
@@ -79,37 +144,33 @@ class UniversalChart:
 
     # -- polynomial builders ----------------------------------------------------
 
-    def var(self, index: int) -> MultidegreePoly:
+    def var(self, index: int) -> ChartPoly:
         return self.monomial({index: 1})
 
-    def monomial(self, pairs: Mapping[int, int], coeff: int = 1) -> MultidegreePoly:
+    def monomial(self, pairs: Mapping[int, int], coeff: int = 1) -> ChartPoly:
         """coeff times the product of variable ``index`` to the power ``e`` over
-        the (index, e) pairs; only the pairs are checked, not the whole width."""
-        exps = [0] * self.num_vars
+        the (index, e) pairs, which are checked and kept as the term's key."""
         for index, e in pairs.items():
             if not 0 <= index < self.num_vars:
                 raise ValueError(f"variable index {index} out of range")
             if e < 0:
                 raise ValueError(f"negative exponent {e} of variable {index}")
-            exps[index] = e
-        return self._zero._wrap({tuple(exps): coeff} if coeff else {})
+        key = tuple(sorted((index, e) for index, e in pairs.items() if e))
+        return self._zero._wrap({key: coeff} if coeff else {})
 
     @functools.cached_property
-    def equations(self) -> tuple[tuple[MultidegreePoly, ...], tuple[MultidegreePoly, ...]]:
+    def equations(self) -> tuple[tuple[ChartPoly, ...], tuple[ChartPoly, ...]]:
         """:func:`defining_equations` of this chart, built on first use and
-        shared, as tuples, by every field checked on the chart."""
+        shared, as tuples, by every field checked on the chart, so each
+        equation builds its per-variable derivative index once."""
         eqs, deqs = defining_equations(self)
         return tuple(eqs), tuple(deqs)
 
-    def z_degree(self, poly: MultidegreePoly) -> int:
-        return self._block_degree(poly, 0, self.N)
+    def z_degree(self, poly: ChartPoly) -> int:
+        return max((sum(e for i, e in key if i < self.N) for key in poly.terms), default=0)
 
-    def a_degree(self, poly: MultidegreePoly) -> int:
-        return self._block_degree(poly, 2 * self.N, self.num_vars)
-
-    @staticmethod
-    def _block_degree(poly: MultidegreePoly, lo: int, hi: int) -> int:
-        return max((sum(exps[lo:hi]) for exps in poly.terms), default=0)
+    def a_degree(self, poly: ChartPoly) -> int:
+        return max((sum(e for i, e in key if i >= 2 * self.N) for key in poly.terms), default=0)
 
 
 def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
@@ -117,10 +178,10 @@ def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
     return {chart.z_index(j + 1): e for j, e in enumerate(alpha) if e}
 
 
-def defining_equations(chart: UniversalChart) -> tuple[list[MultidegreePoly], list[MultidegreePoly]]:
+def defining_equations(chart: UniversalChart) -> tuple[list[ChartPoly], list[ChartPoly]]:
     """The equation of each hypersurface block and its derivative pairing with
     the velocities; both are linear in the block's coefficient variables."""
-    zero = MultidegreePoly.zero(chart.num_vars)
+    zero = ChartPoly(chart.num_vars)
     eqs, deqs = [], []
     for i in range(1, chart.c + 1):
         f_terms, fp_terms = [], []
@@ -142,7 +203,7 @@ class VectorField:
     partial derivative; zero coefficients are dropped.  Pole orders record the
     actual maximal z- and a-degrees over the stored coefficients."""
 
-    def __init__(self, chart: UniversalChart, coefficients: Mapping[int, MultidegreePoly] | None = None):
+    def __init__(self, chart: UniversalChart, coefficients: Mapping[int, ChartPoly] | None = None):
         self.chart = chart
         self.coefficients = {v: p for v, p in (coefficients or {}).items() if not p.is_zero()}
 
@@ -157,9 +218,9 @@ class VectorField:
         return max((self.chart.a_degree(p) for p in polys), default=0)
 
 
-def lie_derivative(field_: VectorField, poly: MultidegreePoly) -> MultidegreePoly:
+def lie_derivative(field_: VectorField, poly: ChartPoly) -> ChartPoly:
     """Apply the field to a chart polynomial: sum of coefficient * partial."""
-    return MultidegreePoly.zero(field_.chart.num_vars).add_all(
+    return ChartPoly(field_.chart.num_vars).add_all(
         coeff * poly.derivative(index) for index, coeff in field_.coefficients.items()
     )
 
@@ -223,7 +284,7 @@ def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
     coefficient variable."""
     if not 1 <= j <= chart.N:
         raise ValueError(f"coordinate index {j} outside 1..{chart.N}")
-    coefficients = {chart.z_index(j): MultidegreePoly.one(chart.num_vars)}
+    coefficients = {chart.z_index(j): chart.monomial({})}
     for i in range(1, chart.c + 1):
         d_i = chart.degrees[i - 1]
         for alpha in chart.alphas[i - 1]:
@@ -261,14 +322,14 @@ def coefficient_shift_field(
         raise ValueError("need alpha >= ell componentwise")
     if convention not in ("single", "spread"):
         raise ValueError("convention must be 'single' or 'spread'")
-    pieces: dict[int, list[MultidegreePoly]] = {}
+    pieces: dict[int, list[ChartPoly]] = {}
     for prime in itertools.product(*(range(e + 1) for e in ell)):
         weight = math.prod(math.comb(e, p) for e, p in zip(ell, prime))
         slot = ell if convention == "single" else prime
         target = chart.a_index(i, tuple(a - s for a, s in zip(alpha, slot)))
         second = tuple(e - p for e, p in zip(ell, prime))
         pieces.setdefault(target, []).append(chart.monomial(_z_pairs(chart, second), weight))
-    zero = MultidegreePoly.zero(chart.num_vars)
+    zero = ChartPoly(chart.num_vars)
     coefficients = {target: zero.add_all(polys) for target, polys in pieces.items()}
     return VectorField(chart, coefficients)
 
@@ -280,8 +341,8 @@ def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorF
         raise ValueError(f"matrix must be {N}x{N}")
     if _rational_det(matrix) == 0:
         raise ValueError("matrix must be invertible over the rationals")
-    coefficients: dict[int, MultidegreePoly] = {}
-    zero = MultidegreePoly.zero(chart.num_vars)
+    coefficients: dict[int, ChartPoly] = {}
+    zero = ChartPoly(chart.num_vars)
     for k in range(1, N + 1):
         poly = zero.add_all(
             chart.var(chart.zp_index(ell)) * int(matrix[ell - 1][k - 1]) for ell in range(1, N + 1)
@@ -292,6 +353,8 @@ def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorF
 
 
 def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
+    from fractions import Fraction
+
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     det = Fraction(1)
@@ -354,6 +417,8 @@ def _sample_locus_point(chart, rng, eqs, deqs):
     """Integer draws for every variable, then the two pinned slots of each block
     solved exactly: f'_i holds the linear slot only as a multiple of z'_1 and no
     constant slot, and f_i is linear in the constant slot."""
+    from fractions import Fraction
+
     point: list = [rng.randint(-5, 5) for _ in range(chart.num_vars)]
     zp1 = rng.randint(1, 5) * rng.choice((-1, 1))
     point[chart.zp_index(1)] = zp1

@@ -1,7 +1,8 @@
 """Arithmetic results are built without re-validation; check that every one is
 canonical anyway: passing its terms back through the validating constructor
 changes nothing, no stored coefficient is 0, every stored jet term is
-alive and no Taylor shift row is zero or ends in 0."""
+alive, every chart key is its sorted nonzero (index, exponent) pairs and no
+Taylor shift row is zero or ends in 0."""
 
 import random
 
@@ -11,6 +12,7 @@ from cipos.chow import ModelParams, integrate, segre_cotangent, twist_segre
 from cipos.jets import JetClass, nef_tower_class
 from cipos.polyring import MultidegreePoly, recombine_elementary, series_product
 from cipos.schur import partitions_of, schur_det
+from cipos.vecfields import ChartPoly, UniversalChart, coordinate_field, lie_derivative
 
 from tower_reference import tower_segre
 
@@ -38,6 +40,24 @@ def assert_canonical_poly(p):
     assert all(p.terms.values())
 
 
+def random_chart_poly(rng, chart, max_terms=6):
+    # indices from the first few slots, so that products share variables
+    hot = range(min(chart.num_vars, 2 * chart.N + 3))
+    monomials = []
+    for _ in range(rng.randint(0, max_terms)):
+        pairs = {rng.choice(hot): rng.randint(0, 3) for _ in range(rng.randint(0, 4))}
+        pairs[rng.randrange(chart.num_vars)] = rng.randint(0, 2)
+        monomials.append(chart.monomial(pairs, rng.randint(-3, 3)))
+    return ChartPoly(chart.num_vars).add_all(monomials)
+
+
+def assert_canonical_chart(p, chart):
+    # the monomial builder, which validates, returns each stored key as it is
+    assert isinstance(p, ChartPoly) and p.num_vars == chart.num_vars
+    for key, coeff in p.terms.items():
+        assert coeff and chart.monomial(dict(key), coeff).terms == {key: coeff}
+
+
 def assert_canonical_jet(x):
     assert isinstance(x, JetClass)
     assert JetClass(x.params, x.level, x.terms).terms == x.terms
@@ -53,7 +73,6 @@ def test_poly_results_canonical():
         k = rng.randint(-3, 3)
         results = [p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p + k, k - p, p * k, -p]
         results += [p ** rng.randint(0, 3), (p + q) * (p - q) - (p * p - q * q)]
-        results += [p.derivative(i) for i in range(c)]
         results += [p.dominant_part(), p.add_all([q, -p, k])]
         results.append(recombine_elementary([(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)], c))
         for result in results:
@@ -62,6 +81,21 @@ def test_poly_results_canonical():
         table = p.taylor_shift()
         assert all(len(j) == c and min(j) >= 0 for j in table)
         assert all(row and row[-1] and all(type(v) is int for v in row) for row in table.values())
+
+
+@pytest.mark.parametrize("N,degrees", [(2, [2]), (3, [2, 2]), (5, [4])])
+def test_chart_results_canonical(N, degrees):
+    chart = UniversalChart(N, degrees)
+    rng = random.Random(N * 10 + len(degrees))
+    field = coordinate_field(chart, 1)
+    for _ in range(40):
+        p, q = random_chart_poly(rng, chart), random_chart_poly(rng, chart)
+        k = rng.randint(-3, 3)
+        results = [p + q, p - q, p * q, p - p, p * (q - q), p + k, k - p, p * k, -p, p ** rng.randint(0, 3)]
+        results += [p.derivative(i) for key in p.terms for i, _ in key]
+        results += [p.derivative(rng.randrange(chart.num_vars)), p.add_all([q, -p, k]), lie_derivative(field, p)]
+        for result in results:
+            assert_canonical_chart(result, chart)
 
 
 @pytest.mark.parametrize("N,n", [(4, 2), (5, 3), (6, 3)])

@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and eleven frames the README misses, in text and JSON.
+carries timings) and thirteen frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -53,6 +53,11 @@ COMMANDS = {
     ],
     "vecfields_talpha_N3_seed2": [
         "vecfields", "verify", "--N", "3", "--degrees", "2,2", "--family", "talpha", "--samples", "10", "--seed", "2",
+    ],
+    # wide charts: 432 and 136 variables
+    "vecfields_tj_N6_d44": ["vecfields", "verify", "--N", "6", "--degrees", "4,4", "--family", "tj", "--samples", "10"],
+    "vecfields_solved_N5_seed11": [
+        "vecfields", "verify", "--N", "5", "--degrees", "4", "--family", "solved", "--samples", "20", "--seed", "11",
     ],
 }
 

@@ -58,6 +58,21 @@ def test_subcommand_loads_only_its_layers(command):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("family", ["tj", "solved"])
+def test_identically_tangent_families_load_no_fractions(family):
+    # their fields draw no locus point and build no Fraction, so neither
+    # fractions nor the decimal module it imports is loaded
+    argv = ["vecfields", "verify", "--N", "3", "--degrees", "2", "--family", family, "--samples", "2"]
+    loaded = modules_after(
+        "import contextlib, io\n"
+        "from cipos import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert "cipos.vecfields" in loaded
+    assert not loaded & {"fractions", "decimal"}
+
+
 def test_polyring_loads_nothing_else():
     assert loaded_after("cipos.polyring") == {"cipos", "cipos.polyring"}
 

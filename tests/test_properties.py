@@ -1,9 +1,10 @@
 """Property tests of the ring layer: ring laws for polynomials and for
-truncated jet classes, the product rule, the Taylor shift against
-substitution and under composition, associativity of truncated series
-products, and evaluation (memoized on first use) as a ring homomorphism that
-leaves the polynomial unchanged.  Skipped when hypothesis is not installed;
-the runtime itself needs no dependency."""
+truncated jet classes, the Taylor shift against substitution and under
+composition, associativity of truncated series products, evaluation as a ring
+homomorphism that leaves the polynomial unchanged, and chart polynomials on
+pair keys against their dense images, with the product rule for their
+derivatives.  Skipped when hypothesis is not installed; the runtime itself
+needs no dependency."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
+from cipos.vecfields import ChartPoly, UniversalChart  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -72,13 +74,6 @@ def test_jet_ring_laws_under_truncation(triple):
     # the truncated keys form a monomial ideal, so the quotient is a ring
     x, y, z = triple
     assert_ring_laws(x, y, z, JetClass.unit(x.params, x.level))
-
-
-@PROPERTY
-@given(st.integers(1, 3).flatmap(lambda c: st.tuples(polys(c), polys(c), st.integers(0, c - 1))))
-def test_derivative_product_rule(case):
-    p, q, index = case
-    assert (p * q).derivative(index) == p.derivative(index) * q + p * q.derivative(index)
 
 
 def shift_at(p, a):
@@ -155,7 +150,7 @@ def eval_cases():
 @given(eval_cases())
 def test_eval_is_a_ring_homomorphism(case):
     p, q, point = case
-    for _ in range(2):  # the first call builds the memo, the second reads it
+    for _ in range(2):  # evaluation keeps no state: a second call agrees
         assert (p + q).eval(point) == p.eval(point) + q.eval(point)
         assert (p * q).eval(point) == p.eval(point) * q.eval(point)
         assert (-p).eval(point) == -p.eval(point)
@@ -166,7 +161,7 @@ def test_eval_is_a_ring_homomorphism(case):
 def test_eval_matches_dense_walk(case):
     p, _, point = case
     expected = dense_eval(p, point)
-    for _ in range(2):  # built, then read from the memo
+    for _ in range(2):  # evaluation keeps no state: a second call agrees
         value = p.eval(point)
         assert value == expected and type(value) is type(expected)
 
@@ -185,3 +180,76 @@ def test_eval_leaves_the_polynomial_unchanged(case):
         p.num_vars = p.num_vars + 1
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+# charts of 26 to 262 variables
+CHARTS = [UniversalChart(3, [3]), UniversalChart(3, [3, 3]), UniversalChart(4, [4]), UniversalChart(5, [4]),
+          UniversalChart(6, [3, 3]), UniversalChart(5, [5])]
+
+
+def chart_indices(chart):
+    # the z, z' and first coefficient slots often, so that products share variables
+    return st.one_of(st.integers(0, 2 * chart.N + 2), st.integers(0, chart.num_vars - 1))
+
+
+def chart_polys(chart):
+    pairs = st.dictionaries(chart_indices(chart), st.integers(1, 3), max_size=6)
+    terms = st.lists(st.tuples(pairs, coefficients), max_size=6)
+    return terms.map(lambda ts: ChartPoly(chart.num_vars).add_all(chart.monomial(p, c) for p, c in ts))
+
+
+def chart_points(chart):
+    width = chart.num_vars
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    ints = st.lists(st.integers(-6, 6), min_size=width, max_size=width)
+    overrides = st.dictionaries(chart_indices(chart), fractions, max_size=4)
+    return st.tuples(ints, overrides).map(lambda pair: [pair[1].get(i, x) for i, x in enumerate(pair[0])])
+
+
+def chart_cases():
+    def for_chart(chart):
+        polys_ = chart_polys(chart)
+        return st.tuples(st.just(chart), polys_, polys_, chart_indices(chart), chart_points(chart))
+
+    return st.sampled_from(CHARTS).flatmap(for_chart)
+
+
+def dense(p):
+    """The chart polynomial with one exponent slot per chart variable."""
+    terms = {}
+    for key, coeff in p.terms.items():
+        exps = [0] * p.num_vars
+        for i, e in key:
+            exps[i] = e
+        terms[tuple(exps)] = coeff
+    return MultidegreePoly(p.num_vars, terms)
+
+
+def dense_derivative(p, index):
+    out = {}
+    for exps, coeff in p.terms.items():
+        if exps[index]:
+            out[exps[:index] + (exps[index] - 1,) + exps[index + 1 :]] = coeff * exps[index]
+    return MultidegreePoly(p.num_vars, out)
+
+
+@PROPERTY
+@given(chart_cases())
+def test_chart_polys_match_dense_images(case):
+    chart, p, q, index, point = case
+    assert dense(p + q) == dense(p) + dense(q)
+    assert dense(p * q) == dense(p) * dense(q)
+    for _ in range(2):  # the first derivative builds the per-variable index, the second reads it
+        assert dense(p.derivative(index)) == dense_derivative(dense(p), index)
+    value, expected = p.eval(point), dense(p).eval(point)
+    assert value == expected and type(value) is type(expected)
+    N = chart.N
+    assert chart.z_degree(p) == max((sum(exps[:N]) for exps in dense(p).terms), default=0)
+    assert chart.a_degree(p) == max((sum(exps[2 * N :]) for exps in dense(p).terms), default=0)
+
+
+@PROPERTY
+@given(chart_cases())
+def test_derivative_product_rule(case):
+    _, p, q, index, _ = case
+    assert (p * q).derivative(index) == p.derivative(index) * q + p * q.derivative(index)

@@ -8,8 +8,7 @@ import pytest
 from cipos.bounds import BoundReport
 from cipos.chow import ModelParams, segre_cotangent
 from cipos.jets import morse_certificate
-from cipos.polyring import MultidegreePoly
-from cipos.vecfields import UniversalChart, VectorField
+from cipos.vecfields import ChartPoly, UniversalChart, VectorField
 
 
 class TestModelParams:
@@ -48,7 +47,7 @@ class TestModelParams:
 class TestVectorField:
     def test_zero_coefficients_dropped(self):
         chart = UniversalChart(2, [1])
-        one, zero = MultidegreePoly.one(chart.num_vars), MultidegreePoly.zero(chart.num_vars)
+        one, zero = chart.monomial({}), ChartPoly(chart.num_vars)
         field = VectorField(chart, {0: one, 1: zero, 2: one - one})
         assert field.coefficients == {0: one}
         assert VectorField(chart, coefficients={0: one}).coefficients == {0: one}
@@ -56,7 +55,7 @@ class TestVectorField:
     def test_defaults_and_equality(self):
         # fields compare by their coefficient tables
         chart = UniversalChart(2, [1])
-        one = MultidegreePoly.one(chart.num_vars)
+        one = chart.monomial({})
         assert VectorField(chart).coefficients == {}
         assert VectorField(chart, {0: one}).coefficients == VectorField(chart, {0: one, 1: one - one}).coefficients
         assert VectorField(chart, {0: one}).coefficients != VectorField(chart, {1: one}).coefficients

@@ -1,8 +1,9 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
-Each subcommand imports the layers it runs, so a cold process loads only those.
-Exit codes: 0 on success, 1 on an internal invariant failure (or a failing
-selftest), 2 on argument or validation errors.
+Each subcommand imports the layers it runs, so a cold process loads only those,
+computes its report, then writes it piece by piece (``_emit``).  Exit codes: 0
+on success, 1 on an internal invariant failure (or a failing selftest), 2 on
+argument or validation errors.
 """
 
 from __future__ import annotations
@@ -74,18 +75,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload, text) -> None:
-    """Write the rendering that --format selects; ``payload`` (a JSON-ready
-    dict) and ``text`` are zero-argument callables, and only that one runs."""
-    content = json.dumps(payload(), indent=2) if args.format == "json" else text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(content + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        print(content)
+def _emit(args, json_pieces, text_pieces) -> None:
+    """Write the rendering that --format selects to stdout or --out.
+
+    Only the selected zero-argument callable runs.  It returns the pieces of
+    the rendering, each printed as it comes, so one piece at a time is held.
+    print writes the newline apart: unbuffered, a write into a closed pipe is
+    cut short silently, and the next one raises BrokenPipeError."""
+    pieces = json_pieces() if args.format == "json" else text_pieces()
+    if not args.out:
+        _print_each(pieces)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            _print_each(pieces, handle)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+
+
+def _print_each(pieces, file=None) -> None:
+    for piece in pieces:
+        print(piece, file=file)
+
+
+def _document(payload: dict) -> list[str]:
+    """The JSON pieces of a small report: one piece, its whole document."""
+    return [json.dumps(payload, indent=2)]
 
 
 def _params(N: int, n: int, a: int = 0):
@@ -111,8 +126,8 @@ def _cmd_segre(args) -> int:
     head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
     _emit(
         args,
-        lambda: chow.segre_table_json(params, args.twist, seg),
-        lambda: "\n".join([head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]),
+        lambda: _document(chow.segre_table_json(params, args.twist, seg)),
+        lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)],
     )
     return 0
 
@@ -120,20 +135,8 @@ def _cmd_segre(args) -> int:
 def _cmd_positivity(args) -> int:
     from . import schur
 
-    params = _params(args.N, args.n)
-    report = schur.positivity_report(params, args.a)
-
-    def text() -> str:
-        lines = [f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"]
-        lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
-        for record in report.records:
-            lines.append(
-                f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}"
-            )
-        lines.append(f"sufficient uniform degree D = {report.threshold}")
-        return "\n".join(lines)
-
-    _emit(args, report.to_json, text)
+    report = schur.positivity_report(_params(args.N, args.n), args.a)
+    _emit(args, report.json_pieces, report.text_pieces)
     return 0
 
 
@@ -179,7 +182,7 @@ def _cmd_bound(args) -> int:
         + ", ".join(str(v) for v in coefficients),
         threshold_line,
     ]
-    _emit(args, report.to_json, lambda: "\n".join(text))
+    _emit(args, lambda: _document(report.to_json()), lambda: text)
     return 0
 
 
@@ -198,9 +201,9 @@ def _cmd_jet(args) -> int:
         if degrees is not None:
             verdict = "positive (big twist certified)" if cert.positive else "not positive"
             lines.append(f"value at {degrees} = {cert.value} -> {verdict}")
-        return "\n".join(lines)
+        return lines
 
-    _emit(args, cert.to_json, text)
+    _emit(args, lambda: _document(cert.to_json()), text)
     return 0
 
 
@@ -268,7 +271,7 @@ def _cmd_vecfields(args) -> int:
         f"nonzero residuals over {args.samples} samples per field: {len(residuals)}",
         f"pole orders: z <= {payload['pole_orders']['z']}, a <= {payload['pole_orders']['a']}",
     ]
-    _emit(args, lambda: payload, lambda: "\n".join(text))
+    _emit(args, lambda: _document(payload), lambda: text)
     return 1 if identical is False else 0
 
 
@@ -291,7 +294,7 @@ def _cmd_selftest(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(args, lambda: payload, lambda: "\n".join(r.line() for r in results))
+    _emit(args, lambda: _document(payload), lambda: [r.line() for r in results])
     return 0 if payload["all_passed"] else 1
 
 

@@ -14,13 +14,17 @@ determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies, read
 from one shifted row per S_c orbit.  Only the dominant parts are expanded in
 d, for the direct route and the output.
+
+The report renders its text and JSON as pieces of at most one record each,
+which the CLI writes as they come.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
@@ -183,6 +187,28 @@ class SchurReport(NamedTuple):
             "records": [r.to_json() for r in self.records],
             "D": str(self.threshold),
         }
+
+    def json_pieces(self) -> Iterator[str]:
+        """``json.dumps(self.to_json(), indent=2)`` cut at the newlines around
+        each record: joined by newlines, the pieces are that document, and no
+        piece holds two records."""
+        # the document without its records fixes every other field, in order
+        head, tail = json.dumps(self._replace(records=[]).to_json(), indent=2).split(" []")
+        yield head + " ["
+        last = len(self.records) - 1  # a report has the record of (1,) at least
+        for i, record in enumerate(self.records):
+            piece = json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
+            yield f"    {piece}," if i < last else f"    {piece}"
+        yield "  ]" + tail
+
+    def text_pieces(self) -> Iterator[str]:
+        """The text report, one line per piece."""
+        p = self.params
+        yield f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={self.a}"
+        yield f"{'partition':<12} {'threshold':>10}  dominant part"
+        for record in self.records:
+            yield f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}"
+        yield f"sufficient uniform degree D = {self.threshold}"
 
 
 class _ElementaryRing:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,18 @@ def run_rejected(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err.splitlines()
+
+
+def whole_text(report) -> str:
+    """The positivity text report joined into one string: the reference for
+    the pieces the CLI writes."""
+    p = report.params
+    lines = [f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={report.a}"]
+    lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
+    for record in report.records:
+        lines.append(f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}")
+    lines.append(f"sufficient uniform degree D = {report.threshold}")
+    return "\n".join(lines) + "\n"
 
 
 def shift_holds(p, r):
@@ -96,6 +109,36 @@ class TestPositivity:
         monkeypatch.setattr(MultidegreePoly, "text", refuse)
         code, out, _ = run(capsys, ["positivity", "--N", "8", "--n", "4", "--a", "2", "--format", "json"])
         assert code == 0 and json.loads(out)["D"] == "73"
+
+    def test_streamed_report_is_the_whole_document(self, capsys, tmp_path):
+        # every frame with n <= c and N <= 10, at twists 0 and 3, on stdout and through --out
+        for N, n, a in [(N, n, a) for N in range(2, 11) for n in range(1, N // 2 + 1) for a in (0, 3)]:
+            report = schur.positivity_report(ModelParams(N, n), a)
+            expected = {"json": json.dumps(report.to_json(), indent=2) + "\n", "text": whole_text(report)}
+            for fmt, whole in expected.items():
+                argv = ["positivity", "--N", str(N), "--n", str(n), "--a", str(a), "--format", fmt]
+                assert run(capsys, argv) == (0, whole, ""), (N, n, a, fmt)
+                target = tmp_path / f"report.{fmt}"
+                assert run(capsys, [*argv, "--out", str(target)]) == (0, "", ""), (N, n, a, fmt)
+                assert target.read_text(encoding="utf-8") == whole, (N, n, a, fmt)
+
+    def test_json_output_holds_no_more_than_the_report(self, monkeypatch):
+        # the document is written record by record, never held whole: writing
+        # it at most doubles the traced peak of computing the report (built as
+        # one string, it takes 6.6 times that peak)
+        argv = ["positivity", "--N", "12", "--n", "6", "--a", "0", "--format", "json"]
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                schur.positivity_report(ModelParams(12, 6), 0)
+                report_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                assert cli.main(argv) == 0
+                cli_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert cli_peak <= 2 * report_peak, (cli_peak, report_peak)
 
 
 class TestBound:
@@ -403,11 +446,18 @@ class TestRejectedInput:
         assert (code, out) == (1, "")
         assert len(err) == 1 and err[0].startswith("error: ") and "leading coefficient vanished" in err[0]
 
-    def test_closed_stdout_leaves_stderr_clean(self):
+    # unbuffered, each write of the report is a system call, and one cut short
+    # by the closed pipe returns without an error; buffered, the writes go
+    # through the BufferedWriter, which raises at once
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_leaves_stderr_clean(self, unbuffered):
         # the JSON report (about 128 kB) outgrows the pipe buffer, so the
         # write hits the closed read end
         argv = ["positivity", "--N", "10", "--n", "5", "--a", "0", "--format", "json"]
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "cipos", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
         )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -215,6 +216,12 @@ class TestPositivityReport:
         assert set(blob) == {"N", "n", "c", "a", "records", "D"}
         assert blob["records"][0]["partition"] == [1]
         assert isinstance(blob["D"], str)
+
+    def test_json_pieces_hold_one_record_each(self):
+        report = positivity_report(ModelParams(8, 4), 2)
+        head, *middle, tail = report.json_pieces()
+        assert [json.loads(piece.rstrip(",")) for piece in middle] == [r.to_json() for r in report.records]
+        assert "\n".join([head, *middle, tail]) == json.dumps(report.to_json(), indent=2)
 
 
 def d_basis_threshold(poly, c):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary
@@ -126,6 +125,8 @@ def surface_degree_bound(N: int, a: int) -> Fraction:
     Valid for N >= 4, where the constant coefficient of the Morse difference
     is already nonnegative and only the linear term needs to be dominated.
     """
+    from fractions import Fraction
+
     if N < 4:
         raise ValueError("surface bound requires N >= 4")
     return Fraction(2 * (N + 1 + 3 * a), N - 3)
@@ -133,6 +134,8 @@ def surface_degree_bound(N: int, a: int) -> Fraction:
 
 def rough_degree_bound(N: int, n: int, a: int) -> Fraction:
     """General uniform degree bound for n <= c, exact rational value."""
+    from fractions import Fraction
+
     c = N - n
     if n > c:
         raise ValueError(f"requires n <= c (N >= 2n), got n={n}, c={c}")
@@ -160,7 +163,7 @@ class BoundReport(
             ("n", int),
             ("a", int),
             ("coefficients", list[int]),
-            ("gamma", Fraction | None),
+            ("gamma", "Fraction | None"),
             ("method", str),
             ("certified_from", int),
         ],

@@ -38,11 +38,6 @@ from typing import Iterable, Mapping, Sequence
 NEG_INFINITY = float("-inf")
 
 
-def _grlex_key(exps: tuple[int, ...]):
-    # graded-lex, descending: higher total degree first, then lexicographic
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 def _accumulate(out: dict, items: Iterable) -> dict:
     """Add (key, coefficient) pairs into ``out`` in place; keys that cancel are dropped."""
     for key, coeff in items:
@@ -251,7 +246,9 @@ class MultidegreePoly(_SparseTerms):
         return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        # graded-lex, descending: higher total degree first, then lexicographic;
+        # keys are distinct, so reversing the ascending order gives no ties
+        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     # -- ring kernel -------------------------------------------------------
 

@@ -16,7 +16,8 @@ from one shifted row per S_c orbit.  Only the dominant parts are expanded in
 d, for the direct route and the output.
 
 The report renders its text and JSON as pieces of at most one record each,
-which the CLI writes as they come.
+which the CLI writes as they come.  A JSON record is joined from strings, one
+per term, to the bytes ``json.dumps`` gives for its ``to_json()``.
 """
 
 from __future__ import annotations
@@ -169,6 +170,42 @@ class PartitionRecord(NamedTuple):
         }
 
 
+def _json_ints(values: Sequence[int], pad: str) -> str:
+    """``json.dumps(list(values), indent=2)``, each line after the first
+    indented by ``pad``."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{pad}]"
+
+
+def _json_terms(poly: MultidegreePoly, pad: str) -> str:
+    """``json.dumps(poly.to_json(), indent=2)``, each line after the first
+    indented by ``pad``: one string per term, no dict."""
+    if not poly.terms:
+        return "[]"
+    item, field, exp = pad + "  ", pad + "    ", pad + "      "
+    opening = f'{item}{{\n{field}"coeff": "'
+    middle = f'",\n{field}"exps": [\n{exp}'
+    sep = f",\n{exp}"
+    closing = f"\n{field}]\n{item}}}"
+    terms = [f"{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}" for exps, coeff in poly.sorted_terms()]
+    return "[\n" + ",\n".join(terms) + f"\n{pad}]"
+
+
+def _json_record(record: PartitionRecord, pad: str) -> str:
+    """``json.dumps(record.to_json(), indent=2)``, each line after the first
+    indented by ``pad``, joined from strings field by field."""
+    field = pad + "  "
+    return (
+        f'{{\n{field}"partition": {_json_ints(record.partition, field)},'
+        f'\n{field}"conjugate": {_json_ints(record.conjugate, field)},'
+        f'\n{field}"dominant": {_json_terms(record.dominant, field)},'
+        f'\n{field}"dominant_positive": true,'
+        f'\n{field}"threshold": "{record.threshold}"\n{pad}}}'
+    )
+
+
 class SchurReport(NamedTuple):
     """One record per partition of each weight up to the dimension, plus the
     largest threshold D: every class is positive on [D, inf)^c."""
@@ -197,7 +234,7 @@ class SchurReport(NamedTuple):
         yield head + " ["
         last = len(self.records) - 1  # a report has the record of (1,) at least
         for i, record in enumerate(self.records):
-            piece = json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
+            piece = _json_record(record, "    ")
             yield f"    {piece}," if i < last else f"    {piece}"
         yield "  ]" + tail
 

@@ -111,8 +111,8 @@ class TestPositivity:
         assert code == 0 and json.loads(out)["D"] == "73"
 
     def test_streamed_report_is_the_whole_document(self, capsys, tmp_path):
-        # every frame with n <= c and N <= 10, at twists 0 and 3, on stdout and through --out
-        for N, n, a in [(N, n, a) for N in range(2, 11) for n in range(1, N // 2 + 1) for a in (0, 3)]:
+        # every frame with n <= c and N <= 12, at twists 0, 1 and 3, on stdout and through --out
+        for N, n, a in [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 3)]:
             report = schur.positivity_report(ModelParams(N, n), a)
             expected = {"json": json.dumps(report.to_json(), indent=2) + "\n", "text": whole_text(report)}
             for fmt, whole in expected.items():

@@ -73,6 +73,20 @@ def test_identically_tangent_families_load_no_fractions(family):
     assert not loaded & {"fractions", "decimal"}
 
 
+def test_positivity_loads_no_fractions():
+    # only the explicit bounds of `bound` build a Fraction; positivity's
+    # thresholds are integer shift searches
+    argv = ["positivity", "--N", "8", "--n", "4", "--a", "2"]
+    loaded = modules_after(
+        "import contextlib, io\n"
+        "from cipos import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert "cipos.bounds" in loaded
+    assert not loaded & {"fractions", "decimal"}
+
+
 def test_polyring_loads_nothing_else():
     assert loaded_after("cipos.polyring") == {"cipos", "cipos.polyring"}
 

@@ -1,19 +1,22 @@
 """Property tests of the ring layer: ring laws for polynomials and for
 truncated jet classes, the Taylor shift against substitution and under
 composition, associativity of truncated series products, evaluation as a ring
-homomorphism that leaves the polynomial unchanged, and chart polynomials on
-pair keys against their dense images, with the product rule for their
-derivatives.  Skipped when hypothesis is not installed; the runtime itself
-needs no dependency."""
+homomorphism that leaves the polynomial unchanged, graded-lex term order and
+the hand-rendered JSON of positivity records against ``json.dumps``, and
+chart polynomials on pair keys against their dense images, with the product
+rule for their derivatives.  Skipped when hypothesis is not installed; the
+runtime itself needs no dependency."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from cipos import schur  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
@@ -180,6 +183,39 @@ def test_eval_leaves_the_polynomial_unchanged(case):
         p.num_vars = p.num_vars + 1
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+def grlex_key(exps):
+    # graded-lex, descending: higher total degree first, then lexicographic
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+# small and negative coefficients, and magnitudes above 2^64
+wide_coefficients = st.one_of(coefficients, st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+
+
+def wide_polys(c):
+    keys = st.tuples(*[st.integers(0, 4)] * c)
+    return st.dictionaries(keys, wide_coefficients, max_size=8).map(lambda terms: MultidegreePoly(c, terms))
+
+
+def records():
+    parts = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(lambda p: schur.Partition(sorted(p, reverse=True)))
+    dominant = st.integers(1, 6).flatmap(wide_polys)
+    return st.builds(lambda lam, p, r: schur.PartitionRecord(lam, lam.conjugate(), p, r), parts, dominant,
+                     st.integers(0, 2**70))
+
+
+@PROPERTY
+@given(records())
+@example(schur.PartitionRecord(schur.Partition([1]), schur.Partition([1]), MultidegreePoly.zero(3), 0))
+def test_rendered_record_is_json_dumps(record):
+    # records sit two levels deep in the report, their terms three
+    p = record.dominant
+    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
+    pad = "      "
+    assert schur._json_terms(p, pad) == json.dumps(p.to_json(), indent=2).replace("\n", "\n" + pad)
+    assert schur._json_record(record, "    ") == json.dumps(record.to_json(), indent=2).replace("\n", "\n    ")
 
 
 # charts of 26 to 262 variables

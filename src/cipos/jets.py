@@ -56,25 +56,15 @@ class JetClass(_SparseTerms):
     never stored.
     """
 
-    __slots__ = ("params", "level", "terms")
-    _SHAPE = ("params", "level")
+    __slots__ = ()
 
     def __init__(self, params: ModelParams, level: int, terms: Mapping[TermKey, int] | None = None):
         if level < 0:
             raise ValueError("level must be >= 0")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "level", level)
-        width = len(self._unit_key())
-        clean: dict[TermKey, int] = {}
-        for key, coeff in (terms or {}).items():
-            key = tuple(key)
-            if len(key) != width:
-                raise ValueError(f"term key {key} does not have length 1 + n + level = {width}")
-            if min(key) < 0:
-                raise ValueError(f"negative exponent in {key}")
-            if coeff and self._alive(key):
-                clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+        super().__init__((params, level), terms)
+
+    params = property(lambda self: self.ring[0])
+    level = property(lambda self: self.ring[1])
 
     # -- constructors --------------------------------------------------------
 
@@ -84,7 +74,7 @@ class JetClass(_SparseTerms):
 
     @classmethod
     def unit(cls, params: ModelParams, level: int) -> "JetClass":
-        return cls.zero(params, level)._unit()
+        return cls.zero(params, level)._constant(1)
 
     @classmethod
     def _generator(cls, params: ModelParams, level: int, slot: int) -> "JetClass":
@@ -110,7 +100,7 @@ class JetClass(_SparseTerms):
     def _alive(self, key: TermKey) -> bool:
         # a monomial pulled back from stage j must fit in dimension n + j(n-1);
         # checking every prefix kills certified-zero terms as early as possible
-        n = self.params.n
+        n = self.ring[0].n
         deg = key[0] + sum(map(operator.mul, key, range(n + 1)))
         if deg > n:
             return False

@@ -10,16 +10,17 @@ is reproducible bit for bit.  ``MultidegreePoly.taylor_shift`` expands
 p(r + t) once, symbolically in r, for a diagonal or a threshold in d.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
-``JetClass`` and ``vecfields.ChartPoly``: each stores its element as a dict from a
-monomial key to a nonzero int, and the core writes promotion, ``+``, ``-``, the
-product kernel (add exponent tuples slot by slot, keep what the class's truncation
-predicate ``_alive`` accepts), square-and-multiply powering, equality, hashing,
-immutability and the trusted constructor ``_wrap`` once for all three.  Key
-layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h, s1, ..., sn, u1, ...,
-u_level)`` for ``JetClass``, and for ``ChartPoly`` (hundreds of variables, a few
-nonzero exponents a term) the sorted tuple of the term's ``(index, exponent)``
-pairs with exponent > 0, multiplied by its own pair merge.  Public constructors
-validate their input; arithmetic results are canonical by construction.
+``JetClass`` and ``vecfields.ChartPoly``: each element holds a ``ring`` descriptor
+that operands must share (``num_vars``, or ``(params, level)`` for ``JetClass``)
+and a dict from a monomial key to a nonzero int.  The core writes validation,
+promotion, ``+``, ``-``, the product kernel (add exponent tuples slot by slot, keep
+what the class's truncation predicate ``_alive`` accepts), square-and-multiply
+powering, equality, hashing, immutability and the trusted constructor ``_wrap``
+once for all three.  Key layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h,
+s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted
+tuple of the term's ``(index, exponent)`` pairs with exponent > 0, multiplied by
+its own pair merge.  Only public constructors validate; results are canonical by
+construction.
 
 Truncated power series (a class in the Chow ring of a complete intersection
 is the list of its h-power coefficients) are plain lists of coefficients,
@@ -50,39 +51,48 @@ def _accumulate(out: dict, items: Iterable) -> dict:
 
 
 class _SparseTerms:
-    """Immutable commutative ring element stored as ``terms``: monomial key -> nonzero int.
+    """Immutable commutative ring element: ``ring``, the descriptor that operands
+    must share, and ``terms``, monomial key -> nonzero int.
 
     Keys are flat exponent tuples, which ``_product`` adds slot by slot (a subclass
-    with other keys overrides it).  Subclasses name the attributes that operands
-    must share in ``_SHAPE``, supply ``_unit_key`` and may override ``_alive``, the
-    truncation predicate: the product keeps a key only if it is alive, and every
-    key is by default.  ``_promote`` turns an operand into an element of the same
-    ring (NotImplemented for foreign types); a subclass widens it to take more.
+    with other keys overrides it).  Subclasses supply ``_unit_key`` and may override
+    ``_alive``, the truncation predicate: the product keeps a key only if it is
+    alive, and every key is by default.  ``_promote`` turns an operand into an
+    element of the same ring (NotImplemented for foreign types); a subclass widens
+    it to take more.  Results share their operand's ``ring`` object, so operands
+    of one ring usually pass the identity check before the ``==`` fallback.
     """
 
-    __slots__ = ()
-    _SHAPE: tuple[str, ...] = ()
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms: Mapping | None = None):
+        """Validating constructor: checks each key's length and signs, drops zero and dead terms."""
+        object.__setattr__(self, "ring", ring)
+        width = len(self._unit_key())
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            key = tuple(key)
+            if len(key) != width:
+                raise ValueError(f"term key {key} does not have length {width}")
+            if min(key, default=0) < 0:
+                raise ValueError(f"negative exponent in {key}")
+            if coeff and self._alive(key):
+                clean[key] = coeff
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _shape(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._SHAPE)
-
     def _wrap(self, terms: dict):
-        """Element of the same shape holding ``terms`` as is: the caller
+        """Element of the same ring holding ``terms`` as is: the caller
         guarantees valid keys and no zero coefficient."""
         obj = object.__new__(type(self))
-        for name in self._SHAPE:
-            object.__setattr__(obj, name, getattr(self, name))
+        object.__setattr__(obj, "ring", self.ring)
         object.__setattr__(obj, "terms", terms)
         return obj
 
     def _constant(self, value: int):
         return self._wrap({self._unit_key(): value} if value else {})
-
-    def _unit(self):
-        return self._constant(1)
 
     def _alive(self, key) -> bool:
         return True
@@ -97,11 +107,9 @@ class _SparseTerms:
 
     def _promote(self, other):
         if isinstance(other, type(self)):
-            if other._shape() != self._shape():
-                raise ValueError(
-                    f"cannot mix {type(self).__name__} operands with different"
-                    f" {'/'.join(self._SHAPE)}: {self._shape()} and {other._shape()}"
-                )
+            if other.ring is not self.ring and other.ring != self.ring:
+                name = type(self).__name__
+                raise ValueError(f"cannot mix {name} operands over different rings: {self.ring!r} and {other.ring!r}")
             return other
         if isinstance(other, int):
             return self._constant(other)
@@ -152,7 +160,7 @@ class _SparseTerms:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result, base = self._unit(), self
+        result, base = self._constant(1), self
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -166,10 +174,13 @@ class _SparseTerms:
             other = self._promote(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._shape(), frozenset(self.terms.items())))
+        unit = self._unit_key()
+        if self.terms.keys() <= {unit}:  # a constant equals its int, so hashes as it
+            return hash(self.terms.get(unit, 0))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -186,24 +197,13 @@ class MultidegreePoly(_SparseTerms):
     ints mix freely with polynomials in ``+``, ``-`` and ``*``.
     """
 
-    __slots__ = ("num_vars", "terms")
-    _SHAPE = ("num_vars",)
+    __slots__ = ()
+    num_vars = _SparseTerms.ring  # the ring is the number of variables
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if num_vars < 1:
             raise ValueError("num_vars must be a positive integer")
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != num_vars:
-                    raise ValueError(f"exponent vector {exps} has length != {num_vars}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if coeff:
-                    clean[exps] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(num_vars, terms)
 
     # -- constructors ------------------------------------------------------
 

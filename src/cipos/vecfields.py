@@ -46,12 +46,8 @@ class ChartPoly(_SparseTerms):
     costs the few variables it holds, not the chart's width.  ``ChartPoly(num_vars)``
     is 0; the others come from :meth:`UniversalChart.monomial` and arithmetic."""
 
-    __slots__ = ("num_vars", "terms", "_by_var")
-    _SHAPE = ("num_vars",)
-
-    def __init__(self, num_vars: int):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", {})
+    __slots__ = ("_by_var",)
+    num_vars = _SparseTerms.ring  # the ring is the number of variables
 
     def _unit_key(self) -> tuple:
         return ()

@@ -143,3 +143,28 @@ def test_mismatched_operands_rejected():
     params = ModelParams(4, 2)
     with pytest.raises(ValueError):
         JetClass.unit(params, 1) * JetClass.unit(params, 2)
+    # same key width, so only the ring tells each pair apart
+    pairs = [
+        (UniversalChart(3, [2]).monomial({}), UniversalChart(4, [2]).monomial({})),
+        (JetClass.unit(params, 1), JetClass.unit(ModelParams(5, 2), 1)),
+    ]
+    for x, y in pairs:
+        for mix in (lambda: x + y, lambda: x * y, lambda: x.add_all([y])):
+            with pytest.raises(ValueError, match="different rings"):
+                mix()
+        assert x != y
+
+
+def test_constants_hash_as_their_ints():
+    # a constant element equals its int, so sets and dicts must not tell them apart
+    chart = UniversalChart(3, [2])
+    params = ModelParams(4, 2)
+    constants = [
+        (MultidegreePoly.one(2), MultidegreePoly.zero(2)),
+        (chart.monomial({}), ChartPoly(chart.num_vars)),
+        (JetClass.unit(params, 1), JetClass.zero(params, 1)),
+    ]
+    for one, zero in constants:
+        for value, x in [(1, one), (0, zero), (-5, one * -5)]:
+            assert x == value and hash(x) == hash(value)
+            assert len({value, x}) == 1

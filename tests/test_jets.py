@@ -83,6 +83,11 @@ class TestJetAlgebra:
             JetClass(P42, 1, {(0, 0, 0, -1): 1})
         with pytest.raises(ValueError, match="negative exponent"):
             JetClass(P42, 0, {(-1, 1, 0): 2})
+        # so does a key of the wrong width; a zero coefficient and a key that
+        # overflows a stage (h^3 on the surface X) are dropped
+        with pytest.raises(ValueError, match="length"):
+            JetClass(P42, 1, {(0, 0, 0): 1})
+        assert JetClass(P42, 1, {(1, 0, 0, 0): 0, (3, 0, 0, 0): 4, (0, 0, 0, 1): 5}).terms == {(0, 0, 0, 1): 5}
 
     def test_pushforward_is_linear(self):
         rng = random.Random(9)

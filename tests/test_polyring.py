@@ -87,6 +87,7 @@ class TestArithmetic:
             MultidegreePoly(2, {(1,): 1})
         with pytest.raises(ValueError):
             MultidegreePoly(2, {(-1, 0): 1})
+        assert MultidegreePoly(2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
 
 
 class TestDegree:

@@ -4,9 +4,11 @@ A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
 hyperplane class), each a ``MultidegreePoly`` in the degrees; products are
 truncated power-series products (``polyring.series_product``) that drop
 everything above h^n.
-The two Segre-class routes kept here on purpose, a truncated product
-expansion and a closed-form convolution, act as independent oracles for each
-other.
+The two Segre-class routes kept here on purpose act as independent oracles
+for each other: :func:`segre_cotangent` expands the product formula in d and
+feeds ``segre`` and ``jet``; :func:`segre_elementary` states the same classes
+in closed form, as rows of elementary symmetric coefficients at any twist, and
+feeds ``positivity``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .polyring import MultidegreePoly, recombine_elementary, series_product
+from .polyring import MultidegreePoly, series_product
 
 
 class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
@@ -79,17 +81,25 @@ def segre_cotangent(params: ModelParams, twist: int) -> list[MultidegreePoly]:
     return total
 
 
-def segre_closed_form(params: ModelParams, j: int) -> MultidegreePoly:
-    """h^j coefficient of the untwisted Segre class s_j, by the closed-form sum.
+def segre_elementary(params: ModelParams, twist: int) -> list[list[int]]:
+    """Segre classes s_0..s_n of the twisted cotangent bundle of X in the
+    elementary symmetric basis: row j lists the coefficients of
+    e_0(d)..e_min(j,c)(d) in the h^j coefficient of s_j.
 
-    Independent oracle for :func:`segre_cotangent` at twist 0: the alternating
-    convolution of binomial coefficients against elementary symmetrics.
+    The closed form of the product in :func:`segre_cotangent`, at any twist t:
+    s_j = sum_{i<=j} G_{j-i} e_i(d - t), with G_m the h^m coefficient of
+    (1 + (1-t)h)^-(N+1) (1 - th), and e_i(d - t) = sum_k C(c-k, i-k) (-t)^(i-k) e_k(d).
     """
-    if not 0 <= j <= params.n:
-        raise ValueError(f"index {j} outside 0..{params.n}")
-    return recombine_elementary(
-        ((j - k, (-1) ** k * math.comb(params.N + k, params.N)) for k in range(j + 1)), params.c
-    )
+    N, n, c, t = params.N, params.n, params.c, twist
+    power = [math.comb(N + m, N) * (t - 1) ** m for m in range(n + 1)]
+    g = [1] + [power[m] - t * power[m - 1] for m in range(1, n + 1)]
+    return [
+        [
+            sum(g[j - i] * math.comb(c - k, i - k) * (-t) ** (i - k) for i in range(k, min(j, c) + 1))
+            for k in range(min(j, c) + 1)
+        ]
+        for j in range(n + 1)
+    ]
 
 
 def twist_segre(s_seq: Sequence[MultidegreePoly], rank: int, line) -> list[MultidegreePoly]:

@@ -22,6 +22,9 @@ tuple of the term's ``(index, exponent)`` pairs with exponent > 0, multiplied by
 its own pair merge.  Only public constructors validate; results are canonical by
 construction.
 
+A class stated in the elementary symmetric basis is expanded in d by
+:func:`recombine_elementary`; the closed forms state it there directly.
+
 Truncated power series (a class in the Chow ring of a complete intersection
 is the list of its h-power coefficients) are plain lists of coefficients,
 multiplied by :func:`series_product` and inverted by :func:`series_inverse`.
@@ -348,36 +351,9 @@ def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
     return MultidegreePoly(c, terms)
 
 
-def express_in_elementary(p: MultidegreePoly) -> list[tuple[int, int]]:
-    """Write a multilinear symmetric polynomial in the elementary symmetric basis.
-
-    Returns ``[(j, coeff), ...]`` with j descending and zero coefficients
-    omitted, such that ``p == sum(coeff * elementary_symmetric(j, c))``.
-    Inputs outside the span (a squared variable, or an asymmetric monomial)
-    raise ValueError naming the offending monomial.
-    """
-    c = p.num_vars
-    for exps in p.terms:
-        if any(e > 1 for e in exps):
-            bad = MultidegreePoly.monomial(c, exps)
-            raise ValueError(f"not multilinear: monomial {bad.text()}")
-    residual = p
-    out = []
-    for j in range(c, -1, -1):
-        lead = (1,) * j + (0,) * (c - j)
-        a = residual.coeff(lead)
-        if a:
-            out.append((j, a))
-            residual = residual - elementary_symmetric(j, c) * a
-    if not residual.is_zero():
-        bad_exps = residual.sorted_terms()[0][0]
-        bad = MultidegreePoly.monomial(c, bad_exps)
-        raise ValueError(f"not symmetric: monomial {bad.text()} has no matching orbit")
-    return out
-
-
 def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> MultidegreePoly:
-    """Inverse of :func:`express_in_elementary`: sum of a * e_j(d1..dc) over the pairs."""
+    """The class given by (j, a) pairs in the elementary symmetric basis, in d:
+    the sum of a * e_j(d1..dc) over the pairs."""
     return MultidegreePoly.zero(c).add_all(elementary_symmetric(j, c) * a for j, a in coeffs)
 
 

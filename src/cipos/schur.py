@@ -1,5 +1,7 @@
 """Partitions, Schur determinants, and the numerical-positivity report.
 
+A partition is a weakly decreasing tuple of positive parts.
+
 The report certifies, degree threshold included, that every Schur determinant
 in the Segre classes of the negatively twisted cotangent bundle is eventually
 positive when the codimension dominates the dimension.  Positivity of each
@@ -9,7 +11,8 @@ monomial coefficients.  Disagreement between the two routes is a hard error.
 
 Every class of the report depends on the degrees only through e_1..e_n, and
 n <= c makes them algebraically independent, so the report works in the ring
-of E_1..E_n: the Segre classes enter by their elementary coefficients, the
+of E_1..E_n: the Segre classes enter as the rows of elementary coefficients
+that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies, read
 from one shifted row per S_c orbit.  Only the dominant parts are expanded in
@@ -29,64 +32,18 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _accumulate, elementary_symmetric, express_in_elementary, series_inverse
+from .polyring import MultidegreePoly, _accumulate, elementary_symmetric, series_inverse
 
 
-class Partition:
-    """Weakly decreasing sequence of positive integer parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple(parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram; an involution."""
-        if not self.parts:
-            return self
-        out = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                out[i] += 1
-        return Partition(out)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
+    """Transpose of the Young diagram of a weakly decreasing tuple of positive
+    parts; an involution."""
+    return tuple(sum(p > i for p in parts) for i in range(parts[0] if parts else 0))
 
 
-def partitions_of(weight: int) -> list[Partition]:
-    """All partitions of the given weight, largest first part first."""
+def partitions_of(weight: int) -> list[tuple[int, ...]]:
+    """All partitions of the given weight as weakly decreasing tuples, largest
+    first part first."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
 
@@ -98,11 +55,12 @@ def partitions_of(weight: int) -> list[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return [Partition(p) for p in gen(weight, weight)]
+    return list(gen(weight, weight))
 
 
-def schur_det(partition: Partition, classes: Sequence):
-    """Determinant det(c_{p_i + j - i}) over any commutative coefficient ring.
+def schur_det(parts: Sequence[int], classes: Sequence):
+    """Determinant det(c_{p_i + j - i}) over any commutative coefficient ring,
+    for the partition with parts p_1 >= p_2 >= ....
 
     ``classes`` lists c_0, c_1, ... with c_0 the unit; indices outside the
     list (negative or beyond the end) are zero.  Uses division-free Laplace
@@ -111,7 +69,6 @@ def schur_det(partition: Partition, classes: Sequence):
     """
     if not classes:
         raise ValueError("empty class sequence")
-    parts = partition.parts
     m = len(parts)
     if m == 0:
         return classes[0]
@@ -155,8 +112,8 @@ def schur_det(partition: Partition, classes: Sequence):
 class PartitionRecord(NamedTuple):
     """A partition whose dominant part passed both positivity routes."""
 
-    partition: Partition
-    conjugate: Partition
+    partition: tuple[int, ...]
+    conjugate: tuple[int, ...]
     dominant: MultidegreePoly
     threshold: int
 
@@ -244,7 +201,7 @@ class SchurReport(NamedTuple):
         yield f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={self.a}"
         yield f"{'partition':<12} {'threshold':>10}  dominant part"
         for record in self.records:
-            yield f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}"
+            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {record.dominant.text()}"
         yield f"sufficient uniform degree D = {self.threshold}"
 
 
@@ -275,9 +232,9 @@ class _ElementaryRing:
         """Exponent tuple of E_j; E_0 = 1."""
         return tuple(int(k == j) for k in range(1, self.n + 1))
 
-    def from_multilinear(self, poly: MultidegreePoly) -> MultidegreePoly:
-        """A multilinear symmetric polynomial in d, in the E-basis."""
-        return MultidegreePoly(self.n, {self.key(j): a for j, a in express_in_elementary(poly)})
+    def from_row(self, row: Sequence[int]) -> MultidegreePoly:
+        """The class sum_k row[k] * e_k(d), in the E-basis."""
+        return MultidegreePoly(self.n, {self.key(k): v for k, v in enumerate(row)})
 
     @staticmethod
     def weight(key: tuple[int, ...]) -> int:
@@ -322,7 +279,7 @@ class _ElementaryRing:
         rows = {}
         for weight in range(max(by_weight, default=0) + 1):
             for mu in partitions_of(weight):
-                t_key = mu.parts + (0,) * (self.c - len(mu))
+                t_key = mu + (0,) * (self.c - len(mu))
                 row = _accumulate({}, ((k, in_t.coeff(t_key) * v) for in_t, k, v in by_weight.get(weight, ())))
                 if row or not weight:
                     rows[t_key] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
@@ -344,10 +301,11 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     extract its dominant part, verify the two positivity routes agree, and
     attach the least uniform degree threshold the shift test certifies.
 
-    The determinants, the identification and the threshold rows run in the
-    ring of E_1..E_n (``_ElementaryRing``); the dominant part, the top
-    weighted-degree part there, is expanded in d once, for the direct
-    coefficient check and the output.
+    The twisted Segre classes are the closed-form rows of
+    ``chow.segre_elementary`` read in the ring of E_1..E_n (``_ElementaryRing``),
+    where the determinants, the identification and the threshold rows run;
+    the dominant part, the top weighted-degree part there, is expanded in d
+    once, for the direct coefficient check and the output.
     """
     n, c = params.n, params.c
     if c < n:
@@ -355,13 +313,13 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     if a < 0:
         raise ValueError("twist a must be >= 0")
     ring = _ElementaryRing(n, c)
-    twisted = [ring.from_multilinear(s) for s in chow.segre_cotangent(params, -a)]
+    twisted = [ring.from_row(row) for row in chow.segre_elementary(params, -a)]
     chern_data = [MultidegreePoly.one(n)] + [MultidegreePoly.monomial(n, ring.key(j)) for j in range(1, n + 1)]
     segre_data = [MultidegreePoly.one(n)] + series_inverse(chern_data[1:], n)
     records = []
     for ell in range(1, n + 1):
         for lam in partitions_of(ell):
-            conj = lam.conjugate()
+            conj = conjugate(lam)
             graded = schur_det(conj, twisted)
             top = ring.dominant_part(graded)
             via_chern = schur_det(conj, chern_data)
@@ -371,7 +329,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
             direct = bool(dominant.terms) and all(v > 0 for v in dominant.terms.values())
             if not (identified and direct):
                 raise ArithmeticError(
-                    f"positivity routes disagree for partition {tuple(lam)}:"
+                    f"positivity routes disagree for partition {lam}:"
                     f" identified={identified}, direct={direct}"
                 )
             records.append(

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
 from .jets import JetClass
-from .polyring import MultidegreePoly, elementary_symmetric, series_inverse
+from .polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse
 
 
 class CriterionResult(NamedTuple):
@@ -36,15 +36,17 @@ class CriterionResult(NamedTuple):
 
 
 def _criterion_1() -> tuple[bool, str]:
-    """Closed-form Segre coefficients match the product expansion; twisting
-    the untwisted sequence matches the direct twisted expansion."""
+    """Closed-form Segre coefficients match the product expansion at every
+    twist in -3..3; twisting the untwisted sequence matches the direct twisted
+    expansion."""
     for N in range(2, 11):
         for c in range(1, N):
             params = ModelParams(N, N - c)
-            seg = chow.segre_cotangent(params, 0)
-            for j in range(params.n + 1):
-                if seg[j] != chow.segre_closed_form(params, j):
-                    return False, f"closed form mismatch at N={N} c={c} j={j}"
+            for m in range(-3, 4):
+                seg = chow.segre_cotangent(params, m)
+                for j, row in enumerate(chow.segre_elementary(params, m)):
+                    if seg[j] != recombine_elementary(enumerate(row), c):
+                        return False, f"closed form mismatch at N={N} c={c} m={m} j={j}"
     for N in range(2, 7):
         for c in range(1, N):
             params = ModelParams(N, N - c)
@@ -54,7 +56,7 @@ def _criterion_1() -> tuple[bool, str]:
                 direct = chow.segre_cotangent(params, m)
                 if twisted != direct:
                     return False, f"twist mismatch at N={N} c={c} m={m}"
-    return True, "all N<=10 closed forms and N<=6 twists agree exactly"
+    return True, "all N<=10 closed forms at twists -3..3 and N<=6 twists agree exactly"
 
 
 def _criterion_2() -> tuple[bool, str]:
@@ -68,8 +70,8 @@ def _criterion_2() -> tuple[bool, str]:
         s_data = [1] + ss
         for _, plist in partitions:
             for lam in plist:
-                if schur.schur_det(lam, c_data) != schur.schur_det(lam.conjugate(), s_data):
-                    return False, f"duality failed for c={cs}, partition {tuple(lam)}"
+                if schur.schur_det(lam, c_data) != schur.schur_det(schur.conjugate(lam), s_data):
+                    return False, f"duality failed for c={cs}, partition {lam}"
     return True, "200 random sequences, all partitions of weight <= 8"
 
 
@@ -187,7 +189,7 @@ def _criterion_7() -> tuple[bool, str]:
                 value = product_integral(params, list(lam))
                 expect_full = max(lam) <= c
                 if (value.total_degree() == N) != expect_full:
-                    return False, f"lemma 2 violated at N={N} c={c} parts={tuple(lam)}"
+                    return False, f"lemma 2 violated at N={N} c={c} parts={lam}"
                 cases += 1
 
     # lemma 3: kappa parts with a low leading index force degree < N
@@ -245,7 +247,7 @@ def _criterion_8() -> tuple[bool, str]:
             if not grid_positive(poly, params.c, record.threshold):
                 return False, (
                     f"report threshold unsound at N={N} n={n} a={a},"
-                    f" partition {tuple(record.partition)}"
+                    f" partition {record.partition}"
                 )
             instances += 1
     return True, f"{instances} thresholds grid-validated"

@@ -6,12 +6,12 @@ import pytest
 from cipos.chow import (
     ModelParams,
     integrate,
-    segre_closed_form,
     segre_cotangent,
+    segre_elementary,
     segre_table_json,
     twist_segre,
 )
-from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse, series_product
+from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse, series_product
 
 
 class TestModelParams:
@@ -91,22 +91,38 @@ class TestSegre:
                 assert s1 == elementary_symmetric(1, c) - (N + 1)
 
     def test_closed_form_examples(self):
+        # row j lists the coefficients of e_0..e_j in s_j; at twist 1 on a
+        # surface in P^4, G = (1 - h) and e_2(d - 1) = e_2 - e_1 + 1
         p = ModelParams(4, 2)
-        assert segre_closed_form(p, 0) == MultidegreePoly.one(2)
-        assert segre_closed_form(p, 1) == elementary_symmetric(1, 2) - 5
-        assert segre_closed_form(p, 2) == elementary_symmetric(2, 2) - 5 * elementary_symmetric(1, 2) + 15
+        assert segre_elementary(p, 0) == [[1], [-5, 1], [15, -5, 1]]
+        assert segre_elementary(p, 1) == [[1], [-3, 1], [3, -2, 1]]
 
     def test_closed_form_range_check(self):
-        with pytest.raises(ValueError):
-            segre_closed_form(ModelParams(4, 2), 3)
+        # e_k vanishes in c variables for k > c, so row j stops at e_min(j, c)
+        for N, n in ((4, 2), (7, 5), (9, 3), (6, 5)):
+            p = ModelParams(N, n)
+            for m in (-2, 0, 3):
+                rows = segre_elementary(p, m)
+                assert [len(row) for row in rows] == [min(j, p.c) + 1 for j in range(n + 1)]
+                assert all(rows[j][j] == 1 for j in range(min(n, p.c) + 1))
 
     def test_closed_form_matches_product_everywhere(self):
         for N in range(2, 9):
             for c in range(1, N):
                 p = ModelParams(N, N - c)
-                seg = segre_cotangent(p, 0)
-                for j in range(p.n + 1):
-                    assert seg[j] == segre_closed_form(p, j)
+                for m in range(-3, 4):
+                    seg = segre_cotangent(p, m)
+                    rows = segre_elementary(p, m)
+                    assert [recombine_elementary(enumerate(row), c) for row in rows] == seg, (N, c, m)
+
+    def test_closed_form_matches_product_at_negative_twists(self):
+        # the frames and twists of the positivity report: n <= c, N <= 12, a in 0..5
+        frames = [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in range(6)]
+        assert len(frames) == 216
+        for N, n, a in frames:
+            p = ModelParams(N, n)
+            rows = segre_elementary(p, -a)
+            assert [recombine_elementary(enumerate(row), p.c) for row in rows] == segre_cotangent(p, -a), (N, n, a)
 
     def test_dominant_identity_all_twists(self):
         # below the codimension the dominant part is the plain elementary symmetric

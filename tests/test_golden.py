@@ -1,5 +1,5 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and thirteen frames the README misses, in text and JSON.
+carries timings) and fourteen frames the README misses, in text and JSON.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -43,6 +43,8 @@ COMMANDS = {
     "segre_N7_n3_twist_m2": ["segre", "--N", "7", "--n", "3", "--twist", "-2"],
     # five-row Schur determinants with a twist
     "positivity_N10_n5_a3": ["positivity", "--N", "10", "--n", "5", "--a", "3"],
+    # codimension above the dimension, so C(c - k, i - k) != C(n - k, i - k), at a twist above 3
+    "positivity_N7_n3_a5": ["positivity", "--N", "7", "--n", "3", "--a", "5"],
     # identically tangent coordinate fields
     "vecfields_tj_N4_seed3": [
         "vecfields", "verify", "--N", "4", "--degrees", "4", "--family", "tj", "--samples", "20", "--seed", "3",

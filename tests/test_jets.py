@@ -8,7 +8,7 @@ from cipos import chow
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, integrate_tower, morse_certificate, nef_tower_class, reduce_to_base, segre_recursion_coeff
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
-from cipos.polyring import MultidegreePoly, elementary_symmetric, express_in_elementary
+from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
 from tower_reference import base_segre_symbol, pushforward, reduce_reference, tower_segre
 
@@ -210,7 +210,7 @@ class TestIntegrate:
             p = ModelParams(N, n)
             u = JetClass.tautological(p, 1, 1)
             got = integrate_tower(u ** (2 * n - 1))
-            assert got == chow.segre_closed_form(p, n) * bezout(p.c)
+            assert got == recombine_elementary(enumerate(chow.segre_elementary(p, 0)[n]), p.c) * bezout(p.c)
 
     def test_binomial_oracle(self):
         # independent route: expand (u + 2h)^(2n-1) by hand and integrate the
@@ -299,7 +299,7 @@ class TestNefClasses:
 class TestMorseCertificate:
     def test_flagship_numbers(self):
         cert = morse_certificate(P42, 4, (34, 34))
-        assert express_in_elementary(cert.difference) == [(2, 1), (1, -17), (0, 15)]
+        assert cert.difference == recombine_elementary([(2, 1), (1, -17), (0, 15)], 2)
         assert cert.value == 15 and cert.positive
         cert33 = morse_certificate(P42, 4, (33, 33))
         assert cert33.value == -18 and not cert33.positive

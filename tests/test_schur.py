@@ -8,7 +8,7 @@ import pytest
 from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
 from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
-from cipos.schur import Partition, partitions_of, positivity_report, schur_det
+from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from cascade_reference import cascade_threshold
 
@@ -16,42 +16,41 @@ from cascade_reference import cascade_threshold
 class TestPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Partition((1, 2))
-        with pytest.raises(ValueError):
-            Partition((2, 0))
+            partitions_of(-1)
 
     def test_enumeration(self):
-        assert [tuple(p) for p in partitions_of(2)] == [(2,), (1, 1)]
-        assert [tuple(p) for p in partitions_of(0)] == [()]
+        assert partitions_of(2) == [(2,), (1, 1)]
+        assert partitions_of(0) == [()]
         counts = [len(partitions_of(w)) for w in range(9)]
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
     def test_conjugate_examples(self):
-        assert tuple(Partition((2,)).conjugate()) == (1, 1)
-        assert tuple(Partition((2, 1)).conjugate()) == (2, 1)
-        assert tuple(Partition((3, 1)).conjugate()) == (2, 1, 1)
+        assert conjugate((2,)) == (1, 1)
+        assert conjugate((2, 1)) == (2, 1)
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate(()) == ()
 
     def test_conjugate_involution_and_weight(self):
         for w in range(9):
             for lam in partitions_of(w):
-                conj = lam.conjugate()
-                assert conj.weight == lam.weight
-                assert conj.conjugate() == lam
+                conj = conjugate(lam)
+                assert sum(conj) == sum(lam)
+                assert conjugate(conj) == lam
 
 
 class TestSchurDet:
     CLASSES = [1, 4, 9, 16, 25, 36]
 
     def test_single_box(self):
-        assert schur_det(Partition((1,)), self.CLASSES) == 4
+        assert schur_det((1,), self.CLASSES) == 4
 
     def test_row_and_column_of_two(self):
         c = self.CLASSES
-        assert schur_det(Partition((2,)), c) == 9
-        assert schur_det(Partition((1, 1)), c) == 4 * 4 - 9
+        assert schur_det((2,), c) == 9
+        assert schur_det((1, 1), c) == 4 * 4 - 9
 
     def test_empty_partition(self):
-        assert schur_det(Partition(()), self.CLASSES) == 1
+        assert schur_det((), self.CLASSES) == 1
 
     def test_padding_invariance(self):
         # appending zero parts must not change the determinant; compare the
@@ -79,14 +78,14 @@ class TestSchurDet:
             ss = series_inverse(cs, 8)
             for w in range(9):
                 for lam in partitions_of(w):
-                    assert schur_det(lam, [1] + cs) == schur_det(lam.conjugate(), [1] + ss)
+                    assert schur_det(lam, [1] + cs) == schur_det(conjugate(lam), [1] + ss)
 
     def test_works_over_chow_ring(self):
         # Chow classes as lists of h-coefficients: the determinant of weight 2
         # is the h^2 coefficient of s_1^2 - s_2
         p = ModelParams(4, 2)
         seg = chow.segre_cotangent(p, 0)
-        det = schur_det(Partition((1, 1)), seg)
+        det = schur_det((1, 1), seg)
         expected = seg[1] * seg[1] - seg[2]
         assert det == expected
 
@@ -95,8 +94,7 @@ class TestLeibnizOracle:
     # schur_det skips the minors whose index sum exceeds the weight; compare it
     # with the plain sum over permutations of the Jacobi-Trudi matrix
     @staticmethod
-    def _leibniz(lam, classes):
-        parts = tuple(lam)
+    def _leibniz(parts, classes):
         m = len(parts)
 
         def entry(i, j):
@@ -127,14 +125,14 @@ class TestLeibnizOracle:
                     ints = [1] + [rng.randint(-4, 4) for _ in range(length - 1)]
                     polys = [MultidegreePoly.one(2)] + [self._random_poly(rng) for _ in range(length - 1)]
                     for classes in (ints, polys):
-                        assert schur_det(lam, classes) == self._leibniz(lam, classes), (tuple(lam), classes)
+                        assert schur_det(lam, classes) == self._leibniz(lam, classes), (lam, classes)
 
     def test_segre_classes_match_leibniz_sum(self):
         p = ModelParams(8, 4)
         seg = chow.segre_cotangent(p, -2)
         for w in range(1, p.n + 1):
             for lam in partitions_of(w):
-                assert schur_det(lam, seg) == self._leibniz(lam, seg), tuple(lam)
+                assert schur_det(lam, seg) == self._leibniz(lam, seg), lam
 
 
 def _brute_det(mat):
@@ -177,7 +175,7 @@ class TestDominantDeterminant:
                             ):
                                 continue
                             full = schur_det(lam, seg)
-                            assert full.dominant_part() == det_doms, (N, n, a, tuple(lam))
+                            assert full.dominant_part() == det_doms, (N, n, a, lam)
 
 
 class TestPositivityReport:
@@ -187,7 +185,7 @@ class TestPositivityReport:
 
     def test_surface_report_contents(self):
         report = positivity_report(ModelParams(4, 2), 0)
-        assert [tuple(r.partition) for r in report.records] == [(1,), (2,), (1, 1)]
+        assert [r.partition for r in report.records] == [(1,), (2,), (1, 1)]
         assert all(r["dominant_positive"] is True for r in report.to_json()["records"])
         assert report.threshold == max(r.threshold for r in report.records)
         assert report.threshold > 0
@@ -196,7 +194,7 @@ class TestPositivityReport:
         for N, n, a in ((4, 2, 0), (5, 2, 3), (6, 3, 1)):
             report = positivity_report(ModelParams(N, n), a)
             first = report.records[0]
-            assert tuple(first.partition) == (1,)
+            assert first.partition == (1,)
             assert first.dominant == elementary_symmetric(1, N - n)
 
     def test_thresholds_sound_on_grid(self):
@@ -217,6 +215,15 @@ class TestPositivityReport:
         assert blob["records"][0]["partition"] == [1]
         assert isinstance(blob["D"], str)
 
+    def test_runs_without_the_product_route(self, monkeypatch):
+        # the report reads the closed-form rows and never expands the product in d
+        def product_route(*args):
+            raise AssertionError("positivity_report expanded the Segre product")
+
+        monkeypatch.setattr(chow, "segre_cotangent", product_route)
+        assert positivity_report(ModelParams(8, 4), 1).threshold == 50
+        assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
+
     def test_json_pieces_hold_one_record_each(self):
         report = positivity_report(ModelParams(8, 4), 2)
         head, *middle, tail = report.json_pieces()
@@ -232,8 +239,9 @@ def d_basis_threshold(poly, c):
 
 
 class TestElementaryRoute:
-    # the report runs in Z[E_1..E_n]; the d-basis determinant and threshold are
-    # the second route, for every partition of every frame with n <= c <= 6
+    # the report runs in Z[E_1..E_n] on the closed-form rows; the d-basis
+    # determinant and threshold over the product route are the second route,
+    # for every partition of every frame with n <= c <= 6
     FRAMES = [(n + c, n) for c in range(1, 7) for n in range(1, c + 1)]
 
     @pytest.mark.parametrize("a", [0, 1, 3])
@@ -242,13 +250,13 @@ class TestElementaryRoute:
             p = ModelParams(N, n)
             ring = schur._ElementaryRing(n, p.c)
             in_d = chow.segre_cotangent(p, -a)
-            in_e = [ring.from_multilinear(s) for s in in_d]
+            in_e = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
             for weight in range(1, n + 1):
                 for lam in partitions_of(weight):
-                    conj = lam.conjugate()
+                    conj = conjugate(lam)
                     graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
-                    assert ring.expand(graded_e) == graded_d, (N, n, a, tuple(lam))
-                    assert ring.threshold(graded_e) == d_basis_threshold(graded_d, p.c), (N, n, a, tuple(lam))
+                    assert ring.expand(graded_e) == graded_d, (N, n, a, lam)
+                    assert ring.threshold(graded_e) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
 
     def test_zero_diagonal_has_no_threshold_on_either_route(self):
         # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
@@ -272,14 +280,14 @@ class TestThresholdIsTheShiftSearch:
         for N, n, a in self.SWEEP:
             p = ModelParams(N, n)
             ring = schur._ElementaryRing(n, p.c)
-            twisted = [ring.from_multilinear(s) for s in chow.segre_cotangent(p, -a)]
+            twisted = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
             for record in positivity_report(p, a).records:
                 graded = schur_det(record.conjugate, twisted)
                 if any(sum(m) > 1 for m in graded.terms):
                     continue
                 coeffs = {ring.weight(m): v for m, v in graded.terms.items()}
                 cascade = math.ceil(cascade_threshold(coeffs.items(), p.c, max(coeffs)))
-                assert record.threshold <= cascade, (N, n, a, tuple(record.partition))
+                assert record.threshold <= cascade, (N, n, a, record.partition)
                 linear += 1
                 below += record.threshold < cascade
         assert (linear, below) == (364, 346)

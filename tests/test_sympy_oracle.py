@@ -13,9 +13,9 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.rings import ring  # noqa: E402
 
-from cipos.chow import ModelParams, segre_cotangent  # noqa: E402
+from cipos.chow import ModelParams, segre_cotangent, segre_elementary  # noqa: E402
 from cipos.polyring import MultidegreePoly  # noqa: E402
-from cipos.schur import _ElementaryRing, partitions_of, schur_det  # noqa: E402
+from cipos.schur import _ElementaryRing, conjugate, partitions_of, schur_det  # noqa: E402
 
 
 def rows_in_r(items, c):
@@ -49,22 +49,23 @@ def test_graded_determinants(N, n, a):
     twisted = segre_cotangent(ModelParams(N, n), -a)
     for weight in range(1, n + 1):
         for lam in partitions_of(weight):
-            graded = schur_det(lam.conjugate(), twisted)
-            assert graded.taylor_shift() == composed_shift(graded), tuple(lam)
+            graded = schur_det(conjugate(lam), twisted)
+            assert graded.taylor_shift() == composed_shift(graded), lam
 
 
 @pytest.mark.parametrize("N,n,a", [(8, 4, 2), (10, 5, 3)])
 def test_orbit_rows(N, n, a):
-    # sympy shifts the determinant taken in d; the rows come from the one taken in E
+    # sympy shifts the determinant taken in d over the product route; the rows
+    # come from the one taken in E over the closed-form rows
     ring = _ElementaryRing(n, N - n)
     in_d = segre_cotangent(ModelParams(N, n), -a)
-    in_e = [ring.from_multilinear(s) for s in in_d]
+    in_e = [ring.from_row(row) for row in segre_elementary(ModelParams(N, n), -a)]
     for weight in range(1, n + 1):
         for lam in partitions_of(weight):
-            conj = lam.conjugate()
+            conj = conjugate(lam)
             rows = composed_shift(schur_det(conj, in_d))
             sorted_keys = {j: row for j, row in rows.items() if list(j) == sorted(j, reverse=True)}
-            assert ring.orbit_rows(schur_det(conj, in_e)) == sorted_keys, tuple(lam)
+            assert ring.orbit_rows(schur_det(conj, in_e)) == sorted_keys, lam
 
 
 def test_random_polynomials():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary
 
@@ -154,49 +154,3 @@ def rough_bound_limit(n: int) -> int:
     """Large-codimension limit constant of the rough bound at shifted twist."""
     return 2 ** (n - 1) * n**3 * math.comb(2 * n - 1, n) * math.comb(n, n // 2)
 
-
-class BoundReport(
-    NamedTuple(
-        "BoundReport",
-        [
-            ("N", int),
-            ("n", int),
-            ("a", int),
-            ("coefficients", list[int]),
-            ("gamma", "Fraction | None"),
-            ("method", str),
-            ("certified_from", int),
-        ],
-    )
-):
-    """Closed-form Morse coefficients plus the selected degree threshold.
-
-    Bounds are exact rationals; degrees are integers, so the ceiling is
-    reported alongside and is the value to compare degrees against.
-    ``certified_from`` is the least r >= 1 from which the shift test proves
-    the difference positive on [r, inf)^c.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.coefficients[-1] != 1:
-            raise ArithmeticError("leading elementary coefficient must be 1")
-        return self
-
-    @property
-    def gamma_ceil(self) -> int | None:
-        return None if self.gamma is None else math.ceil(self.gamma)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "a": self.a,
-            "coefficients": [str(v) for v in self.coefficients],
-            "gamma": str(self.gamma) if self.gamma is not None else None,
-            "gamma_ceil": self.gamma_ceil,
-            "certified_from": self.certified_from,
-            "method": self.method,
-        }

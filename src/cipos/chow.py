@@ -121,14 +121,3 @@ def twist_segre(s_seq: Sequence[MultidegreePoly], rank: int, line) -> list[Multi
         for i in range(len(s_seq))
     ]
 
-
-def segre_table_json(params: ModelParams, twist: int, seg: Sequence[MultidegreePoly]) -> dict:
-    """JSON report for the Segre table ``seg`` of the frame at the given twist:
-    {N, n, c, m, classes: [[j, poly-json]]}."""
-    return {
-        "N": params.N,
-        "n": params.n,
-        "c": params.c,
-        "m": twist,
-        "classes": [[j, s.to_json()] for j, s in enumerate(seg)],
-    }

@@ -1,15 +1,18 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
 Each subcommand imports the layers it runs, so a cold process loads only those,
-computes its report, then writes it piece by piece (``_emit``).  Exit codes: 0
-on success, 1 on an internal invariant failure (or a failing selftest), 2 on
-argument or validation errors.
+computes its report, then writes it piece by piece (``_emit``).  Each small
+report (segre, bound, jet, vecfields, selftest) is assembled in its handler,
+its text lines next to its JSON document; ``positivity`` streams its report
+from the renderers in ``schur``.  Exit codes: 0 on success, 1 on an internal
+invariant failure (or a failing selftest), 2 on argument or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -124,11 +127,12 @@ def _cmd_segre(args) -> int:
     params = _params(args.N, args.n)
     seg = chow.segre_cotangent(params, args.twist)
     head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
-    _emit(
-        args,
-        lambda: _document(chow.segre_table_json(params, args.twist, seg)),
-        lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)],
-    )
+
+    def document() -> list[str]:
+        classes = [[j, s.to_json()] for j, s in enumerate(seg)]
+        return _document({"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": classes})
+
+    _emit(args, document, lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)])
     return 0
 
 
@@ -154,7 +158,10 @@ def _cmd_bound(args) -> int:
     if args.method == "dim2" and n != 2:
         raise ValueError("dim2 method requires n = 2")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
+    if coefficients[-1] != 1:
+        raise ArithmeticError("leading elementary coefficient must be 1")
     rows = bounds.elementary_shift_rows(coefficients, params.c)
+    # the least r >= 1 from which the shift test proves the difference positive on [r, inf)^c
     certified_from = bounds.shifted_positivity_threshold(rows)
     if args.method == "dim2":
         gamma = bounds.surface_degree_bound(N, a)
@@ -164,25 +171,34 @@ def _cmd_bound(args) -> int:
         # the scan succeeds by certified_from, so it never needs to look further
         ceiling = certified_from if args.d_max is None else min(args.d_max, certified_from)
         gamma = bounds.first_positive_uniform_degree(rows[0], ceiling)
-    report = bounds.BoundReport(
-        N=N, n=n, a=a, coefficients=coefficients, gamma=gamma, method=args.method, certified_from=certified_from
-    )
+    # the explicit bounds are exact rationals; integer degrees compare with the ceiling
+    gamma_ceil = None if gamma is None else math.ceil(gamma)
     # "integer degrees >= r" only where the shift test proves it (an upward-closed set)
     if gamma is None:
         threshold_line = "threshold = none"
-    elif report.gamma_ceil >= report.certified_from:
-        threshold_line = f"threshold = {gamma} (integer degrees >= {report.gamma_ceil})"
+    elif gamma_ceil >= certified_from:
+        threshold_line = f"threshold = {gamma} (integer degrees >= {gamma_ceil})"
     elif args.method == "scan":
         threshold_line = f"threshold = {gamma} (first positive uniform degree; larger degrees not certified)"
     else:
-        threshold_line = f"threshold = {gamma} (not certified: positivity from degree {report.gamma_ceil} on is unproven)"
+        threshold_line = f"threshold = {gamma} (not certified: positivity from degree {gamma_ceil} on is unproven)"
+    payload = {
+        "N": N,
+        "n": n,
+        "a": a,
+        "coefficients": [str(v) for v in coefficients],
+        "gamma": None if gamma is None else str(gamma),
+        "gamma_ceil": gamma_ceil,
+        "certified_from": certified_from,
+        "method": args.method,
+    }
     text = [
         f"Degree bound, N={N} n={n} a={a} method={args.method}",
         "difference coefficients (elementary symmetric basis, ascending): "
         + ", ".join(str(v) for v in coefficients),
         threshold_line,
     ]
-    _emit(args, lambda: _document(report.to_json()), lambda: text)
+    _emit(args, lambda: _document(payload), lambda: text)
     return 0
 
 
@@ -190,20 +206,43 @@ def _cmd_jet(args) -> int:
     from . import jets
 
     params = _params(args.N, args.n, args.a)
-    degrees = tuple(_int_list(args.degrees, "--degrees")) if args.degrees is not None else None
-    cert = jets.morse_certificate(params, args.a, degrees)
+    degrees = None
+    if args.degrees is not None:
+        degrees = tuple(_int_list(args.degrees, "--degrees"))
+        if len(degrees) != params.c:
+            raise ValueError(f"need {params.c} degrees, got {len(degrees)}")
+        if min(degrees) < 1:
+            raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
+    cert = jets.morse_certificate(params, args.a)
+    value = None if degrees is None else cert.difference.eval(degrees)
 
-    def text() -> str:
+    def text() -> list[str]:
         lines = [
             f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
             f"difference = {cert.difference.text()}",
         ]
         if degrees is not None:
-            verdict = "positive (big twist certified)" if cert.positive else "not positive"
-            lines.append(f"value at {degrees} = {cert.value} -> {verdict}")
+            verdict = "positive (big twist certified)" if value > 0 else "not positive"
+            lines.append(f"value at {degrees} = {value} -> {verdict}")
         return lines
 
-    _emit(args, lambda: _document(cert.to_json()), text)
+    def document() -> list[str]:
+        return _document(
+            {
+                "N": params.N,
+                "n": params.n,
+                "c": params.c,
+                "kappa": params.kappa,
+                "a": args.a,
+                "m": cert.m,
+                "difference": cert.difference.to_json(),
+                "evaluated_at": None if degrees is None else list(degrees),
+                "value": None if value is None else str(value),
+                "positive": None if value is None else value > 0,
+            }
+        )
+
+    _emit(args, document, text)
     return 0
 
 

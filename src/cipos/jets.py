@@ -18,7 +18,7 @@ import math
 import operator
 import warnings
 from functools import cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from . import chow
 from .chow import ModelParams
@@ -211,48 +211,23 @@ def nef_tower_class(params: ModelParams, k: int) -> JetClass:
 
 
 class MorseCertificate(NamedTuple):
-    """Outcome of the bigness test: exact difference polynomial and, when a
-    degree vector was supplied, its value and sign there."""
+    """Outcome of the bigness test: the total h-weight m of the nef sum and the
+    exact difference polynomial in the degrees."""
 
-    params: ModelParams
-    a: int
     m: int
     difference: MultidegreePoly
-    evaluated_at: tuple[int, ...] | None = None
-    value: int | None = None
-    positive: bool | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.params.N,
-            "n": self.params.n,
-            "c": self.params.c,
-            "kappa": self.params.kappa,
-            "a": self.a,
-            "m": self.m,
-            "difference": self.difference.to_json(),
-            "evaluated_at": list(self.evaluated_at) if self.evaluated_at is not None else None,
-            "value": str(self.value) if self.value is not None else None,
-            "positive": self.positive,
-        }
 
 
-def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None = None) -> MorseCertificate:
+def morse_certificate(params: ModelParams, a: int) -> MorseCertificate:
     """Exact Morse-inequality test for bigness of the twisted tower bundle.
 
     With S the sum of the nef tower classes up to level kappa and m = 3^kappa - 1
-    its total h-weight, the certificate is the h^n coefficient of the reduction
-    of S^top - top * S^(top-1) * (m + a) h; a positive value at a degree vector
-    certifies bigness of the twist by -a there.
+    its total h-weight, the difference is the h^n coefficient of the reduction
+    of S^top - top * S^(top-1) * (m + a) h, a polynomial in the degrees; a
+    positive value at a degree vector certifies bigness of the twist by -a there.
     """
     if a < 0:
         raise ValueError("twist a must be >= 0")
-    if degrees is not None:
-        degrees = tuple(degrees)
-        if len(degrees) != params.c:
-            raise ValueError(f"need {params.c} degrees, got {len(degrees)}")
-        if min(degrees) < 1:
-            raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
     kappa = params.kappa
     top = params.tower_dim(kappa)
     m = 3**kappa - 1
@@ -260,9 +235,4 @@ def morse_certificate(params: ModelParams, a: int, degrees: Sequence[int] | None
     total = JetClass.zero(params, kappa).add_all(nef_classes)
     # reduce_to_base is linear, so one reduction covers both terms
     tail = total - JetClass.hyperplane(params, kappa) * (top * (m + a))
-    difference = reduce_to_base(total ** (top - 1) * tail)
-    if degrees is None:
-        return MorseCertificate(params, a, m, difference)
-    value = difference.eval(degrees)
-    return MorseCertificate(params, a, m, difference, degrees, value, value > 0)
-
+    return MorseCertificate(m, reduce_to_base(total ** (top - 1) * tail))

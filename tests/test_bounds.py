@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cipos.bounds import (
-    BoundReport,
     elementary_shift_rows,
     first_positive_uniform_degree,
     morse_closed_form,
@@ -310,11 +309,13 @@ class TestClosedFormPolynomial:
                 assert poly.eval(point) > 0
 
 
-def test_bound_report_leading_invariant():
-    report = BoundReport(
-        N=4, n=2, a=4, coefficients=[15, -17, 1], gamma=Fraction(34), method="dim2", certified_from=34
-    )
-    blob = report.to_json()
-    assert blob["coefficients"] == ["15", "-17", "1"]
-    with pytest.raises(ArithmeticError):
-        BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method="scan", certified_from=1)
+def test_bound_report_leading_invariant(capsys, monkeypatch):
+    # the Morse difference is monic in e_n; bound refuses to report one that is not
+    argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == ["15", "-17", "1"]
+    monkeypatch.setattr(bounds, "morse_coeff", lambda N, n, a, j: [15, -17, 2][j])
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant failed: leading elementary coefficient must be 1\n"

@@ -1,14 +1,15 @@
+import json
 import math
 import random
 
 import pytest
 
+from cipos import cli
 from cipos.chow import (
     ModelParams,
     integrate,
     segre_cotangent,
     segre_elementary,
-    segre_table_json,
     twist_segre,
 )
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse, series_product
@@ -254,10 +255,11 @@ class TestDegreeLemmas:
                     assert (value.total_degree() == N) == (max(lam) <= c)
 
 
-def test_segre_table_json_roundtrip():
+def test_segre_table_json_roundtrip(capsys):
     p = ModelParams(4, 2)
     seg = segre_cotangent(p, -1)
-    table = segre_table_json(p, -1, seg)
+    assert cli.main(["segre", "--N", "4", "--n", "2", "--twist", "-1", "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)
     assert table["N"] == 4 and table["m"] == -1
     assert [j for j, _ in table["classes"]] == list(range(p.n + 1))
     for j, poly_json in table["classes"]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cipos import bounds, cli, polyring, schur
+from cipos import bounds, cli, jets, polyring, schur
 from cipos.bounds import morse_closed_form, morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
@@ -304,7 +304,7 @@ class TestJet:
             capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "33,33", "--format", "json"]
         )
         blob = json.loads(out)
-        assert blob["value"] == "-18" and blob["positive"] is False
+        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == ([33, 33], "-18", False)
 
     def test_symbolic_mode(self, capsys):
         code, out, _ = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4"])
@@ -316,9 +316,26 @@ class TestJet:
         blob = json.loads(out)
         assert blob["difference"] == morse_closed_form(5, 2, 0).to_json()
 
+    def test_json_schema(self, capsys):
+        code, out, _ = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34,34", "--format", "json"])
+        blob = json.loads(out)
+        assert set(blob) == {
+            "N", "n", "c", "kappa", "a", "m", "difference", "evaluated_at", "value", "positive",
+        }
+        assert blob["m"] == 2 and blob["value"] == "15" and blob["positive"] is True
+        assert blob["difference"] == morse_closed_form(4, 2, 4).to_json()
+
     def test_wrong_degree_count(self, capsys):
-        code, _, err = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34"])
-        assert code == 2
+        code, out, err = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34"])
+        assert (code, out, err) == (2, "", "error: need 2 degrees, got 1\n")
+
+    def test_degrees_checked_before_the_tower_runs(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tower ran before --degrees was checked")
+
+        monkeypatch.setattr(jets, "morse_certificate", refuse)
+        code, out, err = run_rejected(capsys, ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,3,3"])
+        assert (code, out, err) == (2, "", ["error: need 2 degrees, got 3"])
 
 
 class TestVecfields:
@@ -423,8 +440,17 @@ class TestRejectedInput:
                 ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan", "--d-max", "0"],
                 "error: --d-max must be >= 1",
             ),
+            (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,3,3"], "error: need 2 degrees, got 3"),
+            (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "0,3"], "error: degrees must be >= 1, got [0, 3]"),
         ],
-        ids=["selftest-unknown", "selftest-partly-unknown", "vecfields-bad-degrees", "bound-scan-d-max-0"],
+        ids=[
+            "selftest-unknown",
+            "selftest-partly-unknown",
+            "vecfields-bad-degrees",
+            "bound-scan-d-max-0",
+            "jet-degree-count",
+            "jet-degree-0",
+        ],
     )
     def test_unknown_input_named(self, capsys, argv, message):
         code, out, err = run_rejected(capsys, argv)
@@ -482,17 +508,16 @@ class TestRejectedInput:
         assert "unrecognized arguments: --seed 3" in err[-1]
 
     def test_bound_report_invariant_survives_python_O(self):
-        # python -O strips assert statements; the invariant must still raise
+        # python -O strips assert statements; the invariant must still stop the report
         script = (
-            "from cipos.bounds import BoundReport\n"
-            "try:\n"
-            "    BoundReport(N=4, n=2, a=4, coefficients=[15, -17, 2], gamma=None, method='scan', certified_from=1)\n"
-            "except ArithmeticError:\n"
-            "    raise SystemExit(3)\n"
+            "from cipos import bounds, cli\n"
+            "bounds.morse_coeff = lambda N, n, a, j: [15, -17, 2][j]\n"
+            "raise SystemExit(cli.main(['bound', '--N', '4', '--n', '2', '--a', '4']))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
-        assert proc.returncode == 3, proc.stderr
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == ["error: internal invariant failed: leading elementary coefficient must be 1"]
 
 
 class TestSelftest:

@@ -1,13 +1,10 @@
 """The constructors, equality and checks of the report records."""
 
 import functools
-from fractions import Fraction
 
 import pytest
 
-from cipos.bounds import BoundReport
 from cipos.chow import ModelParams, segre_cotangent
-from cipos.jets import morse_certificate
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField
 
 
@@ -59,32 +56,3 @@ class TestVectorField:
         assert VectorField(chart).coefficients == {}
         assert VectorField(chart, {0: one}).coefficients == VectorField(chart, {0: one, 1: one - one}).coefficients
         assert VectorField(chart, {0: one}).coefficients != VectorField(chart, {1: one}).coefficients
-
-
-class TestBoundReport:
-    FIELDS = dict(N=4, n=2, a=4, coefficients=[15, -17, 1], gamma=Fraction(34), method="dim2", certified_from=34)
-
-    def test_keyword_construction(self):
-        report = BoundReport(**self.FIELDS)
-        assert report == BoundReport(*self.FIELDS.values())
-        assert (report.gamma, report.gamma_ceil, report.certified_from) == (Fraction(34), 34, 34)
-        assert report.to_json()["coefficients"] == ["15", "-17", "1"]
-
-    @pytest.mark.parametrize("keywords", [True, False])
-    def test_leading_coefficient_checked(self, keywords):
-        fields = {**self.FIELDS, "coefficients": [15, -17, 2]}
-        with pytest.raises(ArithmeticError, match="leading elementary coefficient must be 1"):
-            BoundReport(**fields) if keywords else BoundReport(*fields.values())
-
-
-class TestMorseCertificate:
-    def test_json_without_degrees(self):
-        blob = morse_certificate(ModelParams(4, 2), 4).to_json()
-        assert (blob["N"], blob["n"], blob["c"], blob["kappa"], blob["a"], blob["m"]) == (4, 2, 2, 1, 4, 2)
-        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == (None, None, None)
-
-    def test_json_with_degrees(self):
-        blob = morse_certificate(ModelParams(4, 2), 4, [33, 33]).to_json()
-        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == ([33, 33], "-18", False)
-        blob = morse_certificate(ModelParams(4, 2), 4, (34, 34)).to_json()
-        assert (blob["evaluated_at"], blob["value"], blob["positive"]) == ([34, 34], "15", True)

@@ -322,6 +322,12 @@ class TestMorseCertificate:
         assert morse_certificate(p, 1).difference == 44 * d**2 - 872 * d - 36 * 4 * d - 300
         assert first_positive_uniform_degree(diagonal(cert.difference), 100) == 21
 
+    def test_degree_vector_length_checked(self):
+        difference = morse_certificate(P42, 4).difference
+        for degrees in ((34,), (34, 34, 34)):
+            with pytest.raises(ValueError):
+                difference.eval(degrees)
+
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError):
             morse_certificate(P42, -1)

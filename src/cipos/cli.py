@@ -1,11 +1,13 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
 Each subcommand imports the layers it runs, so a cold process loads only those,
-computes its report, then writes it piece by piece (``_emit``).  Each small
-report (segre, bound, jet, vecfields, selftest) is assembled in its handler,
-its text lines next to its JSON document; ``positivity`` streams its report
-from the renderers in ``schur``.  Exit codes: 0 on success, 1 on an internal
-invariant failure (or a failing selftest), 2 on argument or validation errors.
+computes its report, then writes it piece by piece (``_emit``).  Every report
+is rendered here, in its handler, its text lines next to its JSON document; the
+layers return data only.  A small report's JSON is one ``json.dumps`` piece;
+``positivity`` streams its document one record per piece, each record joined
+from strings, one per term, to the bytes ``json.dumps`` gives for it.  Exit
+codes: 0 on success, 1 on an internal invariant failure (or a failing
+selftest), 2 on argument or validation errors.
 """
 
 from __future__ import annotations
@@ -106,6 +108,43 @@ def _document(payload: dict) -> list[str]:
     return [json.dumps(payload, indent=2)]
 
 
+def _json_ints(values, pad: str) -> str:
+    """``json.dumps(list(values), indent=2)``, each line after the first
+    indented by ``pad``."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{pad}]"
+
+
+def _json_terms(poly, pad: str) -> str:
+    """``json.dumps(poly.to_json(), indent=2)`` for a ``MultidegreePoly``, each
+    line after the first indented by ``pad``: one string per term, no dict."""
+    if not poly.terms:
+        return "[]"
+    item, field, exp = pad + "  ", pad + "    ", pad + "      "
+    opening = f'{item}{{\n{field}"coeff": "'
+    middle = f'",\n{field}"exps": [\n{exp}'
+    sep = f",\n{exp}"
+    closing = f"\n{field}]\n{item}}}"
+    terms = [f"{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}" for exps, coeff in poly.sorted_terms()]
+    return "[\n" + ",\n".join(terms) + f"\n{pad}]"
+
+
+def _json_record(record, pad: str) -> str:
+    """The JSON object of a ``schur.PartitionRecord`` as ``json.dumps(...,
+    indent=2)`` writes it, each line after the first indented by ``pad``,
+    joined from strings field by field."""
+    field = pad + "  "
+    return (
+        f'{{\n{field}"partition": {_json_ints(record.partition, field)},'
+        f'\n{field}"conjugate": {_json_ints(record.conjugate, field)},'
+        f'\n{field}"dominant": {_json_terms(record.dominant, field)},'
+        f'\n{field}"dominant_positive": true,'
+        f'\n{field}"threshold": "{record.threshold}"\n{pad}}}'
+    )
+
+
 def _params(N: int, n: int, a: int = 0):
     from .chow import ModelParams
 
@@ -139,8 +178,29 @@ def _cmd_segre(args) -> int:
 def _cmd_positivity(args) -> int:
     from . import schur
 
-    report = schur.positivity_report(_params(args.N, args.n), args.a)
-    _emit(args, report.json_pieces, report.text_pieces)
+    params = _params(args.N, args.n)
+    report = schur.positivity_report(params, args.a)
+
+    def document():
+        # the document without its records fixes every other field, in order;
+        # each record is one piece, so the document is never held whole
+        fields = {"N": params.N, "n": params.n, "c": params.c, "a": args.a, "records": [], "D": str(report.threshold)}
+        start, end = json.dumps(fields, indent=2).split(" []")
+        yield start + " ["
+        last = len(report.records) - 1  # a report has the record of (1,) at least
+        for i, record in enumerate(report.records):
+            piece = _json_record(record, "    ")
+            yield f"    {piece}," if i < last else f"    {piece}"
+        yield "  ]" + end
+
+    def text():
+        yield f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"
+        yield f"{'partition':<12} {'threshold':>10}  dominant part"
+        for record in report.records:
+            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {record.dominant.text()}"
+        yield f"sufficient uniform degree D = {report.threshold}"
+
+    _emit(args, document, text)
     return 0
 
 
@@ -333,7 +393,14 @@ def _cmd_selftest(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(args, lambda: _document(payload), lambda: [r.line() for r in results])
+
+    def line(r) -> str:
+        status = "PASS" if r.passed else "FAIL"
+        budget = f" (limit {r.limit:.0f}s)" if r.limit else ""
+        msg = f" - {r.detail}" if r.detail else ""
+        return f"{status} criterion {r.number}: {r.name} [{r.seconds:.2f}s{budget}]{msg}"
+
+    _emit(args, lambda: _document(payload), lambda: [line(r) for r in results])
     return 0 if payload["all_passed"] else 1
 
 

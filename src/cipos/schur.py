@@ -18,17 +18,14 @@ the least integer r that the Taylor-shift test of ``bounds`` certifies, read
 from one shifted row per S_c orbit.  Only the dominant parts are expanded in
 d, for the direct route and the output.
 
-The report renders its text and JSON as pieces of at most one record each,
-which the CLI writes as they come.  A JSON record is joined from strings, one
-per term, to the bytes ``json.dumps`` gives for its ``to_json()``.
+The report is plain data; the CLI renders it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
@@ -117,51 +114,6 @@ class PartitionRecord(NamedTuple):
     dominant: MultidegreePoly
     threshold: int
 
-    def to_json(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "conjugate": list(self.conjugate),
-            "dominant": self.dominant.to_json(),
-            "dominant_positive": True,
-            "threshold": str(self.threshold),
-        }
-
-
-def _json_ints(values: Sequence[int], pad: str) -> str:
-    """``json.dumps(list(values), indent=2)``, each line after the first
-    indented by ``pad``."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{pad}]"
-
-
-def _json_terms(poly: MultidegreePoly, pad: str) -> str:
-    """``json.dumps(poly.to_json(), indent=2)``, each line after the first
-    indented by ``pad``: one string per term, no dict."""
-    if not poly.terms:
-        return "[]"
-    item, field, exp = pad + "  ", pad + "    ", pad + "      "
-    opening = f'{item}{{\n{field}"coeff": "'
-    middle = f'",\n{field}"exps": [\n{exp}'
-    sep = f",\n{exp}"
-    closing = f"\n{field}]\n{item}}}"
-    terms = [f"{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}" for exps, coeff in poly.sorted_terms()]
-    return "[\n" + ",\n".join(terms) + f"\n{pad}]"
-
-
-def _json_record(record: PartitionRecord, pad: str) -> str:
-    """``json.dumps(record.to_json(), indent=2)``, each line after the first
-    indented by ``pad``, joined from strings field by field."""
-    field = pad + "  "
-    return (
-        f'{{\n{field}"partition": {_json_ints(record.partition, field)},'
-        f'\n{field}"conjugate": {_json_ints(record.conjugate, field)},'
-        f'\n{field}"dominant": {_json_terms(record.dominant, field)},'
-        f'\n{field}"dominant_positive": true,'
-        f'\n{field}"threshold": "{record.threshold}"\n{pad}}}'
-    )
-
 
 class SchurReport(NamedTuple):
     """One record per partition of each weight up to the dimension, plus the
@@ -171,38 +123,6 @@ class SchurReport(NamedTuple):
     a: int
     records: list[PartitionRecord]
     threshold: int
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.params.N,
-            "n": self.params.n,
-            "c": self.params.c,
-            "a": self.a,
-            "records": [r.to_json() for r in self.records],
-            "D": str(self.threshold),
-        }
-
-    def json_pieces(self) -> Iterator[str]:
-        """``json.dumps(self.to_json(), indent=2)`` cut at the newlines around
-        each record: joined by newlines, the pieces are that document, and no
-        piece holds two records."""
-        # the document without its records fixes every other field, in order
-        head, tail = json.dumps(self._replace(records=[]).to_json(), indent=2).split(" []")
-        yield head + " ["
-        last = len(self.records) - 1  # a report has the record of (1,) at least
-        for i, record in enumerate(self.records):
-            piece = _json_record(record, "    ")
-            yield f"    {piece}," if i < last else f"    {piece}"
-        yield "  ]" + tail
-
-    def text_pieces(self) -> Iterator[str]:
-        """The text report, one line per piece."""
-        p = self.params
-        yield f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={self.a}"
-        yield f"{'partition':<12} {'threshold':>10}  dominant part"
-        for record in self.records:
-            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {record.dominant.text()}"
-        yield f"sufficient uniform degree D = {self.threshold}"
 
 
 class _ElementaryRing:

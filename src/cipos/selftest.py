@@ -1,8 +1,10 @@
 """Acceptance suite: one callable per criterion, shared by pytest and the CLI.
 
 Each criterion returns (passed, detail) and is timed by the runner; the stated
-wall-clock budgets are recorded so callers can enforce them.  Randomized
-criteria fix their seeds, so reruns are bit-for-bit identical.
+wall-clock budgets are recorded so callers can enforce them.  The runner
+returns each outcome as a ``CriterionResult`` of plain values, which the CLI
+renders.  Randomized criteria fix their seeds, so reruns are bit-for-bit
+identical.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ class CriterionResult(NamedTuple):
     detail: str
     seconds: float
     limit: float | None
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        budget = f" (limit {self.limit:.0f}s)" if self.limit else ""
-        msg = f" - {self.detail}" if self.detail else ""
-        return f"{status} criterion {self.number}: {self.name} [{self.seconds:.2f}s{budget}]{msg}"
 
 
 def _criterion_1() -> tuple[bool, str]:

@@ -15,8 +15,9 @@ from cipos import selftest
 @pytest.mark.parametrize("number", [num for num, *_ in selftest.CRITERIA])
 def test_criterion(number):
     result = selftest.run_criterion(number)
-    print(result.line())
-    assert result.passed, result.line()
+    message = f"criterion {number}: {result.name} [{result.seconds:.2f}s] - {result.detail}"
+    print(message)
+    assert result.passed, message
     if result.limit is not None:
         assert result.seconds < result.limit, (
             f"criterion {number} took {result.seconds:.2f}s, budget {result.limit:.0f}s"

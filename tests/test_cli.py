@@ -16,6 +16,8 @@ from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
+from positivity_reference import record_json, report_json
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,13 +116,31 @@ class TestPositivity:
         # every frame with n <= c and N <= 12, at twists 0, 1 and 3, on stdout and through --out
         for N, n, a in [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 3)]:
             report = schur.positivity_report(ModelParams(N, n), a)
-            expected = {"json": json.dumps(report.to_json(), indent=2) + "\n", "text": whole_text(report)}
+            expected = {"json": json.dumps(report_json(report), indent=2) + "\n", "text": whole_text(report)}
             for fmt, whole in expected.items():
                 argv = ["positivity", "--N", str(N), "--n", str(n), "--a", str(a), "--format", fmt]
                 assert run(capsys, argv) == (0, whole, ""), (N, n, a, fmt)
                 target = tmp_path / f"report.{fmt}"
                 assert run(capsys, [*argv, "--out", str(target)]) == (0, "", ""), (N, n, a, fmt)
                 assert target.read_text(encoding="utf-8") == whole, (N, n, a, fmt)
+
+    def test_json_schema(self, capsys):
+        code, out, _ = run(capsys, ["positivity", "--N", "4", "--n", "2", "--a", "0", "--format", "json"])
+        blob = json.loads(out)
+        assert code == 0
+        assert set(blob) == {"N", "n", "c", "a", "records", "D"}
+        assert blob["records"][0]["partition"] == [1]
+        assert all(r["dominant_positive"] is True for r in blob["records"])
+        assert isinstance(blob["D"], str)
+
+    def test_json_pieces_hold_one_record_each(self, monkeypatch):
+        pieces = []
+        monkeypatch.setattr(cli, "_print_each", lambda each, file=None: pieces.extend(each))
+        assert cli.main(["positivity", "--N", "8", "--n", "4", "--a", "2", "--format", "json"]) == 0
+        report = schur.positivity_report(ModelParams(8, 4), 2)
+        head, *middle, tail = pieces
+        assert [json.loads(piece.rstrip(",")) for piece in middle] == [record_json(r) for r in report.records]
+        assert "\n".join(pieces) == json.dumps(report_json(report), indent=2)
 
     def test_json_output_holds_no_more_than_the_report(self, monkeypatch):
         # the document is written record by record, never held whole: writing

@@ -95,3 +95,8 @@ def test_chow_loads_no_higher_layer():
     loaded = loaded_after("cipos.chow")
     assert "cipos.chow" in loaded
     assert not loaded & {"cipos.jets", "cipos.schur", "cipos.vecfields"}
+
+
+def test_schur_loads_no_json():
+    # the positivity report is plain data; only the CLI renders it
+    assert "json" not in modules_after("import cipos.schur")

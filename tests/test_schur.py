@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -186,7 +185,7 @@ class TestPositivityReport:
     def test_surface_report_contents(self):
         report = positivity_report(ModelParams(4, 2), 0)
         assert [r.partition for r in report.records] == [(1,), (2,), (1, 1)]
-        assert all(r["dominant_positive"] is True for r in report.to_json()["records"])
+        assert all(r.dominant.terms and min(r.dominant.terms.values()) > 0 for r in report.records)
         assert report.threshold == max(r.threshold for r in report.records)
         assert report.threshold > 0
 
@@ -208,13 +207,6 @@ class TestPositivityReport:
                 for point in itertools.product((base, base + 1, base + 5), repeat=p.c):
                     assert poly.eval(point) > 0
 
-    def test_json_schema(self):
-        report = positivity_report(ModelParams(4, 2), 0)
-        blob = report.to_json()
-        assert set(blob) == {"N", "n", "c", "a", "records", "D"}
-        assert blob["records"][0]["partition"] == [1]
-        assert isinstance(blob["D"], str)
-
     def test_runs_without_the_product_route(self, monkeypatch):
         # the report reads the closed-form rows and never expands the product in d
         def product_route(*args):
@@ -223,12 +215,6 @@ class TestPositivityReport:
         monkeypatch.setattr(chow, "segre_cotangent", product_route)
         assert positivity_report(ModelParams(8, 4), 1).threshold == 50
         assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
-
-    def test_json_pieces_hold_one_record_each(self):
-        report = positivity_report(ModelParams(8, 4), 2)
-        head, *middle, tail = report.json_pieces()
-        assert [json.loads(piece.rstrip(",")) for piece in middle] == [r.to_json() for r in report.records]
-        assert "\n".join([head, *middle, tail]) == json.dumps(report.to_json(), indent=2)
 
 
 def d_basis_threshold(poly, c):

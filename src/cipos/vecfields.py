@@ -370,6 +370,39 @@ def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
     return det
 
 
+def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> list[VectorField]:
+    """The fields of one family on the chart, with their free data drawn from ``rng``.
+
+    "tj": the coordinate fields 1..N, which draw nothing; "solved": one field
+    per block, its free slots drawn from -5..5; "talpha": per block, one
+    random slot shift in both conventions; "tlambda": one velocity field.
+    """
+    if family == "tj":
+        return [coordinate_field(chart, j) for j in range(1, chart.N + 1)]
+    if family == "solved":
+        return [
+            solved_coefficient_field(chart, i, {alpha: rng.randint(-5, 5) for alpha in solved_free_slots(chart, i)})
+            for i in range(1, chart.c + 1)
+        ]
+    if family == "talpha":
+        fields = []
+        for i in range(1, chart.c + 1):
+            alpha = rng.choice([a for a in chart.alphas[i - 1] if sum(a) >= 1])
+            ell = [0] * chart.N
+            for _ in range(rng.randint(0, min(chart.N, sum(alpha)))):
+                ell[rng.choice([t for t in range(chart.N) if ell[t] < alpha[t]])] += 1
+            fields += [coefficient_shift_field(chart, i, alpha, ell, convention) for convention in ("single", "spread")]
+        return fields
+    if family == "tlambda":
+        # a diagonal of 4..10 need not dominate off-diagonal rows of up to 3(N-1),
+        # so a singular draw is drawn again
+        while True:
+            matrix = [[rng.randint(-3, 3) + 7 * (j == k) for k in range(chart.N)] for j in range(chart.N)]
+            if _rational_det(matrix):
+                return [velocity_field(chart, matrix)]
+    raise ValueError(f"unknown vector-field family {family!r}")
+
+
 class TangencyReport(NamedTuple):
     """Exact residuals of the field against every defining equation at sampled
     rational points of the universal locus.  ``identically_zero`` records

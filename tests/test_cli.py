@@ -397,6 +397,14 @@ class TestVecfields:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("N,degrees,seed", [("3", "2", "12115"), ("4", "3,2", "6757")])
+    def test_singular_tlambda_seeds_succeed(self, capsys, N, degrees, seed):
+        # these seeds first draw a singular matrix, which is drawn again; a seed
+        # whose first draw is invertible keeps its output (golden vecfields_tlambda_N4_seed5)
+        argv = ["vecfields", "verify", "--N", N, "--degrees", degrees, "--family", "tlambda",
+                "--samples", "1", "--seed", seed]
+        assert run_rejected(capsys, argv)[0::2] == (0, [])
+
     def test_format_before_verify_is_rejected(self, capsys):
         # --format belongs to `verify`; in front of it the flag must be rejected, not ignored
         with pytest.raises(SystemExit) as exc:

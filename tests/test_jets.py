@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,9 @@ from cipos.jets import JetClass, integrate_tower, morse_certificate, nef_tower_c
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
-from tower_reference import base_segre_symbol, pushforward, reduce_reference, tower_segre
+from tower_reference import base_segre_symbol, morse_integrals, pushforward, reduce_reference, tower_segre
+
+TOWER_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "tower.json"
 
 P42 = ModelParams(4, 2)
 
@@ -194,11 +198,33 @@ class TestReduceToBase:
             top = p.tower_dim(kappa)
             total = JetClass.zero(p, kappa).add_all(nef_tower_class(p, i).lift(kappa) for i in range(1, kappa + 1))
             power = total ** (top - 1)
+            integral, h_integral = morse_integrals(p)
             for a in (0, 2):
                 integrand = power * (total - JetClass.hyperplane(p, kappa) * (top * (m + a)))
                 expected = reduce_reference(integrand)
                 assert reduce_to_base(integrand) == expected, (p, a)
                 assert morse_certificate(p, a).difference == expected, (p, a)
+                assert integral - h_integral * (top * (m + a)) == expected, (p, a)
+
+    # the recursion of tower_reference takes no power of a class; the frames
+    # up to N = 7 are checked against it in the test above
+    @pytest.mark.parametrize("N,n", [(8, 5), (8, 6), (10, 7)])
+    def test_morse_recursion_matches_certificates(self, N, n):
+        p = ModelParams(N, n)
+        top, m = p.tower_dim(p.kappa), 3**p.kappa - 1
+        integral, h_integral = morse_integrals(p)
+        for a in (0, 2):
+            assert integral - h_integral * (top * (m + a)) == morse_certificate(p, a).difference, a
+
+    def test_morse_recursion_matches_the_benchmark_reference(self):
+        entries = json.loads(TOWER_REFERENCE.read_text(encoding="utf-8"))
+        assert entries
+        for frame, terms in entries.items():
+            N, n, a = map(int, frame.split(","))
+            p = ModelParams(N, n)
+            integral, h_integral = morse_integrals(p)
+            expected = MultidegreePoly(p.c, {tuple(t["exps"]): int(t["coeff"]) for t in terms})
+            assert integral - h_integral * (p.tower_dim(p.kappa) * (3**p.kappa - 1 + a)) == expected, frame
 
 
 class TestIntegrate:

@@ -16,10 +16,12 @@ from cipos.vecfields import (
     UniversalChart,
     VectorField,
     _monomials_up_to,
+    _rational_det,
     _sample_locus_point,
     coefficient_shift_field,
     coordinate_field,
     defining_equations,
+    family_fields,
     lie_derivative,
     point_tangency_check,
     solved_coefficient_field,
@@ -323,6 +325,29 @@ class TestVelocityFamily:
         chart = UniversalChart(2, [2])
         with pytest.raises(ValueError):
             velocity_field(chart, [[1, 1], [2, 2]])
+
+
+class TestFamilyFields:
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown vector-field family"):
+            family_fields(UniversalChart(2, [2]), "tmu", random.Random(0))
+
+    def test_tj_draws_nothing(self):
+        # criterion 9 draws tj then solved from one generator, so tj must leave it as it was
+        rng = random.Random(3)
+        state = rng.getstate()
+        fields = family_fields(UniversalChart(3, [2, 2]), "tj", rng)
+        assert len(fields) == 3 and rng.getstate() == state
+
+    @pytest.mark.parametrize("N,seed", [(3, 12115), (4, 6757)])
+    def test_singular_tlambda_draw_is_drawn_again(self, N, seed):
+        # off-diagonal rows reach 3(N-1) against a diagonal as low as 4, and
+        # these seeds' first matrix is singular
+        rng = random.Random(seed)
+        first = [[rng.randint(-3, 3) + 7 * (j == k) for k in range(N)] for j in range(N)]
+        assert _rational_det(first) == 0
+        (field,) = family_fields(UniversalChart(N, [2]), "tlambda", random.Random(seed))
+        assert len(field.coefficients) == N
 
 
 class TestPointChecks:

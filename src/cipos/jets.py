@@ -8,7 +8,9 @@ stage of the tower.  One memoized recursion pushes each monomial down to the
 base by pi_*(u^p) = s_{p-(n-1)}, expanding a tower Segre class one level at a
 time through the fiberwise recursion, and so turns any top-degree class into
 an exact multidegree polynomial, its coefficient of h^n.  The
-holomorphic-Morse bigness certificate sits on top of that reduction.
+holomorphic-Morse bigness certificate sits on top of that reduction; its nef
+sum S is built at the top level straight from its weights (:func:`nef_sum`),
+with no per-level class and no lift.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from functools import cache
 from typing import Mapping, NamedTuple
 
@@ -116,20 +117,6 @@ class JetClass(_SparseTerms):
 
     # -- queries ----------------------------------------------------------------
 
-    def lift(self, level: int) -> "JetClass":
-        """Pull the class up the tower by appending zero tautological exponents."""
-        if level < self.level:
-            raise ValueError("cannot lift downwards")
-        if level == self.level:
-            return self
-        pad = (0,) * (level - self.level)
-        # a prefix that fits every stage still fits once zero exponents follow
-        return JetClass.zero(self.params, level)._wrap({key + pad: c for key, c in self.terms.items()})
-
-    def term_degrees(self) -> set[int]:
-        n = self.params.n
-        return {key[0] + sum(map(operator.mul, key, range(n + 1))) + sum(key[n + 1 :]) for key in self.terms}
-
     def __repr__(self):
         return f"JetClass(level={self.level}, {len(self.terms)} terms)"
 
@@ -180,34 +167,18 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     return MultidegreePoly.zero(params.c).add_all(pieces)
 
 
-def integrate_tower(x: JetClass) -> MultidegreePoly:
-    """Integrate a level-k class over the k-th tower stage, exactly.
+def nef_sum(params: ModelParams) -> JetClass:
+    """The nef sum S = sum_i 3^(kappa-i) u_i + (3^kappa - 1) h at level kappa:
+    the sum of the per-level nef classes u_k + 2 u_{k-1} + ... + 2*3^{k-2} u_1
+    + 2*3^{k-1} h, k = 1..kappa.  Its terms come in that sum's order, u_1, h,
+    u_2, ..., u_kappa, so its powers build their dicts in that order too."""
+    kappa = params.kappa
 
-    Terms below the top degree integrate to 0; they are reported through a
-    warning rather than an error so callers see sloppy inputs.
-    """
-    top = x.params.tower_dim(x.level)
-    low = [d for d in x.term_degrees() if d < top]
-    if low:
-        warnings.warn(
-            f"integrating a level-{x.level} class with terms of degree {sorted(low)}"
-            f" below the top degree {top}; they contribute 0",
-            stacklevel=2,
-        )
-    return chow.integrate(reduce_to_base(x))
+    def u(i: int) -> JetClass:
+        return JetClass.tautological(params, kappa, i) * 3 ** (kappa - i)
 
-
-def nef_tower_class(params: ModelParams, k: int) -> JetClass:
-    """Divisor class of the k-th auxiliary nef bundle on the tower.
-
-    Weights: u_k + 2 u_{k-1} + 6 u_{k-2} + ... + 2*3^{k-2} u_1 + 2*3^{k-1} h.
-    """
-    if k < 1:
-        raise ValueError("nef tower classes start at level 1")
-    cls = JetClass.tautological(params, k, k)
-    for i in range(1, k):
-        cls = cls + JetClass.tautological(params, k, i) * (2 * 3 ** (k - 1 - i))
-    return cls + JetClass.hyperplane(params, k) * (2 * 3 ** (k - 1))
+    h = JetClass.hyperplane(params, kappa) * (3**kappa - 1)
+    return JetClass.zero(params, kappa).add_all([u(1), h, *map(u, range(2, kappa + 1))])
 
 
 class MorseCertificate(NamedTuple):
@@ -221,18 +192,18 @@ class MorseCertificate(NamedTuple):
 def morse_certificate(params: ModelParams, a: int) -> MorseCertificate:
     """Exact Morse-inequality test for bigness of the twisted tower bundle.
 
-    With S the sum of the nef tower classes up to level kappa and m = 3^kappa - 1
-    its total h-weight, the difference is the h^n coefficient of the reduction
-    of S^top - top * S^(top-1) * (m + a) h, a polynomial in the degrees; a
-    positive value at a degree vector certifies bigness of the twist by -a there.
+    With S the nef sum (:func:`nef_sum`) and m its h-weight, the difference is
+    the h^n coefficient of the reduction of S^top - top * S^(top-1) * (m + a) h,
+    a polynomial in the degrees; a positive value at a degree vector certifies bigness of the twist by -a there.
     """
     if a < 0:
         raise ValueError("twist a must be >= 0")
     kappa = params.kappa
     top = params.tower_dim(kappa)
-    m = 3**kappa - 1
-    nef_classes = (nef_tower_class(params, i).lift(kappa) for i in range(1, kappa + 1))
-    total = JetClass.zero(params, kappa).add_all(nef_classes)
+    total = nef_sum(params)
+    hyperplane = JetClass.hyperplane(params, kappa)
+    (h_key,) = hyperplane.terms
+    m = total.terms[h_key]
     # reduce_to_base is linear, so one reduction covers both terms
-    tail = total - JetClass.hyperplane(params, kappa) * (top * (m + a))
+    tail = total - hyperplane * (top * (m + a))
     return MorseCertificate(m, reduce_to_base(total ** (top - 1) * tail))

@@ -6,8 +6,8 @@ degrees of the hypersurfaces being intersected, so this ring is the substrate
 for everything else.  Coefficients are arbitrary-precision Python ints (the
 bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
-is reproducible bit for bit.  ``MultidegreePoly.taylor_shift`` expands
-p(r + t) once, symbolically in r, for a diagonal or a threshold in d.
+is reproducible bit for bit.  No polynomial is shifted here: ``bounds`` and
+``schur`` read their rows at d = r + t in the elementary symmetric basis.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
 ``JetClass`` and ``vecfields.ChartPoly``: each element holds a ``ring`` descriptor
@@ -33,7 +33,6 @@ multiplied by :func:`series_product` and inverted by :func:`series_inverse`.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import Iterable, Mapping, Sequence
 
@@ -262,7 +261,7 @@ class MultidegreePoly(_SparseTerms):
     __add__ = _SparseTerms.__add__
     __mul__ = _SparseTerms.__mul__
 
-    # -- evaluation and shifts ----------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, point: Sequence):
         """Exact evaluation: ints stay ints, Fractions stay Fractions."""
@@ -276,31 +275,6 @@ class MultidegreePoly(_SparseTerms):
                     value *= x**e
             total += value
         return total
-
-    def taylor_shift(self) -> dict[tuple[int, ...], list[int]]:
-        """The shift by a symbolic r: poly(r + t_1, ..., r + t_c) = sum_j g_j(r) t^j.
-
-        Returns {j: [g_j(0), coefficient of r, ...]} for every g_j that is not
-        identically zero; each list ends in a nonzero int.  One variable at a
-        time (von zur Gathen and Gerhard, ISSAC 1997): exponent e of d_i
-        becomes t_i^j r^(e-j) with weight C(e, j), j = 0..e, and equal keys
-        merge before the next variable, so shared parts expand once.
-        """
-        # key: t-exponents of the variables done, then d-exponents of the rest;
-        # value: {r-degree: coefficient}.  The j = e part keeps its key and row.
-        table = {exps: {0: coeff} for exps, coeff in self.terms.items()}
-        for i in range(self.num_vars):
-            lower: dict[tuple[int, ...], dict[int, int]] = {}
-            for key, row in table.items():
-                e = key[i]
-                for j in range(e):
-                    weight, rise = math.comb(e, j), e - j
-                    target = lower.setdefault(key[:i] + (j,) + key[i + 1 :], {})
-                    for k, v in row.items():
-                        target[k + rise] = target.get(k + rise, 0) + weight * v
-            for key, row in lower.items():
-                _accumulate(table.setdefault(key, {}), row.items())
-        return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in table.items() if row}
 
     # -- rendering ----------------------------------------------------------
 

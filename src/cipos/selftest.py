@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .jets import JetClass
 from .polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse
 
 
@@ -98,7 +97,10 @@ def _criterion_4() -> tuple[bool, str]:
         return False, f"value at (34,34) is {at34}, expected 15"
     if at33 != -18:
         return False, f"value at (33,33) is {at33}, expected -18"
-    frontier = bounds.first_positive_uniform_degree(cert.difference.taylor_shift()[(0, 0)], 40)
+    diagonal = [0] * (cert.difference.total_degree() + 1)  # at d = (r, r), by powers of r
+    for exps, coeff in cert.difference.terms.items():
+        diagonal[sum(exps)] += coeff
+    frontier = bounds.first_positive_uniform_degree(diagonal, 40)
     if frontier != 34:
         return False, f"scan frontier is {frontier}, expected 34"
     return True, "bound 34, values +15/-18, scan frontier 34"
@@ -130,10 +132,7 @@ def _criterion_6() -> tuple[bool, str]:
     for n, c in ((2, 1), (2, 2), (3, 2)):
         params = ModelParams(n + c, n)
         kappa, b = params.kappa, params.b
-        total = JetClass.zero(params, kappa)
-        for i in range(1, kappa + 1):
-            total = total + jets.nef_tower_class(params, i).lift(kappa)
-        lhs = jets.integrate_tower(total ** params.tower_dim(kappa)).dominant_part()
+        lhs = chow.integrate(jets.reduce_to_base(jets.nef_sum(params) ** params.tower_dim(kappa))).dominant_part()
         seg = chow.segre_cotangent(params, 0)
         rhs = chow.integrate(seg[b] * seg[c] ** (kappa - 1)).dominant_part()
         if lhs != rhs:

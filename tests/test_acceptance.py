@@ -11,6 +11,12 @@ import pytest
 
 from cipos import selftest
 
+# the factors the README quotes under "Known red criterion"
+CRITERION_6_DETAIL = (
+    "(n,c)=(2,1): 44*d1^3 != d1^3; "
+    "(n,c)=(3,2): 2096*d1^3*d2^2 + 2096*d1^2*d2^3 != d1^3*d2^2 + d1^2*d2^3"
+)
+
 
 @pytest.mark.parametrize("number", [num for num, *_ in selftest.CRITERIA])
 def test_criterion(number):
@@ -22,3 +28,9 @@ def test_criterion(number):
         assert result.seconds < result.limit, (
             f"criterion {number} took {result.seconds:.2f}s, budget {result.limit:.0f}s"
         )
+
+
+def test_criterion_6_red_detail():
+    result = selftest.run_criterion(6)
+    assert result.passed is False
+    assert result.detail == CRITERION_6_DETAIL

@@ -20,6 +20,7 @@ from cipos import bounds, cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
 from cascade_reference import cascade_threshold, monic_root_bound
+from shift_reference import taylor_shift
 
 
 def substituted(p, r):
@@ -36,7 +37,7 @@ def substituted(p, r):
 
 def rows_of(p):
     """The rows of p's Taylor table, constant row first."""
-    table = p.taylor_shift()
+    table = taylor_shift(p)
     return [table.pop((0,) * p.num_vars, []), *table.values()]
 
 
@@ -235,7 +236,7 @@ class TestElementaryShiftRows:
                 c = N - n
                 for a in range(6):
                     coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
-                    table = recombine_elementary(enumerate(coefficients), c).taylor_shift()
+                    table = taylor_shift(recombine_elementary(enumerate(coefficients), c))
                     rows = elementary_shift_rows(coefficients, c)
                     squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}
                     assert set(table) == squarefree, (N, n, a)

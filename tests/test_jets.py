@@ -8,11 +8,21 @@ import pytest
 
 from cipos import chow
 from cipos.chow import ModelParams
-from cipos.jets import JetClass, integrate_tower, morse_certificate, nef_tower_class, reduce_to_base, segre_recursion_coeff
+from cipos.jets import JetClass, morse_certificate, nef_sum, reduce_to_base, segre_recursion_coeff
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
-from tower_reference import base_segre_symbol, morse_integrals, pushforward, reduce_reference, tower_segre
+from shift_reference import taylor_shift
+from tower_reference import (
+    base_segre_symbol,
+    integrate_tower,
+    lift,
+    morse_integrals,
+    nef_tower_class,
+    pushforward,
+    reduce_reference,
+    tower_segre,
+)
 
 TOWER_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "tower.json"
 
@@ -21,7 +31,7 @@ P42 = ModelParams(4, 2)
 
 def diagonal(poly):
     """poly at (r, ..., r) by powers of r: the constant row of its Taylor table."""
-    return poly.taylor_shift()[(0,) * poly.num_vars]
+    return taylor_shift(poly)[(0,) * poly.num_vars]
 
 
 def bezout(c):
@@ -196,7 +206,7 @@ class TestReduceToBase:
         for p in frames:
             kappa, m = p.kappa, 3**p.kappa - 1
             top = p.tower_dim(kappa)
-            total = JetClass.zero(p, kappa).add_all(nef_tower_class(p, i).lift(kappa) for i in range(1, kappa + 1))
+            total = JetClass.zero(p, kappa).add_all(lift(nef_tower_class(p, i), kappa) for i in range(1, kappa + 1))
             power = total ** (top - 1)
             integral, h_integral = morse_integrals(p)
             for a in (0, 2):
@@ -263,12 +273,6 @@ class TestIntegrate:
         e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
         assert got == (e2 + e1 - 3) * bezout(2)
 
-    def test_low_degree_terms_warn(self):
-        cls = JetClass.hyperplane(P42, 0)  # degree 1 < n = 2
-        with pytest.warns(UserWarning, match="below the top degree"):
-            value = integrate_tower(cls)
-        assert value.is_zero()
-
     def test_degree_bookkeeping(self):
         # integrals of top-degree classes never exceed total degree N
         rng = random.Random(77)
@@ -313,13 +317,33 @@ class TestNefClasses:
             kappa = p.kappa
             total = JetClass.zero(p, kappa)
             for i in range(1, kappa + 1):
-                total = total + nef_tower_class(p, i).lift(kappa)
+                total = total + lift(nef_tower_class(p, i), kappa)
             h_key = (1,) + (0,) * (p.n + kappa)
             assert total.terms[h_key] == 3**kappa - 1
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
             nef_tower_class(P42, 0)
+
+    def test_nef_sum_is_the_sum_of_the_lifted_classes(self, monkeypatch):
+        frames = [ModelParams(N, n) for N in range(2, 11) for n in range(1, N)]
+        frames = [p for p in frames if 1 <= p.kappa <= 5]
+        assert len(frames) == 41
+        # the certificate reads m off the nef sum before it takes the power, the
+        # slow part (killed at (6,5)); a unit power keeps every frame cheap
+        monkeypatch.setattr(JetClass, "__pow__", lambda x, e: JetClass.unit(x.params, x.level))
+        for p in frames:
+            kappa = p.kappa
+            total = nef_sum(p)
+            lifted = JetClass.zero(p, kappa).add_all(lift(nef_tower_class(p, i), kappa) for i in range(1, kappa + 1))
+            # same terms in the same order, so powers of either build the same dicts
+            assert list(total.terms.items()) == list(lifted.terms.items()), p
+            h_key = (1,) + (0,) * (p.n + kappa)
+            assert total.terms[h_key] == morse_certificate(p, 0).m, p
+            for k in range(1, kappa + 1):
+                u_key = tuple(1 if j == p.n + k else 0 for j in range(1 + p.n + kappa))
+                # the weight of u_k in tower_reference.morse_integrals
+                assert total.terms[u_key] == 3 ** (kappa - k), (p, k)
 
 
 class TestMorseCertificate:
@@ -409,7 +433,7 @@ class TestTowerEstimates:
             def side(level, cpow):
                 cls = tower_segre(p, level, b) * tower_segre(p, level, c) ** cpow
                 for i in range(1, level + 1):
-                    cls = cls * nef_tower_class(p, i).lift(level) ** chat
+                    cls = cls * lift(nef_tower_class(p, i), level) ** chat
                 return integrate_tower(cls)
 
             for k in range(1, kappa):
@@ -426,7 +450,7 @@ class TestTowerEstimates:
             def side(level, cpow):
                 cls = tower_segre(p, level, b) * tower_segre(p, level, c) ** cpow
                 for i in range(1, level + 1):
-                    cls = cls * nef_tower_class(p, i).lift(level) ** chat
+                    cls = cls * lift(nef_tower_class(p, i), level) ** chat
                 return integrate_tower(cls)
 
             for k in range(1, kappa):
@@ -441,7 +465,7 @@ class TestTowerEstimates:
             bhat, chat = b + n - 1, c + n - 1
             mono = nef_tower_class(p, kappa) ** bhat
             for i in range(1, kappa):
-                mono = mono * nef_tower_class(p, i).lift(kappa) ** chat
+                mono = mono * lift(nef_tower_class(p, i), kappa) ** chat
             lhs = integrate_tower(mono).dominant_part()
             seg = chow.segre_cotangent(p, 0)
             rhs = chow.integrate(seg[b] * seg[c] ** (kappa - 1)).dominant_part()
@@ -449,7 +473,7 @@ class TestTowerEstimates:
 
             total = JetClass.zero(p, kappa)
             for i in range(1, kappa + 1):
-                total = total + nef_tower_class(p, i).lift(kappa)
+                total = total + lift(nef_tower_class(p, i), kappa)
             full = integrate_tower(total ** p.tower_dim(kappa)).dominant_part()
             gap = full - rhs
             assert gap.is_zero() or all(v > 0 for v in gap.terms.values())

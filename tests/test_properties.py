@@ -23,6 +23,7 @@ from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
 from cipos.vecfields import ChartPoly, UniversalChart  # noqa: E402
 
 from positivity_reference import record_json  # noqa: E402
+from shift_reference import taylor_shift  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -83,7 +84,7 @@ def test_jet_ring_laws_under_truncation(triple):
 
 def shift_at(p, a):
     """p(a + t_1, ..., a + t_c): the Taylor shift table evaluated at r = a."""
-    return MultidegreePoly(p.num_vars, {j: sum(x * a**k for k, x in enumerate(g)) for j, g in p.taylor_shift().items()})
+    return MultidegreePoly(p.num_vars, {j: sum(x * a**k for k, x in enumerate(g)) for j, g in taylor_shift(p).items()})
 
 
 def substituted(p, a):

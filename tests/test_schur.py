@@ -10,6 +10,7 @@ from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from cascade_reference import cascade_threshold
+from shift_reference import taylor_shift
 
 
 class TestPartition:
@@ -220,7 +221,7 @@ class TestPositivityReport:
 def d_basis_threshold(poly, c):
     """The threshold read from the class expanded in d: one search over every
     row of its Taylor table, with no orbit rows."""
-    table = poly.taylor_shift()
+    table = taylor_shift(poly)
     return bounds.shifted_positivity_threshold([table.pop((0,) * c, []), *table.values()])
 
 

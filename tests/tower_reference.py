@@ -7,6 +7,11 @@ class of index p - (n-1) one level down.  ``reduce_reference`` iterates that
 to the base and substitutes the base Segre symbols, independently of
 ``jets.reduce_to_base``.
 
+``nef_tower_class`` builds the per-level nef classes and ``lift`` pulls a
+class up the tower; summed at the top level they are the nef sum that
+``jets.nef_sum`` writes by its weights.  ``integrate_tower`` integrates a
+top-degree class through ``jets.reduce_to_base``.
+
 ``morse_integrals`` is a route that takes no power of a class and uses nothing
 of ``cipos.jets``: it integrates the powers of the nef sum by a memoized
 recursion down the tower, with the fiberwise coefficients derived afresh from
@@ -20,8 +25,35 @@ from functools import cache
 
 from cipos import chow
 from cipos.chow import ModelParams
-from cipos.jets import JetClass, TermKey, segre_recursion_coeff
+from cipos.jets import JetClass, TermKey, reduce_to_base, segre_recursion_coeff
 from cipos.polyring import MultidegreePoly
+
+
+def lift(x: JetClass, level: int) -> JetClass:
+    """Pull a class up the tower by appending zero tautological exponents."""
+    if level < x.level:
+        raise ValueError("cannot lift downwards")
+    pad = (0,) * (level - x.level)
+    return JetClass(x.params, level, {key + pad: c for key, c in x.terms.items()})
+
+
+def nef_tower_class(params: ModelParams, k: int) -> JetClass:
+    """Divisor class of the k-th auxiliary nef bundle on the tower.
+
+    Weights: u_k + 2 u_{k-1} + 6 u_{k-2} + ... + 2*3^{k-2} u_1 + 2*3^{k-1} h.
+    """
+    if k < 1:
+        raise ValueError("nef tower classes start at level 1")
+    cls = JetClass.tautological(params, k, k)
+    for i in range(1, k):
+        cls = cls + JetClass.tautological(params, k, i) * (2 * 3 ** (k - 1 - i))
+    return cls + JetClass.hyperplane(params, k) * (2 * 3 ** (k - 1))
+
+
+def integrate_tower(x: JetClass) -> MultidegreePoly:
+    """Integrate a level-k class over the k-th tower stage, exactly; terms
+    below the top degree integrate to 0."""
+    return chow.integrate(reduce_to_base(x))
 
 
 def base_segre_symbol(params: ModelParams, level: int, i: int) -> JetClass:
@@ -50,7 +82,7 @@ def tower_segre(params: ModelParams, level: int, index: int) -> JetClass:
     u_top = JetClass.tautological(params, level, level)
     coeffs = ((j, segre_recursion_coeff(params.n, index, j)) for j in range(index + 1))
     return JetClass.zero(params, level).add_all(
-        tower_segre(params, level - 1, j).lift(level) * u_top ** (index - j) * coeff for j, coeff in coeffs if coeff
+        lift(tower_segre(params, level - 1, j), level) * u_top ** (index - j) * coeff for j, coeff in coeffs if coeff
     )
 
 

@@ -111,10 +111,7 @@ def _document(payload: dict) -> list[str]:
 def _json_ints(values, pad: str) -> str:
     """``json.dumps(list(values), indent=2)``, each line after the first
     indented by ``pad``."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{pad}]"
+    return json.dumps(list(values), indent=2).replace("\n", "\n" + pad)
 
 
 def _json_terms(poly, pad: str) -> str:
@@ -312,9 +309,9 @@ def _cmd_vecfields(args) -> int:
     from . import vecfields
 
     degrees = _int_list(args.degrees, "--degrees")
-    chart = vecfields.UniversalChart(args.N, degrees)
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    chart = vecfields.UniversalChart(args.N, degrees)
     fields = vecfields.family_fields(chart, args.family, random.Random(args.seed))
 
     reports = [
@@ -322,7 +319,7 @@ def _cmd_vecfields(args) -> int:
         for index, field in enumerate(fields)
     ]
     identical: bool | None = None
-    if args.family in ("tj", "solved"):
+    if args.family in vecfields.TANGENT_FAMILIES:
         identical = all(report.identically_zero for report in reports)
     residuals = [
         f"field {index}: {entry}" for index, report in enumerate(reports) for entry in report.nonzero_residuals

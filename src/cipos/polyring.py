@@ -360,18 +360,8 @@ def series_inverse(c_seq: Sequence, order: int):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-
-    def c_at(i):
-        return c_seq[i - 1] if 0 < i <= len(c_seq) else None
-
-    out: list = []
+    # sigma_k = (-1)^k s_k, the coefficients of 1 / (1 + c_1 t + c_2 t^2 + ...)
+    sigma: list = [1]
     for k in range(1, order + 1):
-        acc = 0
-        for j in range(k):
-            ck = c_at(k - j)
-            if ck is None:
-                continue
-            term = ck if j == 0 else ck * out[j - 1]
-            acc = acc + term if j % 2 == 0 else acc - term
-        out.append(acc if k % 2 == 1 else -acc)
-    return out
+        sigma.append(-sum((c_seq[k - j - 1] * sigma[j] for j in range(max(0, k - len(c_seq)), k)), 0))
+    return [-s if k % 2 else s for k, s in enumerate(sigma)][1:]

@@ -15,8 +15,9 @@ of E_1..E_n: the Segre classes enter as the rows of elementary coefficients
 that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies, read
-from one shifted row per S_c orbit.  Only the dominant parts are expanded in
-d, for the direct route and the output.
+from one shifted row per S_c orbit; E_k(r + t) is read from the shift rows of
+``bounds`` for e_k.  Only the dominant parts are expanded in d, for the direct
+route and the output.
 
 The report is plain data; the CLI renders it.
 """
@@ -24,7 +25,6 @@ The report is plain data; the CLI renders it.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple, Sequence
 
 from . import bounds, chow
@@ -139,10 +139,11 @@ class _ElementaryRing:
     def __init__(self, n: int, c: int):
         self.n, self.c = n, c
         zero = (0,) * n
-        # E_k(r + t) = sum_i C(c - i, k - i) r^(k - i) E_i(t), the rule of bounds.elementary_shift_rows
+        # E_k(r + t) from the shift rows of the class e_k: row i holds the
+        # coefficient of E_i(t), by powers p of r
         shift = [
-            MultidegreePoly(n + 1, {self.key(i) + (k - i,): math.comb(c - i, k - i) for i in range(k + 1)})
-            for k in range(1, n + 1)
+            MultidegreePoly(n + 1, {self.key(i) + (p,): v for i, row in enumerate(rows) for p, v in enumerate(row)})
+            for rows in (bounds.elementary_shift_rows([0] * k + [1], c) for k in range(1, n + 1))
         ]
         # (memo of monomial images, image of E_1..E_n) per map
         self._in_d = ({zero: MultidegreePoly.one(c)}, [elementary_symmetric(k, c) for k in range(1, n + 1)])

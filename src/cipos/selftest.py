@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse
+from .polyring import MultidegreePoly, recombine_elementary, series_inverse
 
 
 class CriterionResult(NamedTuple):
@@ -226,9 +226,7 @@ def _criterion_8() -> tuple[bool, str]:
         for i in range(k):
             table[i] = rng.randint(-40, 40)
         r = bounds.shifted_positivity_threshold(bounds.elementary_shift_rows([table[i] for i in range(k + 1)], c))
-        poly = MultidegreePoly.zero(c)
-        for j, a in table.items():
-            poly = poly + elementary_symmetric(j, c) * a
+        poly = recombine_elementary(table.items(), c)
         if not grid_positive(poly, c, r):
             return False, f"shift threshold unsound for c={c} coeffs={table}"
         instances += 1
@@ -258,7 +256,7 @@ def _criterion_9() -> tuple[bool, str]:
         for c in (1, 2):
             for degrees in degree_sets[c]:
                 chart = vecfields.UniversalChart(N, degrees)
-                for family in ("tj", "solved"):
+                for family in vecfields.TANGENT_FAMILIES:
                     for field in vecfields.family_fields(chart, family, rng):
                         if family == "tj" and field.a_pole_order != 1:
                             return False, f"coordinate field a-order != 1 at N={N} d={degrees}"

@@ -4,8 +4,9 @@ The chart carries coordinates z_1..z_N on the ambient space, velocity
 coordinates z'_1..z'_N, and one coefficient variable per monomial of each
 defining equation.  Fields are verified tangent either identically (exact
 polynomial vanishing of their action on the defining equations, possible for
-the solved-coefficient and coordinate families) or by exact evaluation at
-random rational points of the locus.
+the ``TANGENT_FAMILIES``: coordinate fields and solved-coefficient fields on
+the slots of ``solved_free_slots``) or by exact evaluation at random rational
+points of the locus.
 """
 
 from __future__ import annotations
@@ -157,10 +158,9 @@ class UniversalChart:
     @functools.cached_property
     def equations(self) -> tuple[tuple[ChartPoly, ...], tuple[ChartPoly, ...]]:
         """:func:`defining_equations` of this chart, built on first use and
-        shared, as tuples, by every field checked on the chart, so each
-        equation builds its per-variable derivative index once."""
-        eqs, deqs = defining_equations(self)
-        return tuple(eqs), tuple(deqs)
+        shared by every field checked on the chart, so each equation builds
+        its per-variable derivative index once."""
+        return defining_equations(self)
 
     def z_degree(self, poly: ChartPoly) -> int:
         return max((sum(e for i, e in key if i < self.N) for key in poly.terms), default=0)
@@ -174,9 +174,9 @@ def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
     return {chart.z_index(j + 1): e for j, e in enumerate(alpha) if e}
 
 
-def defining_equations(chart: UniversalChart) -> tuple[list[ChartPoly], list[ChartPoly]]:
-    """The equation of each hypersurface block and its derivative pairing with
-    the velocities; both are linear in the block's coefficient variables."""
+def defining_equations(chart: UniversalChart) -> tuple[tuple[ChartPoly, ...], tuple[ChartPoly, ...]]:
+    """Two tuples: each hypersurface block's equation and its derivative pairing
+    with the velocities, both linear in the block's coefficient variables."""
     zero = ChartPoly(chart.num_vars)
     eqs, deqs = [], []
     for i in range(1, chart.c + 1):
@@ -191,7 +191,7 @@ def defining_equations(chart: UniversalChart) -> tuple[list[ChartPoly], list[Cha
                     fp_terms.append(chart.monomial({a_var: 1, chart.zp_index(k + 1): 1, **lowered}, e))
         eqs.append(zero.add_all(f_terms))
         deqs.append(zero.add_all(fp_terms))
-    return eqs, deqs
+    return tuple(eqs), tuple(deqs)
 
 
 class VectorField:
@@ -230,6 +230,8 @@ def _pinned_slots(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def solved_free_slots(chart: UniversalChart, i: int) -> list[tuple[int, ...]]:
     """Every free slot that :func:`solved_coefficient_field` accepts for block i:
     exponent weight at most min(N, d_i), the two pinned slots left out."""
+    if not 1 <= i <= chart.c:
+        raise ValueError(f"block index {i} outside 1..{chart.c}")
     cutoff = min(chart.N, chart.degrees[i - 1])
     pinned = _pinned_slots(chart.N)
     return [alpha for alpha in chart.alphas[i - 1] if sum(alpha) <= cutoff and alpha not in pinned]
@@ -240,29 +242,19 @@ def solved_coefficient_field(
 ) -> VectorField:
     """Coefficient-direction field with the two lowest coefficients solved.
 
-    Free data assigns integers to the coefficient slots of block i with
-    exponent weight at most min(N, d_i), excluding the constant and the first
-    linear slot, which are pinned by the two tangency equations.  The field is
-    the completion of the constant field V = sum value * d/da_alpha: with
-    r0 = V(f_i) and r1 = V(f'_i) taken on the chart's equations, it is
-    z'_1 * V - r1 * d/da_e1 + (z_1 * r1 - z'_1 * r0) * d/da_0, so tangency holds
-    as an exact polynomial identity and the z-degree of every coefficient is
-    at most N.
+    Free data assigns integers to slots of :func:`solved_free_slots`; the
+    constant and the first linear slot are pinned by the two tangency
+    equations.  The field is the completion of the constant field
+    V = sum value * d/da_alpha: with r0 = V(f_i) and r1 = V(f'_i) taken on the
+    chart's equations, it is z'_1 * V - r1 * d/da_e1 + (z_1 * r1 - z'_1 * r0) *
+    d/da_0, so tangency holds as an exact polynomial identity and the z-degree
+    of every coefficient is at most N.
     """
-    N = chart.N
-    if not 1 <= i <= chart.c:
-        raise ValueError(f"block index {i} outside 1..{chart.c}")
-    d_i = chart.degrees[i - 1]
-    zero_alpha, e1 = _pinned_slots(N)
+    free = set(solved_free_slots(chart, i))
     for alpha in free_data:
-        alpha = tuple(alpha)
-        if sum(alpha) > N:
-            raise ValueError(f"free slot {alpha} has weight > {N}; family only covers that range")
-        if sum(alpha) > d_i:
-            raise ValueError(f"free slot {alpha} exceeds the block degree {d_i}")
-        if alpha in (zero_alpha, e1):
-            raise ValueError(f"slot {alpha} is pinned by the tangency system, not free")
-
+        if tuple(alpha) not in free:
+            raise ValueError(f"slot {tuple(alpha)} of block {i} is not free: weight above min(N, d_i), or pinned")
+    zero_alpha, e1 = _pinned_slots(chart.N)
     constant = VectorField(chart, {chart.a_index(i, alpha): chart.monomial({}, v) for alpha, v in free_data.items()})
     eqs, deqs = chart.equations
     r0, r1 = lie_derivative(constant, eqs[i - 1]), lie_derivative(constant, deqs[i - 1])
@@ -368,6 +360,10 @@ def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
                 factor = m[r][col] * inv
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+#: The families of :func:`family_fields` tangent by construction; the rest assert no tangency.
+TANGENT_FAMILIES = ("tj", "solved")
 
 
 def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> list[VectorField]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cipos import bounds, cli, jets, polyring, schur
+from cipos import bounds, cli, jets, polyring, schur, vecfields
 from cipos.bounds import morse_closed_form, morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
@@ -482,6 +482,16 @@ class TestRejectedInput:
     def test_unknown_input_named(self, capsys, argv, message):
         code, out, err = run_rejected(capsys, argv)
         assert (code, out, err) == (2, "", [message])
+
+    def test_samples_checked_before_the_chart(self, capsys, monkeypatch):
+        # the chart of N=30, degree 6 enumerates 1.9 million coefficient slots
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chart is built before --samples is checked")
+
+        monkeypatch.setattr(vecfields, "UniversalChart", refuse)
+        argv = ["vecfields", "verify", "--N", "30", "--degrees", "6", "--family", "tj", "--samples", "0"]
+        code, out, err = run_rejected(capsys, argv)
+        assert (code, out, err) == (2, "", ["error: --samples must be >= 1"])
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

@@ -9,6 +9,7 @@ from cipos.polyring import (
     elementary_symmetric,
     recombine_elementary,
     series_inverse,
+    series_product,
 )
 
 from shift_reference import taylor_shift
@@ -189,17 +190,50 @@ class TestSeriesInverse:
     def test_zero_sequence(self):
         assert series_inverse([0, 0, 0], 3) == [0, 0, 0]
 
+    # c-sequences shorter than the order, as long, longer, and empty: entries
+    # beyond the list are zero, and those beyond the order do not count
+    LENGTHS = [(3, 6), (6, 6), (9, 6), (0, 6), (0, 0), (4, 0)]
+    POLY_LENGTHS = [(2, 4), (4, 4), (6, 4), (0, 4)]
+
+    @staticmethod
+    def padded(cs, order):
+        return (list(cs) + [0] * order)[:order]
+
+    @staticmethod
+    def alternating(ss):
+        """1 - s_1 t + s_2 t^2 - ..., as its coefficient list."""
+        return [1] + [-s if k % 2 else s for k, s in enumerate(ss, 1)]
+
     def test_involution_random(self):
         rng = random.Random(11)
-        for _ in range(50):
-            cs = [rng.randint(-9, 9) for _ in range(6)]
-            assert series_inverse(series_inverse(cs, 6), 6) == cs
+        for length, order in self.LENGTHS:
+            for _ in range(50):
+                cs = [rng.randint(-9, 9) for _ in range(length)]
+                assert series_inverse(series_inverse(cs, order), order) == self.padded(cs, order)
 
     def test_involution_over_polynomials(self):
         rng = random.Random(19)
-        for _ in range(10):
-            cs = [random_poly(rng, 2, max_deg=1, max_terms=3) for _ in range(4)]
-            assert series_inverse(series_inverse(cs, 4), 4) == cs
+        for length, order in self.POLY_LENGTHS:
+            for _ in range(10):
+                cs = [random_poly(rng, 2, max_deg=1, max_terms=3) for _ in range(length)]
+                assert series_inverse(series_inverse(cs, order), order) == self.padded(cs, order)
+
+    def test_defining_identity_over_ints(self):
+        rng = random.Random(23)
+        for length, order in self.LENGTHS:
+            for _ in range(50):
+                cs = [rng.randint(-9, 9) for _ in range(length)]
+                ss = series_inverse(cs, order)
+                assert len(ss) == order
+                assert series_product([1, *cs], self.alternating(ss), order) == [1] + [0] * order
+
+    def test_defining_identity_over_polynomials(self):
+        rng = random.Random(29)
+        for length, order in self.POLY_LENGTHS:
+            for _ in range(10):
+                cs = [random_poly(rng, 2, max_deg=1, max_terms=3) for _ in range(length)]
+                ss = series_inverse(cs, order)
+                assert series_product([1, *cs], self.alternating(ss), order) == [1] + [0] * order
 
 
 class TestRendering:

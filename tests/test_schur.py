@@ -256,6 +256,20 @@ class TestElementaryRoute:
                 route()
 
 
+class TestShiftTable:
+    def test_elementary_shift_is_the_binomial_rule(self):
+        # E_k(r + t) = sum_i C(c - i, k - i) r^(k - i) E_i(t), keyed by the
+        # exponents of E_1(t)..E_n(t) and then the power of r
+        for c in range(1, 9):
+            for n in range(1, c + 1):
+                table = schur._ElementaryRing(n, c)._shifted[1]
+                assert len(table) == n
+                for k in range(1, n + 1):
+                    e_key = [tuple(int(j == i) for j in range(1, n + 1)) for i in range(k + 1)]
+                    terms = {e_key[i] + (k - i,): math.comb(c - i, k - i) for i in range(k + 1)}
+                    assert table[k - 1] == MultidegreePoly(n + 1, terms), (n, c, k)
+
+
 class TestThresholdIsTheShiftSearch:
     # every threshold is the least r the shift test certifies, for every class
     SWEEP = [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 2, 5)]

@@ -249,6 +249,15 @@ class TestSolvedFamily:
             solved_coefficient_field(chart, 1, {(2, 1): 1})
         with pytest.raises(ValueError, match="pinned"):
             solved_coefficient_field(chart, 1, {(0, 0): 1})
+        # a slot of the wrong length is no slot of the block
+        with pytest.raises(ValueError, match="not free"):
+            solved_coefficient_field(chart, 1, {(1, 0, 0): 1})
+        # a block index outside 1..c is refused, never read from the end of the list
+        for i in (0, chart.c + 1):
+            with pytest.raises(ValueError, match="block index"):
+                solved_free_slots(chart, i)
+            with pytest.raises(ValueError, match="block index"):
+                solved_coefficient_field(chart, i, {})
 
 
 class TestCoordinateFamily:

@@ -2,12 +2,13 @@
 
 Each subcommand imports the layers it runs, so a cold process loads only those,
 computes its report, then writes it piece by piece (``_emit``).  Every report
-is rendered here, in its handler, its text lines next to its JSON document; the
-layers return data only.  A small report's JSON is one ``json.dumps`` piece;
-``positivity`` streams its document one record per piece, each record joined
-from strings, one per term, to the bytes ``json.dumps`` gives for it.  Exit
-codes: 0 on success, 1 on an internal invariant failure (or a failing
-selftest), 2 on argument or validation errors.
+is rendered here, in its handler, its text lines next to its JSON payload; the
+layers return data only.  One renderer, ``_json``, writes every payload as the
+bytes ``json.dumps(payload, indent=2)`` gives, each polynomial's terms joined
+from strings by ``_json_terms``; a small report is one piece, and
+``positivity`` streams its document one record per piece.  Exit codes: 0 on
+success, 1 on an internal invariant failure (or a failing selftest), 2 on
+argument or validation errors.
 """
 
 from __future__ import annotations
@@ -103,20 +104,29 @@ def _print_each(pieces, file=None) -> None:
         print(piece, file=file)
 
 
-def _document(payload: dict) -> list[str]:
-    """The JSON pieces of a small report: one piece, its whole document."""
-    return [json.dumps(payload, indent=2)]
-
-
-def _json_ints(values, pad: str) -> str:
-    """``json.dumps(list(values), indent=2)``, each line after the first
-    indented by ``pad``."""
-    return json.dumps(list(values), indent=2).replace("\n", "\n" + pad)
+def _json(value, pad: str = "") -> str:
+    """The bytes ``json.dumps(value, indent=2)`` gives for nested dicts, lists,
+    tuples and scalars, each line after the first indented by ``pad``; each
+    ``MultidegreePoly`` in ``value`` is written by ``_json_terms``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        opening, items, closing = "{", [f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items()], "}"
+    elif isinstance(value, (list, tuple)):
+        opening, items, closing = "[", [_json(item, inner) for item in value], "]"
+    elif isinstance(value, (str, int, float)) or value is None:
+        return json.dumps(value)
+    else:
+        return _json_terms(value, pad)  # the one other value a payload holds; no layer is imported here
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
 
 
 def _json_terms(poly, pad: str) -> str:
-    """``json.dumps(poly.to_json(), indent=2)`` for a ``MultidegreePoly``, each
-    line after the first indented by ``pad``: one string per term, no dict."""
+    """The bytes ``json.dumps(..., indent=2)`` gives for the terms of a
+    ``MultidegreePoly`` in graded-lex order, each ``{"coeff": str, "exps":
+    [int, ...]}``, each line after the first indented by ``pad``: joined from
+    one string per term, no dict."""
     if not poly.terms:
         return "[]"
     item, field, exp = pad + "  ", pad + "    ", pad + "      "
@@ -126,20 +136,6 @@ def _json_terms(poly, pad: str) -> str:
     closing = f"\n{field}]\n{item}}}"
     terms = [f"{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}" for exps, coeff in poly.sorted_terms()]
     return "[\n" + ",\n".join(terms) + f"\n{pad}]"
-
-
-def _json_record(record, pad: str) -> str:
-    """The JSON object of a ``schur.PartitionRecord`` as ``json.dumps(...,
-    indent=2)`` writes it, each line after the first indented by ``pad``,
-    joined from strings field by field."""
-    field = pad + "  "
-    return (
-        f'{{\n{field}"partition": {_json_ints(record.partition, field)},'
-        f'\n{field}"conjugate": {_json_ints(record.conjugate, field)},'
-        f'\n{field}"dominant": {_json_terms(record.dominant, field)},'
-        f'\n{field}"dominant_positive": true,'
-        f'\n{field}"threshold": "{record.threshold}"\n{pad}}}'
-    )
 
 
 def _params(N: int, n: int, a: int = 0):
@@ -163,12 +159,10 @@ def _cmd_segre(args) -> int:
     params = _params(args.N, args.n)
     seg = chow.segre_cotangent(params, args.twist)
     head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
-
-    def document() -> list[str]:
-        classes = [[j, s.to_json()] for j, s in enumerate(seg)]
-        return _document({"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": classes})
-
-    _emit(args, document, lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)])
+    payload = {"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": list(enumerate(seg))}
+    _emit(
+        args, lambda: [_json(payload)], lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
+    )
     return 0
 
 
@@ -182,11 +176,12 @@ def _cmd_positivity(args) -> int:
         # the document without its records fixes every other field, in order;
         # each record is one piece, so the document is never held whole
         fields = {"N": params.N, "n": params.n, "c": params.c, "a": args.a, "records": [], "D": str(report.threshold)}
-        start, end = json.dumps(fields, indent=2).split(" []")
+        start, end = _json(fields).split(" []")
         yield start + " ["
         last = len(report.records) - 1  # a report has the record of (1,) at least
-        for i, record in enumerate(report.records):
-            piece = _json_record(record, "    ")
+        for i, (partition, conjugate, dominant, threshold) in enumerate(report.records):
+            record = {"partition": partition, "conjugate": conjugate, "dominant": dominant, "dominant_positive": True}
+            piece = _json({**record, "threshold": str(threshold)}, "    ")
             yield f"    {piece}," if i < last else f"    {piece}"
         yield "  ]" + end
 
@@ -255,7 +250,7 @@ def _cmd_bound(args) -> int:
         + ", ".join(str(v) for v in coefficients),
         threshold_line,
     ]
-    _emit(args, lambda: _document(payload), lambda: text)
+    _emit(args, lambda: [_json(payload)], lambda: text)
     return 0
 
 
@@ -283,23 +278,19 @@ def _cmd_jet(args) -> int:
             lines.append(f"value at {degrees} = {value} -> {verdict}")
         return lines
 
-    def document() -> list[str]:
-        return _document(
-            {
-                "N": params.N,
-                "n": params.n,
-                "c": params.c,
-                "kappa": params.kappa,
-                "a": args.a,
-                "m": cert.m,
-                "difference": cert.difference.to_json(),
-                "evaluated_at": None if degrees is None else list(degrees),
-                "value": None if value is None else str(value),
-                "positive": None if value is None else value > 0,
-            }
-        )
-
-    _emit(args, document, text)
+    payload = {
+        "N": params.N,
+        "n": params.n,
+        "c": params.c,
+        "kappa": params.kappa,
+        "a": args.a,
+        "m": cert.m,
+        "difference": cert.difference,
+        "evaluated_at": degrees,
+        "value": None if value is None else str(value),
+        "positive": None if value is None else value > 0,
+    }
+    _emit(args, lambda: [_json(payload)], text)
     return 0
 
 
@@ -342,7 +333,7 @@ def _cmd_vecfields(args) -> int:
         f"nonzero residuals over {args.samples} samples per field: {len(residuals)}",
         f"pole orders: z <= {payload['pole_orders']['z']}, a <= {payload['pole_orders']['a']}",
     ]
-    _emit(args, lambda: _document(payload), lambda: text)
+    _emit(args, lambda: [_json(payload)], lambda: text)
     return 1 if identical is False else 0
 
 
@@ -372,7 +363,7 @@ def _cmd_selftest(args) -> int:
         msg = f" - {r.detail}" if r.detail else ""
         return f"{status} criterion {r.number}: {r.name} [{r.seconds:.2f}s{budget}]{msg}"
 
-    _emit(args, lambda: _document(payload), lambda: [line(r) for r in results])
+    _emit(args, lambda: [_json(payload)], lambda: [line(r) for r in results])
     return 0 if payload["all_passed"] else 1
 
 

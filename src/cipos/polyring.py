@@ -307,9 +307,9 @@ class MultidegreePoly(_SparseTerms):
         return f"MultidegreePoly({self.num_vars}, {self.text()!r})"
 
     def to_json(self) -> list[dict]:
-        return [
-            {"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.sorted_terms()
-        ]
+        """The terms in graded-lex order as ``{"coeff": str, "exps": list}`` dicts
+        (read by ``perfbench/make_reference.py``; ``cipos.cli`` writes JSON)."""
+        return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.sorted_terms()]
 
 
 def elementary_symmetric(i: int, c: int) -> MultidegreePoly:

@@ -1,9 +1,18 @@
-"""The positivity report as the dict that ``json.dumps(..., indent=2)`` renders:
-the reference for the bytes ``cipos positivity --format json`` streams.
+"""Reference dicts for the JSON reports: what ``json.dumps(..., indent=2)``
+renders from them is the bytes the CLI must write.
 
-The CLI joins each record from strings instead of running the encoder; these
-dicts spell out the schema it must match, field by field and in order.
+``cipos.cli`` renders every payload through one function, ``_json``, and joins
+each polynomial's terms from strings (``_json_terms``) instead of building a
+dict per term; these dicts spell out the schema it must match, field by field
+and in order: a polynomial's term list, and the ``positivity`` report with its
+records.
 """
+
+
+def terms_json(poly) -> list[dict]:
+    """The JSON term list of a ``MultidegreePoly``: graded-lex order, each
+    coefficient a string."""
+    return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in poly.sorted_terms()]
 
 
 def record_json(record) -> dict:
@@ -11,7 +20,7 @@ def record_json(record) -> dict:
     return {
         "partition": list(record.partition),
         "conjugate": list(record.conjugate),
-        "dominant": record.dominant.to_json(),
+        "dominant": terms_json(record.dominant),
         "dominant_positive": True,
         "threshold": str(record.threshold),
     }

@@ -14,6 +14,8 @@ from cipos.chow import (
 )
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse, series_product
 
+from positivity_reference import terms_json
+
 
 class TestModelParams:
     def test_frame(self):
@@ -263,4 +265,4 @@ def test_segre_table_json_roundtrip(capsys):
     assert table["N"] == 4 and table["m"] == -1
     assert [j for j, _ in table["classes"]] == list(range(p.n + 1))
     for j, poly_json in table["classes"]:
-        assert poly_json == seg[j].to_json()
+        assert poly_json == terms_json(seg[j])

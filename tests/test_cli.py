@@ -16,7 +16,7 @@ from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
-from positivity_reference import record_json, report_json
+from positivity_reference import record_json, report_json, terms_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -84,7 +84,17 @@ class TestSegre:
         from cipos.chow import ModelParams, segre_cotangent
 
         expected = segre_cotangent(ModelParams(4, 2), 0)[2]
-        assert poly == expected.to_json()
+        assert poly == terms_json(expected)
+
+    @pytest.mark.parametrize("N, n, twist", [(7, 3, -2), (10, 4, -3)])
+    def test_json_is_the_whole_document(self, capsys, N, n, twist):
+        from cipos.chow import segre_cotangent
+
+        params = ModelParams(N, n)
+        classes = [[j, terms_json(s)] for j, s in enumerate(segre_cotangent(params, twist))]
+        reference = {"N": N, "n": n, "c": params.c, "m": twist, "classes": classes}
+        argv = ["segre", "--N", str(N), "--n", str(n), "--twist", str(twist), "--format", "json"]
+        assert run(capsys, argv) == (0, json.dumps(reference, indent=2) + "\n", "")
 
 
 class TestPositivity:
@@ -333,7 +343,7 @@ class TestJet:
     def test_json_difference_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, ["jet", "--N", "5", "--n", "2", "--a", "0", "--format", "json"])
         blob = json.loads(out)
-        assert blob["difference"] == morse_closed_form(5, 2, 0).to_json()
+        assert blob["difference"] == terms_json(morse_closed_form(5, 2, 0))
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34,34", "--format", "json"])
@@ -342,7 +352,29 @@ class TestJet:
             "N", "n", "c", "kappa", "a", "m", "difference", "evaluated_at", "value", "positive",
         }
         assert blob["m"] == 2 and blob["value"] == "15" and blob["positive"] is True
-        assert blob["difference"] == morse_closed_form(4, 2, 4).to_json()
+        assert blob["difference"] == terms_json(morse_closed_form(4, 2, 4))
+
+    @pytest.mark.parametrize("N, n, a, degrees", [(5, 2, 0, None), (4, 2, 4, (34, 34)), (9, 6, 2, None)])
+    def test_json_is_the_whole_document(self, capsys, N, n, a, degrees):
+        params = ModelParams(N, n)
+        difference = morse_certificate(params, a).difference
+        value = None if degrees is None else difference.eval(degrees)
+        reference = {
+            "N": N,
+            "n": n,
+            "c": params.c,
+            "kappa": params.kappa,
+            "a": a,
+            "m": 3**params.kappa - 1,
+            "difference": terms_json(difference),
+            "evaluated_at": None if degrees is None else list(degrees),
+            "value": None if value is None else str(value),
+            "positive": None if value is None else value > 0,
+        }
+        argv = ["jet", "--N", str(N), "--n", str(n), "--a", str(a), "--format", "json"]
+        if degrees is not None:
+            argv += ["--degrees", ",".join(map(str, degrees))]
+        assert run(capsys, argv) == (0, json.dumps(reference, indent=2) + "\n", "")
 
     def test_wrong_degree_count(self, capsys):
         code, out, err = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34"])

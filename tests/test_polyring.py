@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from cipos import cli
 from cipos.polyring import (
     NEG_INFINITY,
     MultidegreePoly,
@@ -12,6 +14,7 @@ from cipos.polyring import (
     series_product,
 )
 
+from positivity_reference import terms_json
 from shift_reference import taylor_shift
 
 
@@ -252,12 +255,14 @@ class TestRendering:
         rng = random.Random(31)
         for _ in range(20):
             p = random_poly(rng, 3)
-            # the JSON terms rebuild the coefficient dict exactly
-            assert {tuple(item["exps"]): int(item["coeff"]) for item in p.to_json()} == p.terms
+            # the rendered terms are the reference list and rebuild the coefficient dict exactly
+            blob = json.loads(cli._json(p))
+            assert blob == terms_json(p)
+            assert {tuple(item["exps"]): int(item["coeff"]) for item in blob} == p.terms
 
     def test_json_coeffs_are_strings(self):
         p = dvar(0) * 10**30
-        blob = p.to_json()
+        blob = json.loads(cli._json(p))
         assert blob[0]["coeff"] == str(10**30)
 
 

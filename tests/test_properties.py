@@ -2,10 +2,10 @@
 truncated jet classes, the Taylor shift against substitution and under
 composition, associativity of truncated series products, evaluation as a ring
 homomorphism that leaves the polynomial unchanged, graded-lex term order and
-the hand-rendered JSON of positivity records against ``json.dumps``, and
-chart polynomials on pair keys against their dense images, with the product
-rule for their derivatives.  Skipped when hypothesis is not installed; the
-runtime itself needs no dependency."""
+the hand-rendered JSON of nested payloads holding polynomials against
+``json.dumps``, and chart polynomials on pair keys against their dense images,
+with the product rule for their derivatives.  Skipped when hypothesis is not
+installed; the runtime itself needs no dependency."""
 
 import json
 from fractions import Fraction
@@ -16,13 +16,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from cipos import cli, schur  # noqa: E402
+from cipos import cli  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
 from cipos.vecfields import ChartPoly, UniversalChart  # noqa: E402
 
-from positivity_reference import record_json  # noqa: E402
+from positivity_reference import terms_json  # noqa: E402
 from shift_reference import taylor_shift  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
@@ -202,23 +202,56 @@ def wide_polys(c):
     return st.dictionaries(keys, wide_coefficients, max_size=8).map(lambda terms: MultidegreePoly(c, terms))
 
 
-def records():
-    parts = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
-    dominant = st.integers(1, 6).flatmap(wide_polys)
-    return st.builds(lambda lam, p, r: schur.PartitionRecord(lam, schur.conjugate(lam), p, r), parts, dominant,
-                     st.integers(0, 2**70))
+# the scalars a payload holds: wide ints, bools, None, timing floats, and
+# strings that need escaping
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    wide_coefficients,
+    st.sampled_from([0.1, 1e-07, 2.5e-05, 1e22, -0.0, float("inf"), float("nan")]),
+    st.floats(0, 1000).map(lambda seconds: round(seconds, 3)),
+    st.floats(),
+    st.sampled_from(['say "no"', "back\\slash", "tab\tnew\nline", "naïve ∂ 𝔽", "\x00\x1f\u2028"]),
+    st.text(max_size=8),
+)
+json_keys = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "é", "coeff"]))
+
+
+def json_values():
+    leaves = st.one_of(json_scalars, st.integers(1, 6).flatmap(wide_polys))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(json_keys, inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+def json_reference(value):
+    """``value`` with every polynomial replaced by its reference term list,
+    once its terms are checked to come in graded-lex order."""
+    if isinstance(value, dict):
+        return {key: json_reference(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_reference(item) for item in value]
+    if isinstance(value, MultidegreePoly):
+        assert value.sorted_terms() == sorted(value.terms.items(), key=lambda item: grlex_key(item[0]))
+        return terms_json(value)
+    return value
 
 
 @PROPERTY
-@given(records())
-@example(schur.PartitionRecord((1,), (1,), MultidegreePoly.zero(3), 0))
-def test_rendered_record_is_json_dumps(record):
-    # records sit two levels deep in the report, their terms three
-    p = record.dominant
-    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda item: grlex_key(item[0]))
-    pad = "      "
-    assert cli._json_terms(p, pad) == json.dumps(p.to_json(), indent=2).replace("\n", "\n" + pad)
-    assert cli._json_record(record, "    ") == json.dumps(record_json(record), indent=2).replace("\n", "\n    ")
+@given(json_values(), st.text(" ", max_size=8))
+@example({}, "")
+@example([], "")
+@example([[]], "")
+@example({"partition": (1,), "conjugate": (1,), "dominant": MultidegreePoly.zero(3), "dominant_positive": True,
+          "threshold": "0"}, "    ")
+def test_rendered_json_is_json_dumps(value, pad):
+    assert cli._json(value, pad) == json.dumps(json_reference(value), indent=2).replace("\n", "\n" + pad)
 
 
 # charts of 26 to 262 variables

@@ -1,14 +1,15 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
-Each subcommand imports the layers it runs, so a cold process loads only those,
-computes its report, then writes it piece by piece (``_emit``).  Every report
-is rendered here, in its handler, its text lines next to its JSON payload; the
-layers return data only.  One renderer, ``_json``, writes every payload as the
-bytes ``json.dumps(payload, indent=2)`` gives, each polynomial's terms joined
-from strings by ``_json_terms``; a small report is one piece, and
-``positivity`` streams its document one record per piece.  Exit codes: 0 on
-success, 1 on an internal invariant failure (or a failing selftest), 2 on
-argument or validation errors.
+Each option that subcommands share is declared once, in a parent parser of
+``build_parser``.  Each subcommand imports the layers it runs, so a cold
+process loads only those, computes its report, then writes it piece by piece
+(``_emit``).  Every report is rendered here, in its handler, its text lines
+next to its JSON payload; the layers return data only.  One renderer,
+``_json``, writes every payload as the bytes ``json.dumps(payload, indent=2)``
+gives, each polynomial's terms joined from strings by ``_json_terms``; a small
+report is one piece, and ``positivity`` streams its document one record per
+piece.  Exit codes: 0 on success, 1 on an internal invariant failure (or a
+failing selftest), 2 on argument or validation errors.
 """
 
 from __future__ import annotations
@@ -28,42 +29,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _parent() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cipos",
         description="Exact positivity certificates for complete intersections in projective space.",
     )
-    common = _parent()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+    frame = argparse.ArgumentParser(add_help=False, parents=[common])
+    frame.add_argument("--N", type=int, required=True)
+    frame.add_argument("--n", type=int, required=True)
+    twisted = argparse.ArgumentParser(add_help=False, parents=[frame])
+    twisted.add_argument("--a", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("segre", parents=[common], help="Segre classes of the twisted cotangent bundle")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("segre", parents=[frame], help="Segre classes of the twisted cotangent bundle")
     p.add_argument("--twist", type=int, default=0)
 
-    p = sub.add_parser("positivity", parents=[common], help="Schur-determinant positivity report")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    sub.add_parser("positivity", parents=[twisted], help="Schur-determinant positivity report")
 
-    p = sub.add_parser("bound", parents=[common], help="effective degree threshold")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p = sub.add_parser("bound", parents=[twisted], help="effective degree threshold")
     p.add_argument("--method", choices=("rough", "dim2", "scan"), default="rough")
     p.add_argument("--d-max", type=int, default=None, help="scan ceiling (scan method only)")
 
-    p = sub.add_parser("jet", parents=[common], help="Morse bigness certificate on the jet tower")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p = sub.add_parser("jet", parents=[twisted], help="Morse bigness certificate on the jet tower")
     p.add_argument("--degrees", type=str, default=None, help="comma-separated degree vector")
 
     p = sub.add_parser("vecfields", help="tangent vector fields on the universal chart")

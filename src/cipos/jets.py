@@ -9,8 +9,7 @@ base by pi_*(u^p) = s_{p-(n-1)}, expanding a tower Segre class one level at a
 time through the fiberwise recursion, and so turns any top-degree class into
 an exact multidegree polynomial, its coefficient of h^n.  The
 holomorphic-Morse bigness certificate sits on top of that reduction; its nef
-sum S is built at the top level straight from its weights (:func:`nef_sum`),
-with no per-level class and no lift.
+sum S is built at the top level straight from its weights (:func:`nef_sum`).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class JetClass(_SparseTerms):
     exponents of h, of the base Segre symbols and of the tautological
     divisors; s_0 = 1 has no slot) to nonzero integer coefficients.  Terms
     whose degree overflows any stage of the tower are identically zero and
-    never stored.
+    never stored.  ``JetClass(params, level)`` is zero; add an int for a constant.
     """
 
     __slots__ = ()
@@ -68,14 +67,6 @@ class JetClass(_SparseTerms):
     level = property(lambda self: self.ring[1])
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, params: ModelParams, level: int) -> "JetClass":
-        return cls(params, level)
-
-    @classmethod
-    def unit(cls, params: ModelParams, level: int) -> "JetClass":
-        return cls.zero(params, level)._constant(1)
 
     @classmethod
     def _generator(cls, params: ModelParams, level: int, slot: int) -> "JetClass":
@@ -178,7 +169,7 @@ def nef_sum(params: ModelParams) -> JetClass:
         return JetClass.tautological(params, kappa, i) * 3 ** (kappa - i)
 
     h = JetClass.hyperplane(params, kappa) * (3**kappa - 1)
-    return JetClass.zero(params, kappa).add_all([u(1), h, *map(u, range(2, kappa + 1))])
+    return u(1).add_all([h, *map(u, range(2, kappa + 1))])
 
 
 class MorseCertificate(NamedTuple):

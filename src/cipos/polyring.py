@@ -6,8 +6,7 @@ degrees of the hypersurfaces being intersected, so this ring is the substrate
 for everything else.  Coefficients are arbitrary-precision Python ints (the
 bound computations involve factorial-scale binomials), terms are kept in a
 canonical sparse form, and rendering uses a fixed graded-lex order so output
-is reproducible bit for bit.  No polynomial is shifted here: ``bounds`` and
-``schur`` read their rows at d = r + t in the elementary symmetric basis.
+is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
 ``JetClass`` and ``vecfields.ChartPoly``: each element holds a ``ring`` descriptor
@@ -162,14 +161,14 @@ class _SparseTerms:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result, base = self._constant(1), self
+        result, base = None, self
         while exponent:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             exponent >>= 1
             if exponent:
                 base = base * base
-        return result
+        return self._constant(1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

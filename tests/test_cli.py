@@ -501,6 +501,10 @@ class TestRejectedInput:
             ),
             (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,3,3"], "error: need 2 degrees, got 3"),
             (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "0,3"], "error: degrees must be >= 1, got [0, 3]"),
+            # one missing option per shared group of options: --N and --n, then --a
+            (["segre", "--N", "4"], "error: the following arguments are required: --n"),
+            (["positivity", "--N", "4", "--n", "2"], "error: the following arguments are required: --a"),
+            (["jet", "--N", "4", "--n", "2"], "error: the following arguments are required: --a"),
         ],
         ids=[
             "selftest-unknown",
@@ -509,6 +513,9 @@ class TestRejectedInput:
             "bound-scan-d-max-0",
             "jet-degree-count",
             "jet-degree-0",
+            "segre-missing-n",
+            "positivity-missing-a",
+            "jet-missing-a",
         ],
     )
     def test_unknown_input_named(self, capsys, argv, message):

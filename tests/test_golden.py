@@ -1,5 +1,6 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
-carries timings) and fourteen frames the README misses, in text and JSON.
+carries timings) and fourteen frames the README misses, in text and JSON, and
+the ``--help`` text of every parser at a width of 80 columns.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -63,6 +64,18 @@ COMMANDS = {
     ],
 }
 
+# --help has no JSON form; argparse wraps it at the width COLUMNS gives
+HELP = {
+    "help_cipos": ["--help"],
+    "help_segre": ["segre", "--help"],
+    "help_positivity": ["positivity", "--help"],
+    "help_bound": ["bound", "--help"],
+    "help_jet": ["jet", "--help"],
+    "help_vecfields": ["vecfields", "--help"],
+    "help_vecfields_verify": ["vecfields", "verify", "--help"],
+    "help_selftest": ["selftest", "--help"],
+}
+
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]
 
 
@@ -79,6 +92,15 @@ def test_matches_golden(capsys, name, fmt):
     code = cli.main(argv_for(name, fmt))
     assert code == 0
     assert capsys.readouterr().out == golden_path(name, fmt).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", HELP)
+def test_help_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(HELP[name])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_stdlib_only_runtime():
@@ -99,6 +121,7 @@ def test_stdlib_only_runtime():
 if __name__ == "__main__":
     import contextlib
     import io
+    import os
 
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt in CASES:
@@ -106,3 +129,9 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(buffer):
             cli.main(argv_for(name, fmt))
         golden_path(name, fmt).write_text(buffer.getvalue(), encoding="utf-8")
+    os.environ["COLUMNS"] = "80"
+    for name, argv in HELP.items():
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer), contextlib.suppress(SystemExit):
+            cli.main(argv)
+        (GOLDEN / f"{name}.txt").write_text(buffer.getvalue(), encoding="utf-8")

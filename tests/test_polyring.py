@@ -5,9 +5,12 @@ import random
 import pytest
 
 from cipos import cli
+from cipos.chow import ModelParams
+from cipos.jets import nef_sum
 from cipos.polyring import (
     NEG_INFINITY,
     MultidegreePoly,
+    _SparseTerms,
     elementary_symmetric,
     recombine_elementary,
     series_inverse,
@@ -94,6 +97,27 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultidegreePoly(2, {(-1, 0): 1})
         assert MultidegreePoly(2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+
+    # a four-term polynomial, and a jet class at level 3 whose powers above 9 are truncated to 0
+    POWER_BASES = [random_poly(random.Random(6), 2, max_deg=2, max_terms=4), nef_sum(ModelParams(4, 3))]
+
+    @pytest.mark.parametrize("base", POWER_BASES, ids=["poly", "jet"])
+    def test_power_is_the_repeated_product(self, base):
+        product = base * 0 + 1
+        for k in range(21):
+            assert base**k == product, k
+            product = product * base
+
+    @pytest.mark.parametrize("base", POWER_BASES, ids=["poly", "jet"])
+    def test_power_takes_no_product_by_the_unit(self, monkeypatch, base):
+        # one squaring per bit below the top one, one product per set bit after the first
+        products = []
+        product = _SparseTerms._product
+        monkeypatch.setattr(_SparseTerms, "_product", lambda x, y: products.append(1) or product(x, y))
+        for k in range(21):
+            products.clear()
+            base**k
+            assert len(products) == max(k.bit_length() + k.bit_count() - 2, 0), k
 
 
 class TestDegree:

@@ -59,9 +59,9 @@ def integrate_tower(x: JetClass) -> MultidegreePoly:
 def base_segre_symbol(params: ModelParams, level: int, i: int) -> JetClass:
     """The formal base Segre symbol of index i (zero beyond the dimension)."""
     if i < 0 or i > params.n:
-        return JetClass.zero(params, level)
+        return JetClass(params, level)
     if i == 0:
-        return JetClass.unit(params, level)
+        return JetClass(params, level) + 1
     return JetClass._generator(params, level, i)
 
 
@@ -74,14 +74,14 @@ def tower_segre(params: ModelParams, level: int, index: int) -> JetClass:
     symbols.  Negative index gives 0, index 0 gives 1.
     """
     if index < 0:
-        return JetClass.zero(params, level)
+        return JetClass(params, level)
     if index == 0:
-        return JetClass.unit(params, level)
+        return JetClass(params, level) + 1
     if level == 0:
         return base_segre_symbol(params, 0, index)
     u_top = JetClass.tautological(params, level, level)
     coeffs = ((j, segre_recursion_coeff(params.n, index, j)) for j in range(index + 1))
-    return JetClass.zero(params, level).add_all(
+    return JetClass(params, level).add_all(
         lift(tower_segre(params, level - 1, j), level) * u_top ** (index - j) * coeff for j, coeff in coeffs if coeff
     )
 
@@ -96,7 +96,7 @@ def pushforward(x: JetClass) -> JetClass:
     buckets: dict[int, dict[TermKey, int]] = {}
     for key, coeff in x.terms.items():
         buckets.setdefault(key[-1], {})[key[:-1]] = coeff
-    below = JetClass.zero(params, level - 1)
+    below = JetClass(params, level - 1)
     return below.add_all(
         JetClass(params, level - 1, rest) * tower_segre(params, level - 1, p - shift)
         for p, rest in buckets.items()

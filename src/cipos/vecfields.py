@@ -2,11 +2,13 @@
 
 The chart carries coordinates z_1..z_N on the ambient space, velocity
 coordinates z'_1..z'_N, and one coefficient variable per monomial of each
-defining equation.  Fields are verified tangent either identically (exact
-polynomial vanishing of their action on the defining equations, possible for
-the ``TANGENT_FAMILIES``: coordinate fields and solved-coefficient fields on
-the slots of ``solved_free_slots``) or by exact evaluation at random rational
-points of the locus.
+defining equation.  Every field acts by one pass of :func:`lie_derivative` over
+a polynomial's terms, and each equation's derivative f'_i is the action on f_i
+of the velocity field sum_k z'_k * d/dz_k.  Fields are verified tangent either
+identically (exact polynomial vanishing of their action on the defining
+equations, possible for the ``TANGENT_FAMILIES``: coordinate fields and
+solved-coefficient fields on the slots of ``solved_free_slots``) or by exact
+evaluation at random rational points of the locus.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import random
 from typing import Mapping, NamedTuple, Sequence
 
-from .polyring import _SparseTerms
+from .polyring import _accumulate, _SparseTerms
 
 
 def _monomials_up_to(N: int, degree: int) -> list[tuple[int, ...]]:
@@ -45,9 +47,10 @@ class ChartPoly(_SparseTerms):
     """Integer polynomial on a chart of ``num_vars`` variables, each term keyed by
     the sorted tuple of its (index, exponent) pairs with exponent > 0, so a term
     costs the few variables it holds, not the chart's width.  ``ChartPoly(num_vars)``
-    is 0; the others come from :meth:`UniversalChart.monomial` and arithmetic."""
+    is 0; the others come from :meth:`UniversalChart.monomial`, arithmetic and the
+    action of a field, :func:`lie_derivative`."""
 
-    __slots__ = ("_by_var",)
+    __slots__ = ()
     num_vars = _SparseTerms.ring  # the ring is the number of variables
 
     def _unit_key(self) -> tuple:
@@ -57,23 +60,6 @@ class ChartPoly(_SparseTerms):
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
                 yield _merge(key1, key2), c1 * c2
-
-    def derivative(self, index: int) -> "ChartPoly":
-        """Partial derivative by variable ``index`` (0-based).  The first call
-        lists, per variable, the (lowered key, coefficient * exponent) pair of each
-        term holding it and keeps that index in ``_by_var``, so each call reads one list."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        try:
-            by_var = self._by_var
-        except AttributeError:
-            by_var = {}
-            for key, coeff in self.terms.items():
-                for pos, (i, e) in enumerate(key):
-                    lowered = key[:pos] + (((i, e - 1),) if e > 1 else ()) + key[pos + 1 :]
-                    by_var.setdefault(i, []).append((lowered, coeff * e))
-            object.__setattr__(self, "_by_var", by_var)
-        return self._wrap(dict(by_var.get(index, ())))
 
     def eval(self, point: Sequence):
         """Exact evaluation: ints stay ints, Fractions stay Fractions; int terms
@@ -158,8 +144,7 @@ class UniversalChart:
     @functools.cached_property
     def equations(self) -> tuple[tuple[ChartPoly, ...], tuple[ChartPoly, ...]]:
         """:func:`defining_equations` of this chart, built on first use and
-        shared by every field checked on the chart, so each equation builds
-        its per-variable derivative index once."""
+        shared by every field checked on the chart."""
         return defining_equations(self)
 
     def z_degree(self, poly: ChartPoly) -> int:
@@ -175,33 +160,37 @@ def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
 
 
 def defining_equations(chart: UniversalChart) -> tuple[tuple[ChartPoly, ...], tuple[ChartPoly, ...]]:
-    """Two tuples: each hypersurface block's equation and its derivative pairing
-    with the velocities, both linear in the block's coefficient variables."""
-    zero = ChartPoly(chart.num_vars)
-    eqs, deqs = [], []
-    for i in range(1, chart.c + 1):
-        f_terms, fp_terms = [], []
-        for alpha in chart.alphas[i - 1]:
-            a_var = chart.a_index(i, alpha)
-            f_terms.append(chart.monomial({a_var: 1, **_z_pairs(chart, alpha)}))
-            # the velocity pairing of z^alpha: alpha_k * z'_k * z^(alpha - e_k)
-            for k, e in enumerate(alpha):
-                if e:
-                    lowered = _z_pairs(chart, alpha[:k] + (e - 1,) + alpha[k + 1 :])
-                    fp_terms.append(chart.monomial({a_var: 1, chart.zp_index(k + 1): 1, **lowered}, e))
-        eqs.append(zero.add_all(f_terms))
-        deqs.append(zero.add_all(fp_terms))
-    return tuple(eqs), tuple(deqs)
+    """Two tuples: each hypersurface block's equation f_i, the sum of a_alpha *
+    z^alpha over its slots, and f'_i, the action on f_i of the velocity field
+    sum_k z'_k * d/dz_k; both are linear in the block's coefficient variables."""
+    eqs = tuple(
+        chart._zero.add_all(chart.monomial({chart.a_index(i, alpha): 1, **_z_pairs(chart, alpha)}) for alpha in alphas)
+        for i, alphas in enumerate(chart.alphas, 1)
+    )
+    velocities = VectorField(chart, {chart.z_index(k): chart.var(chart.zp_index(k)) for k in range(1, chart.N + 1)})
+    return eqs, tuple(lie_derivative(velocities, f) for f in eqs)
+
+
+def _check_ring(chart: UniversalChart, poly: ChartPoly) -> None:
+    if poly.num_vars != chart.num_vars:
+        rings = f"{chart.num_vars!r} and {poly.num_vars!r}"
+        raise ValueError(f"cannot mix ChartPoly operands over different rings: {rings}")
 
 
 class VectorField:
     """Coefficient table: variable index -> polynomial coefficient of that
-    partial derivative; zero coefficients are dropped.  Pole orders record the
-    actual maximal z- and a-degrees over the stored coefficients."""
+    partial derivative; zero coefficients are dropped.  Every index must be a
+    variable of the chart and every coefficient a polynomial on it.  Pole orders
+    record the actual maximal z- and a-degrees over the stored coefficients."""
 
     def __init__(self, chart: UniversalChart, coefficients: Mapping[int, ChartPoly] | None = None):
+        coefficients = coefficients or {}
+        for index, poly in coefficients.items():
+            if not 0 <= index < chart.num_vars:
+                raise ValueError(f"variable index {index} out of range")
+            _check_ring(chart, poly)
         self.chart = chart
-        self.coefficients = {v: p for v, p in (coefficients or {}).items() if not p.is_zero()}
+        self.coefficients = {v: p for v, p in coefficients.items() if not p.is_zero()}
 
     @property
     def z_pole_order(self) -> int:
@@ -215,10 +204,19 @@ class VectorField:
 
 
 def lie_derivative(field_: VectorField, poly: ChartPoly) -> ChartPoly:
-    """Apply the field to a chart polynomial: sum of coefficient * partial."""
-    return ChartPoly(field_.chart.num_vars).add_all(
-        coeff * poly.derivative(index) for index, coeff in field_.coefficients.items()
-    )
+    """Apply the field to a chart polynomial in one pass over its terms: each
+    (index, exponent) pair whose index the field moves is lowered by one, and the
+    term, times the exponent, is multiplied by that index's coefficient into one sum."""
+    _check_ring(field_.chart, poly)
+    moves = field_.coefficients
+    out: dict = {}
+    for key, c in poly.terms.items():
+        for pos, (index, e) in enumerate(key):
+            coeff = moves.get(index)
+            if coeff is not None:
+                lowered = key[:pos] + (((index, e - 1),) if e > 1 else ()) + key[pos + 1 :]
+                _accumulate(out, ((_merge(lowered, k), c * e * v) for k, v in coeff.terms.items()))
+    return field_.chart._zero._wrap(out)
 
 
 def _pinned_slots(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -62,6 +62,10 @@ COMMANDS = {
     "vecfields_solved_N5_seed11": [
         "vecfields", "verify", "--N", "5", "--degrees", "4", "--family", "solved", "--samples", "20", "--seed", "11",
     ],
+    # a wide codimension-2 solved chart: each field completes from both blocks' equations
+    "vecfields_solved_N6_d44": [
+        "vecfields", "verify", "--N", "6", "--degrees", "4,4", "--family", "solved", "--samples", "10",
+    ],
 }
 
 # --help has no JSON form; argparse wraps it at the width COLUMNS gives

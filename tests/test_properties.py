@@ -3,9 +3,10 @@ truncated jet classes, the Taylor shift against substitution and under
 composition, associativity of truncated series products, evaluation as a ring
 homomorphism that leaves the polynomial unchanged, graded-lex term order and
 the hand-rendered JSON of nested payloads holding polynomials against
-``json.dumps``, and chart polynomials on pair keys against their dense images,
-with the product rule for their derivatives.  Skipped when hypothesis is not
-installed; the runtime itself needs no dependency."""
+``json.dumps``, chart polynomials on pair keys against their dense images,
+with the product rule for the action of a vector field, and each defining
+equation's derivative against its velocity pairing written out.  Skipped when
+hypothesis is not installed; the runtime itself needs no dependency."""
 
 import json
 from fractions import Fraction
@@ -20,7 +21,7 @@ from cipos import cli  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
-from cipos.vecfields import ChartPoly, UniversalChart  # noqa: E402
+from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
 
 from positivity_reference import terms_json  # noqa: E402
 from shift_reference import taylor_shift  # noqa: E402
@@ -286,6 +287,16 @@ def chart_cases():
     return st.sampled_from(CHARTS).flatmap(for_chart)
 
 
+def field_cases():
+    # up to three moved variables, each with a coefficient of up to six terms
+    def for_chart(chart):
+        polys_ = chart_polys(chart)
+        fields = st.dictionaries(chart_indices(chart), polys_, max_size=3).map(lambda c: VectorField(chart, c))
+        return st.tuples(polys_, polys_, fields, coefficients)
+
+    return st.sampled_from(CHARTS).flatmap(for_chart)
+
+
 def dense(p):
     """The chart polynomial with one exponent slot per chart variable."""
     terms = {}
@@ -311,8 +322,8 @@ def test_chart_polys_match_dense_images(case):
     chart, p, q, index, point = case
     assert dense(p + q) == dense(p) + dense(q)
     assert dense(p * q) == dense(p) * dense(q)
-    for _ in range(2):  # the first derivative builds the per-variable index, the second reads it
-        assert dense(p.derivative(index)) == dense_derivative(dense(p), index)
+    partial = VectorField(chart, {index: chart.monomial({})})
+    assert dense(lie_derivative(partial, p)) == dense_derivative(dense(p), index)
     value, expected = p.eval(point), dense(p).eval(point)
     assert value == expected and type(value) is type(expected)
     N = chart.N
@@ -321,7 +332,40 @@ def test_chart_polys_match_dense_images(case):
 
 
 @PROPERTY
-@given(chart_cases())
+@given(field_cases())
 def test_derivative_product_rule(case):
-    _, p, q, index, _ = case
-    assert (p * q).derivative(index) == p.derivative(index) * q + p * q.derivative(index)
+    # a field V is a derivation: V(p q) = V(p) q + p V(q), V is linear, and V(p)
+    # is the sum of each coefficient times the partial derivative it scales
+    p, q, field, k = case
+    assert lie_derivative(field, p * q) == lie_derivative(field, p) * q + p * lie_derivative(field, q)
+    assert lie_derivative(field, p + q * k) == lie_derivative(field, p) + lie_derivative(field, q) * k
+    dense_p = dense(p)
+    expected = MultidegreePoly(p.num_vars).add_all(
+        dense(coeff) * dense_derivative(dense_p, index) for index, coeff in field.coefficients.items()
+    )
+    assert dense(lie_derivative(field, p)) == expected
+
+
+def velocity_pairing(chart, i):
+    """f'_i written out: the sum over block i's slots alpha and k of alpha_k *
+    a_alpha * z'_k * z^(alpha - e_k)."""
+    terms = []
+    for alpha in chart.alphas[i - 1]:
+        for k, e in enumerate(alpha):
+            if e:
+                lowered = alpha[:k] + (e - 1,) + alpha[k + 1 :]
+                pairs = {chart.z_index(j + 1): x for j, x in enumerate(lowered) if x}
+                pairs.update({chart.a_index(i, alpha): 1, chart.zp_index(k + 1): 1})
+                terms.append(chart.monomial(pairs, e))
+    return ChartPoly(chart.num_vars).add_all(terms)
+
+
+WIDE_CHARTS = [UniversalChart(6, [4, 4]), UniversalChart(8, [5, 5])]
+
+
+@pytest.mark.parametrize(
+    "chart", CHARTS + WIDE_CHARTS, ids=lambda chart: f"N{chart.N}-d{','.join(map(str, chart.degrees))}"
+)
+def test_defining_equations_match_the_velocity_pairing(chart):
+    _, deqs = defining_equations(chart)
+    assert [fp.terms for fp in deqs] == [velocity_pairing(chart, i).terms for i in range(1, chart.c + 1)]

@@ -85,18 +85,23 @@ class TestChart:
 
 class TestChartPoly:
     def test_derivative(self):
+        # a partial derivative is the action of a unit coordinate field
         chart = UniversalChart(2, [1])
         z1, z2 = chart.var(chart.z_index(1)), chart.var(chart.z_index(2))
         p = z1**3 * z2 + 2 * z2
         before = hash(p)
-        for _ in range(2):  # the first call builds the per-variable index, the second reads it
-            assert p.derivative(chart.z_index(1)) == 3 * z1**2 * z2
-            assert p.derivative(chart.z_index(2)) == z1**3 + 2
-            assert p.derivative(chart.zp_index(1)).is_zero()
+
+        def partial(index):
+            return lie_derivative(VectorField(chart, {index: chart.monomial({})}), p)
+
+        assert partial(chart.z_index(1)) == 3 * z1**2 * z2
+        assert partial(chart.z_index(2)) == z1**3 + 2
+        assert partial(chart.zp_index(1)).is_zero()
         assert hash(p) == before and p == z1**3 * z2 + 2 * z2
+        # an index outside the chart is refused when the field is built
         for index in (-1, chart.num_vars):
-            with pytest.raises(ValueError):
-                p.derivative(index)
+            with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+                VectorField(chart, {index: chart.monomial({})})
 
     def test_wide_sparse_against_dense_walk(self):
         # chart polynomials of 157-222 variables, at most 6 nonzero exponents a
@@ -191,6 +196,20 @@ class TestLieDerivative:
             h = chart.var(rng.randrange(chart.num_vars)) ** 2
             lhs = lie_derivative(field, g + h)
             assert lhs == lie_derivative(field, g) + lie_derivative(field, h)
+
+    def test_polynomial_of_another_chart_refused(self):
+        # the empty field moves no variable, so only the boundary check can see the mix
+        narrow, wide = UniversalChart(2, [2]), UniversalChart(3, [2])
+        f = wide.equations[0][0]
+        for field in (VectorField(narrow, {}), coordinate_field(narrow, 1)):
+            with pytest.raises(ValueError, match="cannot mix ChartPoly operands over different rings: 10 and 16"):
+                lie_derivative(field, f)
+
+    def test_field_coefficient_of_another_chart_refused(self):
+        narrow, wide = UniversalChart(2, [2]), UniversalChart(3, [2])
+        for coeff in (wide.monomial({}), wide.var(12), ChartPoly(wide.num_vars)):
+            with pytest.raises(ValueError, match="cannot mix ChartPoly operands over different rings: 10 and 16"):
+                VectorField(narrow, {0: coeff})
 
 
 class TestSolvedFamily:

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 
 from . import chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _SparseTerms
+from .polyring import MultidegreePoly, _accumulate, _SparseTerms
 
 # term key: (h exponent, base Segre exponents s_1..s_n, u exponents, one per level)
 TermKey = tuple[int, ...]
@@ -140,21 +140,19 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
             coeff = math.prod(segre_recursion_coeff(n, q, j) for q, j in zip(pending, js))
             e = top - sum(js)
             if coeff and e >= shift:
-                for base, value in down(rest, tuple(sorted(j for j in (*js, e - shift) if j))).items():
-                    out[base] = out.get(base, 0) + coeff * value
+                lower = down(rest, tuple(sorted(j for j in (*js, e - shift) if j)))
+                _accumulate(out, ((base, coeff * value) for base, value in lower.items()))
         return out
 
     totals: dict[TermKey, int] = {}
     for key, coeff in x.terms.items():
-        for base, value in down(key, ()).items():
-            totals[base] = totals.get(base, 0) + coeff * value
+        _accumulate(totals, ((base, coeff * value) for base, value in down(key, ()).items()))
     segre = chow.segre_cotangent(params, 0)
     one = MultidegreePoly.one(params.c)
     pieces = []
     for key, coeff in totals.items():
-        if coeff:
-            factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
-            pieces.append(math.prod(factors, start=one) * coeff)
+        factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
+        pieces.append(math.prod(factors, start=one) * coeff)
     return MultidegreePoly.zero(params.c).add_all(pieces)
 
 

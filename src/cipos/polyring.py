@@ -10,16 +10,16 @@ is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
 ``JetClass`` and ``vecfields.ChartPoly``: each element holds a ``ring`` descriptor
-that operands must share (``num_vars``, or ``(params, level)`` for ``JetClass``)
-and a dict from a monomial key to a nonzero int.  The core writes validation,
-promotion, ``+``, ``-``, the product kernel (add exponent tuples slot by slot, keep
-what the class's truncation predicate ``_alive`` accepts), square-and-multiply
-powering, equality, hashing, immutability and the trusted constructor ``_wrap``
-once for all three.  Key layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h,
-s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted
-tuple of the term's ``(index, exponent)`` pairs with exponent > 0, multiplied by
-its own pair merge.  Only public constructors validate; results are canonical by
-construction.
+that operands must share (``num_vars``, the chart itself for ``ChartPoly``, or
+``(params, level)`` for ``JetClass``) and a dict from a monomial key to a nonzero
+int.  The core writes validation, promotion, ``+``, ``-``, the product kernel (add
+exponent tuples slot by slot, keep what the class's truncation predicate ``_alive``
+accepts), square-and-multiply powering, equality, hashing, immutability and the
+trusted constructor ``_wrap`` once for all three.  Key layouts: ``(d1, ..., dc)`` for
+``MultidegreePoly``, ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and
+for ``ChartPoly`` the sorted tuple of the term's ``(index, exponent)`` pairs with
+exponent > 0, multiplied by its own pair merge.  Only public constructors validate;
+results are canonical by construction.
 
 A class stated in the elementary symmetric basis is expanded in d by
 :func:`recombine_elementary`; the closed forms state it there directly.

@@ -2,13 +2,16 @@
 
 The chart carries coordinates z_1..z_N on the ambient space, velocity
 coordinates z'_1..z'_N, and one coefficient variable per monomial of each
-defining equation.  Every field acts by one pass of :func:`lie_derivative` over
-a polynomial's terms, and each equation's derivative f'_i is the action on f_i
-of the velocity field sum_k z'_k * d/dz_k.  Fields are verified tangent either
-identically (exact polynomial vanishing of their action on the defining
-equations, possible for the ``TANGENT_FAMILIES``: coordinate fields and
-solved-coefficient fields on the slots of ``solved_free_slots``) or by exact
-evaluation at random rational points of the locus.
+defining equation.  The chart object is the ring of every chart polynomial, so
+polynomials and fields of two charts never mix, even of equal width.  Velocity
+fields take integer matrices, checked invertible over the rationals.
+Every field acts by one pass of :func:`lie_derivative` over a polynomial's
+terms, and each equation's derivative f'_i is the action on f_i of the velocity
+field sum_k z'_k * d/dz_k.  Fields are verified tangent either identically
+(exact polynomial vanishing of their action on the defining equations, possible
+for the ``TANGENT_FAMILIES``: coordinate fields and solved-coefficient fields
+on the slots of ``solved_free_slots``) or by exact evaluation at random
+rational points of the locus.
 """
 
 from __future__ import annotations
@@ -44,14 +47,19 @@ def _merge(key1: tuple, key2: tuple) -> tuple:
 
 
 class ChartPoly(_SparseTerms):
-    """Integer polynomial on a chart of ``num_vars`` variables, each term keyed by
-    the sorted tuple of its (index, exponent) pairs with exponent > 0, so a term
-    costs the few variables it holds, not the chart's width.  ``ChartPoly(num_vars)``
-    is 0; the others come from :meth:`UniversalChart.monomial`, arithmetic and the
-    action of a field, :func:`lie_derivative`."""
+    """Integer polynomial whose ring is its :class:`UniversalChart`, so two charts never
+    mix.  Each term is keyed by the sorted tuple of its nonzero (index, exponent) pairs,
+    so it costs the few variables it holds, not the chart's width.  ``ChartPoly(chart)``
+    is 0; the others come from :meth:`UniversalChart.monomial`, arithmetic and :func:`lie_derivative`."""
 
     __slots__ = ()
-    num_vars = _SparseTerms.ring  # the ring is the number of variables
+
+    def __init__(self, chart: UniversalChart):
+        super().__init__(chart)
+
+    @property
+    def num_vars(self) -> int:
+        return self.ring.num_vars
 
     def _unit_key(self) -> tuple:
         return ()
@@ -83,8 +91,7 @@ class UniversalChart:
 
     Coordinates are ordered z_1..z_N, then z'_1..z'_N, then the coefficient
     variables of each hypersurface block (monomial exponents up to the block's
-    degree, in graded order).  All chart polynomials are integer polynomials
-    over this inventory.
+    degree, in graded order).  The chart is the ring of its polynomials.
     """
 
     def __init__(self, N: int, degrees: Sequence[int]):
@@ -102,7 +109,10 @@ class UniversalChart:
             self._a_pos.append({alpha: offset + t for t, alpha in enumerate(alphas)})
             offset += len(alphas)
         self.num_vars = offset
-        self._zero = ChartPoly(offset)
+        self._zero = ChartPoly(self)
+
+    def __repr__(self):
+        return f"UniversalChart({self.N}, {list(self.degrees)})"
 
     # -- variable indexing ----------------------------------------------------
 
@@ -147,12 +157,6 @@ class UniversalChart:
         shared by every field checked on the chart."""
         return defining_equations(self)
 
-    def z_degree(self, poly: ChartPoly) -> int:
-        return max((sum(e for i, e in key if i < self.N) for key in poly.terms), default=0)
-
-    def a_degree(self, poly: ChartPoly) -> int:
-        return max((sum(e for i, e in key if i >= 2 * self.N) for key in poly.terms), default=0)
-
 
 def _z_pairs(chart: UniversalChart, alpha: Sequence[int]) -> dict[int, int]:
     """Variable-index exponents of the monomial z^alpha."""
@@ -172,16 +176,17 @@ def defining_equations(chart: UniversalChart) -> tuple[tuple[ChartPoly, ...], tu
 
 
 def _check_ring(chart: UniversalChart, poly: ChartPoly) -> None:
-    if poly.num_vars != chart.num_vars:
-        rings = f"{chart.num_vars!r} and {poly.num_vars!r}"
-        raise ValueError(f"cannot mix ChartPoly operands over different rings: {rings}")
+    if not isinstance(poly, ChartPoly):
+        raise ValueError(f"expected a ChartPoly on {chart!r}, got {type(poly).__name__}")
+    if poly.ring is not chart:
+        raise ValueError(f"cannot mix ChartPoly operands over different rings: {chart!r} and {poly.ring!r}")
 
 
 class VectorField:
     """Coefficient table: variable index -> polynomial coefficient of that
     partial derivative; zero coefficients are dropped.  Every index must be a
-    variable of the chart and every coefficient a polynomial on it.  Pole orders
-    record the actual maximal z- and a-degrees over the stored coefficients."""
+    variable of the chart and every coefficient a polynomial whose ring is that
+    chart.  Pole orders are the maximal z- and a-degrees of the coefficients."""
 
     def __init__(self, chart: UniversalChart, coefficients: Mapping[int, ChartPoly] | None = None):
         coefficients = coefficients or {}
@@ -192,15 +197,17 @@ class VectorField:
         self.chart = chart
         self.coefficients = {v: p for v, p in coefficients.items() if not p.is_zero()}
 
+    def _pole_order(self, lo: int, hi: int) -> int:
+        keys = (key for p in self.coefficients.values() for key in p.terms)
+        return max((sum(e for i, e in key if lo <= i < hi) for key in keys), default=0)
+
     @property
     def z_pole_order(self) -> int:
-        polys = self.coefficients.values()
-        return max((self.chart.z_degree(p) for p in polys), default=0)
+        return self._pole_order(0, self.chart.N)
 
     @property
     def a_pole_order(self) -> int:
-        polys = self.coefficients.values()
-        return max((self.chart.a_degree(p) for p in polys), default=0)
+        return self._pole_order(2 * self.chart.N, self.chart.num_vars)
 
 
 def lie_derivative(field_: VectorField, poly: ChartPoly) -> ChartPoly:
@@ -268,8 +275,6 @@ def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
     """Tangent lift of the j-th coordinate direction: the naked partial in z_j
     corrected by a shift on every coefficient block; order one in each
     coefficient variable."""
-    if not 1 <= j <= chart.N:
-        raise ValueError(f"coordinate index {j} outside 1..{chart.N}")
     coefficients = {chart.z_index(j): chart.monomial({})}
     for i in range(1, chart.c + 1):
         d_i = chart.degrees[i - 1]
@@ -298,8 +303,6 @@ def coefficient_shift_field(
     ell' + ell'' = ell.  Requires |ell| <= N and alpha >= ell componentwise.
     """
     alpha, ell = tuple(alpha), tuple(ell)
-    if not 1 <= i <= chart.c:
-        raise ValueError(f"block index {i} outside 1..{chart.c}")
     if len(alpha) != chart.N or len(ell) != chart.N:
         raise ValueError("alpha and ell must have one entry per ambient coordinate")
     if sum(ell) > chart.N:
@@ -315,27 +318,20 @@ def coefficient_shift_field(
         target = chart.a_index(i, tuple(a - s for a, s in zip(alpha, slot)))
         second = tuple(e - p for e, p in zip(ell, prime))
         pieces.setdefault(target, []).append(chart.monomial(_z_pairs(chart, second), weight))
-    zero = ChartPoly(chart.num_vars)
-    coefficients = {target: zero.add_all(polys) for target, polys in pieces.items()}
-    return VectorField(chart, coefficients)
+    return VectorField(chart, {target: chart._zero.add_all(polys) for target, polys in pieces.items()})
 
 
-def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence]) -> VectorField:
-    """Linear action on the velocity coordinates; no tangency asserted."""
+def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence[int]]) -> VectorField:
+    """Linear action sum_k (sum_l M[l][k] * z'_l) d/dz'_k on the velocities, for an N x N
+    matrix M of ints that is invertible over the rationals; no tangency asserted."""
     N = chart.N
-    if len(matrix) != N or any(len(row) != N for row in matrix):
-        raise ValueError(f"matrix must be {N}x{N}")
+    if len(matrix) != N or any(len(row) != N or not all(isinstance(x, int) for x in row) for row in matrix):
+        raise ValueError(f"matrix must be {N}x{N} with int entries")
     if _rational_det(matrix) == 0:
         raise ValueError("matrix must be invertible over the rationals")
-    coefficients: dict[int, ChartPoly] = {}
-    zero = ChartPoly(chart.num_vars)
-    for k in range(1, N + 1):
-        poly = zero.add_all(
-            chart.var(chart.zp_index(ell)) * int(matrix[ell - 1][k - 1]) for ell in range(1, N + 1)
-        )
-        if not poly.is_zero():
-            coefficients[chart.zp_index(k)] = poly
-    return VectorField(chart, coefficients)
+    zps = [chart.var(chart.zp_index(ell)) for ell in range(1, N + 1)]
+    coeffs = {chart.zp_index(k + 1): chart._zero.add_all(zp * row[k] for zp, row in zip(zps, matrix)) for k in range(N)}
+    return VectorField(chart, coeffs)
 
 
 def _rational_det(matrix: Sequence[Sequence]) -> Fraction:

@@ -49,7 +49,7 @@ def random_chart_poly(rng, chart, max_terms=6):
         pairs = {rng.choice(hot): rng.randint(0, 3) for _ in range(rng.randint(0, 4))}
         pairs[rng.randrange(chart.num_vars)] = rng.randint(0, 2)
         monomials.append(chart.monomial(pairs, rng.randint(-3, 3)))
-    return ChartPoly(chart.num_vars).add_all(monomials)
+    return ChartPoly(chart).add_all(monomials)
 
 
 def assert_canonical_chart(p, chart):
@@ -166,7 +166,7 @@ def test_constants_hash_as_their_ints():
     params = ModelParams(4, 2)
     constants = [
         (MultidegreePoly.one(2), MultidegreePoly.zero(2)),
-        (chart.monomial({}), ChartPoly(chart.num_vars)),
+        (chart.monomial({}), ChartPoly(chart)),
         (JetClass(params, 1) + 1, JetClass(params, 1)),
     ]
     for one, zero in constants:

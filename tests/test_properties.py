@@ -268,7 +268,7 @@ def chart_indices(chart):
 def chart_polys(chart):
     pairs = st.dictionaries(chart_indices(chart), st.integers(1, 3), max_size=6)
     terms = st.lists(st.tuples(pairs, coefficients), max_size=6)
-    return terms.map(lambda ts: ChartPoly(chart.num_vars).add_all(chart.monomial(p, c) for p, c in ts))
+    return terms.map(lambda ts: ChartPoly(chart).add_all(chart.monomial(p, c) for p, c in ts))
 
 
 def chart_points(chart):
@@ -326,9 +326,9 @@ def test_chart_polys_match_dense_images(case):
     assert dense(lie_derivative(partial, p)) == dense_derivative(dense(p), index)
     value, expected = p.eval(point), dense(p).eval(point)
     assert value == expected and type(value) is type(expected)
-    N = chart.N
-    assert chart.z_degree(p) == max((sum(exps[:N]) for exps in dense(p).terms), default=0)
-    assert chart.a_degree(p) == max((sum(exps[2 * N :]) for exps in dense(p).terms), default=0)
+    N, carrier = chart.N, VectorField(chart, {index: p})
+    assert carrier.z_pole_order == max((sum(exps[:N]) for exps in dense(p).terms), default=0)
+    assert carrier.a_pole_order == max((sum(exps[2 * N :]) for exps in dense(p).terms), default=0)
 
 
 @PROPERTY
@@ -357,7 +357,7 @@ def velocity_pairing(chart, i):
                 pairs = {chart.z_index(j + 1): x for j, x in enumerate(lowered) if x}
                 pairs.update({chart.a_index(i, alpha): 1, chart.zp_index(k + 1): 1})
                 terms.append(chart.monomial(pairs, e))
-    return ChartPoly(chart.num_vars).add_all(terms)
+    return ChartPoly(chart).add_all(terms)
 
 
 WIDE_CHARTS = [UniversalChart(6, [4, 4]), UniversalChart(8, [5, 5])]

@@ -44,7 +44,7 @@ class TestModelParams:
 class TestVectorField:
     def test_zero_coefficients_dropped(self):
         chart = UniversalChart(2, [1])
-        one, zero = chart.monomial({}), ChartPoly(chart.num_vars)
+        one, zero = chart.monomial({}), ChartPoly(chart)
         field = VectorField(chart, {0: one, 1: zero, 2: one - one})
         assert field.coefficients == {0: one}
         assert VectorField(chart, coefficients={0: one}).coefficients == {0: one}

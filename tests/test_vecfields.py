@@ -3,6 +3,7 @@ import io
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cipos import cli, selftest, vecfields
+from cipos.polyring import MultidegreePoly
 from cipos.vecfields import (
     ChartPoly,
     UniversalChart,
@@ -27,6 +29,11 @@ from cipos.vecfields import (
     solved_coefficient_field,
     solved_free_slots,
     velocity_field,
+)
+
+# a chart polynomial's ring is its chart, and a refusal names both charts
+NARROW_AND_WIDE = re.escape(
+    "cannot mix ChartPoly operands over different rings: UniversalChart(2, [2]) and UniversalChart(3, [2])"
 )
 
 
@@ -120,7 +127,7 @@ class TestChartPoly:
                     exps[index] = rng.randint(1, 3)
                 if coeff := rng.randint(-9, 9):
                     dense_terms[tuple(exps)] = coeff
-            p = ChartPoly(width).add_all(
+            p = ChartPoly(chart).add_all(
                 chart.monomial({i: e for i, e in enumerate(exps) if e}, coeff) for exps, coeff in dense_terms.items()
             )
             denominator = rng.randint(1, 5) * rng.choice((-1, 1))
@@ -139,7 +146,7 @@ class TestChartPoly:
             kinds.add(type(expected))
         assert kinds == {int, Fraction}
         with pytest.raises(ValueError):
-            ChartPoly(3).eval((1, 2))
+            ChartPoly(UniversalChart(1, [1])).eval((1, 2))
 
 
 class TestDefiningEquations:
@@ -170,8 +177,9 @@ class TestDefiningEquations:
     def test_linearity_in_coefficients(self):
         chart = UniversalChart(3, [3])
         f, fp = (eqs[0] for eqs in defining_equations(chart))
-        assert chart.a_degree(f) == 1
-        assert chart.a_degree(fp) == 1
+        assert VectorField(chart, {0: f}).a_pole_order == 1
+        assert VectorField(chart, {0: fp}).a_pole_order == 1
+        assert VectorField(chart, {0: f}).z_pole_order == 3 and VectorField(chart, {0: fp}).z_pole_order == 2
 
 
 class TestLieDerivative:
@@ -202,14 +210,50 @@ class TestLieDerivative:
         narrow, wide = UniversalChart(2, [2]), UniversalChart(3, [2])
         f = wide.equations[0][0]
         for field in (VectorField(narrow, {}), coordinate_field(narrow, 1)):
-            with pytest.raises(ValueError, match="cannot mix ChartPoly operands over different rings: 10 and 16"):
+            with pytest.raises(ValueError, match=NARROW_AND_WIDE):
                 lie_derivative(field, f)
 
     def test_field_coefficient_of_another_chart_refused(self):
         narrow, wide = UniversalChart(2, [2]), UniversalChart(3, [2])
-        for coeff in (wide.monomial({}), wide.var(12), ChartPoly(wide.num_vars)):
-            with pytest.raises(ValueError, match="cannot mix ChartPoly operands over different rings: 10 and 16"):
+        for coeff in (wide.monomial({}), wide.var(12), ChartPoly(wide)):
+            with pytest.raises(ValueError, match=NARROW_AND_WIDE):
                 VectorField(narrow, {0: coeff})
+
+
+class TestChartRing:
+    # two charts of 7 variables each: equal widths, different rings
+    SEVEN = re.escape(
+        "cannot mix ChartPoly operands over different rings: UniversalChart(1, [4]) and UniversalChart(2, [1])"
+    )
+
+    def test_equal_width_charts_do_not_mix(self):
+        first, second = UniversalChart(1, [4]), UniversalChart(2, [1])
+        assert first.num_vars == second.num_vars == 7
+        with pytest.raises(ValueError, match=self.SEVEN):
+            lie_derivative(coordinate_field(first, 1), second.equations[0][0])
+        with pytest.raises(ValueError, match=self.SEVEN):
+            VectorField(first, {0: second.monomial({})})
+        with pytest.raises(ValueError, match=self.SEVEN):
+            first.equations[0][0] + second.equations[0][0]
+        with pytest.raises(ValueError, match=self.SEVEN):
+            first.var(0) * second.var(0)
+
+    def test_coefficients_that_are_no_chart_polynomial_refused(self):
+        chart = UniversalChart(2, [1])
+        for coeff, name in ((MultidegreePoly.one(chart.num_vars), "MultidegreePoly"), (1, "int")):
+            message = re.escape(f"expected a ChartPoly on UniversalChart(2, [1]), got {name}") + "$"
+            with pytest.raises(ValueError, match=message):
+                VectorField(chart, {0: coeff})
+            with pytest.raises(ValueError, match=message):
+                lie_derivative(coordinate_field(chart, 1), coeff)
+
+    def test_only_the_zero_is_built_from_a_chart(self):
+        chart = UniversalChart(2, [1])
+        zero = ChartPoly(chart)
+        assert zero.is_zero() and zero.ring is chart and zero.num_vars == 7
+        with pytest.raises(TypeError):
+            ChartPoly(chart, {((0, 1),): 1})
+        assert repr(chart) == "UniversalChart(2, [1])"
 
 
 class TestSolvedFamily:
@@ -353,6 +397,13 @@ class TestVelocityFamily:
         chart = UniversalChart(2, [2])
         with pytest.raises(ValueError):
             velocity_field(chart, [[1, 1], [2, 2]])
+
+    def test_non_integer_entries_refused(self):
+        # 1/2 once truncated to 0, which left d/dz'_1 without its z'_1 term
+        chart = UniversalChart(2, [1])
+        for entry in (Fraction(1, 2), 1.0):
+            with pytest.raises(ValueError, match="with int entries"):
+                velocity_field(chart, [[entry, 0], [0, 1]])
 
 
 class TestFamilyFields:

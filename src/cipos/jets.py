@@ -4,12 +4,13 @@ A level-k class is an integer combination of monomials in the tautological
 divisors u_1..u_k, the hyperplane class h, and formal symbols for the base
 Segre classes, stored on the ring core of ``polyring`` under flat keys
 ``(h, s1, ..., sn, u1, ..., uk)`` and truncated wherever a prefix overflows a
-stage of the tower.  One memoized recursion pushes each monomial down to the
-base by pi_*(u^p) = s_{p-(n-1)}, expanding a tower Segre class one level at a
-time through the fiberwise recursion, and so turns any top-degree class into
-an exact multidegree polynomial, its coefficient of h^n.  The
-holomorphic-Morse bigness certificate sits on top of that reduction; its nef
-sum S is built at the top level straight from its weights (:func:`nef_sum`).
+stage of the tower.  A push down the tower, one level at a time, takes each
+monomial to the base by pi_*(u^p) = s_{p-(n-1)}, expanding tower Segre classes
+through the fiberwise recursion; one dict per level merges equal states, and
+any top-degree class becomes an exact multidegree polynomial, its coefficient
+of h^n.  The holomorphic-Morse bigness certificate sits on top of that
+reduction; its nef sum S is built at the top level straight from its weights
+(:func:`nef_sum`).
 """
 
 from __future__ import annotations
@@ -113,40 +114,36 @@ class JetClass(_SparseTerms):
 
 
 def reduce_to_base(x: JetClass) -> MultidegreePoly:
-    """Push a class down to the base, monomial by monomial, then substitute
+    """Push a class down to the base one level at a time, then substitute
     every base Segre symbol by its untwisted cotangent Segre class.
 
-    A state is a stored key at level L times the tower Segre classes s_{L,q},
-    q in ``pending`` (sorted, zeros dropped).  Expanding each s_{L,q} by the
-    fiberwise recursion collects a power e of u_L, which pushes down to
-    s_{L-1, e-(n-1)}; at the base each pending q becomes the symbol s_q.
-    Each step lowers the degree by n-1, and a stored key never exceeds its
-    stage's dimension, so no pending index reaches past n at the base.
-    States are memoized for the length of one call.  Returns the coefficient
-    of h^n; base terms of lower degree lie in lower h-grades and are dropped.
+    A state is a key cut to level L times the tower Segre classes s_{L,q},
+    q in ``pending`` (sorted, zeros dropped); one dict holds each state's
+    coefficient.  Expanding each s_{L,q} by the fiberwise recursion collects a
+    power e of u_L, which pushes down to s_{L-1, e-(n-1)}, and equal states of
+    the level below merge.  Each step lowers the degree by n-1 and a stored key
+    fits its stage, so at the base each pending q <= n becomes the symbol s_q.
+    Returns the coefficient of h^n; base terms of lower degree are dropped.
     """
     params, n = x.params, x.params.n
     shift = n - 1
 
-    @cache
-    def down(key: TermKey, pending: tuple[int, ...]) -> dict[TermKey, int]:
-        if len(key) == n + 1:
-            slots = list(key)
-            for q in pending:
-                slots[q] += 1
-            return {tuple(slots): 1} if slots[0] + sum(map(operator.mul, slots, range(n + 1))) == n else {}
-        rest, top, out = key[:-1], key[-1] + sum(pending), {}
-        for js in itertools.product(*(range(q + 1) for q in pending)):
-            coeff = math.prod(segre_recursion_coeff(n, q, j) for q, j in zip(pending, js))
-            e = top - sum(js)
-            if coeff and e >= shift:
-                lower = down(rest, tuple(sorted(j for j in (*js, e - shift) if j)))
-                _accumulate(out, ((base, coeff * value) for base, value in lower.items()))
-        return out
+    def push(states):
+        for (key, pending), value in states.items():
+            rest, top = key[:-1], key[-1] + sum(pending)
+            for js in itertools.product(*(range(q + 1) for q in pending)):
+                coeff = math.prod(segre_recursion_coeff(n, q, j) for q, j in zip(pending, js))
+                e = top - sum(js)
+                if coeff and e >= shift:
+                    yield (rest, tuple(sorted(j for j in (*js, e - shift) if j))), coeff * value
 
+    states = {(key, ()): coeff for key, coeff in x.terms.items()}
+    for _ in range(x.level):
+        states = _accumulate({}, push(states))
     totals: dict[TermKey, int] = {}
-    for key, coeff in x.terms.items():
-        _accumulate(totals, ((base, coeff * value) for base, value in down(key, ()).items()))
+    for (key, pending), value in states.items():
+        if key[0] + sum(map(operator.mul, key, range(n + 1))) + sum(pending) == n:
+            _accumulate(totals, [(tuple(k + pending.count(i) for i, k in enumerate(key)), value)])
     segre = chow.segre_cotangent(params, 0)
     one = MultidegreePoly.one(params.c)
     pieces = []

@@ -109,11 +109,12 @@ def test_help_matches_golden(capsys, monkeypatch, name):
 
 def test_stdlib_only_runtime():
     # -I -S: no site-packages and no PYTHONPATH, so any import from outside the
-    # standard library fails here
+    # standard library fails here; -B writes no bytecode into src/ (-I ignores
+    # PYTHONDONTWRITEBYTECODE)
     name = "vecfields_solved_seed7"
     script = f"import sys; sys.path.insert(0, {str(SRC)!r}); from cipos import cli; sys.exit(cli.main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, *argv_for(name, "json")],
+        [sys.executable, "-I", "-S", "-B", "-c", script, *argv_for(name, "json")],
         capture_output=True,
         text=True,
         timeout=120,

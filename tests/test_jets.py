@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -165,7 +166,8 @@ class TestPushforward:
 
 
 class TestReduceToBase:
-    # the memoized monomial pushdown against the eager route of tower_reference
+    # the level-by-level push down the tower against the eager route of
+    # tower_reference, its linearity and its memory
 
     def _random_class(self, rng, p, level):
         # a term of the top degree, up to three more of the top degree or one
@@ -194,6 +196,48 @@ class TestReduceToBase:
             nonzero += not got.is_zero()
         # truncation kills many random products; a third must survive the descent
         assert nonzero >= 24
+
+    def test_cancelling_states_are_dropped(self):
+        # the states of x and of -y share each level's dict, where equal
+        # states merge and the ones that cancel are dropped; x - x is zero
+        rng = random.Random(33)
+        both = 0
+        for _ in range(48):
+            n = rng.randint(2, 4)
+            p = ModelParams(n + rng.randint(1, 3), n)
+            level = rng.randint(1, 3)
+            x, y = self._random_class(rng, p, level), self._random_class(rng, p, level)
+            rx, ry = reduce_to_base(x), reduce_to_base(y)
+            assert reduce_to_base(x - y) == rx - ry, (p, level)
+            assert reduce_to_base(x - x).is_zero()
+            both += not (rx.is_zero() or ry.is_zero())
+        # a fifth of the pairs must reach the base on both sides
+        assert both >= 10
+
+    def test_peak_stays_below_the_integrand(self):
+        # one dict of states per level, nothing held for the whole call: the
+        # traced peak of reducing the (8,6) Morse integrand stays below the
+        # integrand's own size (about 0.5 times it; a memo that keeps every
+        # state's result dict until the call ends takes about 3 times)
+        p = ModelParams(8, 6)
+        top, m = p.tower_dim(p.kappa), 3**p.kappa - 1
+
+        def integrand():
+            total = nef_sum(p)
+            return total ** (top - 1) * (total - JetClass.hyperplane(p, p.kappa) * (top * m))
+
+        # an untraced first reduction fills the module caches
+        reduce_to_base(integrand())
+        tracemalloc.start()
+        try:
+            x = integrand()
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            reduce_to_base(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size < size, (peak - size, size)
 
     def test_morse_integrands_match_reference(self):
         frames = [ModelParams(N, n) for N in range(3, 8) for n in range(1, N)]

@@ -13,14 +13,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def modules_after(statements: str) -> set[str]:
     """Every module name in sys.modules once ``statements`` have run in a fresh interpreter."""
     # -I ignores PYTHONPATH and the user site, -S skips site-packages, so the
-    # only cipos on the path is the one under src/
+    # only cipos on the path is the one under src/; -B, because -I also
+    # ignores PYTHONDONTWRITEBYTECODE, keeps bytecode out of src/
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         f"{statements}\n"
         "print(' '.join(sys.modules))\n"
     )
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 

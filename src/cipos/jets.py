@@ -42,8 +42,7 @@ def segre_recursion_coeff(n: int, ell: int, j: int) -> int:
         raise ValueError(f"need 0 <= j <= ell, got j={j}, ell={ell}")
     total = 0
     for i in range(ell - j + 1):
-        top = n - 2 + i + j
-        total += (-1) ** i * (1 if i == 0 else (math.comb(top, i) if top >= i else 0))
+        total += (-1) ** i * (math.comb(n - 2 + i + j, i) if i else 1)
     return total
 
 

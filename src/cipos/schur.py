@@ -61,31 +61,21 @@ def schur_det(parts: Sequence[int], classes: Sequence):
 
     ``classes`` lists c_0, c_1, ... with c_0 the unit; indices outside the
     list (negative or beyond the end) are zero.  Uses division-free Laplace
-    expansion memoized over column subsets, so it stays exact over rings with
-    zero divisors.
+    expansion memoized over column subsets, seeded with the empty minor c_0,
+    so it stays exact over rings with zero divisors.
     """
     if not classes:
         raise ValueError("empty class sequence")
-    m = len(parts)
-    if m == 0:
-        return classes[0]
-    weight = sum(parts)
-
-    def entry(i, j):
-        idx = parts[i] + j - i
-        if idx < 0 or idx >= len(classes):
-            return None
-        return classes[idx]
-
-    matrix = [[entry(i, j) for j in range(m)] for i in range(m)]
+    m, weight = len(parts), sum(parts)
     # row_sums[k] = sum of p_i - i over the first k rows
     row_sums = [0, *itertools.accumulate(p - i for i, p in enumerate(parts))]
     # minors[mask] = det of the first popcount(mask) rows on column set mask,
-    # built by expanding along the last of those rows.  Every product term of
-    # that minor has index sum w = row_sums[k] + sum(mask); for w > |partition|
-    # the rows below would need a negative index sum, so the minor reaches the
-    # determinant only through zero entries: it is skipped (a missing key is 0)
-    minors: dict[int, object] = {}
+    # expanded along the last of those rows; minors[0] = c_0.  Its product
+    # terms have index sum w = row_sums[k] + sum(mask).  For w > |partition|
+    # the rows below would need a negative index sum, so the minor is not
+    # kept; expanding a kept minor along c_idx, idx >= 0, leaves a minor of
+    # index sum w - idx <= w, which is kept, so no lookup misses
+    minors = {0: classes[0]}
     for mask in range(1, 1 << m):
         cols = [j for j in range(m) if mask >> j & 1]
         row = len(cols) - 1
@@ -93,15 +83,10 @@ def schur_det(parts: Sequence[int], classes: Sequence):
             continue
         acc = 0
         for t, j in enumerate(cols):
-            e = matrix[row][j]
-            if e is None:
-                continue
-            if row:
-                rest = minors.get(mask ^ (1 << j))
-                if rest is None:
-                    continue
-                e = e * rest
-            acc = acc - e if (row + t) % 2 else acc + e
+            idx = parts[row] + j - row
+            if 0 <= idx < len(classes):
+                e = classes[idx] * minors[mask ^ (1 << j)]
+                acc = acc - e if (row + t) % 2 else acc + e
         minors[mask] = acc
     return minors[(1 << m) - 1]
 
@@ -189,6 +174,8 @@ class _ElementaryRing:
         sum_m G_m [t^mu] E(t)^m.  Returns {mu padded to c slots: g_mu by
         powers of r, up to its last nonzero coefficient} for every nonzero
         g_mu, the constant row (the diagonal G_0) first even when it is zero.
+        Every Taylor row is one of these, so the least r that certifies them
+        (``bounds.shifted_positivity_threshold``) is the uniform threshold.
         """
         n = self.n
         shifted = MultidegreePoly.zero(n + 1).add_all(self._image(self._shifted, m) * a for m, a in poly.terms.items())
@@ -205,12 +192,6 @@ class _ElementaryRing:
                 if row or not weight:
                     rows[t_key] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
         return rows
-
-    def threshold(self, poly: MultidegreePoly) -> int:
-        """Uniform degree threshold for ``poly``, nonzero in weight >= 1: the
-        least r that certifies the orbit rows, which is the least r that
-        certifies every row of the Taylor table."""
-        return bounds.shifted_positivity_threshold(list(self.orbit_rows(poly).values()))
 
 
 def positivity_report(params: ModelParams, a: int) -> SchurReport:
@@ -258,7 +239,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    threshold=ring.threshold(graded),
+                    threshold=bounds.shifted_positivity_threshold(list(ring.orbit_rows(graded).values())),
                 )
             )
     overall = max(record.threshold for record in records)

@@ -119,6 +119,19 @@ class TestRecursionCoeff:
         assert segre_recursion_coeff(2, 1, 0) == 0
         assert segre_recursion_coeff(3, 2, 0) == 2
 
+    def test_whole_table_is_a_series_coefficient(self):
+        # the coefficient is [x^(ell - j)] (1 + x)^-k / (1 - x), k = n - 1 + j:
+        # the prefix sums of the coefficients (-1)^i C(k + i - 1, i) of
+        # (1 + x)^-k, which are 1, 0, 0, ... at k = 0
+        top = 30
+        for n in range(1, 11):
+            for j in range(top + 1):
+                k = n - 1 + j
+                inverse = [(-1) ** i * math.comb(k + i - 1, i) if k else int(i == 0) for i in range(top - j + 1)]
+                series = list(itertools.accumulate(inverse))
+                for ell in range(j, top + 1):
+                    assert segre_recursion_coeff(n, ell, j) == series[ell - j], (n, ell, j)
+
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             segre_recursion_coeff(2, 1, 2)

@@ -243,7 +243,8 @@ class TestElementaryRoute:
                     conj = conjugate(lam)
                     graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
                     assert ring.expand(graded_e) == graded_d, (N, n, a, lam)
-                    assert ring.threshold(graded_e) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
+                    rows = list(ring.orbit_rows(graded_e).values())
+                    assert bounds.shifted_positivity_threshold(rows) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
 
     def test_zero_diagonal_has_no_threshold_on_either_route(self):
         # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
@@ -251,7 +252,11 @@ class TestElementaryRoute:
         poly = MultidegreePoly(2, {(2, 0): 1, (0, 1): -3})
         # the constant row comes first even when it is zero
         assert next(iter(ring.orbit_rows(poly).items())) == ((0, 0, 0), [])
-        for route in (lambda: ring.threshold(poly), lambda: d_basis_threshold(ring.expand(poly), 3)):
+        routes = (
+            lambda: bounds.shifted_positivity_threshold(list(ring.orbit_rows(poly).values())),
+            lambda: d_basis_threshold(ring.expand(poly), 3),
+        )
+        for route in routes:
             with pytest.raises(ArithmeticError, match="no shifted-positivity threshold"):
                 route()
 

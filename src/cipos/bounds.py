@@ -10,9 +10,8 @@ compare integer degrees with their ceiling; the searches return integers.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polyring import MultidegreePoly, recombine_elementary
 
@@ -49,6 +48,19 @@ def _horner(coeffs: Sequence[int], r: int) -> int:
     return value
 
 
+def _least(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """Least r in lo..hi at which holds(r), for a predicate upward closed on
+    lo..hi that holds at hi (hi itself is never probed).  Plain ints, so the
+    interval may be of any width."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def elementary_shift_rows(coefficients: Sequence[int], c: int) -> list[list[int]]:
     """Rows of the Taylor table of sum_j a_j e_j(d_1..d_c), n <= c, at
     d = r + t.  As e_k(r + t) = sum_i C(c-i, k-i) r^(k-i) e_i(t), row i lists
@@ -80,8 +92,7 @@ def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:
     hi = 1
     while not certifies(hi):
         hi *= 2
-    lo = hi // 2 + 1  # every r below lo is unsound, and hi is sound
-    return lo + bisect.bisect_left(range(lo, hi), True, key=certifies)
+    return _least(hi // 2 + 1, hi, certifies)  # every r up to hi // 2 is unsound
 
 
 def _monotone_blocks(p: Sequence[int], lo: int, hi: int) -> list[tuple[int, int]]:
@@ -97,7 +108,7 @@ def _monotone_blocks(p: Sequence[int], lo: int, hi: int) -> list[tuple[int, int]
         if _horner(dp, s) * sign >= 0:
             blocks.append((s, e))
         else:
-            t = s + bisect.bisect_left(range(s, e + 1), True, key=lambda r: _horner(dp, r) * sign > 0)
+            t = _least(s, e, lambda r: _horner(dp, r) * sign > 0)
             blocks += [(s, t - 1), (t, e)]
     return blocks
 
@@ -115,7 +126,7 @@ def first_positive_uniform_degree(diagonal: Sequence[int], d_max: int) -> int | 
         if _horner(diagonal, s) > 0:
             return s
         if _horner(diagonal, e) > 0:
-            return s + bisect.bisect_left(range(s, e + 1), True, key=lambda r: _horner(diagonal, r) > 0)
+            return _least(s, e, lambda r: _horner(diagonal, r) > 0)
     return None
 
 

@@ -173,6 +173,11 @@ class TestShiftedThreshold:
             with pytest.raises(ArithmeticError):
                 shifted_positivity_threshold(rows)
 
+    def test_frontier_beyond_ssize_t(self):
+        # the bisection interval is 2^69 wide, more than a C ssize_t holds,
+        # so the search must run on plain ints
+        assert shifted_positivity_threshold([[-(2**70), 1]]) == 2**70 + 1
+
     def test_soundness(self):
         rng = random.Random(47)
         for _ in range(20):
@@ -221,6 +226,13 @@ class TestFirstPositiveDegree:
         assert first_positive_uniform_degree(diagonal, 10 * big) == big + 1
         assert first_positive_uniform_degree(diagonal, big) is None
         assert first_positive_uniform_degree(diagonal, 0) is None
+
+    def test_blocks_beyond_ssize_t(self):
+        # (r - 2^66)(r - 2^67)(r - 2^68): its derivative changes sign between
+        # the roots, beyond 2^63, so the monotone blocks split there too
+        a, b, c = 2**66, 2**67, 2**68
+        diagonal = [-a * b * c, a * b + a * c + b * c, -(a + b + c), 1]
+        assert first_positive_uniform_degree(diagonal, 2**70) == a + 1
 
 
 class TestElementaryShiftRows:

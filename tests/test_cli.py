@@ -123,8 +123,10 @@ class TestPositivity:
         assert code == 0 and json.loads(out)["D"] == "73"
 
     def test_streamed_report_is_the_whole_document(self, capsys, tmp_path):
-        # every frame with n <= c and N <= 12, at twists 0, 1 and 3, on stdout and through --out
-        for N, n, a in [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 3)]:
+        # every frame with n <= c and N <= 12, at twists 0, 1 and 3, then (14,7,0)
+        # and the twisted c > n frame (12,5,4), on stdout and through --out
+        frames = [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 3)]
+        for N, n, a in frames + [(14, 7, 0), (12, 5, 4)]:
             report = schur.positivity_report(ModelParams(N, n), a)
             expected = {"json": json.dumps(report_json(report), indent=2) + "\n", "text": whole_text(report)}
             for fmt, whole in expected.items():
@@ -133,6 +135,12 @@ class TestPositivity:
                 target = tmp_path / f"report.{fmt}"
                 assert run(capsys, [*argv, "--out", str(target)]) == (0, "", ""), (N, n, a, fmt)
                 assert target.read_text(encoding="utf-8") == whole, (N, n, a, fmt)
+
+    def test_twist_beyond_ssize_t(self, capsys):
+        # D = a/2 + 3, as at a = 10^3, 10^6 and 10^18
+        code, out, err = run(capsys, ["positivity", "--N", "3", "--n", "1", "--a", str(10**20)])
+        assert (code, err) == (0, "")
+        assert out.endswith("sufficient uniform degree D = 50000000000000000003\n")
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, ["positivity", "--N", "4", "--n", "2", "--a", "0", "--format", "json"])
@@ -207,6 +215,17 @@ class TestBound:
         proc = subprocess.run([sys.executable, "-m", "cipos", *argv], env=env, capture_output=True, text=True, timeout=20)
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["gamma"] == "600000000010"
+
+    @pytest.mark.parametrize(
+        "method,expected",
+        [("scan", 600000000000000000010), ("dim2", 600000000000000000010), ("rough", 28800000000000000000318)],
+    )
+    def test_twist_beyond_ssize_t(self, capsys, method, expected):
+        # scan = 6a + 10 and rough = 288a + 318, as at a = 10^3, 10^6 and 10^18;
+        # the searches run on plain ints, so their intervals may be of any width
+        code, out, err = run(capsys, ["bound", "--N", "4", "--n", "2", "--a", str(10**20), "--method", method])
+        assert (code, err) == (0, "")
+        assert f"threshold = {expected} (integer degrees >= {expected})\n" in out
 
     def test_uncertified_scan_tail_is_not_claimed(self, capsys, monkeypatch):
         # a scan that stops at 1 proves nothing about larger degrees: the
@@ -626,3 +645,23 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     blob = json.loads(target.read_text())
     assert blob["N"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jet", "--N", "9", "--n", "6", "--a", "0", "--degrees", "7,8,9"],
+        ["segre", "--N", "10", "--n", "4", "--twist", "-3"],
+        ["bound", "--N", "200", "--n", "20", "--a", "0", "--method", "scan"],
+        ["vecfields", "verify", "--N", "3", "--degrees", "2,2", "--family", "talpha", "--seed", "4"],
+        ["selftest", "--criteria", "3,4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_is_the_bytes_json_dumps_gives(capsys, argv):
+    # every subcommand joins its JSON from strings through cli._json; on
+    # frames no golden covers, parsing it and dumping it again gives the same
+    # bytes (the selftest payload holds floats)
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out

@@ -94,8 +94,9 @@ def argv_for(name: str, fmt: str) -> list:
 @pytest.mark.parametrize("name,fmt", CASES, ids=[f"{n}-{f}" for n, f in CASES])
 def test_matches_golden(capsys, name, fmt):
     code = cli.main(argv_for(name, fmt))
-    assert code == 0
-    assert capsys.readouterr().out == golden_path(name, fmt).read_text(encoding="utf-8")
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == golden_path(name, fmt).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", HELP)

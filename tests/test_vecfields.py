@@ -398,6 +398,17 @@ class TestVelocityFamily:
         with pytest.raises(ValueError):
             velocity_field(chart, [[1, 1], [2, 2]])
 
+    def test_zero_pivot_is_swapped(self):
+        # a zero in the pivot slot swaps rows, and each swap flips the sign
+        assert _rational_det([[0, 1], [1, 0]]) == -1
+        assert _rational_det([[0, 2, 1], [1, 0, 0], [0, 1, 3]]) == -5
+        chart = UniversalChart(2, [2])
+        field = velocity_field(chart, [[0, 1], [1, 0]])
+        assert field.coefficients == {
+            chart.zp_index(1): chart.var(chart.zp_index(2)),
+            chart.zp_index(2): chart.var(chart.zp_index(1)),
+        }
+
     def test_non_integer_entries_refused(self):
         # 1/2 once truncated to 0, which left d/dz'_1 without its z'_1 term
         chart = UniversalChart(2, [1])

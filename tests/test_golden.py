@@ -108,6 +108,12 @@ def test_help_matches_golden(capsys, monkeypatch, name):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_golden_directory_holds_exactly_the_listed_files():
+    # an orphan golden that no entry checks, or an entry with no golden, fails here
+    listed = [golden_path(n, f).name for n, f in CASES] + [f"{n}.txt" for n in HELP]
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(listed)
+
+
 def test_stdlib_only_runtime():
     # -I -S: no site-packages and no PYTHONPATH, so any import from outside the
     # standard library fails here; -B writes no bytecode into src/ (-I ignores

@@ -106,11 +106,6 @@ class JetClass(_SparseTerms):
     __mul__ = _SparseTerms.__mul__
     __pow__ = _SparseTerms.__pow__
 
-    # -- queries ----------------------------------------------------------------
-
-    def __repr__(self):
-        return f"JetClass(level={self.level}, {len(self.terms)} terms)"
-
 
 def reduce_to_base(x: JetClass) -> MultidegreePoly:
     """Push a class down to the base one level at a time, then substitute

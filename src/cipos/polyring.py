@@ -183,9 +183,6 @@ class _SparseTerms:
             return hash(self.terms.get(unit, 0))
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -19,25 +19,12 @@ from cipos.bounds import (
 from cipos import bounds, cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
-from cascade_reference import cascade_threshold, monic_root_bound
-from shift_reference import taylor_shift
-
-
-def substituted(p, r):
-    """p(d_1 + r, ..., d_c + r) by ring + and *."""
-    c = p.num_vars
-    total = MultidegreePoly.zero(c)
-    for exps, coeff in p.terms.items():
-        term = MultidegreePoly.one(c) * coeff
-        for i, e in enumerate(exps):
-            term = term * (MultidegreePoly.variable(c, i) + r) ** e
-        total = total + term
-    return total
+from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
 
 
 def rows_of(p):
     """The rows of p's Taylor table, constant row first."""
-    table = taylor_shift(p)
+    table = taylor_shift(p.terms)
     return [table.pop((0,) * p.num_vars, []), *table.values()]
 
 
@@ -136,10 +123,8 @@ class TestShiftedThreshold:
         poly = d1**2 + d1 * d2 + d2**2 - 5 * d1 - 5 * d2 + 10
         r = shifted_positivity_threshold(rows_of(poly))
         assert r == 2
-        shifted = substituted(poly, r)
-        assert all(v > 0 for v in shifted.terms.values())
-        bad = substituted(poly, r - 1)
-        assert any(v < 0 for v in bad.terms.values())
+        assert all(v > 0 for v in shift_at(poly.terms, r).values())
+        assert any(v < 0 for v in shift_at(poly.terms, r - 1).values())
 
     def test_zero_coefficient_allowed(self):
         # (1 + t)^2 - 2(1 + t) + 5 = t^2 + 4: the zero linear coefficient
@@ -148,7 +133,7 @@ class TestShiftedThreshold:
         assert shifted_positivity_threshold(rows_of(d**2 - 2 * d + 5)) == 1
 
     def test_matches_substitution_frontier(self):
-        # the least r >= 1 at which the substituted polynomial has no negative
+        # the least r >= 1 at which the shifted polynomial has no negative
         # coefficient and a positive constant term, found by a linear scan
         rng = random.Random(53)
         seen = set()
@@ -156,8 +141,8 @@ class TestShiftedThreshold:
             c = rng.randint(1, 3)
             poly = elementary_symmetric(1, c) ** rng.randint(2, 3) + elementary_symmetric(c, c) * rng.randint(0, 9)
             poly = poly + elementary_symmetric(1, c) * rng.randint(-30, 5) + rng.randint(-40, 40)
-            shifts = ((r, substituted(poly, r)) for r in range(1, 200))
-            r = next(r for r, q in shifts if min(q.terms.values()) >= 0 and q.coeff((0,) * c) > 0)
+            shifts = ((r, shift_at(poly.terms, r)) for r in range(1, 200))
+            r = next(r for r, q in shifts if min(q.values()) >= 0 and q.get((0,) * c, 0) > 0)
             assert shifted_positivity_threshold(rows_of(poly)) == r
             seen.add(r)
         assert len(seen) > 5
@@ -248,7 +233,7 @@ class TestElementaryShiftRows:
                 c = N - n
                 for a in range(6):
                     coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
-                    table = taylor_shift(recombine_elementary(enumerate(coefficients), c))
+                    table = taylor_shift(recombine_elementary(enumerate(coefficients), c).terms)
                     rows = elementary_shift_rows(coefficients, c)
                     squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}
                     assert set(table) == squarefree, (N, n, a)

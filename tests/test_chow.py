@@ -14,7 +14,7 @@ from cipos.chow import (
 )
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary, series_inverse, series_product
 
-from positivity_reference import terms_json
+from oracle import terms_json
 
 
 class TestModelParams:

@@ -16,7 +16,7 @@ from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
-from positivity_reference import record_json, report_json, terms_json
+from oracle import record_json, report_json, shift_at, terms_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,16 +52,10 @@ def whole_text(report) -> str:
 
 
 def shift_holds(p, r):
-    """Whether p(d_1 + r, ..., d_c + r), built by ring + and *, has no negative
-    coefficient and a positive constant term."""
-    c = p.num_vars
-    total = MultidegreePoly.zero(c)
-    for exps, coeff in p.terms.items():
-        term = MultidegreePoly.one(c) * coeff
-        for i, e in enumerate(exps):
-            term = term * (MultidegreePoly.variable(c, i) + r) ** e
-        total = total + term
-    return min(total.terms.values()) >= 0 and total.coeff((0,) * c) > 0
+    """Whether p(d_1 + r, ..., d_c + r), read from the oracle's Taylor shift,
+    has no negative coefficient and a positive constant term."""
+    shifted = shift_at(p.terms, r)
+    return min(shifted.values()) >= 0 and shifted.get((0,) * p.num_vars, 0) > 0
 
 
 class TestSegre:
@@ -281,7 +275,7 @@ class TestBound:
 
     def test_certified_from_is_the_shift_frontier(self, capsys):
         # certified_from is the least r >= 1 at which the difference shifted to
-        # r + t (by ring substitution) has no negative coefficient and a
+        # r + t (by the oracle's Taylor shift) has no negative coefficient and a
         # positive constant term; the text claims the tail exactly from there
         for n in range(1, 4):
             for N in range(2 * n, 2 * n + 4):

@@ -1,11 +1,18 @@
 """Byte-for-byte CLI outputs: every README command (selftest aside, its output
 carries timings) and fourteen frames the README misses, in text and JSON, and
-the ``--help`` text of every parser at a width of 80 columns.
+the ``--help`` text of every parser at a width of 80 columns.  A golden is a
+copy of the program's own output, so each JSON golden is also checked by a
+second route: the benchmark's output checks (``perfbench/checks.py``) and the
+Morse integrals of ``oracle``.  So are the checks themselves, by their self-test.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import itertools
+import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +21,11 @@ import pytest
 
 from cipos import cli
 
+from oracle import morse_on_grid
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 COMMANDS = {
     "segre_N4_n2": ["segre", "--N", "4", "--n", "2", "--twist", "0"],
@@ -112,6 +122,55 @@ def test_golden_directory_holds_exactly_the_listed_files():
     # an orphan golden that no entry checks, or an entry with no golden, fails here
     listed = [golden_path(n, f).name for n, f in CASES] + [f"{n}.txt" for n in HELP]
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(listed)
+
+
+# checks.check_tangency has no talpha case: it counts talpha's residuals as
+# failures, as for a tangent family
+CHECKED = [name for name in COMMANDS if name != "vecfields_talpha_N3_seed2"]
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_json_golden_passes_the_benchmark_checks(checks, name):
+    args = cli.build_parser().parse_args(COMMANDS[name])
+    out = json.loads(golden_path(name, "json").read_text(encoding="utf-8"))
+    if args.command == "jet":
+        N, n, a = args.N, args.n, args.a
+        degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else None
+        reference = None
+        if checks.kappa_of(n, N - n) >= 2:
+            # both sides have total degree <= n, so agreeing on {0..n}^c proves
+            # the difference equal to the oracle's
+            reference = checks.poly_from_json(out["difference"])
+            assert checks.total_degree(reference) <= n
+            for point, value in morse_on_grid(N, n, a, checks.segre_values).items():
+                assert checks.poly_eval(reference, point) == value, point
+        assert checks.check_morse(out, N, n, a, degrees, reference) == []
+    elif args.command == "positivity":
+        assert checks.check_positivity(out, args.N, args.n, args.a, random.Random(0)) == []
+    elif args.command == "vecfields":
+        assert checks.check_tangency(out, args.family, args.N, args.samples, args.seed) == []
+    elif args.command == "bound":
+        assert (out["N"], out["n"], out["a"]) == (args.N, args.n, args.a)
+        coefficients, c = map(int, out["coefficients"]), args.N - args.n
+        difference = {exps: v for j, v in enumerate(coefficients) if v for exps in checks.elementary_poly(j, c)}
+        assert difference == checks.morse_closed_form(args.N, args.n, args.a)
+    else:
+        N, n = args.N, args.n
+        assert (out["N"], out["n"], out["m"]) == (N, n, args.twist)
+        assert [j for j, _ in out["classes"]] == list(range(n + 1))
+        classes = [checks.poly_from_json(terms) for _, terms in out["classes"]]
+        assert all(checks.total_degree(s) <= n for s in classes)
+        for point in itertools.product(range(n + 1), repeat=N - n):
+            want = checks.segre_values(N, n, args.twist, point)
+            assert [checks.poly_eval(s, point) for s in classes] == want, point
+
+
+def test_benchmark_checker_selftest():
+    # every check passes real output and rejects a corrupted copy of it
+    script = ROOT / "perfbench" / "checker_selftest.py"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_stdlib_only_runtime():

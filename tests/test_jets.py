@@ -11,12 +11,11 @@ from cipos.jets import JetClass, morse_certificate, nef_sum, reduce_to_base, seg
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
-from shift_reference import taylor_shift
+from oracle import morse_on_grid, taylor_shift
 from tower_reference import (
     base_segre_symbol,
     integrate_tower,
     lift,
-    morse_integrals,
     nef_tower_class,
     pushforward,
     reduce_reference,
@@ -28,7 +27,15 @@ P42 = ModelParams(4, 2)
 
 def diagonal(poly):
     """poly at (r, ..., r) by powers of r: the constant row of its Taylor table."""
-    return taylor_shift(poly)[(0,) * poly.num_vars]
+    return taylor_shift(poly.terms)[(0,) * poly.num_vars]
+
+
+def assert_oracle_difference(difference, p, a, checks):
+    """``difference`` is the oracle's Morse difference: both have total degree
+    <= n, so agreeing on {0..n}^c makes them equal."""
+    assert difference.total_degree() <= p.n, (p, a)
+    for point, value in morse_on_grid(p.N, p.n, a, checks.segre_values).items():
+        assert difference.eval(point) == value, (p, a, point)
 
 
 def bezout(c):
@@ -252,7 +259,7 @@ class TestReduceToBase:
             tracemalloc.stop()
         assert peak - size < size, (peak - size, size)
 
-    def test_morse_integrands_match_reference(self):
+    def test_morse_integrands_match_reference(self, checks):
         frames = [ModelParams(N, n) for N in range(3, 8) for n in range(1, N)]
         frames = [p for p in frames if 2 <= p.kappa <= 4]
         assert len(frames) == 7
@@ -261,23 +268,20 @@ class TestReduceToBase:
             top = p.tower_dim(kappa)
             total = JetClass(p, kappa).add_all(lift(nef_tower_class(p, i), kappa) for i in range(1, kappa + 1))
             power = total ** (top - 1)
-            integral, h_integral = morse_integrals(p)
             for a in (0, 2):
                 integrand = power * (total - JetClass.hyperplane(p, kappa) * (top * (m + a)))
                 expected = reduce_reference(integrand)
                 assert reduce_to_base(integrand) == expected, (p, a)
                 assert morse_certificate(p, a).difference == expected, (p, a)
-                assert integral - h_integral * (top * (m + a)) == expected, (p, a)
+                assert_oracle_difference(expected, p, a, checks)
 
-    # the recursion of tower_reference takes no power of a class; the frames
-    # up to N = 7 are checked against it in the test above
+    # the oracle's recursion takes no power of a class; the frames up to N = 7
+    # are checked against it in the test above
     @pytest.mark.parametrize("N,n", [(8, 5), (8, 6), (9, 6), (10, 7)])
-    def test_morse_recursion_matches_certificates(self, N, n):
+    def test_morse_recursion_matches_certificates(self, checks, N, n):
         p = ModelParams(N, n)
-        top, m = p.tower_dim(p.kappa), 3**p.kappa - 1
-        integral, h_integral = morse_integrals(p)
         for a in (0, 2):
-            assert integral - h_integral * (top * (m + a)) == morse_certificate(p, a).difference, a
+            assert_oracle_difference(morse_certificate(p, a).difference, p, a, checks)
 
 
 class TestIntegrate:
@@ -389,7 +393,7 @@ class TestNefClasses:
             assert list(total.terms) == [u_keys[0], h_key, *u_keys[1:]], p
             assert total.terms[h_key] == morse_certificate(p, 0).m, p
             for k, u_key in enumerate(u_keys, 1):
-                # the weight of u_k in tower_reference.morse_integrals
+                # the weight of u_k in oracle.morse_tables
                 assert total.terms[u_key] == 3 ** (kappa - k), (p, k)
 
 

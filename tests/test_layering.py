@@ -101,3 +101,10 @@ def test_chow_loads_no_higher_layer():
 def test_schur_loads_no_json():
     # the positivity report is plain data; only the CLI renders it
     assert "json" not in modules_after("import cipos.schur")
+
+
+def test_oracle_loads_no_cipos():
+    # the tests' second routes share no code with the engine
+    loaded = modules_after(f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\nimport oracle")
+    assert "oracle" in loaded
+    assert not {name for name in loaded if name.split(".")[0] == "cipos"}

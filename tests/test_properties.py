@@ -23,8 +23,8 @@ from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
 
-from positivity_reference import terms_json  # noqa: E402
-from shift_reference import taylor_shift  # noqa: E402
+from oracle import shift_at as oracle_shift_at, terms_json  # noqa: E402
+from test_polyring import substituted  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -85,19 +85,7 @@ def test_jet_ring_laws_under_truncation(triple):
 
 def shift_at(p, a):
     """p(a + t_1, ..., a + t_c): the Taylor shift table evaluated at r = a."""
-    return MultidegreePoly(p.num_vars, {j: sum(x * a**k for k, x in enumerate(g)) for j, g in taylor_shift(p).items()})
-
-
-def substituted(p, a):
-    """p(d_1 + a, ..., d_c + a) by ring + and *, without ``taylor_shift``."""
-    c = p.num_vars
-    total = MultidegreePoly.zero(c)
-    for exps, coeff in p.terms.items():
-        term = MultidegreePoly.one(c) * coeff
-        for i, e in enumerate(exps):
-            term = term * (MultidegreePoly.variable(c, i) + a) ** e
-        total = total + term
-    return total
+    return MultidegreePoly(p.num_vars, oracle_shift_at(p.terms, a))
 
 
 @PROPERTY

@@ -1,24 +1,16 @@
-"""The eager route down the jet tower, kept as the tests' second route.
+"""The eager route down the jet tower, on the engine's own ``JetClass`` ring.
 
 Tower Segre classes are expanded through every lower level by the fiberwise
 recursion, and a pushforward multiplies whole classes: each bucket of terms
 that share a top tautological power p becomes its rest times the tower Segre
 class of index p - (n-1) one level down.  ``reduce_reference`` iterates that
-to the base and substitutes the base Segre symbols, independently of
-``jets.reduce_to_base``.
-
-``nef_tower_class`` builds the per-level nef classes and ``lift`` pulls a
-class up the tower; summed at the top level they are the nef sum that
-``jets.nef_sum`` writes by its weights.  ``integrate_tower`` integrates a
-top-degree class through ``jets.reduce_to_base``.
-
-``morse_integrals`` is a route that takes no power of a class and uses nothing
-of ``cipos.jets``: it integrates the powers of the nef sum by a memoized
-recursion down the tower, with the fiberwise coefficients derived afresh from
-their generating series.
+to the base, independently of ``jets.reduce_to_base``.  ``nef_tower_class``
+and ``lift`` build the nef sum that ``jets.nef_sum`` writes by its weights,
+and ``integrate_tower`` integrates a top-degree class.  These routes share
+``JetClass`` and ``chow.segre_cotangent`` with the engine; the Morse
+integrals' cipos-free route is ``oracle.morse_tables``.
 """
 
-import itertools
 import math
 import operator
 from functools import cache
@@ -118,65 +110,3 @@ def reduce_reference(x: JetClass) -> MultidegreePoly:
             factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
             pieces.append(math.prod(factors, start=one) * coeff)
     return MultidegreePoly.zero(x.params.c).add_all(pieces)
-
-
-@cache
-def _series_coefficient(r: int, L: int) -> int:
-    """Coefficient g(r, L) of x^L in (1 + x)^-r / (1 - x).  Multiplying the
-    series by 1 + x lowers r by one, so g(r, L) = g(r - 1, L) - g(r, L - 1),
-    with g(0, L) = 1 and g(r, -1) = 0."""
-    if L < 0:
-        return 0
-    return 1 if r == 0 else _series_coefficient(r - 1, L) - _series_coefficient(r, L - 1)
-
-
-def fiber_coefficient(n: int, q: int, j: int) -> int:
-    """Coefficient of s_{k-1,j} u_k^(q-j) in the tower Segre class s_{k,q}.
-
-    The tower's Segre series is s_k(t) = s_{k-1}(t / (1 + u t)) / ((1 + u t)^(n-1) (1 - u t)),
-    and s_{k-1,j} t^j enters it times (1 + u t)^-(n-1+j) / (1 - u t).
-    """
-    return _series_coefficient(n - 1 + j, q - j)
-
-
-def morse_integrals(params: ModelParams) -> tuple[MultidegreePoly, MultidegreePoly]:
-    """A = int S^top and B = int h S^(top-1) over the top stage of the tower, as
-    h^n coefficients on the base, for the nef sum S = sum_i 3^(kappa-i) u_i + m h,
-    m = 3^kappa - 1; the Morse difference at twist a is A - top (m + a) B.
-
-    ``down(k, p, delta, pending)`` pushes R_k^p h^delta prod_{q in pending} s_{k,q}
-    to the base, where R_k is S cut to the levels up to k (R_0 = m h).  It
-    expands R_k^p = sum_b C(p, b) w_k^b u_k^b R_{k-1}^(p-b) and each s_{k,q} by
-    :func:`fiber_coefficient`; the total power e of u_k pushes down to
-    s_{k-1, e-(n-1)}, and to 0 when e < n - 1.  The degree drops by n - 1 at
-    each level, so every base monomial m^p h^(p+delta) prod s_q has degree n.
-    """
-    n, kappa = params.n, params.kappa
-    top, m = params.tower_dim(kappa), 3**kappa - 1
-
-    @cache
-    def down(k: int, p: int, delta: int, pending: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        if k == 0:
-            return {pending: m**p}
-        out: dict[tuple[int, ...], int] = {}
-        for b in range(p + 1):
-            weight = math.comb(p, b) * 3 ** ((kappa - k) * b)
-            for js in itertools.product(*(range(q + 1) for q in pending)):
-                e = b + sum(pending) - sum(js)
-                coeff = weight * math.prod(fiber_coefficient(n, q, j) for q, j in zip(pending, js))
-                if e >= n - 1 and coeff:
-                    below = tuple(sorted(j for j in (*js, e - (n - 1)) if j))
-                    for base, value in down(k - 1, p - b, delta, below).items():
-                        out[base] = out.get(base, 0) + coeff * value
-        return out
-
-    segre = chow.segre_cotangent(params, 0)
-    one = MultidegreePoly.one(params.c)
-
-    def integral(p: int, delta: int) -> MultidegreePoly:
-        monomials = down(kappa, p, delta, ()).items()
-        return MultidegreePoly.zero(params.c).add_all(
-            math.prod((segre[q] for q in base), start=one) * value for base, value in monomials
-        )
-
-    return integral(top, 0), integral(top - 1, 1)

@@ -24,9 +24,8 @@ results are canonical by construction.
 A class stated in the elementary symmetric basis is expanded in d by
 :func:`recombine_elementary`; the closed forms state it there directly.
 
-Truncated power series (a class in the Chow ring of a complete intersection
-is the list of its h-power coefficients) are plain lists of coefficients,
-multiplied by :func:`series_product` and inverted by :func:`series_inverse`.
+A total Chern or Segre class given as a plain list of its coefficients is
+inverted by :func:`series_inverse`; the package multiplies no such lists.
 """
 
 from __future__ import annotations
@@ -316,8 +315,10 @@ def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
         raise ValueError("need at least one variable")
     terms = {}
     for subset in itertools.combinations(range(c), i):
-        exps = tuple(1 if j in subset else 0 for j in range(c))
-        terms[exps] = 1
+        exps = [0] * c
+        for j in subset:
+            exps[j] = 1
+        terms[tuple(exps)] = 1
     return MultidegreePoly(c, terms)
 
 
@@ -325,23 +326,6 @@ def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> Multidegr
     """The class given by (j, a) pairs in the elementary symmetric basis, in d:
     the sum of a * e_j(d1..dc) over the pairs."""
     return MultidegreePoly.zero(c).add_all(elementary_symmetric(j, c) * a for j, a in coeffs)
-
-
-def series_product(a: Sequence, b: Sequence, order: int) -> list:
-    """Truncated product of two power series given by their coefficient lists.
-
-    Returns the coefficients of t^0..t^order of (sum a_i t^i)(sum b_j t^j);
-    entries beyond either list are zero.  Works over any commutative
-    coefficient ring whose elements support ``+`` and ``*`` with each other
-    and with plain ints (a coefficient with no contribution is the int 0).
-    """
-    out = []
-    for k in range(order + 1):
-        acc = 0
-        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-            acc = acc + a[i] * b[k - i]
-        out.append(acc)
-    return out
 
 
 def series_inverse(c_seq: Sequence, order: int):

@@ -3,8 +3,10 @@
 test, and the benchmark can import this module too.  A polynomial in the
 degrees is a dict {exponent tuple: int}: a ``MultidegreePoly``'s ``terms``, or
 the ``Poly`` of ``perfbench/checks.py``.  It holds the Taylor shift, the
-derivative-cascade threshold, the dicts the JSON reports must render, and the
-Morse integrals of the jet tower by a recursion that takes no power of a class.
+derivative-cascade threshold, the dicts the JSON reports must render, the
+Segre classes by the product formula as truncated series products over
+whatever ring elements the caller passes in, and the Morse integrals of the
+jet tower by a recursion that takes no power of a class.
 """
 
 import itertools
@@ -95,6 +97,31 @@ def report_json(report) -> dict:
         "records": [record_json(r) for r in report.records],
         "D": str(report.threshold),
     }
+
+
+def series_product(a, b, order: int) -> list:
+    """The coefficients of t^0..t^order of (sum a_i t^i)(sum b_j t^j); entries
+    beyond either list are zero.  Duck-typed: ints, or ring elements that add
+    and multiply with each other and with ints (an empty sum is the int 0)."""
+    return [
+        sum((a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)), 0)
+        for k in range(order + 1)
+    ]
+
+
+def segre_product(N: int, n: int, twist: int, one, variables) -> list:
+    """Segre classes s_0..s_n of the twisted cotangent bundle of X^n in P^N by
+    the product formula: the h-series of (1 + (1-t)h)^-(N+1) (1 - th)
+    prod_i (1 + (d_i - t)h), the power as N + 1 products with the geometric
+    series.  ``one`` is the ring's unit and ``variables`` the degrees d_i in
+    it, e.g. ``MultidegreePoly.one(c)`` and its variables, or 1 and a point."""
+    geometric = [one * (twist - 1) ** k for k in range(n + 1)]
+    total = [one]
+    for _ in range(N + 1):
+        total = series_product(total, geometric, n)
+    for factor in (one * -twist, *(d - twist for d in variables)):
+        total = series_product(total, [one, factor], n)
+    return total
 
 
 @cache

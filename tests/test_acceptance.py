@@ -9,7 +9,7 @@ test_jets.py together with the coefficientwise domination.
 
 import pytest
 
-from cipos import selftest
+from cipos import chow, selftest
 
 # the factors the README quotes under "Known red criterion"
 CRITERION_6_DETAIL = (
@@ -34,3 +34,28 @@ def test_criterion_6_red_detail():
     result = selftest.run_criterion(6)
     assert result.passed is False
     assert result.detail == CRITERION_6_DETAIL
+
+
+@pytest.mark.parametrize(
+    "frame,detail",
+    [
+        # s_4 at N=7, c=3, twist -2 gains e_2(d): the closed form misses the product
+        ((7, 3, -2, 4, 2), "closed form mismatch at N=7 c=3 m=-2 j=4"),
+        # s_3 at N=5, c=2, twist 0 gains e_1(d): the twists of it miss the twisted classes
+        ((5, 2, 0, 3, 1), "twist mismatch at N=5 c=2 m=-3"),
+    ],
+)
+def test_criterion_1_catches_one_wrong_coefficient(monkeypatch, frame, detail):
+    N, c, twist, j, k = frame
+    closed_form = chow.segre_elementary
+
+    def off_by_one(params, m):
+        rows = closed_form(params, m)
+        if (params.N, params.c, m) == (N, c, twist):
+            rows[j][k] += 1
+        return rows
+
+    monkeypatch.setattr(chow, "segre_elementary", off_by_one)
+    result = selftest.run_criterion(1)
+    assert result.passed is False
+    assert result.detail == detail

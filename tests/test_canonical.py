@@ -8,13 +8,14 @@ import random
 
 import pytest
 
-from cipos.chow import ModelParams, integrate, segre_cotangent, twist_segre
+from cipos.chow import ModelParams, integrate, segre_cotangent
 from cipos.jets import JetClass
-from cipos.polyring import MultidegreePoly, recombine_elementary, series_product
+from cipos.polyring import MultidegreePoly, recombine_elementary
 from cipos.schur import partitions_of, schur_det
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, coordinate_field, lie_derivative
 
-from oracle import taylor_shift
+from oracle import series_product, taylor_shift
+from test_chow import product_route, twisted
 from tower_reference import nef_tower_class, tower_segre
 
 
@@ -127,10 +128,11 @@ def test_chow_results_canonical(N, n):
     # the chow layer and the Schur determinants build must be canonical
     params = ModelParams(N, n)
     rng = random.Random(N * 10 + n)
-    seg = segre_cotangent(params, rng.randint(-3, 3))
+    m = rng.randint(-3, 3)
+    seg = segre_cotangent(params, m)
     assert len(seg) == n + 1 and seg[0] == 1
-    results = list(seg) + twist_segre(seg, n, rng.randint(-3, 3)) + [integrate(seg[n])]
-    results += twist_segre(seg, n, random_poly(rng, params.c, max_deg=1))
+    results = list(seg) + product_route(params, m) + twisted(seg, n, rng.randint(-3, 3)) + [integrate(seg[n])]
+    results += twisted(seg, n, random_poly(rng, params.c, max_deg=1))
     results += [schur_det(lam, seg) for w in range(1, n + 1) for lam in partitions_of(w)]
     for _ in range(20):
         x = [random_poly(rng, params.c, max_deg=2, max_terms=2) for _ in range(n + 1)]

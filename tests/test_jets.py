@@ -12,6 +12,7 @@ from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surfa
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
 from oracle import morse_on_grid, taylor_shift
+from test_chow import product_route
 from tower_reference import (
     base_segre_symbol,
     integrate_tower,
@@ -293,7 +294,7 @@ class TestIntegrate:
             p = ModelParams(N, n)
             u = JetClass.tautological(p, 1, 1)
             got = integrate_tower(u ** (2 * n - 1))
-            assert got == recombine_elementary(enumerate(chow.segre_elementary(p, 0)[n]), p.c) * bezout(p.c)
+            assert got == product_route(p, 0)[n] * bezout(p.c)
 
     def test_binomial_oracle(self):
         # independent route: expand (u + 2h)^(2n-1) by hand and integrate the

@@ -14,10 +14,9 @@ from cipos.polyring import (
     elementary_symmetric,
     recombine_elementary,
     series_inverse,
-    series_product,
 )
 
-from oracle import taylor_shift, terms_json
+from oracle import series_product, taylor_shift, terms_json
 
 
 def dvar(i, c=2):

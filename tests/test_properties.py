@@ -1,6 +1,6 @@
 """Property tests of the ring layer: ring laws for polynomials and for
 truncated jet classes, the Taylor shift against substitution and under
-composition, associativity of truncated series products, evaluation as a ring
+composition, associativity of the tests' truncated series products, evaluation as a ring
 homomorphism that leaves the polynomial unchanged, graded-lex term order and
 the hand-rendered JSON of nested payloads holding polynomials against
 ``json.dumps``, chart polynomials on pair keys against their dense images,
@@ -20,10 +20,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from cipos import cli  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
-from cipos.polyring import MultidegreePoly, series_product  # noqa: E402
+from cipos.polyring import MultidegreePoly  # noqa: E402
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
 
-from oracle import shift_at as oracle_shift_at, terms_json  # noqa: E402
+from oracle import series_product, shift_at as oracle_shift_at, terms_json  # noqa: E402
 from test_polyring import substituted  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same

@@ -10,6 +10,7 @@ from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from oracle import cascade_threshold, taylor_shift
+from test_chow import product_route
 
 
 class TestPartition:
@@ -208,11 +209,11 @@ class TestPositivityReport:
                     assert poly.eval(point) > 0
 
     def test_runs_without_the_product_route(self, monkeypatch):
-        # the report reads the closed-form rows and never expands the product in d
-        def product_route(*args):
-            raise AssertionError("positivity_report expanded the Segre product")
+        # the report reads the closed-form rows and never expands them in d
+        def expanded(*args):
+            raise AssertionError("positivity_report expanded the Segre classes in d")
 
-        monkeypatch.setattr(chow, "segre_cotangent", product_route)
+        monkeypatch.setattr(chow, "segre_cotangent", expanded)
         assert positivity_report(ModelParams(8, 4), 1).threshold == 50
         assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
 
@@ -226,8 +227,8 @@ def d_basis_threshold(poly, c):
 
 class TestElementaryRoute:
     # the report runs in Z[E_1..E_n] on the closed-form rows; the d-basis
-    # determinant and threshold over the product route are the second route,
-    # for every partition of every frame with n <= c <= 6
+    # determinant and threshold over the tests' product route are the second
+    # route, for every partition of every frame with n <= c <= 6
     FRAMES = [(n + c, n) for c in range(1, 7) for n in range(1, c + 1)]
 
     @pytest.mark.parametrize("a", [0, 1, 3])
@@ -235,7 +236,7 @@ class TestElementaryRoute:
         for N, n in self.FRAMES:
             p = ModelParams(N, n)
             ring = schur._ElementaryRing(n, p.c)
-            in_d = chow.segre_cotangent(p, -a)
+            in_d = product_route(p, -a)
             in_e = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
             for weight in range(1, n + 1):
                 for lam in partitions_of(weight):

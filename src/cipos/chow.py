@@ -4,9 +4,9 @@ A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
 hyperplane class), each a ``MultidegreePoly`` in the degrees.  The Segre
 classes have one route: :func:`segre_elementary` states them in closed form,
 as rows of elementary symmetric coefficients at any twist, which ``positivity``
-reads directly and :func:`segre_cotangent` expands in d for ``segre`` and
-``jet``.  Self-test criterion 1 proves the closed form against the product
-formula by exact evaluation.
+reads directly and :func:`segre_cotangent` writes in d, term by term, for
+``segre`` and ``jet``.  Self-test criterion 1 proves the closed form against
+the product formula by exact evaluation.
 """
 
 from __future__ import annotations
@@ -54,14 +54,13 @@ class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
 
 def integrate(top: MultidegreePoly) -> MultidegreePoly:
     """Pairing against the fundamental class: the h^n coefficient ``top``
-    times the Bezout number d1...dc."""
-    c = top.num_vars
-    return top * MultidegreePoly.monomial(c, (1,) * c)
+    times the Bezout number d1...dc, which raises every exponent by one."""
+    return top._wrap({tuple([e + 1 for e in key]): coeff for key, coeff in top.terms.items()})
 
 
 def segre_cotangent(params: ModelParams, twist: int) -> list[MultidegreePoly]:
     """Segre classes s_0..s_n of the twisted cotangent bundle of X, each as
-    its coefficient of h^j: the rows of :func:`segre_elementary` expanded in d."""
+    its coefficient of h^j: the rows of :func:`segre_elementary` written in d."""
     return [recombine_elementary(enumerate(row), params.c) for row in segre_elementary(params, twist)]
 
 

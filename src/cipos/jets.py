@@ -8,9 +8,9 @@ stage of the tower.  A push down the tower, one level at a time, takes each
 monomial to the base by pi_*(u^p) = s_{p-(n-1)}, expanding tower Segre classes
 through the fiberwise recursion; one dict per level merges equal states, and
 any top-degree class becomes an exact multidegree polynomial, its coefficient
-of h^n.  The holomorphic-Morse bigness certificate sits on top of that
-reduction; its nef sum S is built at the top level straight from its weights
-(:func:`nef_sum`).
+of h^n.  ``JetClass`` is the ring only, with no generators: the holomorphic-Morse
+bigness certificate on top of that reduction writes its nef sum S and the tail
+of its integrand term by term from their weights (:func:`nef_sum`).
 """
 
 from __future__ import annotations
@@ -65,24 +65,6 @@ class JetClass(_SparseTerms):
 
     params = property(lambda self: self.ring[0])
     level = property(lambda self: self.ring[1])
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def _generator(cls, params: ModelParams, level: int, slot: int) -> "JetClass":
-        key = tuple(1 if j == slot else 0 for j in range(1 + params.n + level))
-        return cls(params, level, {key: 1})
-
-    @classmethod
-    def hyperplane(cls, params: ModelParams, level: int) -> "JetClass":
-        return cls._generator(params, level, 0)
-
-    @classmethod
-    def tautological(cls, params: ModelParams, level: int, i: int) -> "JetClass":
-        """The divisor u_i pulled up to the given level (1 <= i <= level)."""
-        if not 1 <= i <= level:
-            raise ValueError(f"tautological index {i} outside 1..{level}")
-        return cls._generator(params, level, params.n + i)
 
     # -- ring kernel -------------------------------------------------------------
 
@@ -150,15 +132,13 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
 def nef_sum(params: ModelParams) -> JetClass:
     """The nef sum S = sum_i 3^(kappa-i) u_i + (3^kappa - 1) h at level kappa:
     the sum of the per-level nef classes u_k + 2 u_{k-1} + ... + 2*3^{k-2} u_1
-    + 2*3^{k-1} h, k = 1..kappa.  Its terms come in that sum's order, u_1, h,
-    u_2, ..., u_kappa, so its powers build their dicts in that order too."""
-    kappa = params.kappa
-
-    def u(i: int) -> JetClass:
-        return JetClass.tautological(params, kappa, i) * 3 ** (kappa - i)
-
-    h = JetClass.hyperplane(params, kappa) * (3**kappa - 1)
-    return u(1).add_all([h, *map(u, range(2, kappa + 1))])
+    + 2*3^{k-1} h, k = 1..kappa.  Its terms are written from the weights in that
+    sum's order, u_1, h, u_2, ..., u_kappa, the order its powers' dicts keep."""
+    n, kappa = params.n, params.kappa
+    # (slot, weight): h sits in slot 0 and u_i in slot n + i
+    weights = [(n + 1, 3 ** (kappa - 1)), (0, 3**kappa - 1)] + [(n + i, 3 ** (kappa - i)) for i in range(2, kappa + 1)]
+    unit = (0,) * (1 + n + kappa)
+    return JetClass(params, kappa)._wrap({unit[:slot] + (1,) + unit[slot + 1 :]: w for slot, w in weights})
 
 
 class MorseCertificate(NamedTuple):
@@ -181,9 +161,8 @@ def morse_certificate(params: ModelParams, a: int) -> MorseCertificate:
     kappa = params.kappa
     top = params.tower_dim(kappa)
     total = nef_sum(params)
-    hyperplane = JetClass.hyperplane(params, kappa)
-    (h_key,) = hyperplane.terms
+    h_key = (1,) + (0,) * (params.n + kappa)
     m = total.terms[h_key]
-    # reduce_to_base is linear, so one reduction covers both terms
-    tail = total - hyperplane * (top * (m + a))
+    # reduce_to_base is linear, so one reduction covers both terms of the tail S - top (m + a) h
+    tail = total._wrap(_accumulate(dict(total.terms), [(h_key, -top * (m + a))]))
     return MorseCertificate(m, reduce_to_base(total ** (top - 1) * tail))

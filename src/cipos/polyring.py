@@ -15,14 +15,14 @@ that operands must share (``num_vars``, the chart itself for ``ChartPoly``, or
 int.  The core writes validation, promotion, ``+``, ``-``, the product kernel (add
 exponent tuples slot by slot, keep what the class's truncation predicate ``_alive``
 accepts), square-and-multiply powering, equality, hashing, immutability and the
-trusted constructor ``_wrap`` once for all three.  Key layouts: ``(d1, ..., dc)`` for
-``MultidegreePoly``, ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and
-for ``ChartPoly`` the sorted tuple of the term's ``(index, exponent)`` pairs with
-exponent > 0, multiplied by its own pair merge.  Only public constructors validate;
-results are canonical by construction.
+trusted constructor ``_of`` (``_wrap`` on an element's own ring) once for all three.
+Key layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h, s1, ..., sn, u1, ...,
+u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term's
+``(index, exponent)`` pairs with exponent > 0, multiplied by its own pair merge.
+Only public constructors validate; results are canonical by construction.
 
-A class stated in the elementary symmetric basis is expanded in d by
-:func:`recombine_elementary`; the closed forms state it there directly.
+A class stated in the elementary symmetric basis is written in d, term by term,
+by its one writer :func:`recombine_elementary`; the closed forms state it there.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -83,13 +83,17 @@ class _SparseTerms:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _wrap(self, terms: dict):
-        """Element of the same ring holding ``terms`` as is: the caller
-        guarantees valid keys and no zero coefficient."""
-        obj = object.__new__(type(self))
-        object.__setattr__(obj, "ring", self.ring)
+    @classmethod
+    def _of(cls, ring, terms: dict):
+        """Element of ``ring`` holding ``terms`` as is: the caller guarantees valid keys and no zero coefficient."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ring", ring)
         object.__setattr__(obj, "terms", terms)
         return obj
+
+    def _wrap(self, terms: dict):
+        """Element of the same ring holding ``terms`` as is (see ``_of``)."""
+        return self._of(self.ring, terms)
 
     def _constant(self, value: int):
         return self._wrap({self._unit_key(): value} if value else {})
@@ -213,14 +217,6 @@ class MultidegreePoly(_SparseTerms):
         return cls(num_vars, {(0,) * num_vars: 1})
 
     @classmethod
-    def variable(cls, num_vars: int, index: int) -> "MultidegreePoly":
-        """The variable d_{index+1} (0-based index)."""
-        if not 0 <= index < num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls(num_vars, {exps: 1})
-
-    @classmethod
     def monomial(cls, num_vars: int, exps: Sequence[int], coeff: int = 1) -> "MultidegreePoly":
         return cls(num_vars, {tuple(exps): coeff})
 
@@ -309,23 +305,30 @@ class MultidegreePoly(_SparseTerms):
 
 def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
     """The i-th elementary symmetric polynomial in c variables (0 for i > c)."""
-    if i < 0:
-        raise ValueError("elementary symmetric index must be nonnegative")
     if c < 1:
         raise ValueError("need at least one variable")
-    terms = {}
-    for subset in itertools.combinations(range(c), i):
-        exps = [0] * c
-        for j in subset:
-            exps[j] = 1
-        terms[tuple(exps)] = 1
-    return MultidegreePoly(c, terms)
+    return recombine_elementary([(i, 1)], c)
 
 
 def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> MultidegreePoly:
     """The class given by (j, a) pairs in the elementary symmetric basis, in d:
-    the sum of a * e_j(d1..dc) over the pairs."""
-    return MultidegreePoly.zero(c).add_all(elementary_symmetric(j, c) * a for j, a in coeffs)
+    the sum of a * e_j(d1..dc) over the pairs.  Repeated indices add first; each
+    nonzero sum a_j writes e_j's 0-1 exponent vectors once (none for j > c)."""
+    if c < 1:
+        raise ValueError("num_vars must be a positive integer")
+    summed: dict[int, int] = {}
+    for j, a in coeffs:
+        if j < 0:
+            raise ValueError("elementary symmetric index must be nonnegative")
+        summed[j] = summed.get(j, 0) + a
+    terms = {}
+    for j, a in summed.items():
+        for subset in itertools.combinations(range(c), j) if a else ():
+            exps = [0] * c
+            for k in subset:
+                exps[k] = 1
+            terms[tuple(exps)] = a
+    return MultidegreePoly._of(c, terms)
 
 
 def series_inverse(c_seq: Sequence, order: int):

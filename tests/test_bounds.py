@@ -20,6 +20,7 @@ from cipos import bounds, cli
 from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
 
 from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
+from tower_reference import variable
 
 
 def rows_of(p):
@@ -118,8 +119,8 @@ class TestShiftedThreshold:
         assert shifted_positivity_threshold(rows_of(poly)) == 1
 
     def test_square_difference(self):
-        d1 = MultidegreePoly.variable(2, 0)
-        d2 = MultidegreePoly.variable(2, 1)
+        d1 = variable(2, 0)
+        d2 = variable(2, 1)
         poly = d1**2 + d1 * d2 + d2**2 - 5 * d1 - 5 * d2 + 10
         r = shifted_positivity_threshold(rows_of(poly))
         assert r == 2
@@ -129,7 +130,7 @@ class TestShiftedThreshold:
     def test_zero_coefficient_allowed(self):
         # (1 + t)^2 - 2(1 + t) + 5 = t^2 + 4: the zero linear coefficient
         # passes, so a strictly-positive reading (which gives 2) is wrong
-        d = MultidegreePoly.variable(1, 0)
+        d = variable(1, 0)
         assert shifted_positivity_threshold(rows_of(d**2 - 2 * d + 5)) == 1
 
     def test_matches_substitution_frontier(self):

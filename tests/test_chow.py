@@ -9,11 +9,12 @@ from cipos.chow import ModelParams, integrate, segre_cotangent, segre_elementary
 from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
 
 from oracle import segre_product, series_product, terms_json
+from tower_reference import variable
 
 
 def product_route(p, twist):
     """The Segre classes of frame ``p`` by the tests' product formula, in d."""
-    variables = [MultidegreePoly.variable(p.c, i) for i in range(p.c)]
+    variables = [variable(p.c, i) for i in range(p.c)]
     return segre_product(p.N, p.n, twist, MultidegreePoly.one(p.c), variables)
 
 
@@ -61,8 +62,8 @@ class TestRing:
     def test_curve_line_product(self):
         p = ModelParams(3, 1)
         c = p.c
-        d1 = MultidegreePoly.variable(c, 0)
-        d2 = MultidegreePoly.variable(c, 1)
+        d1 = variable(c, 0)
+        d2 = variable(c, 1)
         prod = series_product([1, d1], [1, d2], p.n)
         assert prod == [1, d1 + d2]
 
@@ -200,7 +201,7 @@ class TestChernSegrePairing:
                 numerator = [(1 - m) ** k * math.comb(N + 1, k) for k in range(p.n + 1)]
                 den = [1, -m]
                 for i in range(c):
-                    den = series_product(den, [1, MultidegreePoly.variable(c, i) - m], p.n)
+                    den = series_product(den, [1, variable(c, i) - m], p.n)
                 tangent_chern = series_product(numerator, _series_inverse_class(den, p), p.n)
                 chern = [tangent_chern[i] * (-1) ** i for i in range(p.n + 1)]
                 # defining pairing: sum_{i+j=k} (-1)^j c_i s_j = 0 for k >= 1

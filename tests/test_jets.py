@@ -15,12 +15,15 @@ from oracle import morse_on_grid, taylor_shift
 from test_chow import product_route
 from tower_reference import (
     base_segre_symbol,
+    hyperplane,
     integrate_tower,
     lift,
     nef_tower_class,
     pushforward,
     reduce_reference,
+    tautological,
     tower_segre,
+    variable,
 )
 
 P42 = ModelParams(4, 2)
@@ -48,8 +51,8 @@ class TestJetAlgebra:
         cls = JetClass(p, level)
         for _ in range(rng.randint(1, 4)):
             factor = rng.choice(
-                [JetClass.hyperplane(p, level)]
-                + [JetClass.tautological(p, level, i) for i in range(1, level + 1)]
+                [hyperplane(p, level)]
+                + [tautological(p, level, i) for i in range(1, level + 1)]
                 + [base_segre_symbol(p, level, rng.randint(1, p.n))]
             )
             cls = cls + factor * rng.randint(-3, 3)
@@ -112,7 +115,7 @@ class TestJetAlgebra:
         rng = random.Random(9)
         p = ModelParams(4, 2)
         for _ in range(20):
-            x = self._random_class(rng, p, 1) * JetClass.tautological(p, 1, 1)
+            x = self._random_class(rng, p, 1) * tautological(p, 1, 1)
             y = self._random_class(rng, p, 1)
             assert pushforward(x + y) == pushforward(x) + pushforward(y)
 
@@ -153,9 +156,7 @@ class TestTowerSegre:
 
     def test_level_one_first(self):
         got = tower_segre(P42, 1, 1)
-        expected = base_segre_symbol(P42, 1, 1) + JetClass.tautological(
-            P42, 1, 1
-        ) * segre_recursion_coeff(2, 1, 0)
+        expected = base_segre_symbol(P42, 1, 1) + tautological(P42, 1, 1) * segre_recursion_coeff(2, 1, 0)
         assert got == expected
 
     def test_index_zero_is_unit(self):
@@ -170,16 +171,16 @@ class TestTowerSegre:
 
 class TestPushforward:
     def test_fiber_rules(self):
-        u = JetClass.tautological(P42, 1, 1)
+        u = tautological(P42, 1, 1)
         assert pushforward(u ** 1) == JetClass(P42, 0) + 1
         assert pushforward(JetClass(P42, 1) + 1).is_zero()
         assert pushforward(u ** 2) == base_segre_symbol(P42, 0, 1)
 
     def test_projection_formula(self):
         # pullback factors ride along unchanged
-        u = JetClass.tautological(P42, 1, 1)
-        h = JetClass.hyperplane(P42, 1)
-        assert pushforward(u * h) == JetClass.hyperplane(P42, 0)
+        u = tautological(P42, 1, 1)
+        h = hyperplane(P42, 1)
+        assert pushforward(u * h) == hyperplane(P42, 0)
 
     def test_base_level_rejected(self):
         with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ class TestReduceToBase:
     def _random_class(self, rng, p, level):
         # a term of the top degree, up to three more of the top degree or one
         # below, each a product of h, the u_i and base Segre symbols
-        generators = [JetClass.hyperplane(p, level)] + [JetClass.tautological(p, level, i) for i in range(1, level + 1)]
+        generators = [hyperplane(p, level)] + [tautological(p, level, i) for i in range(1, level + 1)]
         cls = JetClass(p, level)
         for drop in [0] + [rng.randint(0, 1) for _ in range(rng.randint(0, 3))]:
             term = JetClass(p, level) + rng.choice([-3, -2, -1, 1, 2, 3])
@@ -245,7 +246,7 @@ class TestReduceToBase:
 
         def integrand():
             total = nef_sum(p)
-            return total ** (top - 1) * (total - JetClass.hyperplane(p, p.kappa) * (top * m))
+            return total ** (top - 1) * (total - hyperplane(p, p.kappa) * (top * m))
 
         # an untraced first reduction fills the module caches
         reduce_to_base(integrand())
@@ -270,7 +271,7 @@ class TestReduceToBase:
             total = JetClass(p, kappa).add_all(lift(nef_tower_class(p, i), kappa) for i in range(1, kappa + 1))
             power = total ** (top - 1)
             for a in (0, 2):
-                integrand = power * (total - JetClass.hyperplane(p, kappa) * (top * (m + a)))
+                integrand = power * (total - hyperplane(p, kappa) * (top * (m + a)))
                 expected = reduce_reference(integrand)
                 assert reduce_to_base(integrand) == expected, (p, a)
                 assert morse_certificate(p, a).difference == expected, (p, a)
@@ -287,12 +288,12 @@ class TestReduceToBase:
 
 class TestIntegrate:
     def test_base_hyperplane_power(self):
-        assert integrate_tower(JetClass.hyperplane(P42, 0) ** 2) == bezout(2)
+        assert integrate_tower(hyperplane(P42, 0) ** 2) == bezout(2)
 
     def test_tautological_top_power(self):
         for N, n in ((3, 2), (4, 2), (5, 3), (6, 2)):
             p = ModelParams(N, n)
-            u = JetClass.tautological(p, 1, 1)
+            u = tautological(p, 1, 1)
             got = integrate_tower(u ** (2 * n - 1))
             assert got == product_route(p, 0)[n] * bezout(p.c)
 
@@ -301,8 +302,8 @@ class TestIntegrate:
         # base Segre classes in the Chow ring, no tower machinery involved
         for N, n in ((3, 2), (4, 2), (5, 2), (5, 3), (7, 3)):
             p = ModelParams(N, n)
-            u = JetClass.tautological(p, 1, 1)
-            h = JetClass.hyperplane(p, 1)
+            u = tautological(p, 1, 1)
+            h = hyperplane(p, 1)
             got = integrate_tower((u + h * 2) ** (2 * n - 1))
             seg = chow.segre_cotangent(p, 0)
             expected = MultidegreePoly.zero(p.c)
@@ -315,8 +316,8 @@ class TestIntegrate:
             assert got == chow.integrate(expected), (N, n)
 
     def test_frozen_surface_value(self):
-        u = JetClass.tautological(P42, 1, 1)
-        h = JetClass.hyperplane(P42, 1)
+        u = tautological(P42, 1, 1)
+        h = hyperplane(P42, 1)
         got = integrate_tower((u + h * 2) ** 3)
         e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
         assert got == (e2 + e1 - 3) * bezout(2)
@@ -334,9 +335,9 @@ class TestIntegrate:
             while budget > 0:
                 choice = rng.randint(0, k + 1)
                 if choice == 0:
-                    factor = JetClass.hyperplane(p, k)
+                    factor = hyperplane(p, k)
                 elif choice <= k:
-                    factor = JetClass.tautological(p, k, choice)
+                    factor = tautological(p, k, choice)
                 else:
                     i = rng.randint(1, min(budget, p.n))
                     factor = tower_segre(p, k, i)
@@ -350,12 +351,12 @@ class TestIntegrate:
 
 class TestNefClasses:
     def test_first_levels(self):
-        assert nef_tower_class(P42, 1) == JetClass.tautological(P42, 1, 1) + JetClass.hyperplane(P42, 1) * 2
+        assert nef_tower_class(P42, 1) == tautological(P42, 1, 1) + hyperplane(P42, 1) * 2
         p = ModelParams(5, 3)
         expected = (
-            JetClass.tautological(p, 2, 2)
-            + JetClass.tautological(p, 2, 1) * 2
-            + JetClass.hyperplane(p, 2) * 6
+            tautological(p, 2, 2)
+            + tautological(p, 2, 1) * 2
+            + hyperplane(p, 2) * 6
         )
         assert nef_tower_class(p, 2) == expected
 
@@ -418,7 +419,7 @@ class TestMorseCertificate:
         # normalized S^4 integral is 44d^2 + 280d - 300, S^3 h integral is 36d,
         # and the certificate subtracts 4 * (8 + a) times the latter
         p = ModelParams(3, 2)
-        d = MultidegreePoly.variable(1, 0)
+        d = variable(1, 0)
         cert = morse_certificate(p, 0)
         assert cert == (8, 44 * d**2 - 872 * d - 300)
         assert morse_certificate(p, 1).difference == 44 * d**2 - 872 * d - 36 * 4 * d - 300
@@ -465,12 +466,12 @@ class TestTowerEstimates:
             c = rng.randint(1, 3)
             p = ModelParams(n + c, n)
             k = rng.randint(1, 2)
-            cls = JetClass.hyperplane(p, k)
+            cls = hyperplane(p, k)
             for _ in range(p.tower_dim(k) - 1):
                 coeffs = [rng.randint(-2, 3) for _ in range(k + 1)]
-                gamma = JetClass.hyperplane(p, k) * coeffs[0]
+                gamma = hyperplane(p, k) * coeffs[0]
                 for i in range(1, k + 1):
-                    gamma = gamma + JetClass.tautological(p, k, i) * coeffs[i]
+                    gamma = gamma + tautological(p, k, i) * coeffs[i]
                 cls = cls * gamma
             value = integrate_tower(cls)
             assert value.total_degree() < p.N

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cipos import cli
+from cipos import chow, cli, jets
 from cipos.chow import ModelParams
 from cipos.jets import nef_sum
 from cipos.polyring import (
@@ -17,10 +17,11 @@ from cipos.polyring import (
 )
 
 from oracle import series_product, taylor_shift, terms_json
+from tower_reference import variable
 
 
 def dvar(i, c=2):
-    return MultidegreePoly.variable(c, i)
+    return variable(c, i)
 
 
 def random_poly(rng, c, max_deg=3, max_terms=6):
@@ -39,7 +40,7 @@ def substituted(p, offset):
     for exps, coeff in p.terms.items():
         term = MultidegreePoly.one(c) * coeff
         for i, e in enumerate(exps):
-            term = term * (MultidegreePoly.variable(c, i) + offset) ** e
+            term = term * (variable(c, i) + offset) ** e
         total = total + term
     return total
 
@@ -50,7 +51,7 @@ def shift_oracle(p):
     c = p.num_vars
     lifted = MultidegreePoly(c + 1, {exps + (0,): coeff for exps, coeff in p.terms.items()})
     rows = {}
-    for key, coeff in substituted(lifted, MultidegreePoly.variable(c + 1, c)).terms.items():
+    for key, coeff in substituted(lifted, variable(c + 1, c)).terms.items():
         rows.setdefault(key[:c], {})[key[c]] = coeff
     return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in rows.items()}
 
@@ -156,8 +157,14 @@ class TestElementarySymmetric:
         assert elementary_symmetric(0, 4) == MultidegreePoly.one(4)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
             elementary_symmetric(-1, 2)
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            recombine_elementary([(1, 2), (-1, 0)], 2)
+        with pytest.raises(ValueError, match="need at least one variable"):
+            elementary_symmetric(1, 0)
+        with pytest.raises(ValueError, match="num_vars must be a positive integer"):
+            recombine_elementary([(1, 2)], 0)
 
     def test_express_read_off(self):
         # a multilinear symmetric class is sum_j a_j e_j, and a_j is its
@@ -180,9 +187,50 @@ class TestElementarySymmetric:
             assert len(p.terms) == sum(math.comb(c, j) for j, a in enumerate(coeffs) if a)
 
 
+class TestClosedFormWriters:
+    def test_classes_are_written_term_by_term(self, checks, monkeypatch):
+        # at (2, 1) S = u_1 + 2h and top = 1, so the Morse tail S - top (m + a) h
+        # at a = 0 is u_1 alone; the product with S^0 drops a zero term itself,
+        # so the tail is caught as that product's operand as well as reduced
+        product = jets.JetClass.__mul__
+        tails, reduced = [], []
+
+        def capture(x, y):
+            if isinstance(y, jets.JetClass):
+                tails.append(y)
+            return product(x, y)
+
+        monkeypatch.setattr(jets.JetClass, "__mul__", capture)
+        monkeypatch.setattr(jets, "reduce_to_base", lambda x: reduced.append(x) or MultidegreePoly.zero(1))
+        jets.morse_certificate(ModelParams(2, 1), 0)
+        assert [x.terms for x in tails + reduced] == [{(0, 0, 1): 1}] * 2
+        monkeypatch.undo()
+
+        rng = random.Random(41)
+        top = random_poly(rng, 4, max_terms=12)
+        e1 = elementary_symmetric(1, 3) * 5
+
+        # the Segre classes, recombine_elementary and integrate construct and
+        # multiply nothing: they write their terms through the trusted constructor
+        def refuse(*args):
+            raise AssertionError("a closed-form class went through the validating constructor or a product")
+
+        monkeypatch.setattr(_SparseTerms, "__init__", refuse)
+        monkeypatch.setattr(_SparseTerms, "_product", refuse)
+        seg = chow.segre_cotangent(ModelParams(30, 5), 0)
+        for _ in range(10):
+            point = [rng.randint(-(10**6), 10**6) for _ in range(25)]
+            assert [s.eval(point) for s in seg] == checks.segre_values(30, 5, 0, point), point
+        # repeated indices add, a zero sum drops, e_7 vanishes in three variables
+        assert recombine_elementary([(2, 3), (2, -3), (1, 5), (7, 4)], 3) == e1
+        shifted = chow.integrate(top)
+        assert shifted.num_vars == 4
+        assert shifted.terms == {tuple(e + 1 for e in key): coeff for key, coeff in top.terms.items()}
+
+
 class TestEval:
     def test_morse_polynomial_at_equal_degrees(self):
-        d = MultidegreePoly.variable(1, 0)
+        d = variable(1, 0)
         p = d**2 - 34 * d + 15
         assert p.eval((34,)) == 15
 
@@ -202,13 +250,13 @@ class TestEval:
 
 class TestSeriesInverse:
     def test_order_one(self):
-        c1 = MultidegreePoly.variable(1, 0)
+        c1 = variable(1, 0)
         assert series_inverse([c1], 1) == [c1]
 
     def test_order_two(self):
         c = 3
-        c1 = MultidegreePoly.variable(2, 0)
-        c2 = MultidegreePoly.variable(2, 1)
+        c1 = variable(2, 0)
+        c2 = variable(2, 1)
         s = series_inverse([c1, c2], 2)
         assert s[1] == c1 * c1 - c2
 
@@ -290,7 +338,7 @@ class TestRendering:
 
 class TestCalculus:
     def test_shift(self):
-        d = MultidegreePoly.variable(1, 0)
+        d = variable(1, 0)
         # (r + t)^2 - 3(r + t) = t^2 + (2r - 3) t + (r^2 - 3r)
         assert taylor_shift((d**2 - 3 * d).terms) == {(2,): [1], (1,): [-3, 2], (0,): [0, -3, 1]}
         assert taylor_shift(MultidegreePoly.zero(2).terms) == {}

@@ -1,4 +1,10 @@
-"""The eager route down the jet tower, on the engine's own ``JetClass`` ring.
+"""The tower generators and the eager route down the jet tower, on the engine's
+own ``JetClass`` ring.
+
+The generators live here, since the engine writes its classes term by term
+and has none: ``generator`` is the class of one key with a 1 in one slot,
+``hyperplane``, ``tautological`` and ``base_segre_symbol`` name its slots, and
+``variable`` is a degree d_i as a ``MultidegreePoly``.
 
 Tower Segre classes are expanded through every lower level by the fiberwise
 recursion, and a pushforward multiplies whole classes: each bucket of terms
@@ -21,6 +27,30 @@ from cipos.jets import JetClass, TermKey, reduce_to_base, segre_recursion_coeff
 from cipos.polyring import MultidegreePoly
 
 
+def variable(c: int, i: int) -> MultidegreePoly:
+    """The degree d_{i+1} (0-based i) as a polynomial in c variables."""
+    if not 0 <= i < c:
+        raise ValueError(f"variable index {i} out of range")
+    return MultidegreePoly.monomial(c, [1 if j == i else 0 for j in range(c)])
+
+
+def generator(params: ModelParams, level: int, slot: int) -> JetClass:
+    """The class of the single key with a 1 in ``slot`` (0 for h, i for the
+    base symbol s_i, n + i for u_i)."""
+    return JetClass(params, level, {tuple(1 if j == slot else 0 for j in range(1 + params.n + level)): 1})
+
+
+def hyperplane(params: ModelParams, level: int) -> JetClass:
+    return generator(params, level, 0)
+
+
+def tautological(params: ModelParams, level: int, i: int) -> JetClass:
+    """The divisor u_i pulled up to the given level (1 <= i <= level)."""
+    if not 1 <= i <= level:
+        raise ValueError(f"tautological index {i} outside 1..{level}")
+    return generator(params, level, params.n + i)
+
+
 def lift(x: JetClass, level: int) -> JetClass:
     """Pull a class up the tower by appending zero tautological exponents."""
     if level < x.level:
@@ -36,10 +66,10 @@ def nef_tower_class(params: ModelParams, k: int) -> JetClass:
     """
     if k < 1:
         raise ValueError("nef tower classes start at level 1")
-    cls = JetClass.tautological(params, k, k)
+    cls = tautological(params, k, k)
     for i in range(1, k):
-        cls = cls + JetClass.tautological(params, k, i) * (2 * 3 ** (k - 1 - i))
-    return cls + JetClass.hyperplane(params, k) * (2 * 3 ** (k - 1))
+        cls = cls + tautological(params, k, i) * (2 * 3 ** (k - 1 - i))
+    return cls + hyperplane(params, k) * (2 * 3 ** (k - 1))
 
 
 def integrate_tower(x: JetClass) -> MultidegreePoly:
@@ -54,7 +84,7 @@ def base_segre_symbol(params: ModelParams, level: int, i: int) -> JetClass:
         return JetClass(params, level)
     if i == 0:
         return JetClass(params, level) + 1
-    return JetClass._generator(params, level, i)
+    return generator(params, level, i)
 
 
 @cache
@@ -71,7 +101,7 @@ def tower_segre(params: ModelParams, level: int, index: int) -> JetClass:
         return JetClass(params, level) + 1
     if level == 0:
         return base_segre_symbol(params, 0, index)
-    u_top = JetClass.tautological(params, level, level)
+    u_top = tautological(params, level, level)
     coeffs = ((j, segre_recursion_coeff(params.n, index, j)) for j in range(index + 1))
     return JetClass(params, level).add_all(
         lift(tower_segre(params, level - 1, j), level) * u_top ** (index - j) * coeff for j, coeff in coeffs if coeff

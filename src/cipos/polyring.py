@@ -19,7 +19,8 @@ trusted constructor ``_of`` (``_wrap`` on an element's own ring) once for all th
 Key layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h, s1, ..., sn, u1, ...,
 u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term's
 ``(index, exponent)`` pairs with exponent > 0, multiplied by its own pair merge.
-Only public constructors validate; results are canonical by construction.
+Only public constructors validate; results are canonical by construction.  A
+dominant part is the top part under a grading of the keys, total degree by default.
 
 A class stated in the elementary symmetric basis is written in d, term by term,
 by its one writer :func:`recombine_elementary`; the closed forms state it there.
@@ -216,10 +217,6 @@ class MultidegreePoly(_SparseTerms):
     def one(cls, num_vars: int) -> "MultidegreePoly":
         return cls(num_vars, {(0,) * num_vars: 1})
 
-    @classmethod
-    def monomial(cls, num_vars: int, exps: Sequence[int], coeff: int = 1) -> "MultidegreePoly":
-        return cls(num_vars, {tuple(exps): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def coeff(self, exps: Sequence[int]) -> int:
@@ -231,12 +228,11 @@ class MultidegreePoly(_SparseTerms):
             return NEG_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def dominant_part(self) -> "MultidegreePoly":
-        """Sum of the terms of maximal total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return self
-        top = self.total_degree()
-        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
+    def dominant_part(self, grading=sum) -> "MultidegreePoly":
+        """Sum of the terms whose exponent tuple has maximal ``grading`` (total
+        degree by default); 0 for the zero polynomial."""
+        top = max(map(grading, self.terms), default=None)
+        return self._wrap({e: c for e, c in self.terms.items() if grading(e) == top})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # graded-lex, descending: higher total degree first, then lexicographic;

@@ -16,8 +16,9 @@ that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies, read
 from one shifted row per S_c orbit; E_k(r + t) is read from the shift rows of
-``bounds`` for e_k.  Only the dominant parts are expanded in d, for the direct
-route and the output.
+``bounds`` for e_k.  Only the dominant parts, top parts under the E-monomial
+weight, are expanded in d, for the direct route and the output.  The classes
+the report writes itself skip validation: it writes no zero or malformed term.
 
 The report is plain data; the CLI renders it.
 """
@@ -123,16 +124,17 @@ class _ElementaryRing:
 
     def __init__(self, n: int, c: int):
         self.n, self.c = n, c
-        zero = (0,) * n
         # E_k(r + t) from the shift rows of the class e_k: row i holds the
         # coefficient of E_i(t), by powers p of r
         shift = [
-            MultidegreePoly(n + 1, {self.key(i) + (p,): v for i, row in enumerate(rows) for p, v in enumerate(row)})
+            MultidegreePoly._of(
+                n + 1, {self.key(i) + (p,): v for i, row in enumerate(rows) for p, v in enumerate(row) if v}
+            )
             for rows in (bounds.elementary_shift_rows([0] * k + [1], c) for k in range(1, n + 1))
         ]
         # (memo of monomial images, image of E_1..E_n) per map
-        self._in_d = ({zero: MultidegreePoly.one(c)}, [elementary_symmetric(k, c) for k in range(1, n + 1)])
-        self._shifted = ({zero: MultidegreePoly.one(n + 1)}, shift)
+        self._in_d = ({self.key(0): MultidegreePoly.one(c)}, [elementary_symmetric(k, c) for k in range(1, n + 1)])
+        self._shifted = ({self.key(0): MultidegreePoly.one(n + 1)}, shift)
 
     def key(self, j: int) -> tuple[int, ...]:
         """Exponent tuple of E_j; E_0 = 1."""
@@ -140,16 +142,11 @@ class _ElementaryRing:
 
     def from_row(self, row: Sequence[int]) -> MultidegreePoly:
         """The class sum_k row[k] * e_k(d), in the E-basis."""
-        return MultidegreePoly(self.n, {self.key(k): v for k, v in enumerate(row)})
+        return MultidegreePoly._of(self.n, {self.key(k): v for k, v in enumerate(row) if v})
 
     @staticmethod
     def weight(key: tuple[int, ...]) -> int:
         return sum(k * m for k, m in enumerate(key, 1))
-
-    def dominant_part(self, poly: MultidegreePoly) -> MultidegreePoly:
-        """The terms of top weighted degree: the dominant part in d, in the E-basis."""
-        top = max(map(self.weight, poly.terms), default=None)
-        return MultidegreePoly(self.n, {m: a for m, a in poly.terms.items() if self.weight(m) == top})
 
     def _image(self, images, key: tuple[int, ...]) -> MultidegreePoly:
         memo, factors = images
@@ -216,14 +213,14 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
         raise ValueError("twist a must be >= 0")
     ring = _ElementaryRing(n, c)
     twisted = [ring.from_row(row) for row in chow.segre_elementary(params, -a)]
-    chern_data = [MultidegreePoly.one(n)] + [MultidegreePoly.monomial(n, ring.key(j)) for j in range(1, n + 1)]
+    chern_data = [MultidegreePoly._of(n, {ring.key(j): 1}) for j in range(n + 1)]
     segre_data = [MultidegreePoly.one(n)] + series_inverse(chern_data[1:], n)
     records = []
     for ell in range(1, n + 1):
         for lam in partitions_of(ell):
             conj = conjugate(lam)
             graded = schur_det(conj, twisted)
-            top = ring.dominant_part(graded)
+            top = graded.dominant_part(ring.weight)
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = top == via_chern and top == via_segre

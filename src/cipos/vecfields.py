@@ -4,7 +4,7 @@ The chart carries coordinates z_1..z_N on the ambient space, velocity
 coordinates z'_1..z'_N, and one coefficient variable per monomial of each
 defining equation.  The chart object is the ring of every chart polynomial, so
 polynomials and fields of two charts never mix, even of equal width.  Velocity
-fields take integer matrices, checked invertible over the rationals.
+fields take int matrices, checked invertible by a fraction-free determinant.
 Every field acts by one pass of :func:`lie_derivative` over a polynomial's
 terms, and each equation's derivative f'_i is the action on f_i of the velocity
 field sum_k z'_k * d/dz_k.  Fields are verified tangent either identically
@@ -327,33 +327,28 @@ def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence[int]]) -> Ve
     N = chart.N
     if len(matrix) != N or any(len(row) != N or not all(isinstance(x, int) for x in row) for row in matrix):
         raise ValueError(f"matrix must be {N}x{N} with int entries")
-    if _rational_det(matrix) == 0:
+    if _integer_det(matrix) == 0:
         raise ValueError("matrix must be invertible over the rationals")
     zps = [chart.var(chart.zp_index(ell)) for ell in range(1, N + 1)]
     coeffs = {chart.zp_index(k + 1): chart._zero.add_all(zp * row[k] for zp, row in zip(zps, matrix)) for k in range(N)}
     return VectorField(chart, coeffs)
 
 
-def _rational_det(matrix: Sequence[Sequence]) -> Fraction:
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+def _integer_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss) elimination:
+    after step k every entry below is a minor of the matrix, so each division is exact."""
+    m, sign, previous = [list(row) for row in matrix], 1, 1
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for row in m[k + 1 :]:
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * m[k][k] - row[k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * previous
 
 
 #: The families of :func:`family_fields` tangent by construction; the rest assert no tangency.
@@ -388,7 +383,7 @@ def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> lis
         # so a singular draw is drawn again
         while True:
             matrix = [[rng.randint(-3, 3) + 7 * (j == k) for k in range(chart.N)] for j in range(chart.N)]
-            if _rational_det(matrix):
+            if _integer_det(matrix):
                 return [velocity_field(chart, matrix)]
     raise ValueError(f"unknown vector-field family {family!r}")
 

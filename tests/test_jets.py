@@ -43,7 +43,7 @@ def assert_oracle_difference(difference, p, a, checks):
 
 
 def bezout(c):
-    return MultidegreePoly.monomial(c, (1,) * c)
+    return MultidegreePoly(c, {(1,) * c: 1})
 
 
 class TestJetAlgebra:
@@ -434,6 +434,33 @@ class TestMorseCertificate:
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError):
             morse_certificate(P42, -1)
+
+    def test_power_at_six_five_squares_the_pinned_classes(self, monkeypatch):
+        # at (6, 5), kappa = 5, the certificate raises the nef sum S to
+        # tower_dim(5) - 1 = 24 = 8 + 16: the power squares S, S^2 and S^4
+        # at once, then S^8 (1266 terms) for seconds, then multiplies S^8 by
+        # S^16.  The weights, the truncation of the base (the only stage bound
+        # that binds below degree 9) and the powering fix these operands, so a
+        # change to them fails here before it moves that slow work
+        params = ModelParams(6, 5)
+        assert params.tower_dim(params.kappa) - 1 == 24
+        assert sorted(nef_sum(params).terms.values()) == [1, 3, 9, 27, 81, 242]
+        product = JetClass.__mul__
+        operands = []
+
+        class Stop(Exception):
+            pass
+
+        def recording(x, y):
+            operands.append((len(x.terms), len(y.terms)))
+            if len(operands) == 4:
+                raise Stop
+            return product(x, y)
+
+        monkeypatch.setattr(JetClass, "__mul__", recording)
+        with pytest.raises(Stop):
+            morse_certificate(params, 0)
+        assert operands == [(6, 6), (21, 21), (126, 126), (1266, 1266)]
 
 
 class TestDegreeScan:

@@ -6,7 +6,7 @@ import pytest
 
 from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, elementary_symmetric, series_inverse
+from cipos.polyring import MultidegreePoly, _SparseTerms, elementary_symmetric, series_inverse
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from oracle import cascade_threshold, taylor_shift
@@ -216,6 +216,25 @@ class TestPositivityReport:
         monkeypatch.setattr(chow, "segre_cotangent", expanded)
         assert positivity_report(ModelParams(8, 4), 1).threshold == 50
         assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
+
+    def test_classes_are_written_trusted(self, monkeypatch):
+        # the shift classes, the Segre rows and the Chern monomials the report
+        # writes itself skip the validating constructor; only the zero and the
+        # unit, which hold no other key, may pass through it
+        frames = [(10, 5, 3), (8, 4, 2), (4, 2, 0)]
+        expected = [positivity_report(ModelParams(N, n), a) for N, n, a in frames]
+        validate = _SparseTerms.__init__
+        validated = []
+
+        def recording(self, ring, terms=None):
+            validate(self, ring, terms)
+            if set(map(tuple, terms or {})) - {self._unit_key()}:
+                validated.append(dict(terms))
+
+        monkeypatch.setattr(_SparseTerms, "__init__", recording)
+        reports = [positivity_report(ModelParams(N, n), a) for N, n, a in frames]
+        assert validated == []
+        assert reports == expected
 
 
 def d_basis_threshold(poly, c):

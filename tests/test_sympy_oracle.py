@@ -2,8 +2,9 @@
 r-coefficients must equal ``oracle.taylor_shift``, and, at the sorted
 t-exponents, the orbit rows the positivity report reads in the
 elementary-symmetric basis.  Covers every graded Schur determinant of the
-positivity report at two frames and seeded random polynomials.  Skipped when
-sympy is not installed; the runtime itself needs no dependency."""
+positivity report at two frames and seeded random polynomials.  The
+velocity-field determinant must equal sympy's on seeded integer matrices.
+Skipped when sympy is not installed; the runtime itself needs no dependency."""
 
 import random
 
@@ -16,6 +17,7 @@ from sympy.polys.rings import ring  # noqa: E402
 from cipos.chow import ModelParams, segre_cotangent, segre_elementary  # noqa: E402
 from cipos.polyring import MultidegreePoly  # noqa: E402
 from cipos.schur import _ElementaryRing, conjugate, partitions_of, schur_det  # noqa: E402
+from cipos.vecfields import _integer_det  # noqa: E402
 
 from oracle import taylor_shift  # noqa: E402
 
@@ -79,3 +81,31 @@ def test_random_polynomials():
         expected = expanded_shift(p)
         assert taylor_shift(p.terms) == expected
         assert composed_shift(p) == expected
+
+
+def integer_matrices(rng, size):
+    """Seeded size x size int matrices of four shapes: dense, sparse (so zero
+    pivots turn up), singular (a row is zero or a combination of two others)
+    and the tlambda draw (-3..3 with 7 added on the diagonal)."""
+    dense = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    sparse = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(size)] for _ in range(size)]
+    if size:
+        sparse[0][0] = 0
+    singular = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+    if size == 1:
+        singular[0][0] = 0
+    elif size > 1:
+        p, q, r = (rng.randrange(size) for _ in range(3))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        singular[r] = [a * x + b * y for x, y in zip(singular[p], singular[q])] if r not in (p, q) else [0] * size
+    tlambda = [[rng.randint(-3, 3) + 7 * (j == k) for k in range(size)] for j in range(size)]
+    return [dense, sparse, singular, tlambda]
+
+
+def test_integer_determinant():
+    rng = random.Random(29)
+    for size in range(9):
+        for _ in range(6):
+            for m in integer_matrices(rng, size):
+                expected = sympy.Matrix(size, size, [x for row in m for x in row]).det()
+                assert _integer_det(m) == expected, m

@@ -31,7 +31,7 @@ def variable(c: int, i: int) -> MultidegreePoly:
     """The degree d_{i+1} (0-based i) as a polynomial in c variables."""
     if not 0 <= i < c:
         raise ValueError(f"variable index {i} out of range")
-    return MultidegreePoly.monomial(c, [1 if j == i else 0 for j in range(c)])
+    return MultidegreePoly(c, {tuple(int(j == i) for j in range(c)): 1})
 
 
 def generator(params: ModelParams, level: int, slot: int) -> JetClass:

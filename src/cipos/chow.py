@@ -4,8 +4,8 @@ A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
 hyperplane class), each a ``MultidegreePoly`` in the degrees.  The Segre
 classes have one route: :func:`segre_elementary` states them in closed form,
 as rows of elementary symmetric coefficients at any twist, which ``positivity``
-reads directly and :func:`segre_cotangent` writes in d, term by term, for
-``segre`` and ``jet``.  Self-test criterion 1 proves the closed form against
+and ``jet`` read directly and :func:`segre_cotangent` writes in d, term by
+term, for ``segre``.  Self-test criterion 1 proves the closed form against
 the product formula by exact evaluation.
 """
 

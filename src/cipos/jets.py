@@ -8,7 +8,8 @@ stage of the tower.  A push down the tower, one level at a time, takes each
 monomial to the base by pi_*(u^p) = s_{p-(n-1)}, expanding tower Segre classes
 through the fiberwise recursion; one dict per level merges equal states, and
 any top-degree class becomes an exact multidegree polynomial, its coefficient
-of h^n.  ``JetClass`` is the ring only, with no generators: the holomorphic-Morse
+of h^n, written from products of e_k's (``polyring.recombine_elementary``).
+``JetClass`` is the ring only, with no generators: the holomorphic-Morse
 bigness certificate on top of that reduction writes its nef sum S and the tail
 of its integrand term by term from their weights (:func:`nef_sum`).
 """
@@ -23,7 +24,7 @@ from typing import Mapping, NamedTuple
 
 from . import chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _accumulate, _SparseTerms
+from .polyring import MultidegreePoly, _accumulate, _SparseTerms, recombine_elementary
 
 # term key: (h exponent, base Segre exponents s_1..s_n, u exponents, one per level)
 TermKey = tuple[int, ...]
@@ -90,8 +91,8 @@ class JetClass(_SparseTerms):
 
 
 def reduce_to_base(x: JetClass) -> MultidegreePoly:
-    """Push a class down to the base one level at a time, then substitute
-    every base Segre symbol by its untwisted cotangent Segre class.
+    """Push a class down to the base one level at a time, then write its h^n
+    coefficient in d with no product of polynomials in d.
 
     A state is a key cut to level L times the tower Segre classes s_{L,q},
     q in ``pending`` (sorted, zeros dropped); one dict holds each state's
@@ -99,7 +100,9 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     power e of u_L, which pushes down to s_{L-1, e-(n-1)}, and equal states of
     the level below merge.  Each step lowers the degree by n-1 and a stored key
     fits its stage, so at the base each pending q <= n becomes the symbol s_q.
-    Returns the coefficient of h^n; base terms of lower degree are dropped.
+    Each s_q of a base state of degree n is the row sum_k a_qk e_k of
+    ``chow.segre_elementary``; one e_k per factor gives products of e_k's,
+    which ``recombine_elementary`` writes in d.  Lower degrees are dropped.
     """
     params, n = x.params, x.params.n
     shift = n - 1
@@ -116,17 +119,14 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     states = {(key, ()): coeff for key, coeff in x.terms.items()}
     for _ in range(x.level):
         states = _accumulate({}, push(states))
-    totals: dict[TermKey, int] = {}
+    rows = chow.segre_elementary(params, 0)
+    products = []
     for (key, pending), value in states.items():
-        if key[0] + sum(map(operator.mul, key, range(n + 1))) + sum(pending) == n:
-            _accumulate(totals, [(tuple(k + pending.count(i) for i, k in enumerate(key)), value)])
-    segre = chow.segre_cotangent(params, 0)
-    one = MultidegreePoly.one(params.c)
-    pieces = []
-    for key, coeff in totals.items():
-        factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
-        pieces.append(math.prod(factors, start=one) * coeff)
-    return MultidegreePoly.zero(params.c).add_all(pieces)
+        indices = [*pending, *(i for i, e in enumerate(key[1:], 1) for _ in range(e))]
+        if key[0] + sum(indices) == n:  # one e_k per factor s_q = sum_k rows[q][k] e_k
+            for picks in itertools.product(*(enumerate(rows[q]) for q in indices)):
+                products.append((tuple(k for k, _ in picks), value * math.prod(v for _, v in picks)))
+    return recombine_elementary(products, params.c)
 
 
 def nef_sum(params: ModelParams) -> JetClass:

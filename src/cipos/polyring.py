@@ -22,8 +22,10 @@ u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term'
 Only public constructors validate; results are canonical by construction.  A
 dominant part is the top part under a grading of the keys, total degree by default.
 
-A class stated in the elementary symmetric basis is written in d, term by term,
-by its one writer :func:`recombine_elementary`; the closed forms state it there.
+A class stated in the elementary symmetric basis, as a sum of products of
+e_j's, is written in d term by term by its one writer :func:`recombine_elementary`,
+which multiplies nothing: the coefficient of d^lam in a product of e_j's counts
+the 0-1 matrices with those row sums and column sums lam (Macdonald, I.6).
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -31,6 +33,7 @@ inverted by :func:`series_inverse`; the package multiplies no such lists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterable, Mapping, Sequence
@@ -210,10 +213,6 @@ class MultidegreePoly(_SparseTerms):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int) -> "MultidegreePoly":
-        return cls(num_vars)
-
-    @classmethod
     def one(cls, num_vars: int) -> "MultidegreePoly":
         return cls(num_vars, {(0,) * num_vars: 1})
 
@@ -299,31 +298,66 @@ class MultidegreePoly(_SparseTerms):
         return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.sorted_terms()]
 
 
-def elementary_symmetric(i: int, c: int) -> MultidegreePoly:
-    """The i-th elementary symmetric polynomial in c variables (0 for i > c)."""
-    if c < 1:
-        raise ValueError("need at least one variable")
-    return recombine_elementary([(i, 1)], c)
+def partitions_of(weight: int) -> list[tuple[int, ...]]:
+    """All partitions of the given weight as weakly decreasing tuples, largest
+    first part first."""
+    if weight < 0:
+        raise ValueError("weight must be nonnegative")
+
+    def gen(remaining, cap):
+        if not remaining:
+            return [()]
+        return [(first, *rest) for first in range(min(remaining, cap), 0, -1) for rest in gen(remaining - first, first)]
+
+    return gen(weight, weight)
 
 
-def recombine_elementary(coeffs: Iterable[tuple[int, int]], c: int) -> MultidegreePoly:
-    """The class given by (j, a) pairs in the elementary symmetric basis, in d:
-    the sum of a * e_j(d1..dc) over the pairs.  Repeated indices add first; each
-    nonzero sum a_j writes e_j's 0-1 exponent vectors once (none for j > c)."""
+@functools.cache
+def _zero_one(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """[d^cols] of prod_{r in rows} e_r(d), ``cols`` positive and decreasing: the
+    number of 0-1 matrices with these row and column sums (Macdonald, I.6)."""
+    if not rows:
+        return int(not cols)
+    picks = itertools.combinations(range(len(cols)), rows[0])
+    lefts = (sorted((e - (i in picked) for i, e in enumerate(cols)), reverse=True) for picked in picks)
+    return sum(_zero_one(rows[1:], tuple(filter(None, left))) for left in lefts)
+
+
+def _arrangements(parts: tuple[int, ...], c: int) -> list[tuple[int, ...]]:
+    """Every distinct exponent tuple of length c whose nonzero entries are
+    ``parts``: each distinct part in turn takes its slots among the free ones."""
+    keys = [(0,) * c]
+    for value in set(parts):
+        placed = []
+        for key in keys:
+            for slots in itertools.combinations([i for i, e in enumerate(key) if not e], parts.count(value)):
+                exps = list(key)
+                for i in slots:
+                    exps[i] = value
+                placed.append(tuple(exps))
+        keys = placed
+    return keys
+
+
+def recombine_elementary(coeffs: Iterable[tuple], c: int) -> MultidegreePoly:
+    """The sum of a * prod_{r in rows} e_r(d1..dc) over (rows, a) pairs, a bare
+    int j meaning e_j.  Equal products add first; each coefficient of d^lam, a
+    sum of a * ``_zero_one(rows, lam)``, is written on every arrangement of lam."""
     if c < 1:
         raise ValueError("num_vars must be a positive integer")
-    summed: dict[int, int] = {}
-    for j, a in coeffs:
-        if j < 0:
+    summed: dict[tuple[int, ...], int] = {}
+    for rows, a in coeffs:
+        rows = (rows,) if isinstance(rows, int) else rows
+        if min(rows, default=0) < 0:
             raise ValueError("elementary symmetric index must be nonnegative")
-        summed[j] = summed.get(j, 0) + a
+        key = tuple(sorted(filter(None, rows), reverse=True))
+        summed[key] = summed.get(key, 0) + a
     terms = {}
-    for j, a in summed.items():
-        for subset in itertools.combinations(range(c), j) if a else ():
-            exps = [0] * c
-            for k in subset:
-                exps[k] = 1
-            terms[tuple(exps)] = a
+    for weight in set(map(sum, summed)):
+        for lam in (lam for lam in partitions_of(weight) if len(lam) <= c):
+            coeff = sum(a * _zero_one(rows, lam) for rows, a in summed.items() if sum(rows) == weight)
+            if coeff:
+                terms.update(dict.fromkeys(_arrangements(lam, c), coeff))
     return MultidegreePoly._of(c, terms)
 
 

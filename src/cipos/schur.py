@@ -15,10 +15,11 @@ of E_1..E_n: the Segre classes enter as the rows of elementary coefficients
 that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies, read
-from one shifted row per S_c orbit; E_k(r + t) is read from the shift rows of
-``bounds`` for e_k.  Only the dominant parts, top parts under the E-monomial
-weight, are expanded in d, for the direct route and the output.  The classes
-the report writes itself skip validation: it writes no zero or malformed term.
+from one shifted row per S_c orbit.  Only the dominant parts, top parts under
+the E-monomial weight, are expanded in d, for the direct route and the output.
+Both maps out of the ring read their coefficients from the 0-1 count of
+``polyring`` and multiply no polynomial in d.  The classes the report writes
+itself skip validation: it writes no zero or malformed term.
 
 The report is plain data; the CLI renders it.
 """
@@ -26,34 +27,18 @@ The report is plain data; the CLI renders it.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _accumulate, elementary_symmetric, series_inverse
+from .polyring import MultidegreePoly, _accumulate, _zero_one, partitions_of, recombine_elementary, series_inverse
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     """Transpose of the Young diagram of a weakly decreasing tuple of positive
     parts; an involution."""
     return tuple(sum(p > i for p in parts) for i in range(parts[0] if parts else 0))
-
-
-def partitions_of(weight: int) -> list[tuple[int, ...]]:
-    """All partitions of the given weight as weakly decreasing tuples, largest
-    first part first."""
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return list(gen(weight, weight))
 
 
 def schur_det(parts: Sequence[int], classes: Sequence):
@@ -116,25 +101,13 @@ class _ElementaryRing:
     algebraically independent and a class has one expansion in them.
 
     Keys are exponent tuples of E_1..E_n; the weighted degree sum_k k*m_k is
-    the degree in d.  Two maps leave the ring, each memoized per E-monomial
-    for the life of one report and built as a smaller monomial's image times
-    one factor: the expansion in d, and the symmetric shift d = r + t, as a
-    polynomial in E_1(t)..E_n(t) whose last key slot is the power of r.
+    the degree in d.  Both maps out of the ring read their coefficients from
+    the 0-1 count of ``polyring``: the expansion in d, written by
+    ``recombine_elementary``, and the rows of the symmetric shift d = r + t.
     """
 
     def __init__(self, n: int, c: int):
         self.n, self.c = n, c
-        # E_k(r + t) from the shift rows of the class e_k: row i holds the
-        # coefficient of E_i(t), by powers p of r
-        shift = [
-            MultidegreePoly._of(
-                n + 1, {self.key(i) + (p,): v for i, row in enumerate(rows) for p, v in enumerate(row) if v}
-            )
-            for rows in (bounds.elementary_shift_rows([0] * k + [1], c) for k in range(1, n + 1))
-        ]
-        # (memo of monomial images, image of E_1..E_n) per map
-        self._in_d = ({self.key(0): MultidegreePoly.one(c)}, [elementary_symmetric(k, c) for k in range(1, n + 1)])
-        self._shifted = ({self.key(0): MultidegreePoly.one(n + 1)}, shift)
 
     def key(self, j: int) -> tuple[int, ...]:
         """Exponent tuple of E_j; E_0 = 1."""
@@ -148,46 +121,39 @@ class _ElementaryRing:
     def weight(key: tuple[int, ...]) -> int:
         return sum(k * m for k, m in enumerate(key, 1))
 
-    def _image(self, images, key: tuple[int, ...]) -> MultidegreePoly:
-        memo, factors = images
-        value = memo.get(key)
-        if value is None:
-            # peel one factor of the lowest E_k present: e_k has the fewest terms
-            k = next(k for k, m in enumerate(key) if m)
-            value = self._image(images, key[:k] + (key[k] - 1,) + key[k + 1 :]) * factors[k]
-            memo[key] = value
-        return value
+    @staticmethod
+    def factors(key: tuple[int, ...]) -> tuple[int, ...]:
+        """The index k of each factor E_k of an E-monomial, largest first."""
+        return tuple(k for k in range(len(key), 0, -1) for _ in range(key[k - 1]))
 
     def expand(self, poly: MultidegreePoly) -> MultidegreePoly:
         """The same class as a polynomial in d_1..d_c."""
-        return MultidegreePoly.zero(self.c).add_all(self._image(self._in_d, m) * a for m, a in poly.terms.items())
+        return recombine_elementary(((self.factors(m), a) for m, a in poly.terms.items()), self.c)
 
     def orbit_rows(self, poly: MultidegreePoly) -> dict[tuple[int, ...], list[int]]:
-        """The rows of poly(r + t) = sum_mu g_mu(r) t^mu, one per S_c orbit.
-
-        poly(r + t) is symmetric in t, so the rows of an orbit of t-exponents
-        are equal, and the orbits are the partitions mu of weight <= n (at most
-        n <= c parts).  With poly(r + t) = sum_m G_m(r) E(t)^m, g_mu is
-        sum_m G_m [t^mu] E(t)^m.  Returns {mu padded to c slots: g_mu by
-        powers of r, up to its last nonzero coefficient} for every nonzero
-        g_mu, the constant row (the diagonal G_0) first even when it is zero.
-        Every Taylor row is one of these, so the least r that certifies them
-        (``bounds.shifted_positivity_threshold``) is the uniform threshold.
+        """The rows of poly(r + t) = sum_mu g_mu(r) t^mu, one per S_c orbit of
+        t-exponents, a partition mu with at most c parts: {mu padded to c slots:
+        g_mu by powers of r, to its last nonzero coefficient} for every nonzero
+        g_mu, the constant row (the diagonal) first even when it is zero.  As
+        E_k(r + t) = sum_i C(c-i, k-i) r^(k-i) E_i(t), one pick i per factor E_k
+        gives v r^p times a product of E_i(t), and g_mu adds v r^p times the 0-1
+        count of the picks at mu.  Every Taylor row is one of these, so their
+        least certified r (``bounds.shifted_positivity_threshold``) is uniform.
         """
-        n = self.n
-        shifted = MultidegreePoly.zero(n + 1).add_all(self._image(self._shifted, m) * a for m, a in poly.terms.items())
-        # weight -> [(E(t)^m in t, power of r, coefficient)]; [t^mu] E(t)^m is 0 unless |mu| = weight(m)
-        by_weight: dict[int, list] = {}
-        for key, v in shifted.terms.items():
-            m = key[:n]
-            by_weight.setdefault(self.weight(m), []).append((self._image(self._in_d, m), key[n], v))
+        c = self.c
+        shifted: dict[tuple, int] = {}  # (picks, largest first; power of r) -> coefficient
+        for m, a in poly.terms.items():
+            ks = self.factors(m)
+            for picks in itertools.product(*(range(k + 1) for k in ks)):
+                key = (tuple(sorted(filter(None, picks), reverse=True)), sum(ks) - sum(picks))
+                shifted[key] = shifted.get(key, 0) + a * math.prod(math.comb(c - i, k - i) for i, k in zip(picks, ks))
         rows = {}
-        for weight in range(max(by_weight, default=0) + 1):
-            for mu in partitions_of(weight):
-                t_key = mu + (0,) * (self.c - len(mu))
-                row = _accumulate({}, ((k, in_t.coeff(t_key) * v) for in_t, k, v in by_weight.get(weight, ())))
+        for weight in range(max((sum(picks) for picks, _ in shifted), default=0) + 1):
+            for mu in (mu for mu in partitions_of(weight) if len(mu) <= c):
+                terms = ((p, _zero_one(picks, mu) * v) for (picks, p), v in shifted.items() if sum(picks) == weight)
+                row = _accumulate({}, terms)
                 if row or not weight:
-                    rows[t_key] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
+                    rows[mu + (0,) * (c - len(mu))] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
         return rows
 
 

@@ -2,11 +2,12 @@
 ``cipos`` or ``perfbench``, so no defect of the engine reaches both sides of a
 test, and the benchmark can import this module too.  A polynomial in the
 degrees is a dict {exponent tuple: int}: a ``MultidegreePoly``'s ``terms``, or
-the ``Poly`` of ``perfbench/checks.py``.  It holds the Taylor shift, the
-derivative-cascade threshold, the dicts the JSON reports must render, the
-Segre classes by the product formula as truncated series products over
-whatever ring elements the caller passes in, and the Morse integrals of the
-jet tower by a recursion that takes no power of a class.
+the ``Poly`` of ``perfbench/checks.py``.  It holds products of elementary
+symmetric polynomials multiplied out over their 0-1 subsets, the Taylor
+shift, the derivative-cascade threshold, the dicts the JSON reports must
+render, the Segre classes by the product formula as truncated series products
+over whatever ring elements the caller passes in, and the Morse integrals of
+the jet tower by a recursion that takes no power of a class.
 """
 
 import itertools
@@ -39,6 +40,21 @@ def taylor_shift(terms: dict) -> dict[tuple[int, ...], list[int]]:
         table = shifted
     rows = ({k: v for k, v in row.items() if v} for row in table.values())
     return {j: [row.get(k, 0) for k in range(max(row) + 1)] for j, row in zip(table, rows) if row}
+
+
+def elementary_product(rows, c: int) -> dict[tuple[int, ...], int]:
+    """The product of e_r(d_1..d_c) over r in ``rows``, multiplied out in plain
+    dicts: e_r is the sum of the 0-1 exponent vectors of its r-subsets of the
+    c variables, so e_0 = 1 and e_r = 0 for r > c."""
+    product = {(0,) * c: 1}
+    for r in rows:
+        step: dict[tuple[int, ...], int] = {}
+        for key, v in product.items():
+            for subset in itertools.combinations(range(c), r):
+                exps = tuple(e + (i in subset) for i, e in enumerate(key))
+                step[exps] = step.get(exps, 0) + v
+        product = step
+    return product
 
 
 def shift_at(terms: dict, r: int) -> dict:

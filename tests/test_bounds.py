@@ -17,7 +17,7 @@ from cipos.bounds import (
     surface_degree_bound,
 )
 from cipos import bounds, cli
-from cipos.polyring import MultidegreePoly, elementary_symmetric, recombine_elementary
+from cipos.polyring import MultidegreePoly, recombine_elementary
 
 from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
 from tower_reference import variable
@@ -105,9 +105,9 @@ class TestCascadeThreshold:
             for i in range(k):
                 table[i] = rng.randint(-25, 25)
             r = cascade_threshold(sorted(table.items()), c, k)
-            poly = MultidegreePoly.zero(c)
+            poly = MultidegreePoly(c)
             for j, a in table.items():
-                poly = poly + elementary_symmetric(j, c) * a
+                poly = poly + recombine_elementary([(j, 1)], c) * a
             base = math.ceil(r)
             for point in itertools.product((base, base + 1, base + 7), repeat=c):
                 assert poly.eval(point) > 0
@@ -115,7 +115,7 @@ class TestCascadeThreshold:
 
 class TestShiftedThreshold:
     def test_already_positive(self):
-        poly = elementary_symmetric(2, 2) + 1
+        poly = recombine_elementary([(2, 1)], 2) + 1
         assert shifted_positivity_threshold(rows_of(poly)) == 1
 
     def test_square_difference(self):
@@ -140,8 +140,8 @@ class TestShiftedThreshold:
         seen = set()
         for _ in range(30):
             c = rng.randint(1, 3)
-            poly = elementary_symmetric(1, c) ** rng.randint(2, 3) + elementary_symmetric(c, c) * rng.randint(0, 9)
-            poly = poly + elementary_symmetric(1, c) * rng.randint(-30, 5) + rng.randint(-40, 40)
+            poly = recombine_elementary([(1, 1)], c) ** rng.randint(2, 3) + recombine_elementary([(c, 1)], c) * rng.randint(0, 9)
+            poly = poly + recombine_elementary([(1, 1)], c) * rng.randint(-30, 5) + rng.randint(-40, 40)
             shifts = ((r, shift_at(poly.terms, r)) for r in range(1, 200))
             r = next(r for r, q in shifts if min(q.values()) >= 0 and q.get((0,) * c, 0) > 0)
             assert shifted_positivity_threshold(rows_of(poly)) == r
@@ -168,8 +168,8 @@ class TestShiftedThreshold:
         rng = random.Random(47)
         for _ in range(20):
             c = rng.randint(1, 3)
-            dom = elementary_symmetric(1, c) ** 2
-            noise = elementary_symmetric(1, c) * rng.randint(-20, 0) + rng.randint(-20, 20)
+            dom = recombine_elementary([(1, 1)], c) ** 2
+            noise = recombine_elementary([(1, 1)], c) * rng.randint(-20, 0) + rng.randint(-20, 20)
             poly = dom + noise
             r = shifted_positivity_threshold(rows_of(poly))
             for point in itertools.product((r, r + 2, r + 9), repeat=c):
@@ -296,7 +296,7 @@ class TestDegreeBounds:
 class TestClosedFormPolynomial:
     def test_flagship_polynomial(self):
         poly = morse_closed_form(4, 2, 4)
-        e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
+        e1, e2 = recombine_elementary([(1, 1)], 2), recombine_elementary([(2, 1)], 2)
         assert poly == e2 - e1 * 17 + 15
 
     def test_surface_positive_at_surface_bound(self):

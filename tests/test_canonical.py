@@ -167,7 +167,7 @@ def test_constants_hash_as_their_ints():
     chart = UniversalChart(3, [2])
     params = ModelParams(4, 2)
     constants = [
-        (MultidegreePoly.one(2), MultidegreePoly.zero(2)),
+        (MultidegreePoly.one(2), MultidegreePoly(2)),
         (chart.monomial({}), ChartPoly(chart)),
         (JetClass(params, 1) + 1, JetClass(params, 1)),
     ]

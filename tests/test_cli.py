@@ -309,12 +309,13 @@ class TestBound:
 
     def test_builds_no_polynomial_in_the_degrees(self, capsys, monkeypatch):
         # bound reads the n + 1 rows of the shifted difference straight from
-        # the Morse coefficients: it builds no elementary symmetric polynomial
-        # and writes no class from that basis
+        # the Morse coefficients: it counts no 0-1 matrix and writes no class
+        # from the elementary symmetric basis
         def refuse(*args):
             raise AssertionError("bound built a polynomial in the degrees")
 
-        monkeypatch.setattr(polyring, "elementary_symmetric", refuse)
+        monkeypatch.setattr(polyring, "_zero_one", refuse)
+        monkeypatch.setattr(polyring, "recombine_elementary", refuse)
         monkeypatch.setattr(bounds, "recombine_elementary", refuse)
         for method in ("dim2", "scan", "rough"):
             argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", method, "--format", "json"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,12 +12,12 @@ from cipos.polyring import (
     NEG_INFINITY,
     MultidegreePoly,
     _SparseTerms,
-    elementary_symmetric,
     recombine_elementary,
     series_inverse,
 )
+from cipos.schur import _ElementaryRing, positivity_report
 
-from oracle import series_product, taylor_shift, terms_json
+from oracle import elementary_product, series_product, taylor_shift, terms_json
 from tower_reference import variable
 
 
@@ -36,7 +37,7 @@ def substituted(p, offset):
     """p(d_1 + offset, ..., d_c + offset) by ring + and *; offset is an int or
     a polynomial in the same variables.  The tests' one substitution loop."""
     c = p.num_vars
-    total = MultidegreePoly.zero(c)
+    total = MultidegreePoly(c)
     for exps, coeff in p.terms.items():
         term = MultidegreePoly.one(c) * coeff
         for i, e in enumerate(exps):
@@ -63,7 +64,7 @@ class TestArithmetic:
 
     def test_additive_identity(self):
         p = dvar(0) * 3 + 7
-        assert p + MultidegreePoly.zero(2) == p
+        assert p + MultidegreePoly(2) == p
 
     def test_monomial_square(self):
         d1, d2 = dvar(0), dvar(1)
@@ -84,7 +85,7 @@ class TestArithmetic:
         assert 2 + p == p + 2
         assert 1 - p == -(p - 1)
         assert 3 * p == p * 3
-        assert p * 0 == MultidegreePoly.zero(2)
+        assert p * 0 == MultidegreePoly(2)
 
     def test_mismatched_vars_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ class TestDegree:
         assert p.dominant_part() == d1**2 * d2
 
     def test_zero_sentinel(self):
-        z = MultidegreePoly.zero(2)
+        z = MultidegreePoly(2)
         assert z.total_degree() == NEG_INFINITY
         assert z.total_degree() < 0
         assert z.dominant_part() == z
@@ -150,19 +151,19 @@ class TestDegree:
 
 class TestElementarySymmetric:
     def test_basic(self):
-        assert elementary_symmetric(1, 2) == dvar(0) + dvar(1)
-        assert elementary_symmetric(3, 2).is_zero()
+        assert recombine_elementary([(1, 1)], 2) == dvar(0) + dvar(1)
+        assert recombine_elementary([(3, 1)], 2).is_zero()
         d1, d2, d3 = (dvar(i, 3) for i in range(3))
-        assert elementary_symmetric(2, 3) == d1 * d2 + d1 * d3 + d2 * d3
-        assert elementary_symmetric(0, 4) == MultidegreePoly.one(4)
+        assert recombine_elementary([(2, 1)], 3) == d1 * d2 + d1 * d3 + d2 * d3
+        assert recombine_elementary([(0, 1)], 4) == MultidegreePoly.one(4)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="index must be nonnegative"):
-            elementary_symmetric(-1, 2)
+            recombine_elementary([(-1, 1)], 2)
         with pytest.raises(ValueError, match="index must be nonnegative"):
             recombine_elementary([(1, 2), (-1, 0)], 2)
-        with pytest.raises(ValueError, match="need at least one variable"):
-            elementary_symmetric(1, 0)
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            recombine_elementary([((2, -1), 1)], 2)
         with pytest.raises(ValueError, match="num_vars must be a positive integer"):
             recombine_elementary([(1, 2)], 0)
 
@@ -175,7 +176,10 @@ class TestElementarySymmetric:
         assert [p.coeff((1,) * j + (0,) * (2 - j)) for j in range(3)] == [3, -5, 1]
 
     def test_express_identity_case(self):
-        assert recombine_elementary([(2, 1)], 4) == elementary_symmetric(2, 4)
+        # a bare int j, the one-row product (j,) and (j,) with e_0 = 1 factors are one class
+        e2 = recombine_elementary([(2, 1)], 4)
+        assert recombine_elementary([((2,), 1)], 4) == e2 == recombine_elementary([((0, 2, 0), 1)], 4)
+        assert len(e2.terms) == 6 and set(e2.terms.values()) == {1}
 
     def test_express_roundtrip_random(self):
         rng = random.Random(23)
@@ -185,6 +189,22 @@ class TestElementarySymmetric:
             p = recombine_elementary(enumerate(coeffs), c)
             assert [p.coeff((1,) * j + (0,) * (c - j)) for j in range(c + 1)] == coeffs
             assert len(p.terms) == sum(math.comb(c, j) for j, a in enumerate(coeffs) if a)
+
+    def test_writer_matches_the_count_oracle(self):
+        # every product of e_r's of weight <= 8, alone and in a sum that mixes
+        # bare ints with tuple rows, in up to eight variables, term for term
+        # against the product multiplied out over 0-1 subsets
+        multisets = (rows for k in range(9) for rows in itertools.combinations_with_replacement(range(1, 9), k))
+        for rows in (rows for rows in multisets if sum(rows) <= 8):
+            for c in range(1, 9):
+                product = elementary_product(rows, c)
+                single = {k: v for k, v in product.items() if v}
+                assert recombine_elementary([(rows, 1)], c).terms == single, (rows, c)
+                j = max(rows, default=0)
+                mixed = [(rows, 3), (j, -2), ((0, *reversed(rows)), 1)]
+                linear = elementary_product((j,), c)
+                summed = {k: 4 * product.get(k, 0) - 2 * linear.get(k, 0) for k in product.keys() | linear.keys()}
+                assert recombine_elementary(mixed, c).terms == {k: v for k, v in summed.items() if v}, (rows, c)
 
 
 class TestClosedFormWriters:
@@ -201,14 +221,14 @@ class TestClosedFormWriters:
             return product(x, y)
 
         monkeypatch.setattr(jets.JetClass, "__mul__", capture)
-        monkeypatch.setattr(jets, "reduce_to_base", lambda x: reduced.append(x) or MultidegreePoly.zero(1))
+        monkeypatch.setattr(jets, "reduce_to_base", lambda x: reduced.append(x) or MultidegreePoly(1))
         jets.morse_certificate(ModelParams(2, 1), 0)
         assert [x.terms for x in tails + reduced] == [{(0, 0, 1): 1}] * 2
         monkeypatch.undo()
 
         rng = random.Random(41)
         top = random_poly(rng, 4, max_terms=12)
-        e1 = elementary_symmetric(1, 3) * 5
+        e1 = recombine_elementary([(1, 1)], 3) * 5
 
         # the Segre classes, recombine_elementary and integrate construct and
         # multiply nothing: they write their terms through the trusted constructor
@@ -227,6 +247,39 @@ class TestClosedFormWriters:
         assert shifted.num_vars == 4
         assert shifted.terms == {tuple(e + 1 for e in key): coeff for key, coeff in top.terms.items()}
 
+    def test_no_product_in_the_degrees(self, monkeypatch):
+        # the Morse certificate's base fold and the positivity report's maps
+        # out of Z[E_1..E_n] read every coefficient from the 0-1 count and
+        # multiply no MultidegreePoly; the report's determinants run in
+        # Z[E_1..E_n], itself a MultidegreePoly ring, so there only the two
+        # maps out of it are watched
+        expected = positivity_report(ModelParams(10, 5), 3)
+        multiply = MultidegreePoly.__mul__
+        products, inside = [], []
+
+        def recording(x, y):
+            products.append((x, y))
+            return multiply(x, y)
+
+        def watched(method):
+            def run(*args):
+                before = len(products)
+                result = method(*args)
+                inside.append(len(products) - before)
+                return result
+
+            return run
+
+        monkeypatch.setattr(MultidegreePoly, "__mul__", recording)
+        for name in ("expand", "orbit_rows"):
+            monkeypatch.setattr(_ElementaryRing, name, watched(getattr(_ElementaryRing, name)))
+        assert positivity_report(ModelParams(10, 5), 3) == expected
+        assert len(inside) == 2 * len(expected.records) and not any(inside)
+        products.clear()
+        cert = jets.morse_certificate(ModelParams(30, 5), 0)
+        assert not products
+        assert cert.difference.total_degree() == 5 and cert.difference.num_vars == 25
+
 
 class TestEval:
     def test_morse_polynomial_at_equal_degrees(self):
@@ -241,7 +294,7 @@ class TestEval:
             assert p.eval((0, 0, 0)) == p.coeff((0, 0, 0))
 
     def test_square(self):
-        assert elementary_symmetric(2, 2).eval((34, 34)) == 1156
+        assert recombine_elementary([(2, 1)], 2).eval((34, 34)) == 1156
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -314,7 +367,7 @@ class TestRendering:
         d1, d2 = dvar(0), dvar(1)
         p = d1**2 * d2 - 5 * d1 + 3
         assert p.text() == "d1^2*d2 - 5*d1 + 3"
-        assert MultidegreePoly.zero(2).text() == "0"
+        assert MultidegreePoly(2).text() == "0"
 
     def test_graded_lex_order(self):
         d1, d2 = dvar(0), dvar(1)
@@ -341,7 +394,7 @@ class TestCalculus:
         d = variable(1, 0)
         # (r + t)^2 - 3(r + t) = t^2 + (2r - 3) t + (r^2 - 3r)
         assert taylor_shift((d**2 - 3 * d).terms) == {(2,): [1], (1,): [-3, 2], (0,): [0, -3, 1]}
-        assert taylor_shift(MultidegreePoly.zero(2).terms) == {}
+        assert taylor_shift(MultidegreePoly(2).terms) == {}
         rng = random.Random(43)
         for _ in range(30):
             p = random_poly(rng, rng.randint(1, 3))

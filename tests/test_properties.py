@@ -237,7 +237,7 @@ def json_reference(value):
 @example({}, "")
 @example([], "")
 @example([[]], "")
-@example({"partition": (1,), "conjugate": (1,), "dominant": MultidegreePoly.zero(3), "dominant_positive": True,
+@example({"partition": (1,), "conjugate": (1,), "dominant": MultidegreePoly(3), "dominant_positive": True,
           "threshold": "0"}, "    ")
 def test_rendered_json_is_json_dumps(value, pad):
     assert cli._json(value, pad) == json.dumps(json_reference(value), indent=2).replace("\n", "\n" + pad)

@@ -6,10 +6,10 @@ import pytest
 
 from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, _SparseTerms, elementary_symmetric, series_inverse
+from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
-from oracle import cascade_threshold, taylor_shift
+from oracle import cascade_threshold, elementary_product, taylor_shift
 from test_chow import product_route
 
 
@@ -195,7 +195,7 @@ class TestPositivityReport:
             report = positivity_report(ModelParams(N, n), a)
             first = report.records[0]
             assert first.partition == (1,)
-            assert first.dominant == elementary_symmetric(1, N - n)
+            assert first.dominant == recombine_elementary([(1, 1)], N - n)
 
     def test_thresholds_sound_on_grid(self):
         for N, n, a in ((4, 2, 0), (5, 2, 1), (6, 3, 0)):
@@ -280,18 +280,22 @@ class TestElementaryRoute:
                 route()
 
 
-class TestShiftTable:
-    def test_elementary_shift_is_the_binomial_rule(self):
-        # E_k(r + t) = sum_i C(c - i, k - i) r^(k - i) E_i(t), keyed by the
-        # exponents of E_1(t)..E_n(t) and then the power of r
-        for c in range(1, 9):
-            for n in range(1, c + 1):
-                table = schur._ElementaryRing(n, c)._shifted[1]
-                assert len(table) == n
-                for k in range(1, n + 1):
-                    e_key = [tuple(int(j == i) for j in range(1, n + 1)) for i in range(k + 1)]
-                    terms = {e_key[i] + (k - i,): math.comb(c - i, k - i) for i in range(k + 1)}
-                    assert table[k - 1] == MultidegreePoly(n + 1, terms), (n, c, k)
+class TestOrbitRows:
+    def test_rows_are_the_taylor_rows_of_the_expanded_class(self):
+        # every E-monomial of weight <= 6 in E_1..E_n, n <= c <= 7: its orbit
+        # rows are, row for row, the Taylor rows at sorted exponents of the
+        # class multiplied out over 0-1 subsets, the constant row first
+        for c in range(1, 8):
+            zero = (0,) * c
+            for weight in range(7):
+                for factors in partitions_of(weight):
+                    table = taylor_shift(elementary_product(factors, c))
+                    expected = {zero: table.get(zero, [])}
+                    expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
+                    for n in range(max(factors, default=1), c + 1):
+                        m = tuple(factors.count(k) for k in range(1, n + 1))
+                        rows = schur._ElementaryRing(n, c).orbit_rows(MultidegreePoly(n, {m: 1}))
+                        assert rows == expected and next(iter(rows)) == zero, (factors, n, c)
 
 
 class TestThresholdIsTheShiftSearch:

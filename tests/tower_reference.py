@@ -139,4 +139,4 @@ def reduce_reference(x: JetClass) -> MultidegreePoly:
         if key[0] + sum(map(operator.mul, key, range(n + 1))) == n:
             factors = (segre[i] ** exp for i, exp in enumerate(key[1:], 1) if exp)
             pieces.append(math.prod(factors, start=one) * coeff)
-    return MultidegreePoly.zero(x.params.c).add_all(pieces)
+    return MultidegreePoly(x.params.c).add_all(pieces)

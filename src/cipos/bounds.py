@@ -1,11 +1,12 @@
 """Effective degree thresholds, in exact arithmetic.
 
 The Taylor-shift threshold (one search over the rows of a Taylor table, the
-least r that the shift test certifies), the first-order Morse difference's
-closed-form coefficients and shift rows, the scan for its first positive
-uniform degree, and the explicit degree bounds (general rough form and
-sharpened surface form).  The explicit bounds are Fractions, and callers
-compare integer degrees with their ceiling; the searches return integers.
+least r that the shift test certifies; ``bound`` and ``positivity`` both read
+their rows from ``polyring.shift_rows``), the first-order Morse difference's
+closed-form coefficients, the scan for its first positive uniform degree, and
+the explicit degree bounds (general rough form and sharpened surface form).
+The explicit bounds are Fractions, and callers compare integer degrees with
+their ceiling; the searches return integers.
 """
 
 from __future__ import annotations
@@ -59,16 +60,6 @@ def _least(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def elementary_shift_rows(coefficients: Sequence[int], c: int) -> list[list[int]]:
-    """Rows of the Taylor table of sum_j a_j e_j(d_1..d_c), n <= c, at
-    d = r + t.  As e_k(r + t) = sum_i C(c-i, k-i) r^(k-i) e_i(t), row i lists
-    g_i(r) = sum_k a_{i+k} C(c-i, k) r^k; the e_i share no monomial and have
-    unit coefficients, so these are the rows of the table expanded in d, and
-    row 0 is the diagonal d = (r, ..., r)."""
-    n = len(coefficients) - 1
-    return [[coefficients[i + k] * math.comb(c - i, k) for k in range(n - i + 1)] for i in range(n + 1)]
 
 
 def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:

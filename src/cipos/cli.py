@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("verify", parents=[common])
     v.add_argument("--N", type=int, required=True)
     v.add_argument("--degrees", type=str, required=True, help="comma-separated hypersurface degrees")
-    v.add_argument("--family", choices=("solved", "tj", "talpha", "tlambda"), required=True)
+    # the families are named in the help: a choice list in the usage line wraps by Python version
+    families = ("solved", "tj", "talpha", "tlambda")
+    v.add_argument("--family", choices=families, required=True, metavar="FAMILY", help=f"one of {', '.join(families)}")
     v.add_argument("--samples", type=int, default=100)
     v.add_argument("--seed", type=int, default=0, help="seed for the random fields and sample points")
 
@@ -187,7 +189,7 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    from . import bounds
+    from . import bounds, polyring
 
     params = _params(args.N, args.n, args.a)
     N, n, a = args.N, args.n, args.a
@@ -202,7 +204,7 @@ def _cmd_bound(args) -> int:
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
     if coefficients[-1] != 1:
         raise ArithmeticError("leading elementary coefficient must be 1")
-    rows = bounds.elementary_shift_rows(coefficients, params.c)
+    rows = list(polyring.shift_rows(enumerate(coefficients), params.c).values())
     # the least r >= 1 from which the shift test proves the difference positive on [r, inf)^c
     certified_from = bounds.shifted_positivity_threshold(rows)
     if args.method == "dim2":

@@ -22,10 +22,11 @@ u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term'
 Only public constructors validate; results are canonical by construction.  A
 dominant part is the top part under a grading of the keys, total degree by default.
 
-A class stated in the elementary symmetric basis, as a sum of products of
-e_j's, is written in d term by term by its one writer :func:`recombine_elementary`,
-which multiplies nothing: the coefficient of d^lam in a product of e_j's counts
-the 0-1 matrices with those row sums and column sums lam (Macdonald, I.6).
+A class in the elementary symmetric basis, (product of e_j's, coefficient)
+pairs, has one reader, :func:`m_coefficients`: the m_lam coefficient of a product
+counts the 0-1 matrices with its row sums and column sums lam (Macdonald, I.6).
+Through it, multiplying nothing, :func:`recombine_elementary` writes the class in
+d and :func:`shift_rows` gives its rows at d = r + t for every threshold.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Iterable, Mapping, Sequence
 
@@ -339,26 +341,56 @@ def _arrangements(parts: tuple[int, ...], c: int) -> list[tuple[int, ...]]:
     return keys
 
 
-def recombine_elementary(coeffs: Iterable[tuple], c: int) -> MultidegreePoly:
-    """The sum of a * prod_{r in rows} e_r(d1..dc) over (rows, a) pairs, a bare
-    int j meaning e_j.  Equal products add first; each coefficient of d^lam, a
-    sum of a * ``_zero_one(rows, lam)``, is written on every arrangement of lam."""
+def m_coefficients(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], int]:
+    """{lam: nonzero m_lam coefficient} of the sum of a * prod_{r in rows} e_r(d1..dc)
+    over (rows, a) pairs, a bare int j meaning e_j.  Equal products add first; e_j
+    alone is m_{1^j} (zero when j > c), a longer product reads ``_zero_one``."""
     if c < 1:
         raise ValueError("num_vars must be a positive integer")
     summed: dict[tuple[int, ...], int] = {}
-    for rows, a in coeffs:
+    for rows, a in pairs:
         rows = (rows,) if isinstance(rows, int) else rows
         if min(rows, default=0) < 0:
             raise ValueError("elementary symmetric index must be nonnegative")
         key = tuple(sorted(filter(None, rows), reverse=True))
         summed[key] = summed.get(key, 0) + a
+    out: dict[tuple[int, ...], int] = {}
+    for rows, a in summed.items():
+        if len(rows) > 1:
+            lams = (lam for lam in partitions_of(sum(rows)) if len(lam) <= c)
+            _accumulate(out, ((lam, a * _zero_one(rows, lam)) for lam in lams))
+        elif sum(rows) <= c:
+            _accumulate(out, [((1,) * sum(rows), a)])
+    return out
+
+
+def recombine_elementary(pairs: Iterable[tuple], c: int) -> MultidegreePoly:
+    """The class of :func:`m_coefficients` written in d: each coefficient of
+    m_lam on every arrangement of lam."""
     terms = {}
-    for weight in set(map(sum, summed)):
-        for lam in (lam for lam in partitions_of(weight) if len(lam) <= c):
-            coeff = sum(a * _zero_one(rows, lam) for rows, a in summed.items() if sum(rows) == weight)
-            if coeff:
-                terms.update(dict.fromkeys(_arrangements(lam, c), coeff))
+    for lam, a in m_coefficients(pairs, c).items():
+        terms.update(dict.fromkeys(_arrangements(lam, c), a))
     return MultidegreePoly._of(c, terms)
+
+
+def shift_rows(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], list[int]]:
+    """The class of :func:`m_coefficients` at d = r + t, sum_mu g_mu(r) t^mu, one row per
+    S_c orbit: {mu, a partition padded to c slots: g_mu by powers of r, to its last
+    nonzero coefficient} for each nonzero g_mu, the constant row (the diagonal) first
+    even when zero.  One pick i per factor from e_k(r + t) = sum_i C(c-i, k-i) r^(k-i)
+    e_i(t) gives v r^p times a product of e_i(t); the picks at each p are read by
+    :func:`m_coefficients`.  Every Taylor row of the class in d is one of these."""
+    by_power: dict[int, list] = {}
+    for rows, a in pairs:
+        rows = (rows,) if isinstance(rows, int) else rows
+        for picks in itertools.product(*(range(min(k, c) + 1) for k in rows)):
+            v = a * math.prod(math.comb(c - i, k - i) for i, k in zip(picks, rows))
+            by_power.setdefault(sum(rows) - sum(picks), []).append((picks, v))
+    grid: dict[tuple[int, ...], dict[int, int]] = {(): {}}  # the constant row first
+    for p, picked in by_power.items():
+        for mu, v in m_coefficients(picked, c).items():
+            grid.setdefault(mu, {})[p] = v
+    return {mu + (0,) * (c - len(mu)): [g.get(k, 0) for k in range(max(g, default=-1) + 1)] for mu, g in grid.items()}
 
 
 def series_inverse(c_seq: Sequence, order: int):

@@ -14,12 +14,14 @@ n <= c makes them algebraically independent, so the report works in the ring
 of E_1..E_n: the Segre classes enter as the rows of elementary coefficients
 that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
-the least integer r that the Taylor-shift test of ``bounds`` certifies, read
-from one shifted row per S_c orbit.  Only the dominant parts, top parts under
-the E-monomial weight, are expanded in d, for the direct route and the output.
-Both maps out of the ring read their coefficients from the 0-1 count of
-``polyring`` and multiply no polynomial in d.  The classes the report writes
-itself skip validation: it writes no zero or malformed term.
+the least integer r that the Taylor-shift test of ``bounds`` certifies on the
+rows of ``polyring.shift_rows``, one per S_c orbit, the reader that gives
+``bound`` its rows too.  Only the dominant parts, top parts under the
+E-monomial weight, are written in d (``polyring.recombine_elementary``), for
+the direct route and the output.  Both readers take a class as its products of
+E_k's, read the 0-1 count of ``polyring`` and multiply no polynomial in d.
+The classes the report writes itself skip validation: it writes no zero or
+malformed term.
 
 The report is plain data; the CLI renders it.
 """
@@ -27,12 +29,11 @@ The report is plain data; the CLI renders it.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _accumulate, _zero_one, partitions_of, recombine_elementary, series_inverse
+from .polyring import MultidegreePoly, partitions_of, recombine_elementary, series_inverse, shift_rows
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -101,13 +102,13 @@ class _ElementaryRing:
     algebraically independent and a class has one expansion in them.
 
     Keys are exponent tuples of E_1..E_n; the weighted degree sum_k k*m_k is
-    the degree in d.  Both maps out of the ring read their coefficients from
-    the 0-1 count of ``polyring``: the expansion in d, written by
-    ``recombine_elementary``, and the rows of the symmetric shift d = r + t.
+    the degree in d.  A class leaves the ring as its ``products``, which
+    ``polyring`` writes in d (``recombine_elementary``) and reads at the
+    symmetric shift d = r + t (``shift_rows``), both from the 0-1 count.
     """
 
-    def __init__(self, n: int, c: int):
-        self.n, self.c = n, c
+    def __init__(self, n: int):
+        self.n = n
 
     def key(self, j: int) -> tuple[int, ...]:
         """Exponent tuple of E_j; E_0 = 1."""
@@ -122,39 +123,10 @@ class _ElementaryRing:
         return sum(k * m for k, m in enumerate(key, 1))
 
     @staticmethod
-    def factors(key: tuple[int, ...]) -> tuple[int, ...]:
-        """The index k of each factor E_k of an E-monomial, largest first."""
-        return tuple(k for k in range(len(key), 0, -1) for _ in range(key[k - 1]))
-
-    def expand(self, poly: MultidegreePoly) -> MultidegreePoly:
-        """The same class as a polynomial in d_1..d_c."""
-        return recombine_elementary(((self.factors(m), a) for m, a in poly.terms.items()), self.c)
-
-    def orbit_rows(self, poly: MultidegreePoly) -> dict[tuple[int, ...], list[int]]:
-        """The rows of poly(r + t) = sum_mu g_mu(r) t^mu, one per S_c orbit of
-        t-exponents, a partition mu with at most c parts: {mu padded to c slots:
-        g_mu by powers of r, to its last nonzero coefficient} for every nonzero
-        g_mu, the constant row (the diagonal) first even when it is zero.  As
-        E_k(r + t) = sum_i C(c-i, k-i) r^(k-i) E_i(t), one pick i per factor E_k
-        gives v r^p times a product of E_i(t), and g_mu adds v r^p times the 0-1
-        count of the picks at mu.  Every Taylor row is one of these, so their
-        least certified r (``bounds.shifted_positivity_threshold``) is uniform.
-        """
-        c = self.c
-        shifted: dict[tuple, int] = {}  # (picks, largest first; power of r) -> coefficient
-        for m, a in poly.terms.items():
-            ks = self.factors(m)
-            for picks in itertools.product(*(range(k + 1) for k in ks)):
-                key = (tuple(sorted(filter(None, picks), reverse=True)), sum(ks) - sum(picks))
-                shifted[key] = shifted.get(key, 0) + a * math.prod(math.comb(c - i, k - i) for i, k in zip(picks, ks))
-        rows = {}
-        for weight in range(max((sum(picks) for picks, _ in shifted), default=0) + 1):
-            for mu in (mu for mu in partitions_of(weight) if len(mu) <= c):
-                terms = ((p, _zero_one(picks, mu) * v) for (picks, p), v in shifted.items() if sum(picks) == weight)
-                row = _accumulate({}, terms)
-                if row or not weight:
-                    rows[mu + (0,) * (c - len(mu))] = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
-        return rows
+    def products(poly: MultidegreePoly) -> list[tuple[tuple[int, ...], int]]:
+        """The class as (index k of each factor E_k of an E-monomial, largest
+        first; coefficient) pairs, the input of ``polyring``'s readers."""
+        return [(tuple(k for k in range(len(m), 0, -1) for _ in range(m[k - 1])), a) for m, a in poly.terms.items()]
 
 
 def positivity_report(params: ModelParams, a: int) -> SchurReport:
@@ -166,18 +138,17 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     extract its dominant part, verify the two positivity routes agree, and
     attach the least uniform degree threshold the shift test certifies.
 
-    The twisted Segre classes are the closed-form rows of
-    ``chow.segre_elementary`` read in the ring of E_1..E_n (``_ElementaryRing``),
-    where the determinants, the identification and the threshold rows run;
-    the dominant part, the top weighted-degree part there, is expanded in d
-    once, for the direct coefficient check and the output.
+    The twisted Segre classes are the closed-form rows of ``chow.segre_elementary``
+    read in the ring of E_1..E_n (``_ElementaryRing``), where the determinants and
+    the identification run; ``polyring`` reads each determinant's products of E_k's
+    for its threshold rows and its dominant part (the top weighted-degree part) in d.
     """
     n, c = params.n, params.c
     if c < n:
         raise ValueError(f"numerical positivity requires c >= n, got c={c} < n={n}")
     if a < 0:
         raise ValueError("twist a must be >= 0")
-    ring = _ElementaryRing(n, c)
+    ring = _ElementaryRing(n)
     twisted = [ring.from_row(row) for row in chow.segre_elementary(params, -a)]
     chern_data = [MultidegreePoly._of(n, {ring.key(j): 1}) for j in range(n + 1)]
     segre_data = [MultidegreePoly.one(n)] + series_inverse(chern_data[1:], n)
@@ -190,7 +161,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = top == via_chern and top == via_segre
-            dominant = ring.expand(top)
+            dominant = recombine_elementary(ring.products(top), c)
             direct = bool(dominant.terms) and all(v > 0 for v in dominant.terms.values())
             if not (identified and direct):
                 raise ArithmeticError(
@@ -202,7 +173,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    threshold=bounds.shifted_positivity_threshold(list(ring.orbit_rows(graded).values())),
+                    threshold=bounds.shifted_positivity_threshold(list(shift_rows(ring.products(graded), c).values())),
                 )
             )
     overall = max(record.threshold for record in records)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .polyring import MultidegreePoly, recombine_elementary, series_inverse
+from .polyring import MultidegreePoly, recombine_elementary, series_inverse, shift_rows
 
 
 class CriterionResult(NamedTuple):
@@ -241,7 +241,7 @@ def _criterion_8() -> tuple[bool, str]:
         table = {k: 1}
         for i in range(k):
             table[i] = rng.randint(-40, 40)
-        r = bounds.shifted_positivity_threshold(bounds.elementary_shift_rows([table[i] for i in range(k + 1)], c))
+        r = bounds.shifted_positivity_threshold(list(shift_rows(table.items(), c).values()))
         poly = recombine_elementary(table.items(), c)
         if not grid_positive(poly, c, r):
             return False, f"shift threshold unsound for c={c} coeffs={table}"

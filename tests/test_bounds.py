@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from cipos.bounds import (
-    elementary_shift_rows,
     first_positive_uniform_degree,
     morse_closed_form,
     morse_coeff,
@@ -17,7 +16,7 @@ from cipos.bounds import (
     surface_degree_bound,
 )
 from cipos import bounds, cli
-from cipos.polyring import MultidegreePoly, recombine_elementary
+from cipos.polyring import MultidegreePoly, recombine_elementary, shift_rows
 
 from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
 from tower_reference import variable
@@ -224,21 +223,25 @@ class TestFirstPositiveDegree:
 class TestElementaryShiftRows:
     def test_flagship_rows(self):
         # e2 - 17 e1 + 15 at d = r + t: (r^2 - 34 r + 15) + (r - 17) e1(t) + e2(t)
-        assert elementary_shift_rows([15, -17, 1], 2) == [[15, -34, 1], [-17, 1], [1]]
+        rows = shift_rows(enumerate([15, -17, 1]), 2)
+        assert rows == {(0, 0): [15, -34, 1], (1, 0): [-17, 1], (1, 1): [1]}
+        assert next(iter(rows)) == (0, 0)
 
     def test_rows_are_the_expanded_table(self):
         # the shift of the difference expanded in d has exactly the squarefree
-        # keys, and each key of weight i carries row i
+        # keys, and each key of weight i carries the row at mu = (1^i)
         for n in range(1, 5):
             for N in range(2 * n, 2 * n + 7):
                 c = N - n
                 for a in range(6):
                     coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
                     table = taylor_shift(recombine_elementary(enumerate(coefficients), c).terms)
-                    rows = elementary_shift_rows(coefficients, c)
+                    rows = shift_rows(enumerate(coefficients), c)
                     squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}
                     assert set(table) == squarefree, (N, n, a)
-                    assert all(row == rows[sum(key)] for key, row in table.items()), (N, n, a)
+                    assert next(iter(rows)) == (0,) * c, (N, n, a)
+                    assert set(rows) == {(1,) * i + (0,) * (c - i) for i in range(n + 1)}, (N, n, a)
+                    assert all(row == rows[tuple(sorted(key, reverse=True))] for key, row in table.items()), (N, n, a)
 
 
 class TestDegreeBounds:

@@ -5,17 +5,19 @@ import random
 
 import pytest
 
-from cipos import chow, cli, jets
+from cipos import chow, cli, jets, schur
 from cipos.chow import ModelParams
 from cipos.jets import nef_sum
 from cipos.polyring import (
     NEG_INFINITY,
     MultidegreePoly,
     _SparseTerms,
+    m_coefficients,
     recombine_elementary,
     series_inverse,
+    shift_rows,
 )
-from cipos.schur import _ElementaryRing, positivity_report
+from cipos.schur import positivity_report
 
 from oracle import elementary_product, series_product, taylor_shift, terms_json
 from tower_reference import variable
@@ -207,6 +209,51 @@ class TestElementarySymmetric:
                 assert recombine_elementary(mixed, c).terms == {k: v for k, v in summed.items() if v}, (rows, c)
 
 
+class TestReaders:
+    def test_a_single_index_and_a_product_add_on_one_partition(self):
+        # e_2 + e_1^2 = m_{1,1} + (m_2 + 2 m_{1,1}) at c = 2, and
+        # e_1^2 - 2 e_2 = m_2: the single e_j adds to the count, either order
+        assert m_coefficients([(2, 1), ((1, 1), 1)], 2) == {(1, 1): 3, (2,): 1}
+        assert m_coefficients([((1, 1), 1), (2, 1)], 2) == {(1, 1): 3, (2,): 1}
+        assert m_coefficients([((1, 1), 1), (2, -2)], 2) == {(2,): 1}
+
+    def test_an_index_beyond_c_gives_nothing(self):
+        assert m_coefficients([(3, 5)], 2) == {}
+        assert m_coefficients([((3, 1), 5), ((1, 1, 1), 2)], 2) == {(3,): 2, (2, 1): 6}
+        assert m_coefficients([(3, 5), (1, 2)], 2) == {(1,): 2}
+
+    def test_constants(self):
+        # the empty product, e_0 and products of e_0's are all m_()
+        assert m_coefficients([((), 2), (0, 3), ((0, 0), -1)], 3) == {(): 4}
+        assert m_coefficients([(0, 1), ((), -1)], 1) == {}
+        assert shift_rows([(0, 7)], 2) == {(0, 0): [7]}
+
+    def test_shift_rows_match_the_taylor_shift(self):
+        # seeded random pair lists mixing bare ints and products, some with an
+        # index beyond c, in up to six variables: the rows are the Taylor rows
+        # at sorted keys of the class multiplied out over 0-1 subsets, the
+        # constant row first even when it is zero
+        rng = random.Random(4141)
+        for _ in range(150):
+            c = rng.randint(1, 6)
+            pairs = [(rng.randint(0, c + 1), rng.randint(-9, 9)) for _ in range(rng.randint(0, 3))]
+            pairs += [
+                (tuple(rng.randint(0, min(c + 1, 3)) for _ in range(rng.randint(0, 3))), rng.randint(-9, 9))
+                for _ in range(rng.randint(0, 3))
+            ]
+            in_d: dict = {}
+            for rows, a in pairs:
+                product = elementary_product((rows,) if isinstance(rows, int) else rows, c)
+                for key, v in product.items():
+                    in_d[key] = in_d.get(key, 0) + a * v
+            table = taylor_shift({key: v for key, v in in_d.items() if v})
+            zero = (0,) * c
+            expected = {zero: table.get(zero, [])}
+            expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
+            rows = shift_rows(pairs, c)
+            assert rows == expected and next(iter(rows)) == zero, (pairs, c)
+
+
 class TestClosedFormWriters:
     def test_classes_are_written_term_by_term(self, checks, monkeypatch):
         # at (2, 1) S = u_1 + 2h and top = 1, so the Morse tail S - top (m + a) h
@@ -248,11 +295,11 @@ class TestClosedFormWriters:
         assert shifted.terms == {tuple(e + 1 for e in key): coeff for key, coeff in top.terms.items()}
 
     def test_no_product_in_the_degrees(self, monkeypatch):
-        # the Morse certificate's base fold and the positivity report's maps
-        # out of Z[E_1..E_n] read every coefficient from the 0-1 count and
-        # multiply no MultidegreePoly; the report's determinants run in
-        # Z[E_1..E_n], itself a MultidegreePoly ring, so there only the two
-        # maps out of it are watched
+        # the Morse certificate's base fold and the positivity report's two
+        # readers of its classes in Z[E_1..E_n], the writer in d and the shift
+        # rows, read every coefficient from the 0-1 count and multiply no
+        # MultidegreePoly; the report's determinants run in Z[E_1..E_n], itself
+        # a MultidegreePoly ring, so there only the two readers are watched
         expected = positivity_report(ModelParams(10, 5), 3)
         multiply = MultidegreePoly.__mul__
         products, inside = [], []
@@ -271,8 +318,8 @@ class TestClosedFormWriters:
             return run
 
         monkeypatch.setattr(MultidegreePoly, "__mul__", recording)
-        for name in ("expand", "orbit_rows"):
-            monkeypatch.setattr(_ElementaryRing, name, watched(getattr(_ElementaryRing, name)))
+        for name in ("recombine_elementary", "shift_rows"):
+            monkeypatch.setattr(schur, name, watched(getattr(schur, name)))
         assert positivity_report(ModelParams(10, 5), 3) == expected
         assert len(inside) == 2 * len(expected.records) and not any(inside)
         products.clear()

@@ -6,7 +6,7 @@ import pytest
 
 from cipos import bounds, chow, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse
+from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from oracle import cascade_threshold, elementary_product, taylor_shift
@@ -254,26 +254,25 @@ class TestElementaryRoute:
     def test_determinants_and_thresholds_match_the_d_basis(self, a):
         for N, n in self.FRAMES:
             p = ModelParams(N, n)
-            ring = schur._ElementaryRing(n, p.c)
+            ring = schur._ElementaryRing(n)
             in_d = product_route(p, -a)
             in_e = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
             for weight in range(1, n + 1):
                 for lam in partitions_of(weight):
                     conj = conjugate(lam)
                     graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
-                    assert ring.expand(graded_e) == graded_d, (N, n, a, lam)
-                    rows = list(ring.orbit_rows(graded_e).values())
+                    assert recombine_elementary(ring.products(graded_e), p.c) == graded_d, (N, n, a, lam)
+                    rows = list(shift_rows(ring.products(graded_e), p.c).values())
                     assert bounds.shifted_positivity_threshold(rows) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
 
     def test_zero_diagonal_has_no_threshold_on_either_route(self):
         # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
-        ring = schur._ElementaryRing(2, 3)
-        poly = MultidegreePoly(2, {(2, 0): 1, (0, 1): -3})
+        products = schur._ElementaryRing(2).products(MultidegreePoly(2, {(2, 0): 1, (0, 1): -3}))
         # the constant row comes first even when it is zero
-        assert next(iter(ring.orbit_rows(poly).items())) == ((0, 0, 0), [])
+        assert next(iter(shift_rows(products, 3).items())) == ((0, 0, 0), [])
         routes = (
-            lambda: bounds.shifted_positivity_threshold(list(ring.orbit_rows(poly).values())),
-            lambda: d_basis_threshold(ring.expand(poly), 3),
+            lambda: bounds.shifted_positivity_threshold(list(shift_rows(products, 3).values())),
+            lambda: d_basis_threshold(recombine_elementary(products, 3), 3),
         )
         for route in routes:
             with pytest.raises(ArithmeticError, match="no shifted-positivity threshold"):
@@ -294,7 +293,7 @@ class TestOrbitRows:
                     expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
                     for n in range(max(factors, default=1), c + 1):
                         m = tuple(factors.count(k) for k in range(1, n + 1))
-                        rows = schur._ElementaryRing(n, c).orbit_rows(MultidegreePoly(n, {m: 1}))
+                        rows = shift_rows(schur._ElementaryRing(n).products(MultidegreePoly(n, {m: 1})), c)
                         assert rows == expected and next(iter(rows)) == zero, (factors, n, c)
 
 
@@ -308,7 +307,7 @@ class TestThresholdIsTheShiftSearch:
         linear = below = 0
         for N, n, a in self.SWEEP:
             p = ModelParams(N, n)
-            ring = schur._ElementaryRing(n, p.c)
+            ring = schur._ElementaryRing(n)
             twisted = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
             for record in positivity_report(p, a).records:
                 graded = schur_det(record.conjugate, twisted)

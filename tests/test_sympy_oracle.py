@@ -1,7 +1,7 @@
 """Dev-only oracle: sympy expands p(d_1 + r, ..., d_c + r) and its
 r-coefficients must equal ``oracle.taylor_shift``, and, at the sorted
-t-exponents, the orbit rows the positivity report reads in the
-elementary-symmetric basis.  Covers every graded Schur determinant of the
+t-exponents, the shift rows the positivity report reads from its classes in
+the elementary-symmetric basis.  Covers every graded Schur determinant of the
 positivity report at two frames and seeded random polynomials.  The
 velocity-field determinant must equal sympy's on seeded integer matrices.
 Skipped when sympy is not installed; the runtime itself needs no dependency."""
@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.rings import ring  # noqa: E402
 
 from cipos.chow import ModelParams, segre_cotangent, segre_elementary  # noqa: E402
-from cipos.polyring import MultidegreePoly  # noqa: E402
+from cipos.polyring import MultidegreePoly, shift_rows  # noqa: E402
 from cipos.schur import _ElementaryRing, conjugate, partitions_of, schur_det  # noqa: E402
 from cipos.vecfields import _integer_det  # noqa: E402
 
@@ -61,7 +61,7 @@ def test_graded_determinants(N, n, a):
 def test_orbit_rows(N, n, a):
     # sympy shifts the determinant taken in d over the product route; the rows
     # come from the one taken in E over the closed-form rows
-    ring = _ElementaryRing(n, N - n)
+    ring = _ElementaryRing(n)
     in_d = segre_cotangent(ModelParams(N, n), -a)
     in_e = [ring.from_row(row) for row in segre_elementary(ModelParams(N, n), -a)]
     for weight in range(1, n + 1):
@@ -69,7 +69,7 @@ def test_orbit_rows(N, n, a):
             conj = conjugate(lam)
             rows = composed_shift(schur_det(conj, in_d))
             sorted_keys = {j: row for j, row in rows.items() if list(j) == sorted(j, reverse=True)}
-            assert ring.orbit_rows(schur_det(conj, in_e)) == sorted_keys, lam
+            assert shift_rows(ring.products(schur_det(conj, in_e)), N - n) == sorted_keys, lam
 
 
 def test_random_polynomials():

@@ -2,23 +2,28 @@
 
 Each option that subcommands share is declared once, in a parent parser of
 ``build_parser``.  Each subcommand imports the layers it runs, so a cold
-process loads only those, computes its report, then writes it piece by piece
-(``_emit``).  Every report is rendered here, in its handler, its text lines
-next to its JSON payload; the layers return data only.  One renderer,
-``_json``, writes every payload as the bytes ``json.dumps(payload, indent=2)``
-gives, each polynomial's terms joined from strings by ``_json_terms``; a small
-report is one piece, and ``positivity`` streams its document one record per
-piece.  Exit codes: 0 on success, 1 on an internal invariant failure (or a
-failing selftest), 2 on argument or validation errors.
+process loads only those, computes and checks its whole report, then writes
+it; no error follows a written byte.  Every report is rendered here, its text
+lines next to its JSON payload; the layers return data only.  One renderer,
+``_json``, yields every payload as pieces of the bytes ``json.dumps(payload,
+indent=2)`` gives, one per term of a polynomial (``_json_terms``), and
+``_emit`` writes the pieces of either format in batches, so no document is
+held whole.  Exit codes: 0 on success, 1 on an internal invariant failure (or
+a failing selftest), 2 on argument or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
 import sys
+
+#: characters per write: unbuffered, each write is a system call
+_WRITE_SIZE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,61 +78,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, json_pieces, text_pieces) -> None:
-    """Write the rendering that --format selects to stdout or --out.
-
-    Only the selected zero-argument callable runs.  It returns the pieces of
-    the rendering, each printed as it comes, so one piece at a time is held.
-    print writes the newline apart: unbuffered, a write into a closed pipe is
-    cut short silently, and the next one raises BrokenPipeError."""
-    pieces = json_pieces() if args.format == "json" else text_pieces()
+def _emit(args, payload, lines) -> None:
+    """Write the JSON document of ``payload`` or, under --format text, the
+    iterable ``lines``, run only then, to stdout or --out: at most
+    ``_WRITE_SIZE`` characters per write and the closing newline apart, since
+    unbuffered a write into a closed pipe is cut short silently, and the next
+    one raises BrokenPipeError."""
+    pieces = _json(payload) if args.format == "json" else _lines(lines)
     if not args.out:
-        _print_each(pieces)
+        _write(pieces, sys.stdout)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            _print_each(pieces, handle)
+            _write(pieces, handle)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _print_each(pieces, file=None) -> None:
+def _lines(lines):
+    """The lines joined by newlines, one piece each."""
+    for i, line in enumerate(lines):
+        yield f"\n{line}" if i else line
+
+
+def _write(pieces, file) -> None:
+    """Hold at most ``_WRITE_SIZE`` characters, sent when a piece does not fit."""
+    pending = ""
     for piece in pieces:
-        print(piece, file=file)
+        if len(pending) + len(piece) > _WRITE_SIZE:
+            file.write(pending)
+            pending, whole = "", len(piece) - len(piece) % _WRITE_SIZE
+            for start in range(0, whole, _WRITE_SIZE):
+                file.write(piece[start : start + _WRITE_SIZE])
+            piece = piece[whole:]
+        pending += piece
+    file.write(pending)
+    file.write("\n")
 
 
-def _json(value, pad: str = "") -> str:
-    """The bytes ``json.dumps(value, indent=2)`` gives for nested dicts, lists,
-    tuples and scalars, each line after the first indented by ``pad``; each
-    ``MultidegreePoly`` in ``value`` is written by ``_json_terms``."""
+def _json(value, pad: str = ""):
+    """Yield the pieces of the bytes ``json.dumps(value, indent=2)`` gives for
+    nested dicts, lists, tuples and scalars, each line after the first indented
+    by ``pad``.  A zero-argument callable stands for the value it returns, made
+    only as it is written; each ``MultidegreePoly`` is written by ``_json_terms``."""
+    if callable(value):
+        value = value()
     inner = pad + "  "
     if isinstance(value, dict):
-        opening, items, closing = "{", [f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items()], "}"
+        opening, items, closing = "{", [(f"{json.dumps(key)}: ", item) for key, item in value.items()], "}"
     elif isinstance(value, (list, tuple)):
-        opening, items, closing = "[", [_json(item, inner) for item in value], "]"
+        opening, items, closing = "[", [("", item) for item in value], "]"
     elif isinstance(value, (str, int, float)) or value is None:
-        return json.dumps(value)
+        yield json.dumps(value)
+        return
     else:
-        return _json_terms(value, pad)  # the one other value a payload holds; no layer is imported here
-    if not items:
-        return opening + closing
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+        yield from _json_terms(value, pad)  # the one other value a payload holds; no layer is imported here
+        return
+    sep = f"{opening}\n{inner}"
+    for key, item in items:
+        yield sep + key
+        yield from _json(item, inner)
+        sep = f",\n{inner}"
+    yield f"\n{pad}{closing}" if items else opening + closing
 
 
-def _json_terms(poly, pad: str) -> str:
-    """The bytes ``json.dumps(..., indent=2)`` gives for the terms of a
-    ``MultidegreePoly`` in graded-lex order, each ``{"coeff": str, "exps":
-    [int, ...]}``, each line after the first indented by ``pad``: joined from
-    one string per term, no dict."""
-    if not poly.terms:
-        return "[]"
+def _json_terms(poly, pad: str):
+    """Yield the pieces of the bytes ``json.dumps(..., indent=2)`` gives for the
+    terms of a ``MultidegreePoly`` in graded-lex order, each ``{"coeff": str,
+    "exps": [int, ...]}``, each line after the first indented by ``pad``: one
+    piece per term, joined from strings, no dict."""
     item, field, exp = pad + "  ", pad + "    ", pad + "      "
     opening = f'{item}{{\n{field}"coeff": "'
     middle = f'",\n{field}"exps": [\n{exp}'
     sep = f",\n{exp}"
     closing = f"\n{field}]\n{item}}}"
-    terms = [f"{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}" for exps, coeff in poly.sorted_terms()]
-    return "[\n" + ",\n".join(terms) + f"\n{pad}]"
+    head = "[\n"
+    for exps, coeff in poly.sorted_terms():
+        yield f"{head}{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}"
+        head = ",\n"
+    yield f"\n{pad}]" if head == ",\n" else "[]"
 
 
 def _params(N: int, n: int, a: int = 0):
@@ -152,39 +181,31 @@ def _cmd_segre(args) -> int:
     seg = chow.segre_cotangent(params, args.twist)
     head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
     payload = {"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": list(enumerate(seg))}
-    _emit(
-        args, lambda: [_json(payload)], lambda: [head] + [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
-    )
+    _emit(args, payload, itertools.chain([head], (f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg))))
     return 0
 
 
 def _cmd_positivity(args) -> int:
-    from . import schur
+    from . import polyring, schur
 
     params = _params(args.N, args.n)
     report = schur.positivity_report(params, args.a)
-
-    def document():
-        # the document without its records fixes every other field, in order;
-        # each record is one piece, so the document is never held whole
-        fields = {"N": params.N, "n": params.n, "c": params.c, "a": args.a, "records": [], "D": str(report.threshold)}
-        start, end = _json(fields).split(" []")
-        yield start + " ["
-        last = len(report.records) - 1  # a report has the record of (1,) at least
-        for i, (partition, conjugate, dominant, threshold) in enumerate(report.records):
-            record = {"partition": partition, "conjugate": conjugate, "dominant": dominant, "dominant_positive": True}
-            piece = _json({**record, "threshold": str(threshold)}, "    ")
-            yield f"    {piece}," if i < last else f"    {piece}"
-        yield "  ]" + end
+    # each dominant part is written in d from its m_lam coefficients only as its record is written
+    in_d = [functools.partial(polyring.write_in_d, record.dominant, params.c) for record in report.records]
+    records = [
+        {"partition": lam, "conjugate": conj, "dominant": d, "dominant_positive": True, "threshold": str(threshold)}
+        for (lam, conj, _, threshold), d in zip(report.records, in_d)
+    ]
+    payload = {"N": params.N, "n": params.n, "c": params.c, "a": args.a, "records": records, "D": str(report.threshold)}
 
     def text():
         yield f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"
         yield f"{'partition':<12} {'threshold':>10}  dominant part"
-        for record in report.records:
-            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {record.dominant.text()}"
+        for record, dominant in zip(report.records, in_d):
+            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {dominant().text()}"
         yield f"sufficient uniform degree D = {report.threshold}"
 
-    _emit(args, document, text)
+    _emit(args, payload, text())
     return 0
 
 
@@ -227,14 +248,9 @@ def _cmd_bound(args) -> int:
     else:
         threshold_line = f"threshold = {gamma} (not certified: positivity from degree {gamma_ceil} on is unproven)"
     payload = {
-        "N": N,
-        "n": n,
-        "a": a,
-        "coefficients": [str(v) for v in coefficients],
-        "gamma": None if gamma is None else str(gamma),
-        "gamma_ceil": gamma_ceil,
-        "certified_from": certified_from,
-        "method": args.method,
+        "N": N, "n": n, "a": a, "coefficients": [str(v) for v in coefficients],
+        "gamma": None if gamma is None else str(gamma), "gamma_ceil": gamma_ceil,
+        "certified_from": certified_from, "method": args.method,
     }
     text = [
         f"Degree bound, N={N} n={n} a={a} method={args.method}",
@@ -242,7 +258,7 @@ def _cmd_bound(args) -> int:
         + ", ".join(str(v) for v in coefficients),
         threshold_line,
     ]
-    _emit(args, lambda: [_json(payload)], lambda: text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -260,29 +276,18 @@ def _cmd_jet(args) -> int:
     cert = jets.morse_certificate(params, args.a)
     value = None if degrees is None else cert.difference.eval(degrees)
 
-    def text() -> list[str]:
-        lines = [
-            f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}",
-            f"difference = {cert.difference.text()}",
-        ]
+    def text():
+        yield f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}"
+        yield f"difference = {cert.difference.text()}"
         if degrees is not None:
-            verdict = "positive (big twist certified)" if value > 0 else "not positive"
-            lines.append(f"value at {degrees} = {value} -> {verdict}")
-        return lines
+            yield f"value at {degrees} = {value} -> {'positive (big twist certified)' if value > 0 else 'not positive'}"
 
     payload = {
-        "N": params.N,
-        "n": params.n,
-        "c": params.c,
-        "kappa": params.kappa,
-        "a": args.a,
-        "m": cert.m,
-        "difference": cert.difference,
-        "evaluated_at": degrees,
-        "value": None if value is None else str(value),
-        "positive": None if value is None else value > 0,
+        "N": params.N, "n": params.n, "c": params.c, "kappa": params.kappa, "a": args.a, "m": cert.m,
+        "difference": cert.difference, "evaluated_at": degrees,
+        "value": None if value is None else str(value), "positive": None if value is None else value > 0,
     }
-    _emit(args, lambda: [_json(payload)], text)
+    _emit(args, payload, text())
     return 0
 
 
@@ -325,7 +330,7 @@ def _cmd_vecfields(args) -> int:
         f"nonzero residuals over {args.samples} samples per field: {len(residuals)}",
         f"pole orders: z <= {payload['pole_orders']['z']}, a <= {payload['pole_orders']['a']}",
     ]
-    _emit(args, lambda: [_json(payload)], lambda: text)
+    _emit(args, payload, text)
     return 1 if identical is False else 0
 
 
@@ -336,14 +341,8 @@ def _cmd_selftest(args) -> int:
     results = selftest.run_all(numbers)
     payload = {
         "results": [
-            {
-                "criterion": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": round(r.seconds, 3),
-                "limit": r.limit,
-            }
+            {"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail,
+             "seconds": round(r.seconds, 3), "limit": r.limit}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
@@ -355,7 +354,7 @@ def _cmd_selftest(args) -> int:
         msg = f" - {r.detail}" if r.detail else ""
         return f"{status} criterion {r.number}: {r.name} [{r.seconds:.2f}s{budget}]{msg}"
 
-    _emit(args, lambda: [_json(payload)], lambda: [line(r) for r in results])
+    _emit(args, payload, map(line, results))
     return 0 if payload["all_passed"] else 1
 
 

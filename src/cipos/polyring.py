@@ -25,8 +25,9 @@ dominant part is the top part under a grading of the keys, total degree by defau
 A class in the elementary symmetric basis, (product of e_j's, coefficient)
 pairs, has one reader, :func:`m_coefficients`: the m_lam coefficient of a product
 counts the 0-1 matrices with its row sums and column sums lam (Macdonald, I.6).
-Through it, multiplying nothing, :func:`recombine_elementary` writes the class in
-d and :func:`shift_rows` gives its rows at d = r + t for every threshold.
+Through it, multiplying nothing, :func:`shift_rows` gives the class's rows at
+d = r + t for every threshold, and :func:`recombine_elementary` writes it in d,
+which is :func:`write_in_d` of its m_lam coefficients.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -364,13 +365,15 @@ def m_coefficients(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], int]
     return out
 
 
+def write_in_d(coefficients: Mapping[tuple[int, ...], int], c: int) -> MultidegreePoly:
+    """sum_lam a * m_lam(d1..dc) over {lam: a}, each a nonzero, written in d: a on
+    every arrangement of lam."""
+    return MultidegreePoly._of(c, {key: a for lam, a in coefficients.items() for key in _arrangements(lam, c)})
+
+
 def recombine_elementary(pairs: Iterable[tuple], c: int) -> MultidegreePoly:
-    """The class of :func:`m_coefficients` written in d: each coefficient of
-    m_lam on every arrangement of lam."""
-    terms = {}
-    for lam, a in m_coefficients(pairs, c).items():
-        terms.update(dict.fromkeys(_arrangements(lam, c), a))
-    return MultidegreePoly._of(c, terms)
+    """The class of :func:`m_coefficients` written in d (:func:`write_in_d`)."""
+    return write_in_d(m_coefficients(pairs, c), c)
 
 
 def shift_rows(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], list[int]]:

@@ -7,7 +7,7 @@ in the Segre classes of the negatively twisted cotangent bundle is eventually
 positive when the codimension dominates the dimension.  Positivity of each
 dominant part is established twice: by identifying it with the corresponding
 determinant for an ample sum of line bundles, and by directly inspecting its
-monomial coefficients.  Disagreement between the two routes is a hard error.
+m_lam coefficients.  Disagreement between the two routes is a hard error.
 
 Every class of the report depends on the degrees only through e_1..e_n, and
 n <= c makes them algebraically independent, so the report works in the ring
@@ -16,14 +16,14 @@ that ``chow.segre_elementary`` states in closed form, never expanded in d, the
 determinants and the identification route run there, and each threshold is
 the least integer r that the Taylor-shift test of ``bounds`` certifies on the
 rows of ``polyring.shift_rows``, one per S_c orbit, the reader that gives
-``bound`` its rows too.  Only the dominant parts, top parts under the
-E-monomial weight, are written in d (``polyring.recombine_elementary``), for
+``bound`` its rows too.  The dominant parts, top parts under the E-monomial
+weight, are kept as their m_lam coefficients (``polyring.m_coefficients``), for
 the direct route and the output.  Both readers take a class as its products of
-E_k's, read the 0-1 count of ``polyring`` and multiply no polynomial in d.
-The classes the report writes itself skip validation: it writes no zero or
+E_k's, read the 0-1 count of ``polyring`` and multiply no polynomial in d.  The
+classes the report writes itself skip validation: it writes no zero or
 malformed term.
 
-The report is plain data; the CLI renders it.
+The report is plain data; the CLI renders it, writing each dominant part in d.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, partitions_of, recombine_elementary, series_inverse, shift_rows
+from .polyring import MultidegreePoly, m_coefficients, partitions_of, series_inverse, shift_rows
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -79,11 +79,11 @@ def schur_det(parts: Sequence[int], classes: Sequence):
 
 
 class PartitionRecord(NamedTuple):
-    """A partition whose dominant part passed both positivity routes."""
+    """A partition whose dominant part, {lam: coefficient of m_lam}, passed both positivity routes."""
 
     partition: tuple[int, ...]
     conjugate: tuple[int, ...]
-    dominant: MultidegreePoly
+    dominant: dict[tuple[int, ...], int]
     threshold: int
 
 
@@ -103,7 +103,7 @@ class _ElementaryRing:
 
     Keys are exponent tuples of E_1..E_n; the weighted degree sum_k k*m_k is
     the degree in d.  A class leaves the ring as its ``products``, which
-    ``polyring`` writes in d (``recombine_elementary``) and reads at the
+    ``polyring`` reads as m_lam coefficients (``m_coefficients``) and at the
     symmetric shift d = r + t (``shift_rows``), both from the 0-1 count.
     """
 
@@ -141,7 +141,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     The twisted Segre classes are the closed-form rows of ``chow.segre_elementary``
     read in the ring of E_1..E_n (``_ElementaryRing``), where the determinants and
     the identification run; ``polyring`` reads each determinant's products of E_k's
-    for its threshold rows and its dominant part (the top weighted-degree part) in d.
+    for its threshold rows and its dominant part (the top weighted-degree part).
     """
     n, c = params.n, params.c
     if c < n:
@@ -161,8 +161,9 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = top == via_chern and top == via_segre
-            dominant = recombine_elementary(ring.products(top), c)
-            direct = bool(dominant.terms) and all(v > 0 for v in dominant.terms.values())
+            dominant = m_coefficients(ring.products(top), c)
+            # every monomial of m_lam carries its coefficient: this is the check on the monomials
+            direct = bool(dominant) and all(v > 0 for v in dominant.values())
             if not (identified and direct):
                 raise ArithmeticError(
                     f"positivity routes disagree for partition {lam}:"

@@ -87,17 +87,39 @@ def cascade_threshold(coeffs, c: int, k: int) -> Fraction:
 
 
 def terms_json(poly) -> list[dict]:
-    """The JSON term list of a ``MultidegreePoly``: graded-lex order, each
-    coefficient a string."""
-    return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in poly.sorted_terms()]
+    """The JSON term list of a ``MultidegreePoly`` or of a dict {exponent tuple:
+    int}: graded-lex order (higher total degree first, then lexicographically
+    larger first), each coefficient a string."""
+    terms = poly if isinstance(poly, dict) else poly.terms
+    ordered = sorted(terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+    return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in ordered]
 
 
-def record_json(record) -> dict:
-    """The JSON object of one ``schur.PartitionRecord``."""
+def _orderings(parts: tuple) -> list[tuple]:
+    """Every distinct ordering of a tuple of ints."""
+    if not parts:
+        return [()]
+    out = []
+    for value in set(parts):
+        rest = list(parts)
+        rest.remove(value)
+        out += [(value, *tail) for tail in _orderings(tuple(rest))]
+    return out
+
+
+def m_in_d(coefficients: dict, c: int) -> dict:
+    """sum a * m_lam(d_1..d_c) over {lam: a}, multiplied out: a on every distinct
+    ordering of lam padded with zeros to c slots."""
+    return {key: a for lam, a in coefficients.items() for key in _orderings(tuple(lam) + (0,) * (c - len(lam)))}
+
+
+def record_json(record, c: int) -> dict:
+    """The JSON object of one ``schur.PartitionRecord`` of a frame of codimension
+    c, its dominant part given by its m_lam coefficients."""
     return {
         "partition": list(record.partition),
         "conjugate": list(record.conjugate),
-        "dominant": terms_json(record.dominant),
+        "dominant": terms_json(m_in_d(record.dominant, c)),
         "dominant_positive": True,
         "threshold": str(record.threshold),
     }
@@ -110,7 +132,7 @@ def report_json(report) -> dict:
         "n": report.params.n,
         "c": report.params.c,
         "a": report.a,
-        "records": [record_json(r) for r in report.records],
+        "records": [record_json(r, report.params.c) for r in report.records],
         "D": str(report.threshold),
     }
 

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from cipos import bounds, cli, jets, polyring, schur, vecfields
+from cipos import bounds, chow, cli, jets, polyring, schur, vecfields
 from cipos.bounds import morse_closed_form, morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
-from oracle import record_json, report_json, shift_at, terms_json
+from oracle import m_in_d, report_json, shift_at, terms_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,12 +41,13 @@ def run_rejected(capsys, argv):
 
 def whole_text(report) -> str:
     """The positivity text report joined into one string: the reference for
-    the pieces the CLI writes."""
+    the pieces the CLI writes, each dominant part written in d by the oracle."""
     p = report.params
     lines = [f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={report.a}"]
     lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
     for record in report.records:
-        lines.append(f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {record.dominant.text()}")
+        dominant = MultidegreePoly(p.c, m_in_d(record.dominant, p.c)).text()
+        lines.append(f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {dominant}")
     lines.append(f"sufficient uniform degree D = {report.threshold}")
     return "\n".join(lines) + "\n"
 
@@ -144,15 +145,6 @@ class TestPositivity:
         assert blob["records"][0]["partition"] == [1]
         assert all(r["dominant_positive"] is True for r in blob["records"])
         assert isinstance(blob["D"], str)
-
-    def test_json_pieces_hold_one_record_each(self, monkeypatch):
-        pieces = []
-        monkeypatch.setattr(cli, "_print_each", lambda each, file=None: pieces.extend(each))
-        assert cli.main(["positivity", "--N", "8", "--n", "4", "--a", "2", "--format", "json"]) == 0
-        report = schur.positivity_report(ModelParams(8, 4), 2)
-        head, *middle, tail = pieces
-        assert [json.loads(piece.rstrip(",")) for piece in middle] == [record_json(r) for r in report.records]
-        assert "\n".join(pieces) == json.dumps(report_json(report), indent=2)
 
     def test_json_output_holds_no_more_than_the_report(self, monkeypatch):
         # the document is written record by record, never held whole: writing
@@ -555,13 +547,31 @@ class TestRejectedInput:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not target.parent.exists()
 
-    def test_internal_arithmetic_error_exits_1(self, capsys, monkeypatch):
-        def broken(params, a):
-            raise ArithmeticError("leading coefficient vanished")
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["segre", "--N", "10", "--n", "4"], chow, "recombine_elementary"),
+            (["jet", "--N", "5", "--n", "2", "--a", "0"], jets, "reduce_to_base"),
+            (["positivity", "--N", "8", "--n", "4", "--a", "0"], bounds, "shifted_positivity_threshold"),
+        ],
+        ids=["segre", "jet", "positivity"],
+    )
+    def test_internal_arithmetic_error_exits_1(self, capsys, monkeypatch, argv, module, name):
+        # the failure comes from the last call of a routine that each report
+        # calls late (positivity: once per record, after every dominant part
+        # is checked); the report is computed in full before a byte is
+        # written, so stdout stays empty
+        method = getattr(module, name)
+        calls_left = [{"segre": 5, "jet": 1, "positivity": 11}[argv[0]]]
 
-        monkeypatch.setattr(schur, "positivity_report", broken)
-        code, out, err = run_rejected(capsys, ["positivity", "--N", "4", "--n", "2", "--a", "0"])
-        assert (code, out) == (1, "")
+        def broken(*args):
+            calls_left[0] -= 1
+            if not calls_left[0]:
+                raise ArithmeticError("leading coefficient vanished")
+            return method(*args)
+        monkeypatch.setattr(module, name, broken)
+        code, out, err = run_rejected(capsys, [*argv, "--format", "json"])
+        assert (code, out, calls_left) == (1, "", [0])
         assert len(err) == 1 and err[0].startswith("error: ") and "leading coefficient vanished" in err[0]
 
     # unbuffered, each write of the report is a system call, and one cut short
@@ -642,6 +652,75 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     blob = json.loads(target.read_text())
     assert blob["N"] == 4
+
+
+def json_reference(argv):
+    """The document ``json.dumps(..., indent=2)`` must give for a segre, jet or
+    positivity report, its classes written by the oracle."""
+    N, n = int(argv[argv.index("--N") + 1]), int(argv[argv.index("--n") + 1])
+    params = ModelParams(N, n)
+    if argv[0] == "segre":
+        classes = [[j, terms_json(s)] for j, s in enumerate(chow.segre_cotangent(params, 0))]
+        return {"N": N, "n": n, "c": params.c, "m": 0, "classes": classes}
+    a = int(argv[argv.index("--a") + 1])
+    if argv[0] == "positivity":
+        return report_json(schur.positivity_report(params, a))
+    difference = morse_certificate(params, a).difference
+    return {"N": N, "n": n, "c": params.c, "kappa": params.kappa, "a": a, "m": 3**params.kappa - 1,
+            "difference": terms_json(difference), "evaluated_at": None, "value": None, "positive": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segre", "--N", "10", "--n", "4"],
+        ["jet", "--N", "9", "--n", "6", "--a", "0"],
+        ["positivity", "--N", "8", "--n", "4", "--a", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_pieces_hold_one_term_each(monkeypatch, argv):
+    # the one streaming renderer yields the document in pieces, no piece
+    # holding more than one term of a class, and the pieces joined are the
+    # bytes json.dumps gives
+    pieces = []
+    monkeypatch.setattr(cli, "_write", lambda each, file: pieces.extend(each))
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert max(piece.count('"coeff"') for piece in pieces) == 1
+    assert "".join(pieces) == json.dumps(json_reference(argv), indent=2)
+
+
+class Writes:
+    """A text file that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_writes_are_batched(monkeypatch):
+    # pieces are joined into writes of at most _WRITE_SIZE characters, each
+    # sent when the next piece does not fit; a longer piece is cut, and the
+    # closing newline is a write of its own
+    size = cli._WRITE_SIZE
+    pieces = ["a" * 100] * 2000 + ["b" * (2 * size + 7), "c" * (size - 3), "d" * 3, "e"]
+    sink = Writes()
+    cli._write(iter(pieces), sink)
+    assert "".join(sink.writes) == "".join(pieces) + "\n"
+    assert [len(w) for w in sink.writes] == [size - size % 100] * 3 + [200_000 - 3 * (size - size % 100)] + [
+        size, size, 7, size, 1, 1
+    ]
+    # a report of about 1 MB goes out in writes that each fill all but less
+    # than one term of a batch
+    sink = Writes()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["segre", "--N", "20", "--n", "4", "--format", "json"]) == 0
+    *full, last, newline = sink.writes
+    assert len(full) > 10 and all(size - 400 < len(w) <= size for w in full)
+    assert 0 < len(last) <= size and newline == "\n"
+    assert json.loads("".join(sink.writes)) == json_reference(["segre", "--N", "20", "--n", "4"])
 
 
 @pytest.mark.parametrize(

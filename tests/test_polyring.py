@@ -296,8 +296,8 @@ class TestClosedFormWriters:
 
     def test_no_product_in_the_degrees(self, monkeypatch):
         # the Morse certificate's base fold and the positivity report's two
-        # readers of its classes in Z[E_1..E_n], the writer in d and the shift
-        # rows, read every coefficient from the 0-1 count and multiply no
+        # readers of its classes in Z[E_1..E_n], the m_lam coefficients and the
+        # shift rows, read every coefficient from the 0-1 count and multiply no
         # MultidegreePoly; the report's determinants run in Z[E_1..E_n], itself
         # a MultidegreePoly ring, so there only the two readers are watched
         expected = positivity_report(ModelParams(10, 5), 3)
@@ -318,7 +318,7 @@ class TestClosedFormWriters:
             return run
 
         monkeypatch.setattr(MultidegreePoly, "__mul__", recording)
-        for name in ("recombine_elementary", "shift_rows"):
+        for name in ("m_coefficients", "shift_rows"):
             monkeypatch.setattr(schur, name, watched(getattr(schur, name)))
         assert positivity_report(ModelParams(10, 5), 3) == expected
         assert len(inside) == 2 * len(expected.records) and not any(inside)
@@ -426,13 +426,13 @@ class TestRendering:
         for _ in range(20):
             p = random_poly(rng, 3)
             # the rendered terms are the reference list and rebuild the coefficient dict exactly
-            blob = json.loads(cli._json(p))
+            blob = json.loads("".join(cli._json(p)))
             assert blob == terms_json(p)
             assert {tuple(item["exps"]): int(item["coeff"]) for item in blob} == p.terms
 
     def test_json_coeffs_are_strings(self):
         p = dvar(0) * 10**30
-        blob = json.loads(cli._json(p))
+        blob = json.loads("".join(cli._json(p)))
         assert blob[0]["coeff"] == str(10**30)
 
 

@@ -214,6 +214,8 @@ def json_values():
             st.lists(inner, max_size=4),
             st.lists(inner, max_size=4).map(tuple),
             st.dictionaries(json_keys, inner, max_size=4),
+            # a callable stands for what it returns: a leaf or a list, never another callable
+            st.one_of(leaves, st.lists(inner, max_size=4)).map(lambda item: lambda: item),
         ),
         max_leaves=12,
     )
@@ -221,7 +223,10 @@ def json_values():
 
 def json_reference(value):
     """``value`` with every polynomial replaced by its reference term list,
-    once its terms are checked to come in graded-lex order."""
+    once its terms are checked to come in graded-lex order, and every
+    zero-argument callable by the value it returns."""
+    if callable(value):
+        return json_reference(value())
     if isinstance(value, dict):
         return {key: json_reference(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -239,8 +244,11 @@ def json_reference(value):
 @example([[]], "")
 @example({"partition": (1,), "conjugate": (1,), "dominant": MultidegreePoly(3), "dominant_positive": True,
           "threshold": "0"}, "    ")
+@example([lambda: MultidegreePoly(2, {(1, 0): 3, (0, 1): 3}), lambda: [], lambda: None], "  ")
 def test_rendered_json_is_json_dumps(value, pad):
-    assert cli._json(value, pad) == json.dumps(json_reference(value), indent=2).replace("\n", "\n" + pad)
+    # the pieces joined, a zero-argument callable written as the value it returns
+    expected = json.dumps(json_reference(value), indent=2).replace("\n", "\n" + pad)
+    assert "".join(cli._json(value, pad)) == expected
 
 
 # charts of 26 to 262 variables

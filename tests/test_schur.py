@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from cipos import bounds, chow, schur
+from cipos import bounds, chow, polyring, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows
+from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, write_in_d
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
-from oracle import cascade_threshold, elementary_product, taylor_shift
+from oracle import cascade_threshold, elementary_product, m_in_d, taylor_shift
 from test_chow import product_route
 
 
@@ -186,7 +186,9 @@ class TestPositivityReport:
     def test_surface_report_contents(self):
         report = positivity_report(ModelParams(4, 2), 0)
         assert [r.partition for r in report.records] == [(1,), (2,), (1, 1)]
-        assert all(r.dominant.terms and min(r.dominant.terms.values()) > 0 for r in report.records)
+        assert all(r.dominant and min(r.dominant.values()) > 0 for r in report.records)
+        dominants = [write_in_d(r.dominant, 2) for r in report.records]
+        assert all(d.terms and min(d.terms.values()) > 0 for d in dominants)
         assert report.threshold == max(r.threshold for r in report.records)
         assert report.threshold > 0
 
@@ -195,7 +197,8 @@ class TestPositivityReport:
             report = positivity_report(ModelParams(N, n), a)
             first = report.records[0]
             assert first.partition == (1,)
-            assert first.dominant == recombine_elementary([(1, 1)], N - n)
+            assert first.dominant == {(1,): 1}
+            assert write_in_d(first.dominant, N - n) == recombine_elementary([(1, 1)], N - n)
 
     def test_thresholds_sound_on_grid(self):
         for N, n, a in ((4, 2, 0), (5, 2, 1), (6, 3, 0)):
@@ -264,6 +267,42 @@ class TestElementaryRoute:
                     assert recombine_elementary(ring.products(graded_e), p.c) == graded_d, (N, n, a, lam)
                     rows = list(shift_rows(ring.products(graded_e), p.c).values())
                     assert bounds.shifted_positivity_threshold(rows) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_dominant_parts_in_m_basis_match_the_d_basis(self, a, monkeypatch):
+        # each record keeps its dominant part as m_lam coefficients; written in
+        # d (by the engine and by the oracle) they are recombine_elementary of
+        # the same products term for term, on every frame with n <= c <= 7.
+        # All m_lam coefficients are positive exactly when all d-coefficients
+        # are, for the dominant parts and for the whole classes, whose lower
+        # parts have both signs
+        read = []
+
+        def recording(products, c):
+            coefficients = polyring.m_coefficients(products, c)
+            read.append((products, c, coefficients))
+            return coefficients
+
+        def whole(products, c):
+            read.append((products, c, polyring.m_coefficients(products, c)))
+            return polyring.shift_rows(products, c)
+
+        monkeypatch.setattr(schur, "m_coefficients", recording)
+        monkeypatch.setattr(schur, "shift_rows", whole)
+        signs = set()
+        for c in range(1, 8):
+            for n in range(1, c + 1):
+                read.clear()
+                report = positivity_report(ModelParams(n + c, n), a)
+                dominant = read[0::2]
+                assert [m for _, _, m in dominant] == [r.dominant for r in report.records]
+                for products, c_, m in read:
+                    in_d = write_in_d(m, c_)
+                    assert in_d.terms == recombine_elementary(products, c_).terms == m_in_d(m, c_), (n, c, a)
+                    positive = all(v > 0 for v in m.values())
+                    assert positive == all(v > 0 for v in in_d.terms.values()), (n, c, a, products)
+                    signs.add(positive)
+        assert signs == {True, False}
 
     def test_zero_diagonal_has_no_threshold_on_either_route(self):
         # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal

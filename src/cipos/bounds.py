@@ -3,8 +3,9 @@
 The Taylor-shift threshold (one search over the rows of a Taylor table, the
 least r that the shift test certifies; ``bound`` and ``positivity`` both read
 their rows from ``polyring.shift_rows``), the first-order Morse difference's
-closed-form coefficients, the scan for its first positive uniform degree, and
-the explicit degree bounds (general rough form and sharpened surface form).
+closed-form coefficients of e_0..e_n (an ``ElementaryClass``), the scan for its
+first positive uniform degree, and the explicit degree bounds (general rough
+form and sharpened surface form).
 The explicit bounds are Fractions, and callers compare integer degrees with
 their ceiling; the searches return integers.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .polyring import MultidegreePoly, recombine_elementary
+from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 
 def morse_coeff(N: int, n: int, a: int, j: int) -> int:
@@ -39,7 +40,7 @@ def morse_coeff(N: int, n: int, a: int, j: int) -> int:
 
 def morse_closed_form(N: int, n: int, a: int) -> MultidegreePoly:
     """The first-order Morse difference as a polynomial in the degrees."""
-    return recombine_elementary(((j, morse_coeff(N, n, a, j)) for j in range(n + 1)), N - n)
+    return recombine_elementary(ElementaryClass.from_row(N - n, [morse_coeff(N, n, a, j) for j in range(n + 1)]))
 
 
 def _horner(coeffs: Sequence[int], r: int) -> int:

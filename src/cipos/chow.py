@@ -1,11 +1,11 @@
 """Segre classes and integration on a complete intersection in projective space.
 
 A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
-hyperplane class), each a ``MultidegreePoly`` in the degrees.  The Segre
-classes have one route: :func:`segre_elementary` states them in closed form,
-as rows of elementary symmetric coefficients at any twist, which ``positivity``
-and ``jet`` read directly and :func:`segre_cotangent` writes in d, term by
-term, for ``segre``.  Self-test criterion 1 proves the closed form against
+hyperplane class), each a polynomial in the degrees.  The Segre classes have
+one route: :func:`segre_elementary` states them in closed form, as
+``ElementaryClass``es sum_k a_k e_k(d) at any twist, which ``positivity`` and
+``jet`` read directly and :func:`segre_cotangent` writes in d, term by term,
+for ``segre``.  Self-test criterion 1 proves the closed form against
 the product formula by exact evaluation.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .polyring import MultidegreePoly, recombine_elementary
+from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 
 class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
@@ -60,14 +60,13 @@ def integrate(top: MultidegreePoly) -> MultidegreePoly:
 
 def segre_cotangent(params: ModelParams, twist: int) -> list[MultidegreePoly]:
     """Segre classes s_0..s_n of the twisted cotangent bundle of X, each as
-    its coefficient of h^j: the rows of :func:`segre_elementary` written in d."""
-    return [recombine_elementary(enumerate(row), params.c) for row in segre_elementary(params, twist)]
+    its coefficient of h^j: the classes of :func:`segre_elementary` written in d."""
+    return [recombine_elementary(s) for s in segre_elementary(params, twist)]
 
 
-def segre_elementary(params: ModelParams, twist: int) -> list[list[int]]:
-    """Segre classes s_0..s_n of the twisted cotangent bundle of X in the
-    elementary symmetric basis: row j lists the coefficients of
-    e_0(d)..e_min(j,c)(d) in the h^j coefficient of s_j.
+def segre_elementary(params: ModelParams, twist: int) -> list[ElementaryClass]:
+    """Segre classes s_0..s_n of the twisted cotangent bundle of X, each as its
+    coefficient of h^j, sum_k a_jk e_k(d) over k <= min(j, c).
 
     The closed form, at any twist t, of the h-series of the product formula
     (1 + (1-t)h)^-(N+1) (1 - th) prod_i (1 + (d_i - t)h):
@@ -77,11 +76,12 @@ def segre_elementary(params: ModelParams, twist: int) -> list[list[int]]:
     N, n, c, t = params.N, params.n, params.c, twist
     power = [math.comb(N + m, N) * (t - 1) ** m for m in range(n + 1)]
     g = [1] + [power[m] - t * power[m - 1] for m in range(1, n + 1)]
-    return [
+    rows = (
         [
             sum(g[j - i] * math.comb(c - k, i - k) * (-t) ** (i - k) for i in range(k, min(j, c) + 1))
             for k in range(min(j, c) + 1)
         ]
         for j in range(n + 1)
-    ]
+    )
+    return [ElementaryClass.from_row(c, row) for row in rows]
 

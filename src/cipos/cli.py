@@ -225,7 +225,7 @@ def _cmd_bound(args) -> int:
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
     if coefficients[-1] != 1:
         raise ArithmeticError("leading elementary coefficient must be 1")
-    rows = list(polyring.shift_rows(enumerate(coefficients), params.c).values())
+    rows = list(polyring.shift_rows(polyring.ElementaryClass.from_row(params.c, coefficients)).values())
     # the least r >= 1 from which the shift test proves the difference positive on [r, inf)^c
     certified_from = bounds.shifted_positivity_threshold(rows)
     if args.method == "dim2":

@@ -8,7 +8,8 @@ stage of the tower.  A push down the tower, one level at a time, takes each
 monomial to the base by pi_*(u^p) = s_{p-(n-1)}, expanding tower Segre classes
 through the fiberwise recursion; one dict per level merges equal states, and
 any top-degree class becomes an exact multidegree polynomial, its coefficient
-of h^n, written from products of e_k's (``polyring.recombine_elementary``).
+of h^n: the base Segre classes of ``chow.segre_elementary`` multiplied as
+``ElementaryClass``es, then written in d (``polyring.recombine_elementary``).
 ``JetClass`` is the ring only, with no generators: the holomorphic-Morse
 bigness certificate on top of that reduction writes its nef sum S and the tail
 of its integrand term by term from their weights (:func:`nef_sum`).
@@ -24,7 +25,7 @@ from typing import Mapping, NamedTuple
 
 from . import chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, _accumulate, _SparseTerms, recombine_elementary
+from .polyring import ElementaryClass, MultidegreePoly, _accumulate, _SparseTerms, recombine_elementary
 
 # term key: (h exponent, base Segre exponents s_1..s_n, u exponents, one per level)
 TermKey = tuple[int, ...]
@@ -100,9 +101,9 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     power e of u_L, which pushes down to s_{L-1, e-(n-1)}, and equal states of
     the level below merge.  Each step lowers the degree by n-1 and a stored key
     fits its stage, so at the base each pending q <= n becomes the symbol s_q.
-    Each s_q of a base state of degree n is the row sum_k a_qk e_k of
-    ``chow.segre_elementary``; one e_k per factor gives products of e_k's,
-    which ``recombine_elementary`` writes in d.  Lower degrees are dropped.
+    The base states of degree n add up by their sorted Segre indices, and each
+    such product of the classes s_q of ``chow.segre_elementary`` is multiplied
+    once; ``recombine_elementary`` writes the sum in d.  Lower degrees are dropped.
     """
     params, n = x.params, x.params.n
     shift = n - 1
@@ -119,14 +120,12 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     states = {(key, ()): coeff for key, coeff in x.terms.items()}
     for _ in range(x.level):
         states = _accumulate({}, push(states))
-    rows = chow.segre_elementary(params, 0)
-    products = []
-    for (key, pending), value in states.items():
-        indices = [*pending, *(i for i, e in enumerate(key[1:], 1) for _ in range(e))]
-        if key[0] + sum(indices) == n:  # one e_k per factor s_q = sum_k rows[q][k] e_k
-            for picks in itertools.product(*(enumerate(rows[q]) for q in indices)):
-                products.append((tuple(k for k, _ in picks), value * math.prod(v for _, v in picks)))
-    return recombine_elementary(products, params.c)
+    # each base state as (its Segre indices, its power of h, its coefficient)
+    base = (((*p, *(i for i, e in enumerate(k[1:], 1) for _ in range(e))), k[0], v) for (k, p), v in states.items())
+    groups = _accumulate({}, ((tuple(sorted(qs)), v) for qs, h, v in base if h + sum(qs) == n))
+    segre = chow.segre_elementary(params, 0)
+    products = (math.prod((segre[q] for q in qs), start=v) for qs, v in groups.items())
+    return recombine_elementary(ElementaryClass(params.c).add_all(products))
 
 
 def nef_sum(params: ModelParams) -> JetClass:

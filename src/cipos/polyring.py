@@ -9,25 +9,28 @@ canonical sparse form, and rendering uses a fixed graded-lex order so output
 is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
-``JetClass`` and ``vecfields.ChartPoly``: each element holds a ``ring`` descriptor
-that operands must share (``num_vars``, the chart itself for ``ChartPoly``, or
-``(params, level)`` for ``JetClass``) and a dict from a monomial key to a nonzero
-int.  The core writes validation, promotion, ``+``, ``-``, the product kernel (add
-exponent tuples slot by slot, keep what the class's truncation predicate ``_alive``
-accepts), square-and-multiply powering, equality, hashing, immutability and the
-trusted constructor ``_of`` (``_wrap`` on an element's own ring) once for all three.
-Key layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, ``(h, s1, ..., sn, u1, ...,
-u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term's
-``(index, exponent)`` pairs with exponent > 0, multiplied by its own pair merge.
-Only public constructors validate; results are canonical by construction.  A
-dominant part is the top part under a grading of the keys, total degree by default.
+``ElementaryClass``, ``JetClass`` and ``vecfields.ChartPoly``: each element holds a
+``ring`` descriptor that operands must share (``num_vars``, or c for
+``ElementaryClass``, the chart itself for ``ChartPoly``, ``(params, level)`` for
+``JetClass``) and a dict from a monomial key to a nonzero int.  The core writes
+validation, promotion, ``+``, ``-``, the product kernel (add exponent tuples slot by
+slot, keep what the class's truncation predicate ``_alive`` accepts),
+square-and-multiply powering, equality, hashing, immutability and the trusted
+constructor ``_of`` (``_wrap`` on an element's own ring) once for all of them.  Key
+layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, a partition lam for
+``ElementaryClass``, ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and
+for ``ChartPoly`` the sorted tuple of the term's ``(index, exponent)`` pairs with
+exponent > 0; the last two classes multiply keys their own way.  Only public
+constructors validate; results are canonical by construction.
 
-A class in the elementary symmetric basis, (product of e_j's, coefficient)
-pairs, has one reader, :func:`m_coefficients`: the m_lam coefficient of a product
-counts the 0-1 matrices with its row sums and column sums lam (Macdonald, I.6).
-Through it, multiplying nothing, :func:`shift_rows` gives the class's rows at
-d = r + t for every threshold, and :func:`recombine_elementary` writes it in d,
-which is :func:`write_in_d` of its m_lam coefficients.
+Every class symmetric in the degrees is an ``ElementaryClass``, sum_lam a_lam
+e_lam(d1..dc) over partitions lam with parts <= c, which form a Z-basis of the
+symmetric polynomials (Macdonald, I.2).  It has one reader,
+:func:`m_coefficients`: the m_lam coefficient of e_rows counts the 0-1 matrices
+with row sums rows and column sums lam (Macdonald, I.6).  Through it, multiplying
+nothing in d, :func:`shift_rows` gives the class's rows at d = r + t for every
+threshold, and :func:`recombine_elementary` writes it in d, which is
+:func:`write_in_d` of its m_lam coefficients.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -221,20 +224,16 @@ class MultidegreePoly(_SparseTerms):
 
     # -- basic queries -----------------------------------------------------
 
-    def coeff(self, exps: Sequence[int]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def total_degree(self):
         """Total degree, or the -infinity sentinel for the zero polynomial."""
         if not self.terms:
             return NEG_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def dominant_part(self, grading=sum) -> "MultidegreePoly":
-        """Sum of the terms whose exponent tuple has maximal ``grading`` (total
-        degree by default); 0 for the zero polynomial."""
-        top = max(map(grading, self.terms), default=None)
-        return self._wrap({e: c for e, c in self.terms.items() if grading(e) == top})
+    def dominant_part(self):
+        """Sum of the terms of maximal total degree; 0 for the zero polynomial."""
+        top = max(map(sum, self.terms), default=None)
+        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # graded-lex, descending: higher total degree first, then lexicographic;
@@ -301,6 +300,50 @@ class MultidegreePoly(_SparseTerms):
         return [{"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.sorted_terms()]
 
 
+class ElementaryClass(_SparseTerms):
+    """Symmetric integer polynomial sum_lam a_lam e_lam(d1..dc), e_lam the product
+    of the e_k(d) over the parts k of lam.
+
+    ``ring`` is c, and each key is a partition lam with parts in 1..c, largest
+    first (``()`` is 1).  These e_lam are a Z-basis of the symmetric polynomials
+    in c variables, so ``==`` is equality of polynomials.  A product joins the
+    two partitions; the degree in d of e_lam is sum(lam).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, c: int, pairs: Iterable[tuple] = ()):
+        """The class sum a * prod_{k in rows} e_k over (rows, a) pairs, a bare int j
+        meaning e_j: zero parts (e_0 = 1) drop, equal products add, and a product
+        with a part beyond c is zero."""
+        if c < 1:
+            raise ValueError("num_vars must be a positive integer")
+        pairs = [((rows,) if isinstance(rows, int) else tuple(rows), a) for rows, a in pairs]
+        if any(min(rows, default=0) < 0 for rows, _ in pairs):
+            raise ValueError("elementary symmetric index must be nonnegative")
+        alive = ((tuple(sorted(filter(None, rows), reverse=True)), a) for rows, a in pairs if max(rows, default=0) <= c)
+        object.__setattr__(self, "ring", c)
+        object.__setattr__(self, "terms", _accumulate({}, alive))
+
+    @classmethod
+    def from_row(cls, c: int, row: Sequence[int]) -> "ElementaryClass":
+        """The class sum_k row[k] * e_k, for a row of at most c + 1 entries (trusted, see ``_of``)."""
+        return cls._of(c, {(k,) if k else (): v for k, v in enumerate(row) if v})
+
+    def _unit_key(self) -> tuple[int, ...]:
+        return ()
+
+    def _product(self, other):
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                yield tuple(sorted(k1 + k2, reverse=True)), c1 * c2
+
+    # bound in the class body, where tools that wrap a class's own operators find them
+    __add__ = _SparseTerms.__add__
+    __mul__ = _SparseTerms.__mul__
+    dominant_part = MultidegreePoly.dominant_part  # sum(lam) is the degree of e_lam as of d^lam
+
+
 def partitions_of(weight: int) -> list[tuple[int, ...]]:
     """All partitions of the given weight as weakly decreasing tuples, largest
     first part first."""
@@ -342,25 +385,15 @@ def _arrangements(parts: tuple[int, ...], c: int) -> list[tuple[int, ...]]:
     return keys
 
 
-def m_coefficients(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], int]:
-    """{lam: nonzero m_lam coefficient} of the sum of a * prod_{r in rows} e_r(d1..dc)
-    over (rows, a) pairs, a bare int j meaning e_j.  Equal products add first; e_j
-    alone is m_{1^j} (zero when j > c), a longer product reads ``_zero_one``."""
-    if c < 1:
-        raise ValueError("num_vars must be a positive integer")
-    summed: dict[tuple[int, ...], int] = {}
-    for rows, a in pairs:
-        rows = (rows,) if isinstance(rows, int) else rows
-        if min(rows, default=0) < 0:
-            raise ValueError("elementary symmetric index must be nonnegative")
-        key = tuple(sorted(filter(None, rows), reverse=True))
-        summed[key] = summed.get(key, 0) + a
+def m_coefficients(x: ElementaryClass) -> dict[tuple[int, ...], int]:
+    """{lam: nonzero m_lam coefficient} of the class: e_j alone is m_{1^j}, a longer
+    product reads ``_zero_one``."""
     out: dict[tuple[int, ...], int] = {}
-    for rows, a in summed.items():
+    for rows, a in x.terms.items():
         if len(rows) > 1:
-            lams = (lam for lam in partitions_of(sum(rows)) if len(lam) <= c)
+            lams = (lam for lam in partitions_of(sum(rows)) if len(lam) <= x.ring)
             _accumulate(out, ((lam, a * _zero_one(rows, lam)) for lam in lams))
-        elif sum(rows) <= c:
+        else:
             _accumulate(out, [((1,) * sum(rows), a)])
     return out
 
@@ -371,27 +404,28 @@ def write_in_d(coefficients: Mapping[tuple[int, ...], int], c: int) -> Multidegr
     return MultidegreePoly._of(c, {key: a for lam, a in coefficients.items() for key in _arrangements(lam, c)})
 
 
-def recombine_elementary(pairs: Iterable[tuple], c: int) -> MultidegreePoly:
-    """The class of :func:`m_coefficients` written in d (:func:`write_in_d`)."""
-    return write_in_d(m_coefficients(pairs, c), c)
+def recombine_elementary(x: ElementaryClass) -> MultidegreePoly:
+    """The class written in d: :func:`write_in_d` of its :func:`m_coefficients`."""
+    return write_in_d(m_coefficients(x), x.ring)
 
 
-def shift_rows(pairs: Iterable[tuple], c: int) -> dict[tuple[int, ...], list[int]]:
-    """The class of :func:`m_coefficients` at d = r + t, sum_mu g_mu(r) t^mu, one row per
-    S_c orbit: {mu, a partition padded to c slots: g_mu by powers of r, to its last
-    nonzero coefficient} for each nonzero g_mu, the constant row (the diagonal) first
-    even when zero.  One pick i per factor from e_k(r + t) = sum_i C(c-i, k-i) r^(k-i)
-    e_i(t) gives v r^p times a product of e_i(t); the picks at each p are read by
+def shift_rows(x: ElementaryClass) -> dict[tuple[int, ...], list[int]]:
+    """The class at d = r + t, sum_mu g_mu(r) t^mu, one row per S_c orbit: {mu, a
+    partition padded to c slots: g_mu by powers of r, to its last nonzero
+    coefficient} for each nonzero g_mu, the constant row (the diagonal) first even
+    when zero.  One pick i per factor from e_k(r + t) = sum_i C(c-i, k-i) r^(k-i)
+    e_i(t) gives v r^p e_picks(t); the picks at each p are read by
     :func:`m_coefficients`.  Every Taylor row of the class in d is one of these."""
-    by_power: dict[int, list] = {}
-    for rows, a in pairs:
-        rows = (rows,) if isinstance(rows, int) else rows
-        for picks in itertools.product(*(range(min(k, c) + 1) for k in rows)):
+    c = x.ring
+    by_power: dict[int, dict] = {}
+    for rows, a in x.terms.items():
+        for picks in itertools.product(*(range(k + 1) for k in rows)):
             v = a * math.prod(math.comb(c - i, k - i) for i, k in zip(picks, rows))
-            by_power.setdefault(sum(rows) - sum(picks), []).append((picks, v))
+            key = tuple(sorted(filter(None, picks), reverse=True))
+            _accumulate(by_power.setdefault(sum(rows) - sum(picks), {}), [(key, v)])
     grid: dict[tuple[int, ...], dict[int, int]] = {(): {}}  # the constant row first
     for p, picked in by_power.items():
-        for mu, v in m_coefficients(picked, c).items():
+        for mu, v in m_coefficients(ElementaryClass._of(c, picked)).items():
             grid.setdefault(mu, {})[p] = v
     return {mu + (0,) * (c - len(mu)): [g.get(k, 0) for k in range(max(g, default=-1) + 1)] for mu, g in grid.items()}
 

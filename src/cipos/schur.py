@@ -9,17 +9,15 @@ dominant part is established twice: by identifying it with the corresponding
 determinant for an ample sum of line bundles, and by directly inspecting its
 m_lam coefficients.  Disagreement between the two routes is a hard error.
 
-Every class of the report depends on the degrees only through e_1..e_n, and
-n <= c makes them algebraically independent, so the report works in the ring
-of E_1..E_n: the Segre classes enter as the rows of elementary coefficients
-that ``chow.segre_elementary`` states in closed form, never expanded in d, the
-determinants and the identification route run there, and each threshold is
-the least integer r that the Taylor-shift test of ``bounds`` certifies on the
-rows of ``polyring.shift_rows``, one per S_c orbit, the reader that gives
-``bound`` its rows too.  The dominant parts, top parts under the E-monomial
-weight, are kept as their m_lam coefficients (``polyring.m_coefficients``), for
-the direct route and the output.  Both readers take a class as its products of
-E_k's, read the 0-1 count of ``polyring`` and multiply no polynomial in d.  The
+Every class of the report is symmetric in the degrees, so the report works
+on ``polyring.ElementaryClass``es: the Segre classes enter as the closed forms
+of ``chow.segre_elementary``, never expanded in d, the determinants and the
+identification route run there, and each threshold is the least integer r that
+the Taylor-shift test of ``bounds`` certifies on the rows of
+``polyring.shift_rows``, one per S_c orbit, the reader that gives ``bound`` its
+rows too.  The dominant parts are kept as their m_lam coefficients
+(``polyring.m_coefficients``), for the direct route and the output.  Both
+readers use the 0-1 count of ``polyring`` and multiply no polynomial in d.  The
 classes the report writes itself skip validation: it writes no zero or
 malformed term.
 
@@ -33,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import MultidegreePoly, m_coefficients, partitions_of, series_inverse, shift_rows
+from .polyring import ElementaryClass, m_coefficients, partitions_of, series_inverse, shift_rows
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -97,38 +95,6 @@ class SchurReport(NamedTuple):
     threshold: int
 
 
-class _ElementaryRing:
-    """Z[E_1..E_n], E_k = e_k(d_1..d_c) with n <= c, so the E_k are
-    algebraically independent and a class has one expansion in them.
-
-    Keys are exponent tuples of E_1..E_n; the weighted degree sum_k k*m_k is
-    the degree in d.  A class leaves the ring as its ``products``, which
-    ``polyring`` reads as m_lam coefficients (``m_coefficients``) and at the
-    symmetric shift d = r + t (``shift_rows``), both from the 0-1 count.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def key(self, j: int) -> tuple[int, ...]:
-        """Exponent tuple of E_j; E_0 = 1."""
-        return tuple(int(k == j) for k in range(1, self.n + 1))
-
-    def from_row(self, row: Sequence[int]) -> MultidegreePoly:
-        """The class sum_k row[k] * e_k(d), in the E-basis."""
-        return MultidegreePoly._of(self.n, {self.key(k): v for k, v in enumerate(row) if v})
-
-    @staticmethod
-    def weight(key: tuple[int, ...]) -> int:
-        return sum(k * m for k, m in enumerate(key, 1))
-
-    @staticmethod
-    def products(poly: MultidegreePoly) -> list[tuple[tuple[int, ...], int]]:
-        """The class as (index k of each factor E_k of an E-monomial, largest
-        first; coefficient) pairs, the input of ``polyring``'s readers."""
-        return [(tuple(k for k in range(len(m), 0, -1) for _ in range(m[k - 1])), a) for m, a in poly.terms.items()]
-
-
 def positivity_report(params: ModelParams, a: int) -> SchurReport:
     """Certify every Schur determinant in the twisted Segre classes.
 
@@ -138,30 +104,28 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     extract its dominant part, verify the two positivity routes agree, and
     attach the least uniform degree threshold the shift test certifies.
 
-    The twisted Segre classes are the closed-form rows of ``chow.segre_elementary``
-    read in the ring of E_1..E_n (``_ElementaryRing``), where the determinants and
-    the identification run; ``polyring`` reads each determinant's products of E_k's
-    for its threshold rows and its dominant part (the top weighted-degree part).
+    The determinants and the identification run on the closed-form twisted
+    Segre classes of ``chow.segre_elementary``; ``polyring`` reads each
+    determinant for its threshold rows and its dominant part for the output.
     """
     n, c = params.n, params.c
     if c < n:
         raise ValueError(f"numerical positivity requires c >= n, got c={c} < n={n}")
     if a < 0:
         raise ValueError("twist a must be >= 0")
-    ring = _ElementaryRing(n)
-    twisted = [ring.from_row(row) for row in chow.segre_elementary(params, -a)]
-    chern_data = [MultidegreePoly._of(n, {ring.key(j): 1}) for j in range(n + 1)]
-    segre_data = [MultidegreePoly.one(n)] + series_inverse(chern_data[1:], n)
+    twisted = chow.segre_elementary(params, -a)
+    chern_data = [ElementaryClass.from_row(c, [0] * j + [1]) for j in range(n + 1)]  # e_j, nonzero as j <= n <= c
+    segre_data = chern_data[:1] + series_inverse(chern_data[1:], n)
     records = []
     for ell in range(1, n + 1):
         for lam in partitions_of(ell):
             conj = conjugate(lam)
             graded = schur_det(conj, twisted)
-            top = graded.dominant_part(ring.weight)
+            top = graded.dominant_part()
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = top == via_chern and top == via_segre
-            dominant = m_coefficients(ring.products(top), c)
+            dominant = m_coefficients(top)
             # every monomial of m_lam carries its coefficient: this is the check on the monomials
             direct = bool(dominant) and all(v > 0 for v in dominant.values())
             if not (identified and direct):
@@ -174,7 +138,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    threshold=bounds.shifted_positivity_threshold(list(shift_rows(ring.products(graded), c).values())),
+                    threshold=bounds.shifted_positivity_threshold(list(shift_rows(graded).values())),
                 )
             )
     overall = max(record.threshold for record in records)

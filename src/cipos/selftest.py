@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .polyring import MultidegreePoly, recombine_elementary, series_inverse, shift_rows
+from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary, series_inverse, shift_rows
 
 
 class CriterionResult(NamedTuple):
@@ -238,13 +238,11 @@ def _criterion_8() -> tuple[bool, str]:
     for _ in range(100):
         c = rng.randint(1, 6)
         k = rng.randint(1, c)
-        table = {k: 1}
-        for i in range(k):
-            table[i] = rng.randint(-40, 40)
-        r = bounds.shifted_positivity_threshold(list(shift_rows(table.items(), c).values()))
-        poly = recombine_elementary(table.items(), c)
-        if not grid_positive(poly, c, r):
-            return False, f"shift threshold unsound for c={c} coeffs={table}"
+        row = [rng.randint(-40, 40) for _ in range(k)] + [1]
+        x = ElementaryClass.from_row(c, row)
+        r = bounds.shifted_positivity_threshold(list(shift_rows(x).values()))
+        if not grid_positive(recombine_elementary(x), c, r):
+            return False, f"shift threshold unsound for c={c} coeffs={row}"
         instances += 1
 
     for N, n, a in ((4, 2, 0), (4, 2, 3), (5, 2, 0), (6, 2, 1), (6, 3, 0), (7, 3, 2)):

@@ -10,6 +10,7 @@ test_jets.py together with the coefficientwise domination.
 import pytest
 
 from cipos import chow, selftest
+from cipos.polyring import ElementaryClass
 
 # the factors the README quotes under "Known red criterion"
 CRITERION_6_DETAIL = (
@@ -50,10 +51,10 @@ def test_criterion_1_catches_one_wrong_coefficient(monkeypatch, frame, detail):
     closed_form = chow.segre_elementary
 
     def off_by_one(params, m):
-        rows = closed_form(params, m)
+        classes = closed_form(params, m)
         if (params.N, params.c, m) == (N, c, twist):
-            rows[j][k] += 1
-        return rows
+            classes[j] += ElementaryClass(c, [(k, 1)])
+        return classes
 
     monkeypatch.setattr(chow, "segre_elementary", off_by_one)
     result = selftest.run_criterion(1)

@@ -16,10 +16,10 @@ from cipos.bounds import (
     surface_degree_bound,
 )
 from cipos import bounds, cli
-from cipos.polyring import MultidegreePoly, recombine_elementary, shift_rows
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, shift_rows
 
 from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
-from tower_reference import variable
+from tower_reference import elementary, variable
 
 
 def rows_of(p):
@@ -106,7 +106,7 @@ class TestCascadeThreshold:
             r = cascade_threshold(sorted(table.items()), c, k)
             poly = MultidegreePoly(c)
             for j, a in table.items():
-                poly = poly + recombine_elementary([(j, 1)], c) * a
+                poly = poly + elementary(c, j) * a
             base = math.ceil(r)
             for point in itertools.product((base, base + 1, base + 7), repeat=c):
                 assert poly.eval(point) > 0
@@ -114,7 +114,7 @@ class TestCascadeThreshold:
 
 class TestShiftedThreshold:
     def test_already_positive(self):
-        poly = recombine_elementary([(2, 1)], 2) + 1
+        poly = elementary(2, 2) + 1
         assert shifted_positivity_threshold(rows_of(poly)) == 1
 
     def test_square_difference(self):
@@ -139,8 +139,8 @@ class TestShiftedThreshold:
         seen = set()
         for _ in range(30):
             c = rng.randint(1, 3)
-            poly = recombine_elementary([(1, 1)], c) ** rng.randint(2, 3) + recombine_elementary([(c, 1)], c) * rng.randint(0, 9)
-            poly = poly + recombine_elementary([(1, 1)], c) * rng.randint(-30, 5) + rng.randint(-40, 40)
+            poly = elementary(c, 1) ** rng.randint(2, 3) + elementary(c, c) * rng.randint(0, 9)
+            poly = poly + elementary(c, 1) * rng.randint(-30, 5) + rng.randint(-40, 40)
             shifts = ((r, shift_at(poly.terms, r)) for r in range(1, 200))
             r = next(r for r, q in shifts if min(q.values()) >= 0 and q.get((0,) * c, 0) > 0)
             assert shifted_positivity_threshold(rows_of(poly)) == r
@@ -167,8 +167,8 @@ class TestShiftedThreshold:
         rng = random.Random(47)
         for _ in range(20):
             c = rng.randint(1, 3)
-            dom = recombine_elementary([(1, 1)], c) ** 2
-            noise = recombine_elementary([(1, 1)], c) * rng.randint(-20, 0) + rng.randint(-20, 20)
+            dom = elementary(c, 1) ** 2
+            noise = elementary(c, 1) * rng.randint(-20, 0) + rng.randint(-20, 20)
             poly = dom + noise
             r = shifted_positivity_threshold(rows_of(poly))
             for point in itertools.product((r, r + 2, r + 9), repeat=c):
@@ -223,7 +223,7 @@ class TestFirstPositiveDegree:
 class TestElementaryShiftRows:
     def test_flagship_rows(self):
         # e2 - 17 e1 + 15 at d = r + t: (r^2 - 34 r + 15) + (r - 17) e1(t) + e2(t)
-        rows = shift_rows(enumerate([15, -17, 1]), 2)
+        rows = shift_rows(ElementaryClass.from_row(2, [15, -17, 1]))
         assert rows == {(0, 0): [15, -34, 1], (1, 0): [-17, 1], (1, 1): [1]}
         assert next(iter(rows)) == (0, 0)
 
@@ -235,8 +235,9 @@ class TestElementaryShiftRows:
                 c = N - n
                 for a in range(6):
                     coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
-                    table = taylor_shift(recombine_elementary(enumerate(coefficients), c).terms)
-                    rows = shift_rows(enumerate(coefficients), c)
+                    difference = ElementaryClass.from_row(c, coefficients)
+                    table = taylor_shift(recombine_elementary(difference).terms)
+                    rows = shift_rows(difference)
                     squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}
                     assert set(table) == squarefree, (N, n, a)
                     assert next(iter(rows)) == (0,) * c, (N, n, a)
@@ -299,7 +300,7 @@ class TestDegreeBounds:
 class TestClosedFormPolynomial:
     def test_flagship_polynomial(self):
         poly = morse_closed_form(4, 2, 4)
-        e1, e2 = recombine_elementary([(1, 1)], 2), recombine_elementary([(2, 1)], 2)
+        e1, e2 = elementary(2, 1), elementary(2, 2)
         assert poly == e2 - e1 * 17 + 15
 
     def test_surface_positive_at_surface_bound(self):

@@ -10,7 +10,7 @@ import pytest
 
 from cipos.chow import ModelParams, integrate, segre_cotangent
 from cipos.jets import JetClass
-from cipos.polyring import MultidegreePoly, recombine_elementary
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 from cipos.schur import partitions_of, schur_det
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, coordinate_field, lie_derivative
 
@@ -76,7 +76,7 @@ def test_poly_results_canonical():
         results = [p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p + k, k - p, p * k, -p]
         results += [p ** rng.randint(0, 3), (p + q) * (p - q) - (p * p - q * q)]
         results += [p.dominant_part(), p.add_all([q, -p, k])]
-        results.append(recombine_elementary([(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)], c))
+        results.append(recombine_elementary(ElementaryClass(c, [(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)])))
         for result in results:
             assert_canonical_poly(result)
         # the Taylor shift table: valid t-keys, no zero row, no trailing zero

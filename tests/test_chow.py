@@ -6,10 +6,10 @@ import pytest
 
 from cipos import cli
 from cipos.chow import ModelParams, integrate, segre_cotangent, segre_elementary
-from cipos.polyring import MultidegreePoly, recombine_elementary, series_inverse
+from cipos.polyring import ElementaryClass, MultidegreePoly, series_inverse
 
 from oracle import segre_product, series_product, terms_json
-from tower_reference import variable
+from tower_reference import elementary, variable
 
 
 def product_route(p, twist):
@@ -81,7 +81,7 @@ class TestIntegrate:
         assert integrate(MultidegreePoly(2)).is_zero()
 
     def test_linearity(self):
-        poly = recombine_elementary([(1, 1)], 2)
+        poly = elementary(2, 1)
         d1d2 = MultidegreePoly(2, {(1, 1): 1})
         assert integrate(poly * 3) == integrate(poly) * 3 == poly * d1d2 * 3
 
@@ -92,23 +92,24 @@ class TestSegre:
             for c in range(1, N):
                 p = ModelParams(N, N - c)
                 s1 = segre_cotangent(p, 0)[1]
-                assert s1 == recombine_elementary([(1, 1)], c) - (N + 1)
+                assert s1 == elementary(c, 1) - (N + 1)
 
     def test_closed_form_examples(self):
         # row j lists the coefficients of e_0..e_j in s_j; at twist 1 on a
         # surface in P^4, G = (1 - h) and e_2(d - 1) = e_2 - e_1 + 1
         p = ModelParams(4, 2)
-        assert segre_elementary(p, 0) == [[1], [-5, 1], [15, -5, 1]]
-        assert segre_elementary(p, 1) == [[1], [-3, 1], [3, -2, 1]]
+        for m, rows in ((0, [[1], [-5, 1], [15, -5, 1]]), (1, [[1], [-3, 1], [3, -2, 1]])):
+            assert segre_elementary(p, m) == [ElementaryClass.from_row(2, row) for row in rows]
 
     def test_closed_form_range_check(self):
-        # e_k vanishes in c variables for k > c, so row j stops at e_min(j, c)
+        # e_k vanishes in c variables for k > c, so s_j stops at e_min(j, c)
         for N, n in ((4, 2), (7, 5), (9, 3), (6, 5)):
             p = ModelParams(N, n)
             for m in (-2, 0, 3):
-                rows = segre_elementary(p, m)
-                assert [len(row) for row in rows] == [min(j, p.c) + 1 for j in range(n + 1)]
-                assert all(rows[j][j] == 1 for j in range(min(n, p.c) + 1))
+                classes = segre_elementary(p, m)
+                assert len(classes) == n + 1 and all(s.ring == p.c for s in classes)
+                assert all(len(k) <= 1 and sum(k) <= min(j, p.c) for j, s in enumerate(classes) for k in s.terms)
+                assert all(classes[j].terms[(j,) if j else ()] == 1 for j in range(min(n, p.c) + 1))
 
     def test_closed_form_matches_product_everywhere(self):
         for N in range(2, 9):
@@ -134,7 +135,7 @@ class TestSegre:
                     seg = segre_cotangent(p, m)
                     for ell in range(1, min(c, p.n) + 1):
                         dom = seg[ell].dominant_part()
-                        assert dom == recombine_elementary([(ell, 1)], c), (N, c, m, ell)
+                        assert dom == elementary(c, ell), (N, c, m, ell)
 
     def test_degree_profile(self):
         # degree of the graded coefficient is ell below c and caps at c above

@@ -9,12 +9,13 @@ from cipos import chow
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, morse_certificate, nef_sum, reduce_to_base, segre_recursion_coeff
 from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
-from cipos.polyring import MultidegreePoly, recombine_elementary
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 from oracle import morse_on_grid, taylor_shift
 from test_chow import product_route
 from tower_reference import (
     base_segre_symbol,
+    elementary,
     hyperplane,
     integrate_tower,
     lift,
@@ -319,7 +320,7 @@ class TestIntegrate:
         u = tautological(P42, 1, 1)
         h = hyperplane(P42, 1)
         got = integrate_tower((u + h * 2) ** 3)
-        e1, e2 = recombine_elementary([(1, 1)], 2), recombine_elementary([(2, 1)], 2)
+        e1, e2 = elementary(2, 1), elementary(2, 2)
         assert got == (e2 + e1 - 3) * bezout(2)
 
     def test_degree_bookkeeping(self):
@@ -402,7 +403,7 @@ class TestNefClasses:
 class TestMorseCertificate:
     def test_flagship_numbers(self):
         cert = morse_certificate(P42, 4)
-        assert cert == (2, recombine_elementary([(2, 1), (1, -17), (0, 15)], 2))
+        assert cert == (2, recombine_elementary(ElementaryClass.from_row(2, [15, -17, 1])))
         assert cert.difference.eval((34, 34)) == 15
         assert cert.difference.eval((33, 33)) == -18
 

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from cipos import chow, cli, jets, schur
+from cipos import chow, cli, jets
 from cipos.chow import ModelParams
 from cipos.jets import nef_sum
 from cipos.polyring import (
     NEG_INFINITY,
+    ElementaryClass,
     MultidegreePoly,
     _SparseTerms,
     m_coefficients,
@@ -151,45 +152,35 @@ class TestDegree:
                 assert (p * q).dominant_part() == rhs
 
 
+def in_d(c, pairs):
+    """recombine_elementary of the class the pairs state."""
+    return recombine_elementary(ElementaryClass(c, pairs))
+
+
 class TestElementarySymmetric:
     def test_basic(self):
-        assert recombine_elementary([(1, 1)], 2) == dvar(0) + dvar(1)
-        assert recombine_elementary([(3, 1)], 2).is_zero()
+        assert in_d(2, [(1, 1)]) == dvar(0) + dvar(1)
+        assert in_d(2, [(3, 1)]).is_zero()
         d1, d2, d3 = (dvar(i, 3) for i in range(3))
-        assert recombine_elementary([(2, 1)], 3) == d1 * d2 + d1 * d3 + d2 * d3
-        assert recombine_elementary([(0, 1)], 4) == MultidegreePoly.one(4)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="index must be nonnegative"):
-            recombine_elementary([(-1, 1)], 2)
-        with pytest.raises(ValueError, match="index must be nonnegative"):
-            recombine_elementary([(1, 2), (-1, 0)], 2)
-        with pytest.raises(ValueError, match="index must be nonnegative"):
-            recombine_elementary([((2, -1), 1)], 2)
-        with pytest.raises(ValueError, match="num_vars must be a positive integer"):
-            recombine_elementary([(1, 2)], 0)
+        assert in_d(3, [(2, 1)]) == d1 * d2 + d1 * d3 + d2 * d3
+        assert in_d(4, [(0, 1)]) == MultidegreePoly.one(4)
 
     def test_express_read_off(self):
         # a multilinear symmetric class is sum_j a_j e_j, and a_j is its
         # coefficient of d1*...*dj
         d1, d2 = dvar(0), dvar(1)
         p = d1 * d2 - 5 * (d1 + d2) + 3
-        assert recombine_elementary([(2, 1), (1, -5), (0, 3)], 2) == p
-        assert [p.coeff((1,) * j + (0,) * (2 - j)) for j in range(3)] == [3, -5, 1]
-
-    def test_express_identity_case(self):
-        # a bare int j, the one-row product (j,) and (j,) with e_0 = 1 factors are one class
-        e2 = recombine_elementary([(2, 1)], 4)
-        assert recombine_elementary([((2,), 1)], 4) == e2 == recombine_elementary([((0, 2, 0), 1)], 4)
-        assert len(e2.terms) == 6 and set(e2.terms.values()) == {1}
+        assert in_d(2, [(2, 1), (1, -5), (0, 3)]) == p
+        assert [p.terms.get((1,) * j + (0,) * (2 - j), 0) for j in range(3)] == [3, -5, 1]
 
     def test_express_roundtrip_random(self):
         rng = random.Random(23)
         for _ in range(40):
             c = rng.randint(1, 5)
             coeffs = [rng.randint(-9, 9) for _ in range(c + 1)]
-            p = recombine_elementary(enumerate(coeffs), c)
-            assert [p.coeff((1,) * j + (0,) * (c - j)) for j in range(c + 1)] == coeffs
+            p = recombine_elementary(ElementaryClass.from_row(c, coeffs))
+            assert in_d(c, enumerate(coeffs)) == p
+            assert [p.terms.get((1,) * j + (0,) * (c - j), 0) for j in range(c + 1)] == coeffs
             assert len(p.terms) == sum(math.comb(c, j) for j, a in enumerate(coeffs) if a)
 
     def test_writer_matches_the_count_oracle(self):
@@ -201,32 +192,77 @@ class TestElementarySymmetric:
             for c in range(1, 9):
                 product = elementary_product(rows, c)
                 single = {k: v for k, v in product.items() if v}
-                assert recombine_elementary([(rows, 1)], c).terms == single, (rows, c)
+                assert in_d(c, [(rows, 1)]).terms == single, (rows, c)
                 j = max(rows, default=0)
                 mixed = [(rows, 3), (j, -2), ((0, *reversed(rows)), 1)]
                 linear = elementary_product((j,), c)
                 summed = {k: 4 * product.get(k, 0) - 2 * linear.get(k, 0) for k in product.keys() | linear.keys()}
-                assert recombine_elementary(mixed, c).terms == {k: v for k, v in summed.items() if v}, (rows, c)
+                assert in_d(c, mixed).terms == {k: v for k, v in summed.items() if v}, (rows, c)
+
+
+class TestElementaryClass:
+    # the one constructor that reads (rows, a) pairs, a bare int j meaning e_j
+    def test_negative_index_rejected(self):
+        for pairs in ([(-1, 1)], [(1, 2), (-1, 0)], [((2, -1), 1)]):
+            with pytest.raises(ValueError, match="index must be nonnegative"):
+                ElementaryClass(2, pairs)
+        with pytest.raises(ValueError, match="num_vars must be a positive integer"):
+            ElementaryClass(0, [(1, 2)])
+
+    def test_bare_int_and_tuple_rows_are_one_class(self):
+        # a bare int j, the one-row product (j,) and (j,) with e_0 = 1 factors are one class
+        e2 = ElementaryClass(4, [(2, 1)])
+        assert ElementaryClass(4, [((2,), 1)]) == e2 == ElementaryClass(4, [((0, 2, 0), 1)])
+        assert e2.terms == {(2,): 1}
+        written = recombine_elementary(e2)
+        assert len(written.terms) == 6 and set(written.terms.values()) == {1}
+
+    def test_an_index_beyond_c_gives_zero(self):
+        assert ElementaryClass(2, [(3, 5)]).is_zero()
+        assert ElementaryClass(2, [((3, 1), 5), ((1, 1, 1), 2)]).terms == {(1, 1, 1): 2}
+        assert ElementaryClass(2, [(3, 5), (1, 2)]).terms == {(1,): 2}
+
+    def test_products_of_e_0_are_the_unit(self):
+        # the empty product, e_0 and products of e_0's are all e_() = 1
+        assert ElementaryClass(3, [((), 2), (0, 3), ((0, 0), -1)]) == 4
+        assert ElementaryClass(1, [(0, 1), ((), -1)]).is_zero()
+
+    def test_keys_are_sorted_and_equal_products_add(self):
+        x = ElementaryClass(3, [((1, 3, 2), 2), ((2, 1, 3), 5), ((3, 1), -1), ((1, 3, 0), 1)])
+        assert x.terms == {(3, 2, 1): 7}
+        assert ElementaryClass(3, [((2, 1), 4), ((1, 2), -4)]).is_zero()
+
+    def test_product_joins_the_partitions(self):
+        x = ElementaryClass(3, [((2, 1), 2), (3, 1)])
+        y = ElementaryClass(3, [(2, -1), (0, 5)])
+        assert (x * y).terms == {(2, 2, 1): -2, (3, 2): -1, (2, 1): 10, (3,): 5}
+        assert x * y == ElementaryClass(3, [((2, 1, 2), -2), ((3, 2), -1), ((2, 1), 10), (3, 5)])
+        assert (x * y).dominant_part().terms == {(2, 2, 1): -2, (3, 2): -1}
+
+    def test_from_row_is_the_sum_of_its_indices(self):
+        for c in range(1, 5):
+            row = list(range(-2, c - 1))
+            assert ElementaryClass.from_row(c, row) == ElementaryClass(c, enumerate(row))
+
+    def test_rings_do_not_mix(self):
+        with pytest.raises(ValueError, match="different rings"):
+            ElementaryClass(2, [(1, 1)]) + ElementaryClass(3, [(1, 1)])
 
 
 class TestReaders:
     def test_a_single_index_and_a_product_add_on_one_partition(self):
         # e_2 + e_1^2 = m_{1,1} + (m_2 + 2 m_{1,1}) at c = 2, and
         # e_1^2 - 2 e_2 = m_2: the single e_j adds to the count, either order
-        assert m_coefficients([(2, 1), ((1, 1), 1)], 2) == {(1, 1): 3, (2,): 1}
-        assert m_coefficients([((1, 1), 1), (2, 1)], 2) == {(1, 1): 3, (2,): 1}
-        assert m_coefficients([((1, 1), 1), (2, -2)], 2) == {(2,): 1}
+        assert m_coefficients(ElementaryClass(2, [(2, 1), ((1, 1), 1)])) == {(1, 1): 3, (2,): 1}
+        assert m_coefficients(ElementaryClass(2, [((1, 1), 1), (2, 1)])) == {(1, 1): 3, (2,): 1}
+        assert m_coefficients(ElementaryClass(2, [((1, 1), 1), (2, -2)])) == {(2,): 1}
 
     def test_an_index_beyond_c_gives_nothing(self):
-        assert m_coefficients([(3, 5)], 2) == {}
-        assert m_coefficients([((3, 1), 5), ((1, 1, 1), 2)], 2) == {(3,): 2, (2, 1): 6}
-        assert m_coefficients([(3, 5), (1, 2)], 2) == {(1,): 2}
+        assert m_coefficients(ElementaryClass(2, [((3, 1), 5), ((1, 1, 1), 2)])) == {(3,): 2, (2, 1): 6}
 
     def test_constants(self):
-        # the empty product, e_0 and products of e_0's are all m_()
-        assert m_coefficients([((), 2), (0, 3), ((0, 0), -1)], 3) == {(): 4}
-        assert m_coefficients([(0, 1), ((), -1)], 1) == {}
-        assert shift_rows([(0, 7)], 2) == {(0, 0): [7]}
+        assert m_coefficients(ElementaryClass(3, [((), 2), (0, 3), ((0, 0), -1)])) == {(): 4}
+        assert shift_rows(ElementaryClass(2, [(0, 7)])) == {(0, 0): [7]}
 
     def test_shift_rows_match_the_taylor_shift(self):
         # seeded random pair lists mixing bare ints and products, some with an
@@ -241,16 +277,16 @@ class TestReaders:
                 (tuple(rng.randint(0, min(c + 1, 3)) for _ in range(rng.randint(0, 3))), rng.randint(-9, 9))
                 for _ in range(rng.randint(0, 3))
             ]
-            in_d: dict = {}
+            expanded: dict = {}
             for rows, a in pairs:
                 product = elementary_product((rows,) if isinstance(rows, int) else rows, c)
                 for key, v in product.items():
-                    in_d[key] = in_d.get(key, 0) + a * v
-            table = taylor_shift({key: v for key, v in in_d.items() if v})
+                    expanded[key] = expanded.get(key, 0) + a * v
+            table = taylor_shift({key: v for key, v in expanded.items() if v})
             zero = (0,) * c
             expected = {zero: table.get(zero, [])}
             expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
-            rows = shift_rows(pairs, c)
+            rows = shift_rows(ElementaryClass(c, pairs))
             assert rows == expected and next(iter(rows)) == zero, (pairs, c)
 
 
@@ -275,7 +311,8 @@ class TestClosedFormWriters:
 
         rng = random.Random(41)
         top = random_poly(rng, 4, max_terms=12)
-        e1 = recombine_elementary([(1, 1)], 3) * 5
+        e1 = in_d(3, [(1, 1)]) * 5
+        stated = ElementaryClass(3, [(2, 3), (2, -3), (1, 5), (7, 4)])
 
         # the Segre classes, recombine_elementary and integrate construct and
         # multiply nothing: they write their terms through the trusted constructor
@@ -283,46 +320,34 @@ class TestClosedFormWriters:
             raise AssertionError("a closed-form class went through the validating constructor or a product")
 
         monkeypatch.setattr(_SparseTerms, "__init__", refuse)
+        monkeypatch.setattr(ElementaryClass, "__init__", refuse)
         monkeypatch.setattr(_SparseTerms, "_product", refuse)
+        monkeypatch.setattr(ElementaryClass, "_product", refuse)
         seg = chow.segre_cotangent(ModelParams(30, 5), 0)
         for _ in range(10):
             point = [rng.randint(-(10**6), 10**6) for _ in range(25)]
             assert [s.eval(point) for s in seg] == checks.segre_values(30, 5, 0, point), point
         # repeated indices add, a zero sum drops, e_7 vanishes in three variables
-        assert recombine_elementary([(2, 3), (2, -3), (1, 5), (7, 4)], 3) == e1
+        assert recombine_elementary(stated) == e1
         shifted = chow.integrate(top)
         assert shifted.num_vars == 4
         assert shifted.terms == {tuple(e + 1 for e in key): coeff for key, coeff in top.terms.items()}
 
     def test_no_product_in_the_degrees(self, monkeypatch):
-        # the Morse certificate's base fold and the positivity report's two
-        # readers of its classes in Z[E_1..E_n], the m_lam coefficients and the
-        # shift rows, read every coefficient from the 0-1 count and multiply no
-        # MultidegreePoly; the report's determinants run in Z[E_1..E_n], itself
-        # a MultidegreePoly ring, so there only the two readers are watched
+        # the positivity report runs on ElementaryClasses, and the Morse
+        # certificate's base fold multiplies its Segre classes there; both read
+        # every coefficient in d from the 0-1 count and multiply no MultidegreePoly
         expected = positivity_report(ModelParams(10, 5), 3)
         multiply = MultidegreePoly.__mul__
-        products, inside = [], []
+        products = []
 
         def recording(x, y):
             products.append((x, y))
             return multiply(x, y)
 
-        def watched(method):
-            def run(*args):
-                before = len(products)
-                result = method(*args)
-                inside.append(len(products) - before)
-                return result
-
-            return run
-
         monkeypatch.setattr(MultidegreePoly, "__mul__", recording)
-        for name in ("m_coefficients", "shift_rows"):
-            monkeypatch.setattr(schur, name, watched(getattr(schur, name)))
         assert positivity_report(ModelParams(10, 5), 3) == expected
-        assert len(inside) == 2 * len(expected.records) and not any(inside)
-        products.clear()
+        assert not products
         cert = jets.morse_certificate(ModelParams(30, 5), 0)
         assert not products
         assert cert.difference.total_degree() == 5 and cert.difference.num_vars == 25
@@ -338,10 +363,10 @@ class TestEval:
         rng = random.Random(5)
         for _ in range(20):
             p = random_poly(rng, 3)
-            assert p.eval((0, 0, 0)) == p.coeff((0, 0, 0))
+            assert p.eval((0, 0, 0)) == p.terms.get((0, 0, 0), 0)
 
     def test_square(self):
-        assert recombine_elementary([(2, 1)], 2).eval((34, 34)) == 1156
+        assert in_d(2, [(2, 1)]).eval((34, 34)) == 1156
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
-"""Property tests of the ring layer: ring laws for polynomials and for
-truncated jet classes, the Taylor shift against substitution and under
+"""Property tests of the ring layer: ring laws for polynomials, for
+symmetric classes in the e_lam basis and for truncated jet classes, the e_lam
+basis against its expansion over 0-1 subsets (products, equality and shift
+rows), the Taylor shift against substitution and under
 composition, associativity of the tests' truncated series products, evaluation as a ring
 homomorphism that leaves the polynomial unchanged, graded-lex term order and
 the hand-rendered JSON of nested payloads holding polynomials against
@@ -20,10 +22,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from cipos import cli  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
-from cipos.polyring import MultidegreePoly  # noqa: E402
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, shift_rows  # noqa: E402
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
 
-from oracle import series_product, shift_at as oracle_shift_at, terms_json  # noqa: E402
+from oracle import elementary_product, series_product, shift_at as oracle_shift_at, taylor_shift, terms_json  # noqa: E402
 from test_polyring import substituted  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
@@ -81,6 +83,85 @@ def test_jet_ring_laws_under_truncation(triple):
     # the truncated keys form a monomial ideal, so the quotient is a ring
     x, y, z = triple
     assert_ring_laws(x, y, z, JetClass(x.params, x.level) + 1)
+
+
+def as_rows(rows):
+    return (rows,) if isinstance(rows, int) else tuple(rows)
+
+
+def elementary_pairs():
+    # products of weight <= 4 with parts in 0..4: e_0 = 1, and for c < 4 parts
+    # beyond c, which make a term zero; a product of two has weight up to 8
+    rows = st.one_of(st.integers(0, 4), st.lists(st.integers(0, 4), max_size=3).map(tuple))
+    return st.lists(st.tuples(rows.filter(lambda r: sum(as_rows(r)) <= 4), coefficients), max_size=4)
+
+
+def elementary_cases():
+    """(c, pairs, pairs, flag) with c <= 4."""
+    return st.tuples(st.integers(1, 4), elementary_pairs(), elementary_pairs(), st.booleans())
+
+
+def by_subsets(pairs, c):
+    """The class of (rows, a) pairs multiplied out over 0-1 subsets, no zero term."""
+    out: dict = {}
+    for rows, a in pairs:
+        for key, v in elementary_product(as_rows(rows), c).items():
+            out[key] = out.get(key, 0) + a * v
+    return {key: v for key, v in out.items() if v}
+
+
+def product_pairs(first, second):
+    return [(as_rows(r1) + as_rows(r2), a1 * a2) for r1, a1 in first for r2, a2 in second]
+
+
+@PROPERTY
+@given(elementary_cases(), elementary_pairs())
+def test_elementary_ring_laws(case, third):
+    c, first, second, _ = case
+    x, y, z = (ElementaryClass(c, pairs) for pairs in (first, second, third))
+    assert_ring_laws(x, y, z, ElementaryClass(c, [(0, 1)]))
+
+
+@PROPERTY
+@given(elementary_cases())
+def test_elementary_products_are_products_in_d(case):
+    # the class written in d is the oracle's expansion, and joining partitions
+    # is the product in d; every key is a partition with parts in 1..c
+    c, first, second, _ = case
+    x, y = ElementaryClass(c, first), ElementaryClass(c, second)
+    assert recombine_elementary(x).terms == by_subsets(first, c)
+    assert recombine_elementary(x * y) == recombine_elementary(x) * recombine_elementary(y)
+    assert recombine_elementary(x * y).terms == by_subsets(product_pairs(first, second), c)
+    for lam, a in (x * y).terms.items():
+        assert a and list(lam) == sorted(lam, reverse=True) and all(1 <= k <= c for k in lam)
+
+
+@PROPERTY
+@given(elementary_cases())
+def test_elementary_equality_is_equality_in_d(case):
+    # the same class stated by other pairs (reordered, with e_0 factors, its
+    # coefficients split), plus a second class when the flag is set: the two
+    # are equal exactly when their expansions in d are
+    c, first, second, extra = case
+    restated = [pair for rows, a in reversed(first) for pair in (((0, *as_rows(rows)[::-1]), a - 1), (rows, 1))]
+    restated += second if extra else []
+    x, y = ElementaryClass(c, first), ElementaryClass(c, restated)
+    assert (x == y) == (by_subsets(first, c) == by_subsets(restated, c))
+    assert extra or (x == y and hash(x) == hash(y))
+
+
+@PROPERTY
+@given(elementary_cases())
+def test_elementary_shift_rows_are_the_taylor_rows(case):
+    # the orbit rows of a product are the Taylor rows at sorted keys of the
+    # product multiplied out in d, the constant row first even when zero
+    c, first, second, _ = case
+    table = taylor_shift(by_subsets(product_pairs(first, second), c))
+    zero = (0,) * c
+    expected = {zero: table.get(zero, [])}
+    expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
+    rows = shift_rows(ElementaryClass(c, first) * ElementaryClass(c, second))
+    assert rows == expected and next(iter(rows)) == zero
 
 
 def shift_at(p, a):

@@ -6,11 +6,12 @@ import pytest
 
 from cipos import bounds, chow, polyring, schur
 from cipos.chow import ModelParams
-from cipos.polyring import MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, write_in_d
+from cipos.polyring import ElementaryClass, MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, write_in_d
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from oracle import cascade_threshold, elementary_product, m_in_d, taylor_shift
 from test_chow import product_route
+from tower_reference import elementary
 
 
 class TestPartition:
@@ -198,7 +199,7 @@ class TestPositivityReport:
             first = report.records[0]
             assert first.partition == (1,)
             assert first.dominant == {(1,): 1}
-            assert write_in_d(first.dominant, N - n) == recombine_elementary([(1, 1)], N - n)
+            assert write_in_d(first.dominant, N - n) == elementary(N - n, 1)
 
     def test_thresholds_sound_on_grid(self):
         for N, n, a in ((4, 2, 0), (5, 2, 1), (6, 3, 0)):
@@ -221,12 +222,12 @@ class TestPositivityReport:
         assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
 
     def test_classes_are_written_trusted(self, monkeypatch):
-        # the shift classes, the Segre rows and the Chern monomials the report
-        # writes itself skip the validating constructor; only the zero and the
-        # unit, which hold no other key, may pass through it
+        # the shift classes, the Segre classes and the Chern classes the report
+        # writes itself skip the validating constructors; only the zero and the
+        # unit, which hold no other key, may pass through them
         frames = [(10, 5, 3), (8, 4, 2), (4, 2, 0)]
         expected = [positivity_report(ModelParams(N, n), a) for N, n, a in frames]
-        validate = _SparseTerms.__init__
+        validate, state = _SparseTerms.__init__, ElementaryClass.__init__
         validated = []
 
         def recording(self, ring, terms=None):
@@ -234,7 +235,14 @@ class TestPositivityReport:
             if set(map(tuple, terms or {})) - {self._unit_key()}:
                 validated.append(dict(terms))
 
+        def stating(self, c, pairs=()):
+            pairs = list(pairs)
+            state(self, c, pairs)
+            if set(self.terms) - {()}:
+                validated.append(pairs)
+
         monkeypatch.setattr(_SparseTerms, "__init__", recording)
+        monkeypatch.setattr(ElementaryClass, "__init__", stating)
         reports = [positivity_report(ModelParams(N, n), a) for N, n, a in frames]
         assert validated == []
         assert reports == expected
@@ -248,44 +256,43 @@ def d_basis_threshold(poly, c):
 
 
 class TestElementaryRoute:
-    # the report runs in Z[E_1..E_n] on the closed-form rows; the d-basis
-    # determinant and threshold over the tests' product route are the second
-    # route, for every partition of every frame with n <= c <= 6
+    # the report runs on ElementaryClasses, the closed-form Segre classes; the
+    # d-basis determinant and threshold over the tests' product route are the
+    # second route, for every partition of every frame with n <= c <= 6
     FRAMES = [(n + c, n) for c in range(1, 7) for n in range(1, c + 1)]
 
     @pytest.mark.parametrize("a", [0, 1, 3])
     def test_determinants_and_thresholds_match_the_d_basis(self, a):
         for N, n in self.FRAMES:
             p = ModelParams(N, n)
-            ring = schur._ElementaryRing(n)
             in_d = product_route(p, -a)
-            in_e = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
+            in_e = chow.segre_elementary(p, -a)
             for weight in range(1, n + 1):
                 for lam in partitions_of(weight):
                     conj = conjugate(lam)
                     graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
-                    assert recombine_elementary(ring.products(graded_e), p.c) == graded_d, (N, n, a, lam)
-                    rows = list(shift_rows(ring.products(graded_e), p.c).values())
+                    assert recombine_elementary(graded_e) == graded_d, (N, n, a, lam)
+                    rows = list(shift_rows(graded_e).values())
                     assert bounds.shifted_positivity_threshold(rows) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
 
     @pytest.mark.parametrize("a", [0, 1])
     def test_dominant_parts_in_m_basis_match_the_d_basis(self, a, monkeypatch):
         # each record keeps its dominant part as m_lam coefficients; written in
         # d (by the engine and by the oracle) they are recombine_elementary of
-        # the same products term for term, on every frame with n <= c <= 7.
+        # the same class term for term, on every frame with n <= c <= 7.
         # All m_lam coefficients are positive exactly when all d-coefficients
         # are, for the dominant parts and for the whole classes, whose lower
         # parts have both signs
         read = []
 
-        def recording(products, c):
-            coefficients = polyring.m_coefficients(products, c)
-            read.append((products, c, coefficients))
+        def recording(x):
+            coefficients = polyring.m_coefficients(x)
+            read.append((x, coefficients))
             return coefficients
 
-        def whole(products, c):
-            read.append((products, c, polyring.m_coefficients(products, c)))
-            return polyring.shift_rows(products, c)
+        def whole(x):
+            read.append((x, polyring.m_coefficients(x)))
+            return polyring.shift_rows(x)
 
         monkeypatch.setattr(schur, "m_coefficients", recording)
         monkeypatch.setattr(schur, "shift_rows", whole)
@@ -295,23 +302,23 @@ class TestElementaryRoute:
                 read.clear()
                 report = positivity_report(ModelParams(n + c, n), a)
                 dominant = read[0::2]
-                assert [m for _, _, m in dominant] == [r.dominant for r in report.records]
-                for products, c_, m in read:
-                    in_d = write_in_d(m, c_)
-                    assert in_d.terms == recombine_elementary(products, c_).terms == m_in_d(m, c_), (n, c, a)
+                assert [m for _, m in dominant] == [r.dominant for r in report.records]
+                for x, m in read:
+                    in_d = write_in_d(m, x.ring)
+                    assert in_d.terms == recombine_elementary(x).terms == m_in_d(m, x.ring), (n, c, a)
                     positive = all(v > 0 for v in m.values())
-                    assert positive == all(v > 0 for v in in_d.terms.values()), (n, c, a, products)
+                    assert positive == all(v > 0 for v in in_d.terms.values()), (n, c, a, x.terms)
                     signs.add(positive)
         assert signs == {True, False}
 
     def test_zero_diagonal_has_no_threshold_on_either_route(self):
-        # E_1^2 - 3 E_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
-        products = schur._ElementaryRing(2).products(MultidegreePoly(2, {(2, 0): 1, (0, 1): -3}))
+        # e_1^2 - 3 e_2 in three variables is sum d_i^2 - e_2, zero on the diagonal
+        x = ElementaryClass(3, [((1, 1), 1), (2, -3)])
         # the constant row comes first even when it is zero
-        assert next(iter(shift_rows(products, 3).items())) == ((0, 0, 0), [])
+        assert next(iter(shift_rows(x).items())) == ((0, 0, 0), [])
         routes = (
-            lambda: bounds.shifted_positivity_threshold(list(shift_rows(products, 3).values())),
-            lambda: d_basis_threshold(recombine_elementary(products, 3), 3),
+            lambda: bounds.shifted_positivity_threshold(list(shift_rows(x).values())),
+            lambda: d_basis_threshold(recombine_elementary(x), 3),
         )
         for route in routes:
             with pytest.raises(ArithmeticError, match="no shifted-positivity threshold"):
@@ -320,9 +327,10 @@ class TestElementaryRoute:
 
 class TestOrbitRows:
     def test_rows_are_the_taylor_rows_of_the_expanded_class(self):
-        # every E-monomial of weight <= 6 in E_1..E_n, n <= c <= 7: its orbit
-        # rows are, row for row, the Taylor rows at sorted exponents of the
-        # class multiplied out over 0-1 subsets, the constant row first
+        # every e_lam of weight <= 6 in c <= 7 variables (zero when a part
+        # exceeds c): its orbit rows are, row for row, the Taylor rows at sorted
+        # exponents of the class multiplied out over 0-1 subsets, the constant
+        # row first
         for c in range(1, 8):
             zero = (0,) * c
             for weight in range(7):
@@ -330,10 +338,8 @@ class TestOrbitRows:
                     table = taylor_shift(elementary_product(factors, c))
                     expected = {zero: table.get(zero, [])}
                     expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
-                    for n in range(max(factors, default=1), c + 1):
-                        m = tuple(factors.count(k) for k in range(1, n + 1))
-                        rows = shift_rows(schur._ElementaryRing(n).products(MultidegreePoly(n, {m: 1})), c)
-                        assert rows == expected and next(iter(rows)) == zero, (factors, n, c)
+                    rows = shift_rows(ElementaryClass(c, [(factors, 1)]))
+                    assert rows == expected and next(iter(rows)) == zero, (factors, c)
 
 
 class TestThresholdIsTheShiftSearch:
@@ -341,18 +347,17 @@ class TestThresholdIsTheShiftSearch:
     SWEEP = [(N, n, a) for N in range(2, 13) for n in range(1, N // 2 + 1) for a in (0, 1, 2, 5)]
 
     def test_never_above_the_cascade(self):
-        # where a class is linear in E the derivative cascade also applies; the
-        # shift search is exact, so it never lands above the cascade's ceiling
+        # where a class is linear in the e_k the derivative cascade also applies;
+        # the shift search is exact, so it never lands above the cascade's ceiling
         linear = below = 0
         for N, n, a in self.SWEEP:
             p = ModelParams(N, n)
-            ring = schur._ElementaryRing(n)
-            twisted = [ring.from_row(row) for row in chow.segre_elementary(p, -a)]
+            twisted = chow.segre_elementary(p, -a)
             for record in positivity_report(p, a).records:
                 graded = schur_det(record.conjugate, twisted)
-                if any(sum(m) > 1 for m in graded.terms):
+                if any(len(lam) > 1 for lam in graded.terms):
                     continue
-                coeffs = {ring.weight(m): v for m, v in graded.terms.items()}
+                coeffs = {sum(lam): v for lam, v in graded.terms.items()}
                 cascade = math.ceil(cascade_threshold(coeffs.items(), p.c, max(coeffs)))
                 assert record.threshold <= cascade, (N, n, a, record.partition)
                 linear += 1

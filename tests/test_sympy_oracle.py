@@ -16,7 +16,7 @@ from sympy.polys.rings import ring  # noqa: E402
 
 from cipos.chow import ModelParams, segre_cotangent, segre_elementary  # noqa: E402
 from cipos.polyring import MultidegreePoly, shift_rows  # noqa: E402
-from cipos.schur import _ElementaryRing, conjugate, partitions_of, schur_det  # noqa: E402
+from cipos.schur import conjugate, partitions_of, schur_det  # noqa: E402
 from cipos.vecfields import _integer_det  # noqa: E402
 
 from oracle import taylor_shift  # noqa: E402
@@ -60,16 +60,15 @@ def test_graded_determinants(N, n, a):
 @pytest.mark.parametrize("N,n,a", [(8, 4, 2), (10, 5, 3)])
 def test_orbit_rows(N, n, a):
     # sympy shifts the determinant taken in d over the product route; the rows
-    # come from the one taken in E over the closed-form rows
-    ring = _ElementaryRing(n)
+    # come from the one taken over the closed-form ElementaryClasses
     in_d = segre_cotangent(ModelParams(N, n), -a)
-    in_e = [ring.from_row(row) for row in segre_elementary(ModelParams(N, n), -a)]
+    in_e = segre_elementary(ModelParams(N, n), -a)
     for weight in range(1, n + 1):
         for lam in partitions_of(weight):
             conj = conjugate(lam)
             rows = composed_shift(schur_det(conj, in_d))
             sorted_keys = {j: row for j, row in rows.items() if list(j) == sorted(j, reverse=True)}
-            assert shift_rows(ring.products(schur_det(conj, in_e)), N - n) == sorted_keys, lam
+            assert shift_rows(schur_det(conj, in_e)) == sorted_keys, lam
 
 
 def test_random_polynomials():

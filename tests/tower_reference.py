@@ -3,8 +3,9 @@ own ``JetClass`` ring.
 
 The generators live here, since the engine writes its classes term by term
 and has none: ``generator`` is the class of one key with a 1 in one slot,
-``hyperplane``, ``tautological`` and ``base_segre_symbol`` name its slots, and
-``variable`` is a degree d_i as a ``MultidegreePoly``.
+``hyperplane``, ``tautological`` and ``base_segre_symbol`` name its slots,
+``variable`` is a degree d_i as a ``MultidegreePoly`` and ``elementary`` the
+elementary symmetric polynomial e_j(d) written in d.
 
 Tower Segre classes are expanded through every lower level by the fiberwise
 recursion, and a pushforward multiplies whole classes: each bucket of terms
@@ -24,7 +25,7 @@ from functools import cache
 from cipos import chow
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, TermKey, reduce_to_base, segre_recursion_coeff
-from cipos.polyring import MultidegreePoly
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 
 def variable(c: int, i: int) -> MultidegreePoly:
@@ -32,6 +33,11 @@ def variable(c: int, i: int) -> MultidegreePoly:
     if not 0 <= i < c:
         raise ValueError(f"variable index {i} out of range")
     return MultidegreePoly(c, {tuple(int(j == i) for j in range(c)): 1})
+
+
+def elementary(c: int, j: int) -> MultidegreePoly:
+    """e_j(d_1..d_c) as a polynomial in c variables (zero for j > c)."""
+    return recombine_elementary(ElementaryClass(c, [(j, 1)]))
 
 
 def generator(params: ModelParams, level: int, slot: int) -> JetClass:

@@ -3,9 +3,9 @@
 The Taylor-shift threshold (one search over the rows of a Taylor table, the
 least r that the shift test certifies; ``bound`` and ``positivity`` both read
 their rows from ``polyring.shift_rows``), the first-order Morse difference's
-closed-form coefficients of e_0..e_n (an ``ElementaryClass``), the scan for its
-first positive uniform degree, and the explicit degree bounds (general rough
-form and sharpened surface form).
+closed-form coefficients of e_0..e_n (the row of its ``ElementaryClass``), the
+scan for its first positive uniform degree, and the explicit degree bounds
+(general rough form and sharpened surface form).
 The explicit bounds are Fractions, and callers compare integer degrees with
 their ceiling; the searches return integers.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 
 def morse_coeff(N: int, n: int, a: int, j: int) -> int:
@@ -36,11 +34,6 @@ def morse_coeff(N: int, n: int, a: int, j: int) -> int:
         weight = 2**i - i * (2 + a) * 2 ** (i - 1) if i else 1
         total += (-1) ** i * weight * math.comb(2 * n - 1, i) * math.comb(N + n - i - j, N)
     return (-1) ** (n - j) * total
-
-
-def morse_closed_form(N: int, n: int, a: int) -> MultidegreePoly:
-    """The first-order Morse difference as a polynomial in the degrees."""
-    return recombine_elementary(ElementaryClass.from_row(N - n, [morse_coeff(N, n, a, j) for j in range(n + 1)]))
 
 
 def _horner(coeffs: Sequence[int], r: int) -> int:

@@ -1,12 +1,11 @@
 """Segre classes and integration on a complete intersection in projective space.
 
 A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
-hyperplane class), each a polynomial in the degrees.  The Segre classes have
-one route: :func:`segre_elementary` states them in closed form, as
-``ElementaryClass``es sum_k a_k e_k(d) at any twist, which ``positivity`` and
-``jet`` read directly and :func:`segre_cotangent` writes in d, term by term,
-for ``segre``.  Self-test criterion 1 proves the closed form against
-the product formula by exact evaluation.
+hyperplane class), each a class symmetric in the degrees.  The Segre classes
+have one route: :func:`segre_elementary` states them in closed form, as
+``ElementaryClass``es sum_k a_k e_k(d) at any twist, which ``segre``,
+``positivity`` and ``jet`` read directly.  Self-test criterion 1 proves the
+closed form against the product formula by exact evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary
+from .polyring import ElementaryClass
 
 
 class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
@@ -52,16 +51,10 @@ class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
         return self.n + k * (self.n - 1)
 
 
-def integrate(top: MultidegreePoly) -> MultidegreePoly:
+def integrate(top: ElementaryClass) -> ElementaryClass:
     """Pairing against the fundamental class: the h^n coefficient ``top``
-    times the Bezout number d1...dc, which raises every exponent by one."""
-    return top._wrap({tuple([e + 1 for e in key]): coeff for key, coeff in top.terms.items()})
-
-
-def segre_cotangent(params: ModelParams, twist: int) -> list[MultidegreePoly]:
-    """Segre classes s_0..s_n of the twisted cotangent bundle of X, each as
-    its coefficient of h^j: the classes of :func:`segre_elementary` written in d."""
-    return [recombine_elementary(s) for s in segre_elementary(params, twist)]
+    times the Bezout number d1...dc = e_c, which puts c in front of every key."""
+    return top._wrap({(top.ring, *key): coeff for key, coeff in top.terms.items()})
 
 
 def segre_elementary(params: ModelParams, twist: int) -> list[ElementaryClass]:

@@ -4,18 +4,19 @@ Each option that subcommands share is declared once, in a parent parser of
 ``build_parser``.  Each subcommand imports the layers it runs, so a cold
 process loads only those, computes and checks its whole report, then writes
 it; no error follows a written byte.  Every report is rendered here, its text
-lines next to its JSON payload; the layers return data only.  One renderer,
-``_json``, yields every payload as pieces of the bytes ``json.dumps(payload,
-indent=2)`` gives, one per term of a polynomial (``_json_terms``), and
-``_emit`` writes the pieces of either format in batches, so no document is
-held whole.  Exit codes: 0 on success, 1 on an internal invariant failure (or
-a failing selftest), 2 on argument or validation errors.
+lines next to its JSON payload; the layers return data only.  A class reaches
+a report as its m_lam coefficients, and one ``polyring.terms_in_d`` generator,
+shared by the text lines and the payload, arranges its terms in d as they are
+written.  One renderer, ``_json``, yields every payload as pieces of the bytes
+``json.dumps(payload, indent=2)`` gives, one per term (``_json_terms``), and
+``_emit`` writes the pieces of either format in batches, so no document or
+class in d is held whole.  Exit codes: 0 on success, 1 on an internal
+invariant failure (or a failing selftest), 2 on argument or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -119,10 +120,8 @@ def _write(pieces, file) -> None:
 def _json(value, pad: str = ""):
     """Yield the pieces of the bytes ``json.dumps(value, indent=2)`` gives for
     nested dicts, lists, tuples and scalars, each line after the first indented
-    by ``pad``.  A zero-argument callable stands for the value it returns, made
-    only as it is written; each ``MultidegreePoly`` is written by ``_json_terms``."""
-    if callable(value):
-        value = value()
+    by ``pad``; any other value is the ordered terms of a class, written by
+    ``_json_terms``."""
     inner = pad + "  "
     if isinstance(value, dict):
         opening, items, closing = "{", [(f"{json.dumps(key)}: ", item) for key, item in value.items()], "}"
@@ -132,7 +131,7 @@ def _json(value, pad: str = ""):
         yield json.dumps(value)
         return
     else:
-        yield from _json_terms(value, pad)  # the one other value a payload holds; no layer is imported here
+        yield from _json_terms(value, pad)
         return
     sep = f"{opening}\n{inner}"
     for key, item in items:
@@ -142,18 +141,18 @@ def _json(value, pad: str = ""):
     yield f"\n{pad}{closing}" if items else opening + closing
 
 
-def _json_terms(poly, pad: str):
-    """Yield the pieces of the bytes ``json.dumps(..., indent=2)`` gives for the
-    terms of a ``MultidegreePoly`` in graded-lex order, each ``{"coeff": str,
-    "exps": [int, ...]}``, each line after the first indented by ``pad``: one
-    piece per term, joined from strings, no dict."""
+def _json_terms(terms, pad: str):
+    """Yield the pieces of the bytes ``json.dumps(..., indent=2)`` gives for
+    (exps, coeff) pairs, in the order given, each as ``{"coeff": str, "exps":
+    [int, ...]}``, each line after the first indented by ``pad``: one piece per
+    term, joined from strings, no dict."""
     item, field, exp = pad + "  ", pad + "    ", pad + "      "
     opening = f'{item}{{\n{field}"coeff": "'
     middle = f'",\n{field}"exps": [\n{exp}'
     sep = f",\n{exp}"
     closing = f"\n{field}]\n{item}}}"
     head = "[\n"
-    for exps, coeff in poly.sorted_terms():
+    for exps, coeff in terms:
         yield f"{head}{opening}{coeff}{middle}{sep.join(map(str, exps))}{closing}"
         head = ",\n"
     yield f"\n{pad}]" if head == ",\n" else "[]"
@@ -175,13 +174,15 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def _cmd_segre(args) -> int:
-    from . import chow
+    from . import chow, polyring
 
     params = _params(args.N, args.n)
-    seg = chow.segre_cotangent(params, args.twist)
+    seg = [polyring.m_coefficients(s) for s in chow.segre_elementary(params, args.twist)]
+    classes = [(j, polyring.terms_in_d(s, params.c)) for j, s in enumerate(seg)]
     head = f"Segre classes, N={params.N} n={params.n} c={params.c} twist={args.twist}"
-    payload = {"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": list(enumerate(seg))}
-    _emit(args, payload, itertools.chain([head], (f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg))))
+    payload = {"N": params.N, "n": params.n, "c": params.c, "m": args.twist, "classes": classes}
+    lines = (f"  s_{j} = ({polyring.terms_text(terms)}) * h^{j}" for j, terms in classes)
+    _emit(args, payload, itertools.chain([head], lines))
     return 0
 
 
@@ -190,19 +191,18 @@ def _cmd_positivity(args) -> int:
 
     params = _params(args.N, args.n)
     report = schur.positivity_report(params, args.a)
-    # each dominant part is written in d from its m_lam coefficients only as its record is written
-    in_d = [functools.partial(polyring.write_in_d, record.dominant, params.c) for record in report.records]
     records = [
-        {"partition": lam, "conjugate": conj, "dominant": d, "dominant_positive": True, "threshold": str(threshold)}
-        for (lam, conj, _, threshold), d in zip(report.records, in_d)
+        {"partition": lam, "conjugate": conj, "dominant": polyring.terms_in_d(dominant, params.c),
+         "dominant_positive": True, "threshold": str(threshold)}
+        for lam, conj, dominant, threshold in report.records
     ]
     payload = {"N": params.N, "n": params.n, "c": params.c, "a": args.a, "records": records, "D": str(report.threshold)}
 
     def text():
         yield f"Numerical positivity, N={params.N} n={params.n} c={params.c} a={args.a}"
         yield f"{'partition':<12} {'threshold':>10}  dominant part"
-        for record, dominant in zip(report.records, in_d):
-            yield f"{str(record.partition):<12} {str(record.threshold):>10}  {dominant().text()}"
+        for record in records:
+            yield f"{str(record['partition']):<12} {record['threshold']:>10}  {polyring.terms_text(record['dominant'])}"
         yield f"sufficient uniform degree D = {report.threshold}"
 
     _emit(args, payload, text())
@@ -263,7 +263,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_jet(args) -> int:
-    from . import jets
+    from . import jets, polyring
 
     params = _params(args.N, args.n, args.a)
     degrees = None
@@ -274,17 +274,18 @@ def _cmd_jet(args) -> int:
         if min(degrees) < 1:
             raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
     cert = jets.morse_certificate(params, args.a)
-    value = None if degrees is None else cert.difference.eval(degrees)
+    difference = polyring.terms_in_d(polyring.m_coefficients(cert.elementary), params.c)
+    value = None if degrees is None else cert.elementary.eval(degrees)
 
     def text():
         yield f"Morse certificate, N={params.N} n={params.n} c={params.c} kappa={params.kappa} a={args.a}"
-        yield f"difference = {cert.difference.text()}"
+        yield f"difference = {polyring.terms_text(difference)}"
         if degrees is not None:
             yield f"value at {degrees} = {value} -> {'positive (big twist certified)' if value > 0 else 'not positive'}"
 
     payload = {
         "N": params.N, "n": params.n, "c": params.c, "kappa": params.kappa, "a": args.a, "m": cert.m,
-        "difference": cert.difference, "evaluated_at": degrees,
+        "difference": difference, "evaluated_at": degrees,
         "value": None if value is None else str(value), "positive": None if value is None else value > 0,
     }
     _emit(args, payload, text())

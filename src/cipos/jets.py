@@ -7,9 +7,8 @@ Segre classes, stored on the ring core of ``polyring`` under flat keys
 stage of the tower.  A push down the tower, one level at a time, takes each
 monomial to the base by pi_*(u^p) = s_{p-(n-1)}, expanding tower Segre classes
 through the fiberwise recursion; one dict per level merges equal states, and
-any top-degree class becomes an exact multidegree polynomial, its coefficient
-of h^n: the base Segre classes of ``chow.segre_elementary`` multiplied as
-``ElementaryClass``es, then written in d (``polyring.recombine_elementary``).
+any top-degree class becomes its coefficient of h^n, the base Segre classes of
+``chow.segre_elementary`` multiplied as ``ElementaryClass``es, and stays one.
 ``JetClass`` is the ring only, with no generators: the holomorphic-Morse
 bigness certificate on top of that reduction writes its nef sum S and the tail
 of its integrand term by term from their weights (:func:`nef_sum`).
@@ -91,9 +90,9 @@ class JetClass(_SparseTerms):
     __pow__ = _SparseTerms.__pow__
 
 
-def reduce_to_base(x: JetClass) -> MultidegreePoly:
-    """Push a class down to the base one level at a time, then write its h^n
-    coefficient in d with no product of polynomials in d.
+def reduce_to_base(x: JetClass) -> ElementaryClass:
+    """Push a class down to the base one level at a time, then return its h^n
+    coefficient, a class symmetric in the degrees.
 
     A state is a key cut to level L times the tower Segre classes s_{L,q},
     q in ``pending`` (sorted, zeros dropped); one dict holds each state's
@@ -103,7 +102,7 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     fits its stage, so at the base each pending q <= n becomes the symbol s_q.
     The base states of degree n add up by their sorted Segre indices, and each
     such product of the classes s_q of ``chow.segre_elementary`` is multiplied
-    once; ``recombine_elementary`` writes the sum in d.  Lower degrees are dropped.
+    once and summed.  Lower degrees are dropped.
     """
     params, n = x.params, x.params.n
     shift = n - 1
@@ -125,7 +124,7 @@ def reduce_to_base(x: JetClass) -> MultidegreePoly:
     groups = _accumulate({}, ((tuple(sorted(qs)), v) for qs, h, v in base if h + sum(qs) == n))
     segre = chow.segre_elementary(params, 0)
     products = (math.prod((segre[q] for q in qs), start=v) for qs, v in groups.items())
-    return recombine_elementary(ElementaryClass(params.c).add_all(products))
+    return ElementaryClass(params.c).add_all(products)
 
 
 def nef_sum(params: ModelParams) -> JetClass:
@@ -142,10 +141,15 @@ def nef_sum(params: ModelParams) -> JetClass:
 
 class MorseCertificate(NamedTuple):
     """Outcome of the bigness test: the total h-weight m of the nef sum and the
-    exact difference polynomial in the degrees."""
+    exact difference, a class symmetric in the degrees."""
 
     m: int
-    difference: MultidegreePoly
+    elementary: ElementaryClass
+
+    @property
+    def difference(self) -> MultidegreePoly:
+        """The difference written in d, as ``perfbench/make_reference.py`` reads it."""
+        return recombine_elementary(self.elementary)
 
 
 def morse_certificate(params: ModelParams, a: int) -> MorseCertificate:
@@ -153,7 +157,7 @@ def morse_certificate(params: ModelParams, a: int) -> MorseCertificate:
 
     With S the nef sum (:func:`nef_sum`) and m its h-weight, the difference is
     the h^n coefficient of the reduction of S^top - top * S^(top-1) * (m + a) h,
-    a polynomial in the degrees; a positive value at a degree vector certifies bigness of the twist by -a there.
+    a class in the degrees; a positive value at a degree vector certifies bigness of the twist by -a there.
     """
     if a < 0:
         raise ValueError("twist a must be >= 0")

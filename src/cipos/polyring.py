@@ -29,8 +29,8 @@ symmetric polynomials (Macdonald, I.2).  It has one reader,
 :func:`m_coefficients`: the m_lam coefficient of e_rows counts the 0-1 matrices
 with row sums rows and column sums lam (Macdonald, I.6).  Through it, multiplying
 nothing in d, :func:`shift_rows` gives the class's rows at d = r + t for every
-threshold, and :func:`recombine_elementary` writes it in d, which is
-:func:`write_in_d` of its m_lam coefficients.
+threshold, and :func:`terms_in_d` yields its terms in d in graded-lex order, the
+one writer of ``MultidegreePoly``, which is only an output and test type.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -39,6 +39,7 @@ inverted by :func:`series_inverse`; the package multiplies no such lists.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -216,12 +217,6 @@ class MultidegreePoly(_SparseTerms):
             raise ValueError("num_vars must be a positive integer")
         super().__init__(num_vars, terms)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, num_vars: int) -> "MultidegreePoly":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
     # -- basic queries -----------------------------------------------------
 
     def total_degree(self):
@@ -268,28 +263,7 @@ class MultidegreePoly(_SparseTerms):
 
     def text(self) -> str:
         """Canonical rendering, terms in graded-lex order, e.g. ``d1^2*d2 - 5*d1 + 3``."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exps, 1):
-                if e == 1:
-                    factors.append(f"d{i}")
-                elif e > 1:
-                    factors.append(f"d{i}^{e}")
-            mag = abs(coeff)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(pieces)
+        return terms_text(self.sorted_terms())
 
     def __repr__(self):
         return f"MultidegreePoly({self.num_vars}, {self.text()!r})"
@@ -341,7 +315,18 @@ class ElementaryClass(_SparseTerms):
     # bound in the class body, where tools that wrap a class's own operators find them
     __add__ = _SparseTerms.__add__
     __mul__ = _SparseTerms.__mul__
-    dominant_part = MultidegreePoly.dominant_part  # sum(lam) is the degree of e_lam as of d^lam
+    # sum(lam) is the degree of e_lam as of d^lam
+    total_degree = MultidegreePoly.total_degree
+    dominant_part = MultidegreePoly.dominant_part
+
+    def eval(self, point: Sequence):
+        """Exact value sum_lam a_lam prod_k e_{lam_k}(point), from e_0..e_c at the point."""
+        if len(point) != self.ring:
+            raise ValueError(f"point has length {len(point)}, expected {self.ring}")
+        e = [1]
+        for x in point:  # the coefficients of prod_i (1 + x_i t)
+            e = [u + x * v for u, v in zip([*e, 0], [0, *e])]
+        return sum(math.prod((e[k] for k in lam), start=a) for lam, a in self.terms.items())
 
 
 def partitions_of(weight: int) -> list[tuple[int, ...]]:
@@ -369,22 +354,6 @@ def _zero_one(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return sum(_zero_one(rows[1:], tuple(filter(None, left))) for left in lefts)
 
 
-def _arrangements(parts: tuple[int, ...], c: int) -> list[tuple[int, ...]]:
-    """Every distinct exponent tuple of length c whose nonzero entries are
-    ``parts``: each distinct part in turn takes its slots among the free ones."""
-    keys = [(0,) * c]
-    for value in set(parts):
-        placed = []
-        for key in keys:
-            for slots in itertools.combinations([i for i, e in enumerate(key) if not e], parts.count(value)):
-                exps = list(key)
-                for i in slots:
-                    exps[i] = value
-                placed.append(tuple(exps))
-        keys = placed
-    return keys
-
-
 def m_coefficients(x: ElementaryClass) -> dict[tuple[int, ...], int]:
     """{lam: nonzero m_lam coefficient} of the class: e_j alone is m_{1^j}, a longer
     product reads ``_zero_one``."""
@@ -398,15 +367,51 @@ def m_coefficients(x: ElementaryClass) -> dict[tuple[int, ...], int]:
     return out
 
 
-def write_in_d(coefficients: Mapping[tuple[int, ...], int], c: int) -> MultidegreePoly:
-    """sum_lam a * m_lam(d1..dc) over {lam: a}, each a nonzero, written in d: a on
-    every arrangement of lam."""
-    return MultidegreePoly._of(c, {key: a for lam, a in coefficients.items() for key in _arrangements(lam, c)})
+def _descending_arrangements(lam: tuple[int, ...], a: int, c: int):
+    """Yield (key, a) for every distinct key of length c whose nonzero entries are
+    ``lam``, in descending lex order: one previous-permutation step each."""
+    key = [*lam, *(0,) * (c - len(lam))]
+    while True:
+        yield tuple(key), a
+        i = c - 2
+        while i >= 0 and key[i] <= key[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = c - 1
+        while key[j] >= key[i]:
+            j -= 1
+        key[i], key[j] = key[j], key[i]
+        key[i + 1 :] = key[:i:-1]
+
+
+def terms_in_d(coefficients: Mapping[tuple[int, ...], int], c: int):
+    """Yield the (exps, a) terms of sum_lam a * m_lam(d1..dc) over {lam: a}, each a
+    nonzero, in the graded-lex order of ``MultidegreePoly.sorted_terms``: the
+    arrangements of the lam of each weight, highest weight first, merged."""
+    lams = sorted((lam for lam in coefficients if len(lam) <= c), key=sum, reverse=True)
+    for _, group in itertools.groupby(lams, key=sum):
+        yield from heapq.merge(*(_descending_arrangements(lam, coefficients[lam], c) for lam in group), reverse=True)
 
 
 def recombine_elementary(x: ElementaryClass) -> MultidegreePoly:
-    """The class written in d: :func:`write_in_d` of its :func:`m_coefficients`."""
-    return write_in_d(m_coefficients(x), x.ring)
+    """The class written in d: the :func:`terms_in_d` of its :func:`m_coefficients`."""
+    return MultidegreePoly._of(x.ring, dict(terms_in_d(m_coefficients(x), x.ring)))
+
+
+def terms_text(terms: Iterable[tuple[tuple[int, ...], int]]) -> str:
+    """Render (exps, a) pairs in the order given, e.g. ``d1^2*d2 - 5*d1 + 3``; no pairs give ``0``."""
+    pieces = []
+    for exps, coeff in terms:
+        factors = [f"d{i}^{e}" if e > 1 else f"d{i}" for i, e in enumerate(exps, 1) if e]
+        if abs(coeff) != 1 or not factors:  # the magnitude is a factor unless it is a unit 1
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
+        if pieces:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            pieces.append(body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 def shift_rows(x: ElementaryClass) -> dict[tuple[int, ...], list[int]]:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .polyring import ElementaryClass, MultidegreePoly, recombine_elementary, series_inverse, shift_rows
+from .polyring import ElementaryClass, recombine_elementary, series_inverse, shift_rows
 
 
 class CriterionResult(NamedTuple):
@@ -43,9 +43,9 @@ def _criterion_1() -> tuple[bool, str]:
         for c in range(1, N):
             params = ModelParams(N, N - c)
             n = params.n
-            base = chow.segre_cotangent(params, 0)
+            base = chow.segre_elementary(params, 0)
             for m in range(-3, 4):
-                seg = chow.segre_cotangent(params, m)
+                seg = chow.segre_elementary(params, m)
                 head = [1] + [0] * n  # (1 + (1 - m)h)^-(N+1) by N + 1 divisions
                 for _ in range(N + 1):
                     for k in range(1, n + 1):
@@ -106,16 +106,14 @@ def _criterion_4() -> tuple[bool, str]:
     if bounds.surface_degree_bound(4, 4) != 34:
         return False, "surface bound at N=4, a=4 is not 34"
     params = ModelParams(4, 2)
-    cert = jets.morse_certificate(params, 4)
-    at34 = cert.difference.eval((34, 34))
-    at33 = cert.difference.eval((33, 33))
+    difference = jets.morse_certificate(params, 4).elementary
+    at34 = difference.eval((34, 34))
+    at33 = difference.eval((33, 33))
     if at34 != 15:
         return False, f"value at (34,34) is {at34}, expected 15"
     if at33 != -18:
         return False, f"value at (33,33) is {at33}, expected -18"
-    diagonal = [0] * (cert.difference.total_degree() + 1)  # at d = (r, r), by powers of r
-    for exps, coeff in cert.difference.terms.items():
-        diagonal[sum(exps)] += coeff
+    diagonal = shift_rows(difference)[(0, 0)]  # at d = (r, r), by powers of r
     frontier = bounds.first_positive_uniform_degree(diagonal, 40)
     if frontier != 34:
         return False, f"scan frontier is {frontier}, expected 34"
@@ -129,8 +127,8 @@ def _criterion_5() -> tuple[bool, str]:
             N = n + c
             params = ModelParams(N, n)
             for a in (0, N):
-                engine = jets.morse_certificate(params, a).difference
-                closed = bounds.morse_closed_form(N, n, a)
+                engine = jets.morse_certificate(params, a).elementary
+                closed = ElementaryClass.from_row(c, [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)])
                 if engine != closed:
                     return False, f"pipelines disagree at N={N} n={n} a={a}"
     return True, "engine equals closed form for all n <= c <= 6, a in {0, N}"
@@ -149,10 +147,11 @@ def _criterion_6() -> tuple[bool, str]:
         params = ModelParams(n + c, n)
         kappa, b = params.kappa, params.b
         lhs = chow.integrate(jets.reduce_to_base(jets.nef_sum(params) ** params.tower_dim(kappa))).dominant_part()
-        seg = chow.segre_cotangent(params, 0)
+        seg = chow.segre_elementary(params, 0)
         rhs = chow.integrate(seg[b] * seg[c] ** (kappa - 1)).dominant_part()
         if lhs != rhs:
-            failures.append(f"(n,c)=({n},{c}): {lhs.text()} != {rhs.text()}")
+            lhs_d, rhs_d = (recombine_elementary(side).text() for side in (lhs, rhs))  # in d for the message only
+            failures.append(f"(n,c)=({n},{c}): {lhs_d} != {rhs_d}")
     if failures:
         return False, "; ".join(failures)
     return True, "dominant parts agree for all three pairs"
@@ -162,13 +161,13 @@ def _criterion_7() -> tuple[bool, str]:
     """Degree lemmas for integrals of base Segre monomials."""
     rng = random.Random(5150)
     cases = 0
-    segre_table = functools.cache(lambda params: chow.segre_cotangent(params, 0))
+    segre_table = functools.cache(lambda params: chow.segre_elementary(params, 0))
 
     def product_integral(params, indices):
         # h^ell * prod s_i with ell + sum(indices) = n: h contributes the
         # coefficient 1, so the integrand's h^n coefficient is prod s_i
         seg = segre_table(params)
-        return chow.integrate(math.prod((seg[i] for i in indices), start=MultidegreePoly.one(params.c)))
+        return chow.integrate(math.prod((seg[i] for i in indices), start=ElementaryClass.from_row(params.c, [1])))
 
     # lemma 1: any positive hyperplane power forces degree < N
     for _ in range(400):
@@ -229,11 +228,8 @@ def _criterion_8() -> tuple[bool, str]:
     rng = random.Random(98017)
     instances = 0
 
-    def grid_positive(poly, c, base) -> bool:
-        for point in itertools.product((base, base + 1, base + 5), repeat=c):
-            if not poly.eval(point) > 0:
-                return False
-        return True
+    def grid_positive(x, c, base) -> bool:
+        return all(x.eval(point) > 0 for point in itertools.product((base, base + 1, base + 5), repeat=c))
 
     for _ in range(100):
         c = rng.randint(1, 6)
@@ -241,17 +237,16 @@ def _criterion_8() -> tuple[bool, str]:
         row = [rng.randint(-40, 40) for _ in range(k)] + [1]
         x = ElementaryClass.from_row(c, row)
         r = bounds.shifted_positivity_threshold(list(shift_rows(x).values()))
-        if not grid_positive(recombine_elementary(x), c, r):
+        if not grid_positive(x, c, r):
             return False, f"shift threshold unsound for c={c} coeffs={row}"
         instances += 1
 
     for N, n, a in ((4, 2, 0), (4, 2, 3), (5, 2, 0), (6, 2, 1), (6, 3, 0), (7, 3, 2)):
         params = ModelParams(N, n)
         report = schur.positivity_report(params, a)
-        twisted = chow.segre_cotangent(params, -a)
+        twisted = chow.segre_elementary(params, -a)
         for record in report.records:
-            poly = schur.schur_det(record.conjugate, twisted)
-            if not grid_positive(poly, params.c, record.threshold):
+            if not grid_positive(schur.schur_det(record.conjugate, twisted), params.c, record.threshold):
                 return False, (
                     f"report threshold unsound at N={N} n={n} a={a},"
                     f" partition {record.partition}"

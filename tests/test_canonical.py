@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from cipos.chow import ModelParams, integrate, segre_cotangent
+from cipos.chow import ModelParams, integrate, segre_elementary
 from cipos.jets import JetClass
 from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 from cipos.schur import partitions_of, schur_det
@@ -16,7 +16,7 @@ from cipos.vecfields import ChartPoly, UniversalChart, VectorField, coordinate_f
 
 from oracle import series_product, taylor_shift
 from test_chow import product_route, twisted
-from tower_reference import nef_tower_class, tower_segre
+from tower_reference import elementary, nef_tower_class, tower_segre
 
 
 def random_poly(rng, c, max_deg=3, max_terms=6):
@@ -40,6 +40,12 @@ def assert_canonical_poly(p):
     assert isinstance(p, MultidegreePoly)
     assert MultidegreePoly(p.num_vars, p.terms).terms == p.terms
     assert all(p.terms.values())
+
+
+def assert_canonical_class(x):
+    assert isinstance(x, ElementaryClass)
+    assert ElementaryClass(x.ring, x.terms.items()).terms == x.terms
+    assert all(x.terms.values())
 
 
 def random_chart_poly(rng, chart, max_terms=6):
@@ -129,9 +135,11 @@ def test_chow_results_canonical(N, n):
     params = ModelParams(N, n)
     rng = random.Random(N * 10 + n)
     m = rng.randint(-3, 3)
-    seg = segre_cotangent(params, m)
+    classes = segre_elementary(params, m)
+    seg = [recombine_elementary(s) for s in classes]
     assert len(seg) == n + 1 and seg[0] == 1
-    results = list(seg) + product_route(params, m) + twisted(seg, n, rng.randint(-3, 3)) + [integrate(seg[n])]
+    assert_canonical_class(integrate(classes[n]))
+    results = list(seg) + product_route(params, m) + twisted(seg, n, rng.randint(-3, 3))
     results += twisted(seg, n, random_poly(rng, params.c, max_deg=1))
     results += [schur_det(lam, seg) for w in range(1, n + 1) for lam in partitions_of(w)]
     for _ in range(20):
@@ -144,9 +152,9 @@ def test_chow_results_canonical(N, n):
 
 def test_mismatched_operands_rejected():
     with pytest.raises(ValueError):
-        MultidegreePoly.one(2).add_all([MultidegreePoly.one(3)])
+        elementary(2, 0).add_all([elementary(3, 0)])
     with pytest.raises(TypeError):
-        MultidegreePoly.one(2).add_all(["x"])
+        elementary(2, 0).add_all(["x"])
     params = ModelParams(4, 2)
     with pytest.raises(ValueError):
         (JetClass(params, 1) + 1) * (JetClass(params, 2) + 1)
@@ -167,7 +175,7 @@ def test_constants_hash_as_their_ints():
     chart = UniversalChart(3, [2])
     params = ModelParams(4, 2)
     constants = [
-        (MultidegreePoly.one(2), MultidegreePoly(2)),
+        (elementary(2, 0), MultidegreePoly(2)),
         (chart.monomial({}), ChartPoly(chart)),
         (JetClass(params, 1) + 1, JetClass(params, 1)),
     ]

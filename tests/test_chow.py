@@ -5,17 +5,17 @@ import random
 import pytest
 
 from cipos import cli
-from cipos.chow import ModelParams, integrate, segre_cotangent, segre_elementary
-from cipos.polyring import ElementaryClass, MultidegreePoly, series_inverse
+from cipos.chow import ModelParams, integrate, segre_elementary
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, series_inverse
 
 from oracle import segre_product, series_product, terms_json
-from tower_reference import elementary, variable
+from tower_reference import elementary, segre_in_d, variable
 
 
 def product_route(p, twist):
     """The Segre classes of frame ``p`` by the tests' product formula, in d."""
     variables = [variable(p.c, i) for i in range(p.c)]
-    return segre_product(p.N, p.n, twist, MultidegreePoly.one(p.c), variables)
+    return segre_product(p.N, p.n, twist, elementary(p.c, 0), variables)
 
 
 class TestModelParams:
@@ -56,7 +56,7 @@ class TestRing:
 
     def test_unit(self):
         p = ModelParams(4, 2)
-        seg = segre_cotangent(p, 0)
+        seg = segre_in_d(p, 0)
         assert series_product([1], seg, p.n) == seg
 
     def test_curve_line_product(self):
@@ -69,21 +69,25 @@ class TestRing:
 
     def test_params_mismatch(self):
         with pytest.raises(ValueError):
-            series_product([MultidegreePoly.one(2)], [MultidegreePoly.one(3)], 2)
+            series_product([elementary(2, 0)], [elementary(3, 0)], 2)
 
 
 class TestIntegrate:
+    # integrate multiplies a class by e_c = d1...dc
     def test_bezout(self):
-        assert integrate(MultidegreePoly.one(3)) == MultidegreePoly(3, {(1, 1, 1): 1})
+        top = integrate(ElementaryClass.from_row(3, [1]))
+        assert top == ElementaryClass(3, [(3, 1)])
+        assert recombine_elementary(top) == MultidegreePoly(3, {(1, 1, 1): 1})
 
     def test_zero_top(self):
         # h^1 on a surface has no h^2 coefficient
-        assert integrate(MultidegreePoly(2)).is_zero()
+        assert integrate(ElementaryClass(2)).is_zero()
 
     def test_linearity(self):
-        poly = elementary(2, 1)
+        x = ElementaryClass(2, [(1, 1)])
         d1d2 = MultidegreePoly(2, {(1, 1): 1})
-        assert integrate(poly * 3) == integrate(poly) * 3 == poly * d1d2 * 3
+        assert integrate(x * 3) == integrate(x) * 3
+        assert recombine_elementary(integrate(x * 3)) == elementary(2, 1) * d1d2 * 3
 
 
 class TestSegre:
@@ -91,7 +95,7 @@ class TestSegre:
         for N in range(2, 8):
             for c in range(1, N):
                 p = ModelParams(N, N - c)
-                s1 = segre_cotangent(p, 0)[1]
+                s1 = segre_in_d(p, 0)[1]
                 assert s1 == elementary(c, 1) - (N + 1)
 
     def test_closed_form_examples(self):
@@ -116,7 +120,7 @@ class TestSegre:
             for c in range(1, N):
                 p = ModelParams(N, N - c)
                 for m in range(-3, 4):
-                    assert segre_cotangent(p, m) == product_route(p, m), (N, c, m)
+                    assert segre_in_d(p, m) == product_route(p, m), (N, c, m)
 
     def test_closed_form_matches_product_at_negative_twists(self):
         # the frames and twists of the positivity report: n <= c, N <= 12, a in 0..5
@@ -124,7 +128,7 @@ class TestSegre:
         assert len(frames) == 216
         for N, n, a in frames:
             p = ModelParams(N, n)
-            assert segre_cotangent(p, -a) == product_route(p, -a), (N, n, a)
+            assert segre_in_d(p, -a) == product_route(p, -a), (N, n, a)
 
     def test_dominant_identity_all_twists(self):
         # below the codimension the dominant part is the plain elementary symmetric
@@ -132,7 +136,7 @@ class TestSegre:
             for c in range(1, N):
                 p = ModelParams(N, N - c)
                 for m in (-2, 0, 1, 3):
-                    seg = segre_cotangent(p, m)
+                    seg = segre_in_d(p, m)
                     for ell in range(1, min(c, p.n) + 1):
                         dom = seg[ell].dominant_part()
                         assert dom == elementary(c, ell), (N, c, m, ell)
@@ -140,7 +144,7 @@ class TestSegre:
     def test_degree_profile(self):
         # degree of the graded coefficient is ell below c and caps at c above
         p = ModelParams(7, 5)
-        seg = segre_cotangent(p, 0)
+        seg = segre_in_d(p, 0)
         for ell in range(1, p.n + 1):
             assert seg[ell].total_degree() == min(ell, p.c)
 
@@ -160,24 +164,24 @@ class TestTwist:
     def test_first_order_rule(self):
         p = ModelParams(5, 3)
         line = 4
-        assert segre_cotangent(p, line)[1] == segre_cotangent(p, 0)[1] + line * p.n
+        assert segre_in_d(p, line)[1] == segre_in_d(p, 0)[1] + line * p.n
 
     def test_matches_direct_expansion(self):
         for N in range(2, 7):
             for c in range(1, N):
                 p = ModelParams(N, N - c)
-                base = segre_cotangent(p, 0)
+                base = segre_in_d(p, 0)
                 for m in range(-3, 4):
-                    assert twisted(base, p.n, m) == segre_cotangent(p, m)
+                    assert twisted(base, p.n, m) == segre_in_d(p, m)
 
     def test_twist_composition(self):
         # twisting from any base twist lands on the direct expansion
         for N, n in ((4, 2), (5, 3), (6, 2)):
             p = ModelParams(N, n)
             for m0 in (-2, 1, 3):
-                base = segre_cotangent(p, m0)
+                base = segre_in_d(p, m0)
                 for m in range(-2, 3):
-                    assert twisted(base, n, m - m0) == segre_cotangent(p, m), (N, n, m0, m)
+                    assert twisted(base, n, m - m0) == segre_in_d(p, m), (N, n, m0, m)
 
 
 def _series_inverse_class(den, params):
@@ -198,7 +202,7 @@ class TestChernSegrePairing:
             p = ModelParams(N, n)
             c = p.c
             for m in (-2, 0, 1):
-                seg = segre_cotangent(p, m)
+                seg = segre_in_d(p, m)
                 numerator = [(1 - m) ** k * math.comb(N + 1, k) for k in range(p.n + 1)]
                 den = [1, -m]
                 for i in range(c):
@@ -223,8 +227,9 @@ class TestDegreeLemmas:
         # h^ell * prod s_i with ell + sum(indices) = n lies in the top grade,
         # where h^ell contributes the coefficient 1
         assert ell + sum(indices) == p.n
-        seg = segre_cotangent(p, 0)
-        return integrate(math.prod((seg[i] for i in indices), start=MultidegreePoly.one(p.c)))
+        seg = segre_elementary(p, 0)
+        product = math.prod((seg[i] for i in indices), start=ElementaryClass.from_row(p.c, [1]))
+        return recombine_elementary(integrate(product))
 
     def test_positive_h_power_drops_degree(self):
         rng = random.Random(99)
@@ -263,7 +268,7 @@ class TestDegreeLemmas:
     [(40, 3, -2, 30), (60, 4, 3, 1), (100, 2, 0, 30)],
 )
 def test_wide_frames_match_the_product_values(checks, N, n, twist, points):
-    seg = segre_cotangent(ModelParams(N, n), twist)
+    seg = segre_in_d(ModelParams(N, n), twist)
     rng = random.Random(N * 100 + n)
     for _ in range(points):
         point = [rng.randint(-(10**6), 10**6) for _ in range(N - n)]
@@ -272,7 +277,7 @@ def test_wide_frames_match_the_product_values(checks, N, n, twist, points):
 
 def test_segre_table_json_roundtrip(capsys):
     p = ModelParams(4, 2)
-    seg = segre_cotangent(p, -1)
+    seg = segre_in_d(p, -1)
     assert cli.main(["segre", "--N", "4", "--n", "2", "--twist", "-1", "--format", "json"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["N"] == 4 and table["m"] == -1

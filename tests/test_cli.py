@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from cipos import bounds, chow, cli, jets, polyring, schur, vecfields
-from cipos.bounds import morse_closed_form, morse_coeff, rough_degree_bound, surface_degree_bound
+from cipos import bounds, cli, jets, polyring, schur, vecfields
+from cipos.bounds import morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
 from oracle import m_in_d, report_json, shift_at, terms_json
+from tower_reference import morse_in_d, segre_in_d
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -76,17 +77,13 @@ class TestSegre:
         assert {"N", "n", "c", "m", "classes"} == set(blob)
         j, poly = blob["classes"][2]
         assert j == 2
-        from cipos.chow import ModelParams, segre_cotangent
-
-        expected = segre_cotangent(ModelParams(4, 2), 0)[2]
+        expected = segre_in_d(ModelParams(4, 2), 0)[2]
         assert poly == terms_json(expected)
 
     @pytest.mark.parametrize("N, n, twist", [(7, 3, -2), (10, 4, -3)])
     def test_json_is_the_whole_document(self, capsys, N, n, twist):
-        from cipos.chow import segre_cotangent
-
         params = ModelParams(N, n)
-        classes = [[j, terms_json(s)] for j, s in enumerate(segre_cotangent(params, twist))]
+        classes = [[j, terms_json(s)] for j, s in enumerate(segre_in_d(params, twist))]
         reference = {"N": N, "n": n, "c": params.c, "m": twist, "classes": classes}
         argv = ["segre", "--N", str(N), "--n", str(n), "--twist", str(twist), "--format", "json"]
         assert run(capsys, argv) == (0, json.dumps(reference, indent=2) + "\n", "")
@@ -110,10 +107,10 @@ class TestPositivity:
 
     def test_json_renders_no_text(self, capsys, monkeypatch):
         # only the rendering --format selects is built
-        def refuse(self):
+        def refuse(terms):
             raise RuntimeError("text rendered under --format json")
 
-        monkeypatch.setattr(MultidegreePoly, "text", refuse)
+        monkeypatch.setattr(polyring, "terms_text", refuse)
         code, out, _ = run(capsys, ["positivity", "--N", "8", "--n", "4", "--a", "2", "--format", "json"])
         assert code == 0 and json.loads(out)["D"] == "73"
 
@@ -247,7 +244,7 @@ class TestBound:
             for N in range(2 * n, 2 * n + 7):
                 c = N - n
                 for a in range(6):
-                    difference = morse_closed_form(N, n, a)
+                    difference = morse_in_d(N, n, a)
                     methods = ["rough"]
                     methods += ["dim2"] if n == 2 and N >= 4 else []
                     methods += ["scan"] if N <= 2 * n + 2 else []
@@ -287,7 +284,7 @@ class TestBound:
                     argv = ["bound", "--N", str(N), "--n", str(n), "--a", str(a)]
                     code, out, _ = run(capsys, argv + ["--format", "json"])
                     blob = json.loads(out)
-                    r, difference = blob["certified_from"], morse_closed_form(N, n, a)
+                    r, difference = blob["certified_from"], morse_in_d(N, n, a)
                     assert shift_holds(difference, r) and (r == 1 or not shift_holds(difference, r - 1))
                     code, out, _ = run(capsys, argv)
                     claimed = f"(integer degrees >= {blob['gamma_ceil']})" in out
@@ -318,8 +315,8 @@ class TestBound:
             raise AssertionError("bound built a polynomial in the degrees")
 
         monkeypatch.setattr(polyring, "_zero_one", refuse)
+        monkeypatch.setattr(polyring, "terms_in_d", refuse)
         monkeypatch.setattr(polyring, "recombine_elementary", refuse)
-        monkeypatch.setattr(bounds, "recombine_elementary", refuse)
         for method in ("dim2", "scan", "rough"):
             argv = ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", method, "--format", "json"]
             code, out, _ = run(capsys, argv)
@@ -362,7 +359,7 @@ class TestJet:
     def test_json_difference_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, ["jet", "--N", "5", "--n", "2", "--a", "0", "--format", "json"])
         blob = json.loads(out)
-        assert blob["difference"] == terms_json(morse_closed_form(5, 2, 0))
+        assert blob["difference"] == terms_json(morse_in_d(5, 2, 0))
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, ["jet", "--N", "4", "--n", "2", "--a", "4", "--degrees", "34,34", "--format", "json"])
@@ -371,7 +368,7 @@ class TestJet:
             "N", "n", "c", "kappa", "a", "m", "difference", "evaluated_at", "value", "positive",
         }
         assert blob["m"] == 2 and blob["value"] == "15" and blob["positive"] is True
-        assert blob["difference"] == terms_json(morse_closed_form(4, 2, 4))
+        assert blob["difference"] == terms_json(morse_in_d(4, 2, 4))
 
     @pytest.mark.parametrize("N, n, a, degrees", [(5, 2, 0, None), (4, 2, 4, (34, 34)), (9, 6, 2, None)])
     def test_json_is_the_whole_document(self, capsys, N, n, a, degrees):
@@ -561,7 +558,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "argv, module, name",
         [
-            (["segre", "--N", "10", "--n", "4"], chow, "recombine_elementary"),
+            (["segre", "--N", "10", "--n", "4"], polyring, "m_coefficients"),
             (["jet", "--N", "5", "--n", "2", "--a", "0"], jets, "reduce_to_base"),
             (["positivity", "--N", "8", "--n", "4", "--a", "0"], bounds, "shifted_positivity_threshold"),
         ],
@@ -671,7 +668,7 @@ def json_reference(argv):
     N, n = int(argv[argv.index("--N") + 1]), int(argv[argv.index("--n") + 1])
     params = ModelParams(N, n)
     if argv[0] == "segre":
-        classes = [[j, terms_json(s)] for j, s in enumerate(chow.segre_cotangent(params, 0))]
+        classes = [[j, terms_json(s)] for j, s in enumerate(segre_in_d(params, 0))]
         return {"N": N, "n": n, "c": params.c, "m": 0, "classes": classes}
     a = int(argv[argv.index("--a") + 1])
     if argv[0] == "positivity":
@@ -699,6 +696,37 @@ def test_json_pieces_hold_one_term_each(monkeypatch, argv):
     assert cli.main([*argv, "--format", "json"]) == 0
     assert max(piece.count('"coeff"') for piece in pieces) == 1
     assert "".join(pieces) == json.dumps(json_reference(argv), indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["segre", "--N", "12", "--n", "4"], None),
+        (["positivity", "--N", "10", "--n", "5", "--a", "3"], "positivity_N10_n5_a3"),
+        (["jet", "--N", "10", "--n", "7", "--a", "0", "--degrees", "3,4,5"], "jet_N10_n7_a0_at_345"),
+    ],
+    ids=["segre", "positivity", "jet"],
+)
+def test_reports_build_no_class_in_d(capsys, monkeypatch, argv, golden, fmt):
+    # every class reaches the report as its m_lam coefficients, which the
+    # writer arranges term by term: no MultidegreePoly is built, and the bytes
+    # are the golden's, or for segre the classes written in d by the tests
+    if golden is not None:
+        expected = (GOLDEN / f"{golden}.{'txt' if fmt == 'text' else 'json'}").read_text(encoding="utf-8")
+    elif fmt == "json":
+        expected = json.dumps(json_reference(argv), indent=2) + "\n"
+    else:
+        seg = segre_in_d(ModelParams(12, 4), 0)
+        lines = [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
+        expected = "\n".join(["Segre classes, N=12 n=4 c=8 twist=0", *lines]) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class was built in d")
+
+    monkeypatch.setattr(MultidegreePoly, "__init__", refuse)
+    monkeypatch.setattr(MultidegreePoly, "_of", refuse)
+    assert run(capsys, [*argv, "--format", fmt]) == (0, expected, "")
 
 
 class Writes:

@@ -8,7 +8,7 @@ import pytest
 from cipos import chow
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, morse_certificate, nef_sum, reduce_to_base, segre_recursion_coeff
-from cipos.bounds import first_positive_uniform_degree, morse_closed_form, surface_degree_bound
+from cipos.bounds import first_positive_uniform_degree, surface_degree_bound
 from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
 
 from oracle import morse_on_grid, taylor_shift
@@ -19,6 +19,7 @@ from tower_reference import (
     hyperplane,
     integrate_tower,
     lift,
+    morse_in_d,
     nef_tower_class,
     pushforward,
     reduce_reference,
@@ -215,7 +216,7 @@ class TestReduceToBase:
             p = ModelParams(n + rng.randint(1, 3), n)
             x = self._random_class(rng, p, rng.randint(1, 3))
             got = reduce_to_base(x)
-            assert got == reduce_reference(x), (p, x.level, x.terms)
+            assert recombine_elementary(got) == reduce_reference(x), (p, x.level, x.terms)
             nonzero += not got.is_zero()
         # truncation kills many random products; a third must survive the descent
         assert nonzero >= 24
@@ -274,7 +275,7 @@ class TestReduceToBase:
             for a in (0, 2):
                 integrand = power * (total - hyperplane(p, kappa) * (top * (m + a)))
                 expected = reduce_reference(integrand)
-                assert reduce_to_base(integrand) == expected, (p, a)
+                assert recombine_elementary(reduce_to_base(integrand)) == expected, (p, a)
                 assert morse_certificate(p, a).difference == expected, (p, a)
                 assert_oracle_difference(expected, p, a, checks)
 
@@ -306,15 +307,15 @@ class TestIntegrate:
             u = tautological(p, 1, 1)
             h = hyperplane(p, 1)
             got = integrate_tower((u + h * 2) ** (2 * n - 1))
-            seg = chow.segre_cotangent(p, 0)
-            expected = MultidegreePoly(p.c)
+            seg = chow.segre_elementary(p, 0)
+            expected = ElementaryClass(p.c)
             for i in range(2 * n):
                 idx = 2 * n - 1 - i - (n - 1)
                 if idx < 0:
                     continue
                 # h^i * s_idx lies in grade i + idx = n, where h^i has coefficient 1
                 expected = expected + seg[idx] * (math.comb(2 * n - 1, i) * 2**i)
-            assert got == chow.integrate(expected), (N, n)
+            assert got == recombine_elementary(chow.integrate(expected)), (N, n)
 
     def test_frozen_surface_value(self):
         u = tautological(P42, 1, 1)
@@ -403,9 +404,11 @@ class TestNefClasses:
 class TestMorseCertificate:
     def test_flagship_numbers(self):
         cert = morse_certificate(P42, 4)
-        assert cert == (2, recombine_elementary(ElementaryClass.from_row(2, [15, -17, 1])))
-        assert cert.difference.eval((34, 34)) == 15
-        assert cert.difference.eval((33, 33)) == -18
+        assert cert == (2, ElementaryClass.from_row(2, [15, -17, 1]))
+        assert cert.difference == recombine_elementary(ElementaryClass.from_row(2, [15, -17, 1]))
+        for x in (cert.elementary, cert.difference):
+            assert x.eval((34, 34)) == 15
+            assert x.eval((33, 33)) == -18
 
     def test_first_order_closed_form(self):
         for n in range(1, 5):
@@ -413,7 +416,7 @@ class TestMorseCertificate:
                 N = n + c
                 p = ModelParams(N, n)
                 for a in (0, 1, N):
-                    assert morse_certificate(p, a).difference == morse_closed_form(N, n, a)
+                    assert morse_certificate(p, a).difference == morse_in_d(N, n, a)
 
     def test_second_order_frozen_value(self):
         # hand-computed through both pushforward levels for a surface in P^3:
@@ -422,15 +425,16 @@ class TestMorseCertificate:
         p = ModelParams(3, 2)
         d = variable(1, 0)
         cert = morse_certificate(p, 0)
-        assert cert == (8, 44 * d**2 - 872 * d - 300)
+        assert (cert.m, cert.difference) == (8, 44 * d**2 - 872 * d - 300)
         assert morse_certificate(p, 1).difference == 44 * d**2 - 872 * d - 36 * 4 * d - 300
         assert first_positive_uniform_degree(diagonal(cert.difference), 100) == 21
 
     def test_degree_vector_length_checked(self):
-        difference = morse_certificate(P42, 4).difference
+        cert = morse_certificate(P42, 4)
         for degrees in ((34,), (34, 34, 34)):
-            with pytest.raises(ValueError):
-                difference.eval(degrees)
+            for difference in (cert.elementary, cert.difference):
+                with pytest.raises(ValueError):
+                    difference.eval(degrees)
 
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError):
@@ -548,8 +552,8 @@ class TestTowerEstimates:
             for i in range(1, kappa):
                 mono = mono * lift(nef_tower_class(p, i), kappa) ** chat
             lhs = integrate_tower(mono).dominant_part()
-            seg = chow.segre_cotangent(p, 0)
-            rhs = chow.integrate(seg[b] * seg[c] ** (kappa - 1)).dominant_part()
+            seg = chow.segre_elementary(p, 0)
+            rhs = recombine_elementary(chow.integrate(seg[b] * seg[c] ** (kappa - 1))).dominant_part()
             assert lhs == rhs, (n, c)
 
             total = JetClass(p, kappa)

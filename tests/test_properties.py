@@ -22,10 +22,24 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from cipos import cli  # noqa: E402
 from cipos.chow import ModelParams  # noqa: E402
 from cipos.jets import JetClass  # noqa: E402
-from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, shift_rows  # noqa: E402
+from cipos.polyring import (  # noqa: E402
+    ElementaryClass,
+    MultidegreePoly,
+    partitions_of,
+    recombine_elementary,
+    shift_rows,
+    terms_in_d,
+)
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
 
-from oracle import elementary_product, series_product, shift_at as oracle_shift_at, taylor_shift, terms_json  # noqa: E402
+from oracle import (  # noqa: E402
+    elementary_product,
+    m_in_d,
+    series_product,
+    shift_at as oracle_shift_at,
+    taylor_shift,
+    terms_json,
+)
 from test_polyring import substituted  # noqa: E402
 
 # fixed example sequence and no example database, so every run is the same
@@ -74,7 +88,7 @@ def assert_ring_laws(x, y, z, one):
 @given(poly_triples())
 def test_polynomial_ring_laws(triple):
     x, y, z = triple
-    assert_ring_laws(x, y, z, MultidegreePoly.one(x.num_vars))
+    assert_ring_laws(x, y, z, recombine_elementary(ElementaryClass.from_row(x.num_vars, [1])))
 
 
 @PROPERTY
@@ -148,6 +162,49 @@ def test_elementary_equality_is_equality_in_d(case):
     x, y = ElementaryClass(c, first), ElementaryClass(c, restated)
     assert (x == y) == (by_subsets(first, c) == by_subsets(restated, c))
     assert extra or (x == y and hash(x) == hash(y))
+
+
+def grlex_key(exps):
+    # graded-lex, descending: higher total degree first, then lexicographic
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+def m_coefficient_cases():
+    """(c, {lam: a}) with c <= 6: partitions of weights 0..8 (the empty one
+    included) with at most c parts, each part <= c, and nonzero a."""
+
+    def for_c(c):
+        lams = [lam for w in range(9) for lam in partitions_of(w) if len(lam) <= c and max(lam, default=0) <= c]
+        return st.dictionaries(st.sampled_from(lams), coefficients.filter(bool), max_size=6).map(lambda m: (c, m))
+
+    return st.integers(1, 6).flatmap(for_c)
+
+
+@PROPERTY
+@given(m_coefficient_cases())
+@example((3, {(): 4, (1,): -2, (2, 1): 1, (1, 1, 1): 3}))
+@example((6, {(3, 2, 2, 1): 5, (2, 2, 2, 2): -1, (4, 4): 2, (2,): 7}))
+def test_terms_in_d_come_in_graded_lex_order(case):
+    # the writer arranges each m_lam in descending lex order and merges the lam
+    # of one weight, highest weight first: the oracle's terms, sorted
+    c, m = case
+    expected = sorted(m_in_d(m, c).items(), key=lambda item: grlex_key(item[0]))
+    assert list(terms_in_d(m, c)) == expected
+
+
+point_entries = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@PROPERTY
+@given(elementary_cases(), st.data())
+def test_elementary_eval_is_the_value_in_d(case, data):
+    # sum_lam a_lam prod e_{lam_k} from e_0..e_c at the point, against the
+    # class written in d, at an int point and at a point with Fractions
+    c, first, second, _ = case
+    x = ElementaryClass(c, first) * ElementaryClass(c, second) + ElementaryClass(c, second)
+    for entries in (st.integers(-6, 6), point_entries):
+        point = data.draw(st.lists(entries, min_size=c, max_size=c))
+        assert x.eval(point) == recombine_elementary(x).eval(point), point
 
 
 @PROPERTY
@@ -258,11 +315,6 @@ def test_eval_leaves_the_polynomial_unchanged(case):
         p.terms = {}
 
 
-def grlex_key(exps):
-    # graded-lex, descending: higher total degree first, then lexicographic
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 # small and negative coefficients, and magnitudes above 2^64
 wide_coefficients = st.one_of(coefficients, st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
 
@@ -295,8 +347,6 @@ def json_values():
             st.lists(inner, max_size=4),
             st.lists(inner, max_size=4).map(tuple),
             st.dictionaries(json_keys, inner, max_size=4),
-            # a callable stands for what it returns: a leaf or a list, never another callable
-            st.one_of(leaves, st.lists(inner, max_size=4)).map(lambda item: lambda: item),
         ),
         max_leaves=12,
     )
@@ -304,10 +354,7 @@ def json_values():
 
 def json_reference(value):
     """``value`` with every polynomial replaced by its reference term list,
-    once its terms are checked to come in graded-lex order, and every
-    zero-argument callable by the value it returns."""
-    if callable(value):
-        return json_reference(value())
+    once its terms are checked to come in graded-lex order."""
     if isinstance(value, dict):
         return {key: json_reference(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -318,6 +365,17 @@ def json_reference(value):
     return value
 
 
+def payload(value):
+    """``value`` with every polynomial replaced by a generator of its terms in graded-lex order."""
+    if isinstance(value, dict):
+        return {key: payload(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(payload(item) for item in value)
+    if isinstance(value, MultidegreePoly):
+        return (term for term in value.sorted_terms())
+    return value
+
+
 @PROPERTY
 @given(json_values(), st.text(" ", max_size=8))
 @example({}, "")
@@ -325,11 +383,12 @@ def json_reference(value):
 @example([[]], "")
 @example({"partition": (1,), "conjugate": (1,), "dominant": MultidegreePoly(3), "dominant_positive": True,
           "threshold": "0"}, "    ")
-@example([lambda: MultidegreePoly(2, {(1, 0): 3, (0, 1): 3}), lambda: [], lambda: None], "  ")
+@example([MultidegreePoly(2, {(1, 0): 3, (0, 1): 3}), [], None], "  ")
 def test_rendered_json_is_json_dumps(value, pad):
-    # the pieces joined, a zero-argument callable written as the value it returns
+    # the pieces joined; a report holds each class as a generator of its
+    # ordered terms, made here from each polynomial's sorted terms
     expected = json.dumps(json_reference(value), indent=2).replace("\n", "\n" + pad)
-    assert "".join(cli._json(value, pad)) == expected
+    assert "".join(cli._json(payload(value), pad)) == expected
 
 
 # charts of 26 to 262 variables

@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from cipos.chow import ModelParams, segre_cotangent
+from cipos.chow import ModelParams, segre_elementary
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField
 
 
@@ -35,7 +35,7 @@ class TestModelParams:
 
     def test_equal_frames_share_cache_entries(self):
         # a frame-keyed memo, as selftest criterion 7 keeps over the Segre table
-        segre_table = functools.cache(lambda params: segre_cotangent(params, 0))
+        segre_table = functools.cache(lambda params: segre_elementary(params, 0))
         first = segre_table(ModelParams(3, 2))
         assert segre_table(ModelParams(N=3, n=2)) is first
         assert segre_table.cache_info().currsize == 1

@@ -6,12 +6,12 @@ import pytest
 
 from cipos import bounds, chow, polyring, schur
 from cipos.chow import ModelParams
-from cipos.polyring import ElementaryClass, MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, write_in_d
+from cipos.polyring import ElementaryClass, MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, terms_in_d
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
 from oracle import cascade_threshold, elementary_product, m_in_d, taylor_shift
 from test_chow import product_route
-from tower_reference import elementary
+from tower_reference import elementary, segre_in_d
 
 
 class TestPartition:
@@ -85,7 +85,7 @@ class TestSchurDet:
         # Chow classes as lists of h-coefficients: the determinant of weight 2
         # is the h^2 coefficient of s_1^2 - s_2
         p = ModelParams(4, 2)
-        seg = chow.segre_cotangent(p, 0)
+        seg = segre_in_d(p, 0)
         det = schur_det((1, 1), seg)
         expected = seg[1] * seg[1] - seg[2]
         assert det == expected
@@ -124,13 +124,13 @@ class TestLeibnizOracle:
                 # full length, one short, and much too short
                 for length in sorted({need, max(1, need - 1), min(2, need), 1}):
                     ints = [1] + [rng.randint(-4, 4) for _ in range(length - 1)]
-                    polys = [MultidegreePoly.one(2)] + [self._random_poly(rng) for _ in range(length - 1)]
+                    polys = [elementary(2, 0)] + [self._random_poly(rng) for _ in range(length - 1)]
                     for classes in (ints, polys):
                         assert schur_det(lam, classes) == self._leibniz(lam, classes), (lam, classes)
 
     def test_segre_classes_match_leibniz_sum(self):
         p = ModelParams(8, 4)
-        seg = chow.segre_cotangent(p, -2)
+        seg = segre_in_d(p, -2)
         for w in range(1, p.n + 1):
             for lam in partitions_of(w):
                 assert schur_det(lam, seg) == self._leibniz(lam, seg), lam
@@ -164,8 +164,8 @@ class TestDominantDeterminant:
                     continue
                 p = ModelParams(N, n)
                 for a in (0, 2):
-                    seg = chow.segre_cotangent(p, -a)
-                    doms = [MultidegreePoly.one(c)] + [
+                    seg = segre_in_d(p, -a)
+                    doms = [elementary(c, 0)] + [
                         seg[i].dominant_part() for i in range(1, n + 1)
                     ]
                     for w in range(1, n + 1):
@@ -188,8 +188,8 @@ class TestPositivityReport:
         report = positivity_report(ModelParams(4, 2), 0)
         assert [r.partition for r in report.records] == [(1,), (2,), (1, 1)]
         assert all(r.dominant and min(r.dominant.values()) > 0 for r in report.records)
-        dominants = [write_in_d(r.dominant, 2) for r in report.records]
-        assert all(d.terms and min(d.terms.values()) > 0 for d in dominants)
+        dominants = [dict(terms_in_d(r.dominant, 2)) for r in report.records]
+        assert all(d and min(d.values()) > 0 for d in dominants)
         assert report.threshold == max(r.threshold for r in report.records)
         assert report.threshold > 0
 
@@ -199,13 +199,13 @@ class TestPositivityReport:
             first = report.records[0]
             assert first.partition == (1,)
             assert first.dominant == {(1,): 1}
-            assert write_in_d(first.dominant, N - n) == elementary(N - n, 1)
+            assert dict(terms_in_d(first.dominant, N - n)) == elementary(N - n, 1).terms
 
     def test_thresholds_sound_on_grid(self):
         for N, n, a in ((4, 2, 0), (5, 2, 1), (6, 3, 0)):
             p = ModelParams(N, n)
             report = positivity_report(p, a)
-            twisted = chow.segre_cotangent(p, -a)
+            twisted = segre_in_d(p, -a)
             for record in report.records:
                 poly = schur_det(record.conjugate, twisted)
                 base = math.ceil(record.threshold)
@@ -217,7 +217,7 @@ class TestPositivityReport:
         def expanded(*args):
             raise AssertionError("positivity_report expanded the Segre classes in d")
 
-        monkeypatch.setattr(chow, "segre_cotangent", expanded)
+        monkeypatch.setattr(polyring, "terms_in_d", expanded)
         assert positivity_report(ModelParams(8, 4), 1).threshold == 50
         assert positivity_report(ModelParams(7, 3), 5).records[-1].partition == (1, 1, 1)
 
@@ -304,10 +304,10 @@ class TestElementaryRoute:
                 dominant = read[0::2]
                 assert [m for _, m in dominant] == [r.dominant for r in report.records]
                 for x, m in read:
-                    in_d = write_in_d(m, x.ring)
-                    assert in_d.terms == recombine_elementary(x).terms == m_in_d(m, x.ring), (n, c, a)
+                    in_d = dict(terms_in_d(m, x.ring))
+                    assert in_d == recombine_elementary(x).terms == m_in_d(m, x.ring), (n, c, a)
                     positive = all(v > 0 for v in m.values())
-                    assert positive == all(v > 0 for v in in_d.terms.values()), (n, c, a, x.terms)
+                    assert positive == all(v > 0 for v in in_d.values()), (n, c, a, x.terms)
                     signs.add(positive)
         assert signs == {True, False}
 
@@ -378,7 +378,7 @@ class TestThresholdIsTheShiftSearch:
         p = ModelParams(N, n)
         report = positivity_report(p, a)
         assert report.threshold == D
-        segre = chow.segre_cotangent(p, -a)
+        segre = segre_in_d(p, -a)
 
         def values(r):
             at = [s.eval((r,) * p.c) for s in segre]

@@ -14,8 +14,8 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.rings import ring  # noqa: E402
 
-from cipos.chow import ModelParams, segre_cotangent, segre_elementary  # noqa: E402
-from cipos.polyring import MultidegreePoly, shift_rows  # noqa: E402
+from cipos.chow import ModelParams, segre_elementary  # noqa: E402
+from cipos.polyring import MultidegreePoly, recombine_elementary, shift_rows  # noqa: E402
 from cipos.schur import conjugate, partitions_of, schur_det  # noqa: E402
 from cipos.vecfields import _integer_det  # noqa: E402
 
@@ -50,7 +50,7 @@ def composed_shift(p):
 
 @pytest.mark.parametrize("N,n,a", [(8, 4, 2), (10, 5, 3)])
 def test_graded_determinants(N, n, a):
-    twisted = segre_cotangent(ModelParams(N, n), -a)
+    twisted = [recombine_elementary(s) for s in segre_elementary(ModelParams(N, n), -a)]
     for weight in range(1, n + 1):
         for lam in partitions_of(weight):
             graded = schur_det(conjugate(lam), twisted)
@@ -61,8 +61,8 @@ def test_graded_determinants(N, n, a):
 def test_orbit_rows(N, n, a):
     # sympy shifts the determinant taken in d over the product route; the rows
     # come from the one taken over the closed-form ElementaryClasses
-    in_d = segre_cotangent(ModelParams(N, n), -a)
     in_e = segre_elementary(ModelParams(N, n), -a)
+    in_d = [recombine_elementary(s) for s in in_e]
     for weight in range(1, n + 1):
         for lam in partitions_of(weight):
             conj = conjugate(lam)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cipos import cli, selftest, vecfields
-from cipos.polyring import MultidegreePoly
+from cipos.polyring import ElementaryClass, recombine_elementary
 from cipos.vecfields import (
     ChartPoly,
     UniversalChart,
@@ -240,7 +240,8 @@ class TestChartRing:
 
     def test_coefficients_that_are_no_chart_polynomial_refused(self):
         chart = UniversalChart(2, [1])
-        for coeff, name in ((MultidegreePoly.one(chart.num_vars), "MultidegreePoly"), (1, "int")):
+        unit = recombine_elementary(ElementaryClass.from_row(chart.num_vars, [1]))
+        for coeff, name in ((unit, "MultidegreePoly"), (1, "int")):
             message = re.escape(f"expected a ChartPoly on UniversalChart(2, [1]), got {name}") + "$"
             with pytest.raises(ValueError, match=message):
                 VectorField(chart, {0: coeff})

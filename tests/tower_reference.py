@@ -5,7 +5,9 @@ The generators live here, since the engine writes its classes term by term
 and has none: ``generator`` is the class of one key with a 1 in one slot,
 ``hyperplane``, ``tautological`` and ``base_segre_symbol`` name its slots,
 ``variable`` is a degree d_i as a ``MultidegreePoly`` and ``elementary`` the
-elementary symmetric polynomial e_j(d) written in d.
+elementary symmetric polynomial e_j(d) written in d; ``segre_in_d`` and
+``morse_in_d`` write the Segre classes and the first-order Morse difference,
+which the engine keeps as ``ElementaryClass``es, in d.
 
 Tower Segre classes are expanded through every lower level by the fiberwise
 recursion, and a pushforward multiplies whole classes: each bucket of terms
@@ -14,7 +16,7 @@ class of index p - (n-1) one level down.  ``reduce_reference`` iterates that
 to the base, independently of ``jets.reduce_to_base``.  ``nef_tower_class``
 and ``lift`` build the nef sum that ``jets.nef_sum`` writes by its weights,
 and ``integrate_tower`` integrates a top-degree class.  These routes share
-``JetClass`` and ``chow.segre_cotangent`` with the engine; the Morse
+``JetClass`` and ``chow.segre_elementary`` with the engine; the Morse
 integrals' cipos-free route is ``oracle.morse_tables``.
 """
 
@@ -23,6 +25,7 @@ import operator
 from functools import cache
 
 from cipos import chow
+from cipos.bounds import morse_coeff
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, TermKey, reduce_to_base, segre_recursion_coeff
 from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
@@ -38,6 +41,17 @@ def variable(c: int, i: int) -> MultidegreePoly:
 def elementary(c: int, j: int) -> MultidegreePoly:
     """e_j(d_1..d_c) as a polynomial in c variables (zero for j > c)."""
     return recombine_elementary(ElementaryClass(c, [(j, 1)]))
+
+
+def segre_in_d(params: ModelParams, twist: int) -> list[MultidegreePoly]:
+    """The Segre classes s_0..s_n of ``chow.segre_elementary``, each written in d."""
+    return [recombine_elementary(s) for s in chow.segre_elementary(params, twist)]
+
+
+def morse_in_d(N: int, n: int, a: int) -> MultidegreePoly:
+    """The first-order Morse difference, the class of its closed-form row
+    ``bounds.morse_coeff``, written in d."""
+    return recombine_elementary(ElementaryClass.from_row(N - n, [morse_coeff(N, n, a, j) for j in range(n + 1)]))
 
 
 def generator(params: ModelParams, level: int, slot: int) -> JetClass:
@@ -79,9 +93,9 @@ def nef_tower_class(params: ModelParams, k: int) -> JetClass:
 
 
 def integrate_tower(x: JetClass) -> MultidegreePoly:
-    """Integrate a level-k class over the k-th tower stage, exactly; terms
-    below the top degree integrate to 0."""
-    return chow.integrate(reduce_to_base(x))
+    """Integrate a level-k class over the k-th tower stage, exactly, written in
+    d; terms below the top degree integrate to 0."""
+    return recombine_elementary(chow.integrate(reduce_to_base(x)))
 
 
 def base_segre_symbol(params: ModelParams, level: int, i: int) -> JetClass:
@@ -138,8 +152,8 @@ def reduce_reference(x: JetClass) -> MultidegreePoly:
     while x.level > 0:
         x = pushforward(x)
     n = x.params.n
-    segre = chow.segre_cotangent(x.params, 0)
-    one = MultidegreePoly.one(x.params.c)
+    segre = segre_in_d(x.params, 0)
+    one = elementary(x.params.c, 0)
     pieces = []
     for key, coeff in x.terms.items():
         if key[0] + sum(map(operator.mul, key, range(n + 1))) == n:

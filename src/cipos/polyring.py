@@ -25,12 +25,12 @@ constructors validate; results are canonical by construction.
 
 Every class symmetric in the degrees is an ``ElementaryClass``, sum_lam a_lam
 e_lam(d1..dc) over partitions lam with parts <= c, which form a Z-basis of the
-symmetric polynomials (Macdonald, I.2).  It has one reader,
-:func:`m_coefficients`: the m_lam coefficient of e_rows counts the 0-1 matrices
-with row sums rows and column sums lam (Macdonald, I.6).  Through it, multiplying
-nothing in d, :func:`shift_rows` gives the class's rows at d = r + t for every
-threshold, and :func:`terms_in_d` yields its terms in d in graded-lex order, the
-one writer of ``MultidegreePoly``, which is only an output and test type.
+symmetric polynomials (Macdonald, I.2).  One cache, ``_m_row``, reads each e_rows in
+the m basis: the m_lam coefficient counts the 0-1 matrices with row sums rows and
+column sums lam (Macdonald, I.6).  From it, multiplying nothing in d, come a class's
+m_lam coefficients (:func:`m_coefficients`) and its rows at d = r + t for every
+threshold (:func:`shift_rows`); :func:`terms_in_d` writes m_lam coefficients in d,
+the one writer of ``MultidegreePoly``, which is only an output and test type.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -354,17 +354,18 @@ def _zero_one(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     return sum(_zero_one(rows[1:], tuple(filter(None, left))) for left in lefts)
 
 
+@functools.cache
+def _m_row(rows: tuple[int, ...], c: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """e_rows in the m basis of c variables: its (lam, count) pairs over the lam with at
+    most c parts and a nonzero count.  e_j alone is m_{1^j}; a longer product reads ``_zero_one``."""
+    if len(rows) <= 1:
+        return (((1,) * sum(rows), 1),)
+    return tuple((lam, n) for lam in partitions_of(sum(rows)) if len(lam) <= c and (n := _zero_one(rows, lam)))
+
+
 def m_coefficients(x: ElementaryClass) -> dict[tuple[int, ...], int]:
-    """{lam: nonzero m_lam coefficient} of the class: e_j alone is m_{1^j}, a longer
-    product reads ``_zero_one``."""
-    out: dict[tuple[int, ...], int] = {}
-    for rows, a in x.terms.items():
-        if len(rows) > 1:
-            lams = (lam for lam in partitions_of(sum(rows)) if len(lam) <= x.ring)
-            _accumulate(out, ((lam, a * _zero_one(rows, lam)) for lam in lams))
-        else:
-            _accumulate(out, [((1,) * sum(rows), a)])
-    return out
+    """{lam: nonzero m_lam coefficient} of the class, the sum of a times ``_m_row`` over its terms a e_rows."""
+    return _accumulate({}, ((lam, a * n) for rows, a in x.terms.items() for lam, n in _m_row(rows, x.ring)))
 
 
 def _descending_arrangements(lam: tuple[int, ...], a: int, c: int):
@@ -418,21 +419,22 @@ def shift_rows(x: ElementaryClass) -> dict[tuple[int, ...], list[int]]:
     """The class at d = r + t, sum_mu g_mu(r) t^mu, one row per S_c orbit: {mu, a
     partition padded to c slots: g_mu by powers of r, to its last nonzero
     coefficient} for each nonzero g_mu, the constant row (the diagonal) first even
-    when zero.  One pick i per factor from e_k(r + t) = sum_i C(c-i, k-i) r^(k-i)
-    e_i(t) gives v r^p e_picks(t); the picks at each p are read by
-    :func:`m_coefficients`.  Every Taylor row of the class in d is one of these."""
+    when zero.  Each factor e_k(r + t) = sum_i C(c-i, k-i) r^(k-i) e_i(t) picks one
+    e_i, equal picks merging factor by factor, and each v r^p e_picks(t) adds v times
+    the ``_m_row`` of the sorted picks at r^p: every Taylor row of the class in d."""
     c = x.ring
-    by_power: dict[int, dict] = {}
+    picked: dict[tuple, int] = {}  # (nonzero picks, power of r): v
     for rows, a in x.terms.items():
-        for picks in itertools.product(*(range(k + 1) for k in rows)):
-            v = a * math.prod(math.comb(c - i, k - i) for i, k in zip(picks, rows))
-            key = tuple(sorted(filter(None, picks), reverse=True))
-            _accumulate(by_power.setdefault(sum(rows) - sum(picks), {}), [(key, v)])
-    grid: dict[tuple[int, ...], dict[int, int]] = {(): {}}  # the constant row first
-    for p, picked in by_power.items():
-        for mu, v in m_coefficients(ElementaryClass._of(c, picked)).items():
-            grid.setdefault(mu, {})[p] = v
-    return {mu + (0,) * (c - len(mu)): [g.get(k, 0) for k in range(max(g, default=-1) + 1)] for mu, g in grid.items()}
+        partial = {((), 0): a}
+        for k in rows:
+            partial = _accumulate({}, (((key + (i,) if i else key, p + k - i), v * math.comb(c - i, k - i))
+                                       for (key, p), v in partial.items() for i in range(k + 1)))
+        _accumulate(picked, partial.items())
+    grid: dict[tuple[int, ...], dict[int, int]] = {(0,) * c: {}}  # the constant row first
+    for (key, p), v in picked.items():
+        for mu, n in _m_row(tuple(sorted(key, reverse=True)), c):
+            _accumulate(grid.setdefault(mu + (0,) * (c - len(mu)), {}), [(p, v * n)])
+    return {mu: [g.get(k, 0) for k in range(max(g, default=-1) + 1)] for mu, g in grid.items() if g or not any(mu)}
 
 
 def series_inverse(c_seq: Sequence, order: int):

@@ -11,15 +11,14 @@ m_lam coefficients.  Disagreement between the two routes is a hard error.
 
 Every class of the report is symmetric in the degrees, so the report works
 on ``polyring.ElementaryClass``es: the Segre classes enter as the closed forms
-of ``chow.segre_elementary``, never expanded in d, the determinants and the
-identification route run there, and each threshold is the least integer r that
-the Taylor-shift test of ``bounds`` certifies on the rows of
-``polyring.shift_rows``, one per S_c orbit, the reader that gives ``bound`` its
-rows too.  The dominant parts are kept as their m_lam coefficients
-(``polyring.m_coefficients``), for the direct route and the output.  Both
-readers use the 0-1 count of ``polyring`` and multiply no polynomial in d.  The
-classes the report writes itself skip validation: it writes no zero or
-malformed term.
+of ``chow.segre_elementary``, never expanded in d, and the determinants and the
+identification route run there.  Each determinant is read once, by
+``polyring.shift_rows`` (which gives ``bound`` its rows too): one row per S_c
+orbit, multiplying no polynomial in d.  Its threshold is the least integer r that
+the Taylor-shift test of ``bounds`` certifies on those rows, and its dominant part,
+for the direct route and the output, is kept as the r^0 entries of the rows of
+top weight, its m_lam coefficients.  The classes the report writes itself skip
+validation: it writes no zero or malformed term.
 
 The report is plain data; the CLI renders it, writing each dominant part in d.
 """
@@ -31,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from . import bounds, chow
 from .chow import ModelParams
-from .polyring import ElementaryClass, m_coefficients, partitions_of, series_inverse, shift_rows
+from .polyring import ElementaryClass, partitions_of, series_inverse, shift_rows
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -105,8 +104,8 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     attach the least uniform degree threshold the shift test certifies.
 
     The determinants and the identification run on the closed-form twisted
-    Segre classes of ``chow.segre_elementary``; ``polyring`` reads each
-    determinant for its threshold rows and its dominant part for the output.
+    Segre classes of ``chow.segre_elementary``; the shift rows of each
+    determinant give both its threshold and its dominant part for the output.
     """
     n, c = params.n, params.c
     if c < n:
@@ -125,7 +124,8 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
             via_chern = schur_det(conj, chern_data)
             via_segre = schur_det(lam, segre_data)
             identified = top == via_chern and top == via_segre
-            dominant = m_coefficients(top)
+            rows = shift_rows(graded)  # at r = 0, the rows of weight ell hold the m_mu coefficients of top
+            dominant = {tuple(filter(None, mu)): g[0] for mu, g in rows.items() if sum(mu) == ell}
             # every monomial of m_lam carries its coefficient: this is the check on the monomials
             direct = bool(dominant) and all(v > 0 for v in dominant.values())
             if not (identified and direct):
@@ -138,7 +138,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
                     partition=lam,
                     conjugate=conj,
                     dominant=dominant,
-                    threshold=bounds.shifted_positivity_threshold(list(shift_rows(graded).values())),
+                    threshold=bounds.shifted_positivity_threshold(list(rows.values())),
                 )
             )
     overall = max(record.threshold for record in records)

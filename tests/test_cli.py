@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -148,7 +149,8 @@ class TestPositivity:
         # it adds to the traced peak of computing the report less than half the
         # document's length (at (14, 7) the document is 4.4 MB and writing adds
         # under 1 MB; one string of it alone is the whole length).  Each phase
-        # starts from an empty 0-1 count cache, so what ran before moves neither peak
+        # starts from empty 0-1 count and m-row caches, so what ran before moves
+        # neither peak
         class Sink:
             size = 0
 
@@ -161,9 +163,11 @@ class TestPositivity:
         tracemalloc.start()
         try:
             polyring._zero_one.cache_clear()
+            polyring._m_row.cache_clear()
             schur.positivity_report(ModelParams(14, 7), 0)
             report_peak = tracemalloc.get_traced_memory()[1]
             polyring._zero_one.cache_clear()
+            polyring._m_row.cache_clear()
             tracemalloc.reset_peak()
             assert cli.main(argv) == 0
             cli_peak = tracemalloc.get_traced_memory()[1]
@@ -310,10 +314,12 @@ class TestBound:
     def test_builds_no_polynomial_in_the_degrees(self, capsys, monkeypatch):
         # bound reads the n + 1 rows of the shifted difference straight from
         # the Morse coefficients: it counts no 0-1 matrix and writes no class
-        # from the elementary symmetric basis
+        # from the elementary symmetric basis.  The m-row cache starts empty, so
+        # no row cached by an earlier test hides a count
         def refuse(*args):
             raise AssertionError("bound built a polynomial in the degrees")
 
+        monkeypatch.setattr(polyring, "_m_row", functools.cache(polyring._m_row.__wrapped__))
         monkeypatch.setattr(polyring, "_zero_one", refuse)
         monkeypatch.setattr(polyring, "terms_in_d", refuse)
         monkeypatch.setattr(polyring, "recombine_elementary", refuse)

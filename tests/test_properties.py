@@ -25,6 +25,7 @@ from cipos.jets import JetClass  # noqa: E402
 from cipos.polyring import (  # noqa: E402
     ElementaryClass,
     MultidegreePoly,
+    m_coefficients,
     partitions_of,
     recombine_elementary,
     shift_rows,
@@ -219,6 +220,39 @@ def test_elementary_shift_rows_are_the_taylor_rows(case):
     expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
     rows = shift_rows(ElementaryClass(c, first) * ElementaryClass(c, second))
     assert rows == expected and next(iter(rows)) == zero
+
+
+def elementary_class_cases():
+    """(c, pairs) with c <= 6: e_lam over partitions lam of weights 0..8 with
+    parts <= c, followed by the negation of some of those pairs, so that terms
+    cancel and the class may be zero."""
+
+    def for_c(c):
+        lams = [lam for w in range(9) for lam in partitions_of(w) if max(lam, default=0) <= c]
+        pairs = st.lists(st.tuples(st.sampled_from(lams), coefficients), max_size=5)
+        return st.tuples(pairs, st.integers(0, 5)).map(lambda t: (c, t[0] + [(lam, -a) for lam, a in t[0][: t[1]]]))
+
+    return st.integers(1, 6).flatmap(for_c)
+
+
+@PROPERTY
+@given(elementary_class_cases())
+@example((3, []))
+@example((3, [((1, 1), 1), ((2,), -2)]))
+@example((6, [((4, 4), 2), ((2, 2, 2, 1, 1), -1), ((4, 4), -2)]))
+def test_shift_rows_at_zero_are_the_m_coefficients(case):
+    # at r = 0 the rows are the class itself: their r^0 entries are its m_lam
+    # coefficients (e_1^2 - 2 e_2 = m_2, so the row of m_11 cancels and drops),
+    # and written in d those are the class multiplied out over 0-1 subsets; the
+    # constant row, first, is the class on the diagonal
+    c, pairs = case
+    x = ElementaryClass(c, pairs)
+    rows = shift_rows(x)
+    at_zero = {tuple(filter(None, mu)): g[0] for mu, g in rows.items() if g and g[0]}
+    assert at_zero == m_coefficients(x)
+    assert m_in_d(at_zero, c) == by_subsets(pairs, c)
+    diagonal = next(iter(rows.values()))
+    assert all(sum(v * r**p for p, v in enumerate(diagonal)) == x.eval([r] * c) for r in range(4))
 
 
 def shift_at(p, a):

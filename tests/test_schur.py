@@ -263,47 +263,55 @@ class TestElementaryRoute:
 
     @pytest.mark.parametrize("a", [0, 1, 3])
     def test_determinants_and_thresholds_match_the_d_basis(self, a):
+        # the orbit rows themselves are the Taylor rows at sorted keys of the
+        # d-basis determinant, the constant row first even when zero
         for N, n in self.FRAMES:
             p = ModelParams(N, n)
             in_d = product_route(p, -a)
             in_e = chow.segre_elementary(p, -a)
+            zero = (0,) * p.c
             for weight in range(1, n + 1):
                 for lam in partitions_of(weight):
                     conj = conjugate(lam)
                     graded_d, graded_e = schur_det(conj, in_d), schur_det(conj, in_e)
                     assert recombine_elementary(graded_e) == graded_d, (N, n, a, lam)
-                    rows = list(shift_rows(graded_e).values())
-                    assert bounds.shifted_positivity_threshold(rows) == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
+                    table = taylor_shift(graded_d.terms)
+                    expected = {zero: table.get(zero, [])}
+                    expected.update((key, row) for key, row in table.items() if list(key) == sorted(key, reverse=True))
+                    rows = shift_rows(graded_e)
+                    assert rows == expected and next(iter(rows)) == zero, (N, n, a, lam)
+                    threshold = bounds.shifted_positivity_threshold(list(rows.values()))
+                    assert threshold == d_basis_threshold(graded_d, p.c), (N, n, a, lam)
 
     @pytest.mark.parametrize("a", [0, 1])
     def test_dominant_parts_in_m_basis_match_the_d_basis(self, a, monkeypatch):
-        # each record keeps its dominant part as m_lam coefficients; written in
-        # d (by the engine and by the oracle) they are recombine_elementary of
-        # the same class term for term, on every frame with n <= c <= 7.
+        # each record keeps its dominant part as m_lam coefficients, the r^0
+        # entries of the top-weight shift rows; written in d (by the engine and
+        # by the oracle) they are recombine_elementary of the dominant part of
+        # the recorded class term for term, on every frame with n <= c <= 7, and
+        # the r^0 entries of all rows are the whole class in the m basis.
         # All m_lam coefficients are positive exactly when all d-coefficients
         # are, for the dominant parts and for the whole classes, whose lower
         # parts have both signs
         read = []
 
         def recording(x):
-            coefficients = polyring.m_coefficients(x)
-            read.append((x, coefficients))
-            return coefficients
+            rows = polyring.shift_rows(x)
+            read.append((x, rows))
+            return rows
 
-        def whole(x):
-            read.append((x, polyring.m_coefficients(x)))
-            return polyring.shift_rows(x)
-
-        monkeypatch.setattr(schur, "m_coefficients", recording)
-        monkeypatch.setattr(schur, "shift_rows", whole)
+        monkeypatch.setattr(schur, "shift_rows", recording)
         signs = set()
         for c in range(1, 8):
             for n in range(1, c + 1):
                 read.clear()
                 report = positivity_report(ModelParams(n + c, n), a)
-                dominant = read[0::2]
-                assert [m for _, m in dominant] == [r.dominant for r in report.records]
-                for x, m in read:
+                assert len(read) == len(report.records)
+                dominant = [(x.dominant_part(), record.dominant) for (x, _), record in zip(read, report.records)]
+                assert [m for _, m in dominant] == [polyring.m_coefficients(top) for top, _ in dominant]
+                whole = [(x, {tuple(filter(None, mu)): g[0] for mu, g in rows.items() if g and g[0]})
+                         for x, rows in read]
+                for x, m in dominant + whole:
                     in_d = dict(terms_in_d(m, x.ring))
                     assert in_d == recombine_elementary(x).terms == m_in_d(m, x.ring), (n, c, a)
                     positive = all(v > 0 for v in m.values())

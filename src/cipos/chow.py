@@ -3,9 +3,10 @@
 A class in the Chow ring is the list of its coefficients of h^0..h^n (h the
 hyperplane class), each a class symmetric in the degrees.  The Segre classes
 have one route: :func:`segre_elementary` states them in closed form, as
-``ElementaryClass``es sum_k a_k e_k(d) at any twist, which ``segre``,
-``positivity`` and ``jet`` read directly.  Self-test criterion 1 proves the
-closed form against the product formula by exact evaluation.
+``ElementaryClass``es sum_k a_k e_k(d), which ``segre``, ``positivity`` and ``jet``
+read directly; the twist t is the shift of d by -t (``polyring.shifted``).
+Self-test criterion 1 proves the closed form against the product formula by exact
+evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .polyring import ElementaryClass
+from .polyring import ElementaryClass, shifted
 
 
 class ModelParams(NamedTuple("ModelParams", [("N", int), ("n", int)])):
@@ -64,17 +65,9 @@ def segre_elementary(params: ModelParams, twist: int) -> list[ElementaryClass]:
     The closed form, at any twist t, of the h-series of the product formula
     (1 + (1-t)h)^-(N+1) (1 - th) prod_i (1 + (d_i - t)h):
     s_j = sum_{i<=j} G_{j-i} e_i(d - t), with G_m the h^m coefficient of
-    (1 + (1-t)h)^-(N+1) (1 - th), and e_i(d - t) = sum_k C(c-k, i-k) (-t)^(i-k) e_k(d).
+    (1 + (1-t)h)^-(N+1) (1 - th), so s_j is the class sum_i G_{j-i} e_i shifted by -t.
     """
     N, n, c, t = params.N, params.n, params.c, twist
     power = [math.comb(N + m, N) * (t - 1) ** m for m in range(n + 1)]
     g = [1] + [power[m] - t * power[m - 1] for m in range(1, n + 1)]
-    rows = (
-        [
-            sum(g[j - i] * math.comb(c - k, i - k) * (-t) ** (i - k) for i in range(k, min(j, c) + 1))
-            for k in range(min(j, c) + 1)
-        ]
-        for j in range(n + 1)
-    )
-    return [ElementaryClass.from_row(c, row) for row in rows]
-
+    return [shifted(ElementaryClass.from_row(c, [g[j - i] for i in range(min(j, c) + 1)]), -t) for j in range(n + 1)]

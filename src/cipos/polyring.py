@@ -12,25 +12,24 @@ The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``
 ``ElementaryClass``, ``JetClass`` and ``vecfields.ChartPoly``: each element holds a
 ``ring`` descriptor that operands must share (``num_vars``, or c for
 ``ElementaryClass``, the chart itself for ``ChartPoly``, ``(params, level)`` for
-``JetClass``) and a dict from a monomial key to a nonzero int.  The core writes
-validation, promotion, ``+``, ``-``, the product kernel (add exponent tuples slot by
-slot, keep what the class's truncation predicate ``_alive`` accepts),
-square-and-multiply powering, equality, hashing, immutability and the trusted
-constructor ``_of`` (``_wrap`` on an element's own ring) once for all of them.  Key
-layouts: ``(d1, ..., dc)`` for ``MultidegreePoly``, a partition lam for
-``ElementaryClass``, ``(h, s1, ..., sn, u1, ..., u_level)`` for ``JetClass``, and
-for ``ChartPoly`` the sorted tuple of the term's ``(index, exponent)`` pairs with
-exponent > 0; the last two classes multiply keys their own way.  Only public
-constructors validate; results are canonical by construction.
+``JetClass``) and a dict from a monomial key to a nonzero int, and the core writes
+the ring operations once for all of them.  Key layouts: ``(d1, ..., dc)`` for
+``MultidegreePoly``, a partition lam for ``ElementaryClass``, ``(h, s1, ..., sn, u1,
+..., u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term's
+``(index, exponent)`` pairs with exponent > 0; the last two classes multiply keys
+their own way.  Only public constructors validate; results are canonical by
+construction.
 
 Every class symmetric in the degrees is an ``ElementaryClass``, sum_lam a_lam
 e_lam(d1..dc) over partitions lam with parts <= c, which form a Z-basis of the
-symmetric polynomials (Macdonald, I.2).  One cache, ``_m_row``, reads each e_rows in
-the m basis: the m_lam coefficient counts the 0-1 matrices with row sums rows and
-column sums lam (Macdonald, I.6).  From it, multiplying nothing in d, come a class's
-m_lam coefficients (:func:`m_coefficients`) and its rows at d = r + t for every
-threshold (:func:`shift_rows`); :func:`terms_in_d` writes m_lam coefficients in d,
-the one writer of ``MultidegreePoly``, which is only an output and test type.
+symmetric polynomials (Macdonald, I.2).  Two caches read each product e_rows:
+``_m_row`` in the m basis, its m_lam coefficient the number of 0-1 matrices with row
+sums rows and column sums lam (Macdonald, I.6), and ``_shift_row`` at d + r, by the
+shift rule e_k(d + r) = sum_i C(c-i, k-i) r^(k-i) e_i(d).  From them, multiplying
+nothing in d, come a class's m_lam coefficients (:func:`m_coefficients`), the class
+at an integer shift (:func:`shifted`; a Segre twist t is the shift by -t) and its rows
+at d = r + t for every threshold (:func:`shift_rows`); :func:`terms_in_d` writes m_lam
+coefficients in d, the one writer of ``MultidegreePoly``, an output and test type.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -415,24 +414,35 @@ def terms_text(terms: Iterable[tuple[tuple[int, ...], int]]) -> str:
     return " ".join(pieces) or "0"
 
 
+@functools.cache
+def _shift_row(rows: tuple[int, ...], c: int) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    """e_rows(d + r) as its ((lam, p), v) pairs, the sum of v r^p e_lam(d): each factor
+    e_k(d + r) = sum_i C(c-i, k-i) r^(k-i) e_i(d) (Macdonald, I.2) picks one e_i, and
+    the nonzero picks are kept as a partition lam, so equal picks merge factor by factor."""
+    partial = {((), 0): 1}
+    for k in rows:
+        picks = [(i, k - i, math.comb(c - i, k - i)) for i in range(k + 1)]
+        partial = _accumulate({}, (((tuple(sorted((*lam, i), reverse=True)) if i else lam, p + q), v * w)
+                                   for (lam, p), v in partial.items() for i, q, w in picks))
+    return tuple(partial.items())
+
+
+def shifted(x: ElementaryClass, r: int) -> ElementaryClass:
+    """The class at d + r, r an integer: sum a v r^p e_lam over its terms a e_rows and their ``_shift_row``."""
+    terms = ((lam, a * v * r**p) for rows, a in x.terms.items() for (lam, p), v in _shift_row(rows, x.ring))
+    return x._wrap(_accumulate({}, terms))
+
+
 def shift_rows(x: ElementaryClass) -> dict[tuple[int, ...], list[int]]:
     """The class at d = r + t, sum_mu g_mu(r) t^mu, one row per S_c orbit: {mu, a
     partition padded to c slots: g_mu by powers of r, to its last nonzero
-    coefficient} for each nonzero g_mu, the constant row (the diagonal) first even
-    when zero.  Each factor e_k(r + t) = sum_i C(c-i, k-i) r^(k-i) e_i(t) picks one
-    e_i, equal picks merging factor by factor, and each v r^p e_picks(t) adds v times
-    the ``_m_row`` of the sorted picks at r^p: every Taylor row of the class in d."""
+    coefficient} for each nonzero g_mu, the constant row (the diagonal) first even when
+    zero: each v r^p e_lam(t) of a term's ``_shift_row`` adds v ``_m_row``(lam) at r^p."""
     c = x.ring
-    picked: dict[tuple, int] = {}  # (nonzero picks, power of r): v
-    for rows, a in x.terms.items():
-        partial = {((), 0): a}
-        for k in rows:
-            partial = _accumulate({}, (((key + (i,) if i else key, p + k - i), v * math.comb(c - i, k - i))
-                                       for (key, p), v in partial.items() for i in range(k + 1)))
-        _accumulate(picked, partial.items())
+    picked = _accumulate({}, ((key, a * v) for rows, a in x.terms.items() for key, v in _shift_row(rows, c)))
     grid: dict[tuple[int, ...], dict[int, int]] = {(0,) * c: {}}  # the constant row first
-    for (key, p), v in picked.items():
-        for mu, n in _m_row(tuple(sorted(key, reverse=True)), c):
+    for (lam, p), v in picked.items():
+        for mu, n in _m_row(lam, c):
             _accumulate(grid.setdefault(mu + (0,) * (c - len(mu)), {}), [(p, v * n)])
     return {mu: [g.get(k, 0) for k in range(max(g, default=-1) + 1)] for mu, g in grid.items() if g or not any(mu)}
 

@@ -149,8 +149,8 @@ class TestPositivity:
         # it adds to the traced peak of computing the report less than half the
         # document's length (at (14, 7) the document is 4.4 MB and writing adds
         # under 1 MB; one string of it alone is the whole length).  Each phase
-        # starts from empty 0-1 count and m-row caches, so what ran before moves
-        # neither peak
+        # starts from empty 0-1 count, m-row and shift-row caches, so what ran
+        # before moves neither peak
         class Sink:
             size = 0
 
@@ -164,10 +164,12 @@ class TestPositivity:
         try:
             polyring._zero_one.cache_clear()
             polyring._m_row.cache_clear()
+            polyring._shift_row.cache_clear()
             schur.positivity_report(ModelParams(14, 7), 0)
             report_peak = tracemalloc.get_traced_memory()[1]
             polyring._zero_one.cache_clear()
             polyring._m_row.cache_clear()
+            polyring._shift_row.cache_clear()
             tracemalloc.reset_peak()
             assert cli.main(argv) == 0
             cli_peak = tracemalloc.get_traced_memory()[1]

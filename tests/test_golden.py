@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from cipos import cli
+from cipos import cli, jets
+from cipos.chow import ModelParams
 
 from oracle import morse_on_grid
 
@@ -171,6 +172,24 @@ def test_benchmark_checker_selftest():
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_hooks_into_the_package(tmp_path):
+    # perfbench/tracer.py wraps the package by name (it reads
+    # polyring.MultidegreePoly and jets.JetClass), and perfbench/make_reference.py
+    # writes MorseCertificate.difference.to_json(): a renamed hook fails here
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    trace = tmp_path / "t.json"
+    calls = {}
+    for name in ("jet_N4_n2_a4", "positivity_N8_n4_a2"):
+        argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", str(trace), *argv_for(name, "json")]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == golden_path(name, "json").read_text(encoding="utf-8")
+        calls[name] = json.loads(trace.read_text(encoding="utf-8"))["calls"]
+    assert calls["jet_N4_n2_a4"].get("jets.JetClass.__mul__", 0) > 0
+    reference = json.loads((ROOT / "perfbench" / "reference" / "tower.json").read_text(encoding="utf-8"))
+    assert jets.morse_certificate(ModelParams(4, 3), 0).difference.to_json() == reference["4,3,0"]
 
 
 def test_stdlib_only_runtime():

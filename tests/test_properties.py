@@ -1,7 +1,8 @@
 """Property tests of the ring layer: ring laws for polynomials, for
 symmetric classes in the e_lam basis and for truncated jet classes, the e_lam
 basis against its expansion over 0-1 subsets (products, equality and shift
-rows), the Taylor shift against substitution and under
+rows), the integer shift of a class against its value at the shifted point and
+under composition, the Taylor shift against substitution and under
 composition, associativity of the tests' truncated series products, evaluation as a ring
 homomorphism that leaves the polynomial unchanged, graded-lex term order and
 the hand-rendered JSON of nested payloads holding polynomials against
@@ -29,6 +30,7 @@ from cipos.polyring import (  # noqa: E402
     partitions_of,
     recombine_elementary,
     shift_rows,
+    shifted,
     terms_in_d,
 )
 from cipos.vecfields import ChartPoly, UniversalChart, VectorField, defining_equations, lie_derivative  # noqa: E402
@@ -222,8 +224,8 @@ def test_elementary_shift_rows_are_the_taylor_rows(case):
     assert rows == expected and next(iter(rows)) == zero
 
 
-def elementary_class_cases():
-    """(c, pairs) with c <= 6: e_lam over partitions lam of weights 0..8 with
+def elementary_class_cases(max_c=6):
+    """(c, pairs) with c <= max_c: e_lam over partitions lam of weights 0..8 with
     parts <= c, followed by the negation of some of those pairs, so that terms
     cancel and the class may be zero."""
 
@@ -232,7 +234,7 @@ def elementary_class_cases():
         pairs = st.lists(st.tuples(st.sampled_from(lams), coefficients), max_size=5)
         return st.tuples(pairs, st.integers(0, 5)).map(lambda t: (c, t[0] + [(lam, -a) for lam, a in t[0][: t[1]]]))
 
-    return st.integers(1, 6).flatmap(for_c)
+    return st.integers(1, max_c).flatmap(for_c)
 
 
 @PROPERTY
@@ -253,6 +255,31 @@ def test_shift_rows_at_zero_are_the_m_coefficients(case):
     assert m_in_d(at_zero, c) == by_subsets(pairs, c)
     diagonal = next(iter(rows.values()))
     assert all(sum(v * r**p for p, v in enumerate(diagonal)) == x.eval([r] * c) for r in range(4))
+
+
+def classes_with_points():
+    """((c, pairs), point): a case of ``elementary_class_cases`` with c <= 5 and an
+    integer point of c entries in -6..6."""
+
+    def with_point(case):
+        return st.tuples(st.just(case), st.lists(st.integers(-6, 6), min_size=case[0], max_size=case[0]))
+
+    return elementary_class_cases(5).flatmap(with_point)
+
+
+@PROPERTY
+@given(classes_with_points(), st.integers(-6, 6), st.integers(-6, 6))
+@example(((3, []), [1, -2, 4]), 3, -5)
+@example(((2, [((1, 1), 1), ((2,), -2)]), [5, -3]), -4, 6)
+@example(((5, [((4, 4), 2), ((2, 2, 2, 1, 1), -1), ((4, 4), -2)]), [0, 1, -1, 6, -6]), 2, 2)
+def test_shifted_is_the_class_at_the_shifted_point(case, r, s):
+    # a second route for the shift table: values, not rows.  The class shifted
+    # by r takes at p the value of the class at p + r, and two shifts compose
+    (c, pairs), point = case
+    x = ElementaryClass(c, pairs)
+    assert shifted(x, r).eval(point) == x.eval([v + r for v in point])
+    assert shifted(shifted(x, r), s) == shifted(x, r + s)
+    assert shifted(x, 0) == x
 
 
 def shift_at(p, a):

@@ -63,12 +63,12 @@ def shifted_positivity_threshold(rows: Sequence[Sequence[int]]) -> int:
 
     Taylor expansion then makes the polynomial positive on all of [r, inf)^c.
     Every threshold of ``positivity`` and the tail claim of ``bound`` come
-    from here.  Each probe evaluates the rows (lists by powers of r) by
-    Horner's rule.  The valid set of r is upward closed, so doubling plus
+    from here.  The valid set of r is upward closed, so doubling plus
     bisection finds the frontier.  The set is empty exactly when the constant
-    row is zero or a row's last nonzero coefficient is negative."""
+    row is zero or missing (the zero class) or a row's last nonzero
+    coefficient is negative."""
     leads = [next((v for v in reversed(row) if v), 0) for row in rows]
-    if leads[0] == 0 or min(leads) < 0:
+    if not rows or leads[0] == 0 or min(leads) < 0:
         raise ArithmeticError("no shifted-positivity threshold: a row is not positive for large r")
 
     def certifies(r: int) -> bool:

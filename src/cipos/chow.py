@@ -70,4 +70,4 @@ def segre_elementary(params: ModelParams, twist: int) -> list[ElementaryClass]:
     N, n, c, t = params.N, params.n, params.c, twist
     power = [math.comb(N + m, N) * (t - 1) ** m for m in range(n + 1)]
     g = [1] + [power[m] - t * power[m - 1] for m in range(1, n + 1)]
-    return [shifted(ElementaryClass.from_row(c, [g[j - i] for i in range(min(j, c) + 1)]), -t) for j in range(n + 1)]
+    return [shifted(ElementaryClass._from_row(c, [g[j - i] for i in range(min(j, c) + 1)]), -t) for j in range(n + 1)]

@@ -1,17 +1,18 @@
 """Command-line front end: every computation as a subcommand, text or JSON out.
 
-Each option that subcommands share is declared once, in a parent parser of
-``build_parser``.  Each subcommand imports the layers it runs, so a cold
-process loads only those, computes and checks its whole report, then writes
-it; no error follows a written byte.  Every report is rendered here, its text
-lines next to its JSON payload; the layers return data only.  A class reaches
-a report as its m_lam coefficients, and one ``polyring.terms_in_d`` generator,
-shared by the text lines and the payload, arranges its terms in d as they are
-written.  One renderer, ``_json``, yields every payload as pieces of the bytes
-``json.dumps(payload, indent=2)`` gives, one per term (``_json_terms``), and
-``_emit`` writes the pieces of either format in batches, so no document or
-class in d is held whole.  Exit codes: 0 on success, 1 on an internal
-invariant failure (or a failing selftest), 2 on argument or validation errors.
+Shared options are declared once, in parent parsers of ``build_parser``, and
+each subcommand's parser holds its handler as ``run``.  Each handler imports the
+layers it runs, so a cold process loads only those, computes and checks its
+whole report, then writes it; only a failed write follows a written byte.
+Every report is rendered here, its text lines next to its JSON payload; the
+layers return data only.  A class reaches a report as its m_lam coefficients,
+and one ``polyring.terms_in_d`` generator, shared by the text lines and the
+payload, arranges its terms in d as they are written.  One renderer, ``_json``,
+yields every payload as pieces of the bytes ``json.dumps(payload, indent=2)``
+gives, one per term (``_json_terms``), and ``_emit`` writes the pieces of
+either format in batches, so no document or class in d is held whole.  Exit
+codes: 0 on success; 1 on a failed internal invariant, a failing selftest or a
+closed pipe; 2 on invalid input or a failed write.
 """
 
 from __future__ import annotations
@@ -51,20 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segre", parents=[frame], help="Segre classes of the twisted cotangent bundle")
+    p.set_defaults(run=_cmd_segre)
     p.add_argument("--twist", type=int, default=0)
 
-    sub.add_parser("positivity", parents=[twisted], help="Schur-determinant positivity report")
+    p = sub.add_parser("positivity", parents=[twisted], help="Schur-determinant positivity report")
+    p.set_defaults(run=_cmd_positivity)
 
     p = sub.add_parser("bound", parents=[twisted], help="effective degree threshold")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--method", choices=("rough", "dim2", "scan"), default="rough")
     p.add_argument("--d-max", type=int, default=None, help="scan ceiling (scan method only)")
 
     p = sub.add_parser("jet", parents=[twisted], help="Morse bigness certificate on the jet tower")
+    p.set_defaults(run=_cmd_jet)
     p.add_argument("--degrees", type=str, default=None, help="comma-separated degree vector")
 
     p = sub.add_parser("vecfields", help="tangent vector fields on the universal chart")
     vsub = p.add_subparsers(dest="action", required=True)
     v = vsub.add_parser("verify", parents=[common])
+    v.set_defaults(run=_cmd_vecfields)
     v.add_argument("--N", type=int, required=True)
     v.add_argument("--degrees", type=str, required=True, help="comma-separated hypersurface degrees")
     # the families are named in the help: a choice list in the usage line wraps by Python version
@@ -74,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0, help="seed for the random fields and sample points")
 
     p = sub.add_parser("selftest", parents=[common], help="run the acceptance suite")
+    p.set_defaults(run=_cmd_selftest)
     p.add_argument("--criteria", type=str, default=None, help="comma-separated criterion numbers")
 
     return parser
@@ -225,7 +232,7 @@ def _cmd_bound(args) -> int:
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
     if coefficients[-1] != 1:
         raise ArithmeticError("leading elementary coefficient must be 1")
-    rows = list(polyring.shift_rows(polyring.ElementaryClass.from_row(params.c, coefficients)).values())
+    rows = list(polyring.shift_rows(polyring.ElementaryClass._from_row(params.c, coefficients)).values())
     # the least r >= 1 from which the shift test proves the difference positive on [r, inf)^c
     certified_from = bounds.shifted_positivity_threshold(rows)
     if args.method == "dim2":
@@ -360,18 +367,9 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "segre": _cmd_segre,
-        "positivity": _cmd_positivity,
-        "bound": _cmd_bound,
-        "jet": _cmd_jet,
-        "vecfields": _cmd_vecfields,
-        "selftest": _cmd_selftest,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -384,12 +382,13 @@ def main_entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away; point stdout at devnull so the flush at
-        # interpreter exit cannot raise a second time (recipe from the
-        # documentation of the signal module)
+    except OSError as exc:
+        # stdout failed: point it at devnull so the flush at exit cannot raise again (signal module docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        if isinstance(exc, BrokenPipeError):  # the reader went away
+            sys.exit(1)
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(code)
 
 

@@ -16,9 +16,9 @@ The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``
 the ring operations once for all of them.  Key layouts: ``(d1, ..., dc)`` for
 ``MultidegreePoly``, a partition lam for ``ElementaryClass``, ``(h, s1, ..., sn, u1,
 ..., u_level)`` for ``JetClass``, and for ``ChartPoly`` the sorted tuple of the term's
-``(index, exponent)`` pairs with exponent > 0; the last two classes multiply keys
-their own way.  Only public constructors validate; results are canonical by
-construction.
+``(index, exponent)`` pairs with exponent > 0.  ``ElementaryClass`` and ``ChartPoly``
+override ``_product``; ``JetClass`` keeps the core's, filtered by its ``_alive``.
+Only public constructors validate; results are canonical by construction.
 
 Every class symmetric in the degrees is an ``ElementaryClass``, sum_lam a_lam
 e_lam(d1..dc) over partitions lam with parts <= c, which form a Z-basis of the
@@ -299,7 +299,7 @@ class ElementaryClass(_SparseTerms):
         object.__setattr__(self, "terms", _accumulate({}, alive))
 
     @classmethod
-    def from_row(cls, c: int, row: Sequence[int]) -> "ElementaryClass":
+    def _from_row(cls, c: int, row: Sequence[int]) -> "ElementaryClass":
         """The class sum_k row[k] * e_k, for a row of at most c + 1 entries (trusted, see ``_of``)."""
         return cls._of(c, {(k,) if k else (): v for k, v in enumerate(row) if v})
 

@@ -113,7 +113,7 @@ def positivity_report(params: ModelParams, a: int) -> SchurReport:
     if a < 0:
         raise ValueError("twist a must be >= 0")
     twisted = chow.segre_elementary(params, -a)
-    chern_data = [ElementaryClass.from_row(c, [0] * j + [1]) for j in range(n + 1)]  # e_j, nonzero as j <= n <= c
+    chern_data = [ElementaryClass._from_row(c, [0] * j + [1]) for j in range(n + 1)]  # e_j, nonzero as j <= n <= c
     segre_data = chern_data[:1] + series_inverse(chern_data[1:], n)
     records = []
     for ell in range(1, n + 1):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import bounds, chow, jets, schur, vecfields
 from .chow import ModelParams
-from .polyring import ElementaryClass, recombine_elementary, series_inverse, shift_rows
+from .polyring import ElementaryClass, m_coefficients, series_inverse, shift_rows, terms_in_d, terms_text
 
 
 class CriterionResult(NamedTuple):
@@ -128,7 +128,7 @@ def _criterion_5() -> tuple[bool, str]:
             params = ModelParams(N, n)
             for a in (0, N):
                 engine = jets.morse_certificate(params, a).elementary
-                closed = ElementaryClass.from_row(c, [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)])
+                closed = ElementaryClass._from_row(c, [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)])
                 if engine != closed:
                     return False, f"pipelines disagree at N={N} n={n} a={a}"
     return True, "engine equals closed form for all n <= c <= 6, a in {0, N}"
@@ -150,7 +150,7 @@ def _criterion_6() -> tuple[bool, str]:
         seg = chow.segre_elementary(params, 0)
         rhs = chow.integrate(seg[b] * seg[c] ** (kappa - 1)).dominant_part()
         if lhs != rhs:
-            lhs_d, rhs_d = (recombine_elementary(side).text() for side in (lhs, rhs))  # in d for the message only
+            lhs_d, rhs_d = (terms_text(terms_in_d(m_coefficients(side), c)) for side in (lhs, rhs))
             failures.append(f"(n,c)=({n},{c}): {lhs_d} != {rhs_d}")
     if failures:
         return False, "; ".join(failures)
@@ -167,7 +167,7 @@ def _criterion_7() -> tuple[bool, str]:
         # h^ell * prod s_i with ell + sum(indices) = n: h contributes the
         # coefficient 1, so the integrand's h^n coefficient is prod s_i
         seg = segre_table(params)
-        return chow.integrate(math.prod((seg[i] for i in indices), start=ElementaryClass.from_row(params.c, [1])))
+        return chow.integrate(math.prod((seg[i] for i in indices), start=ElementaryClass._from_row(params.c, [1])))
 
     # lemma 1: any positive hyperplane power forces degree < N
     for _ in range(400):
@@ -235,7 +235,7 @@ def _criterion_8() -> tuple[bool, str]:
         c = rng.randint(1, 6)
         k = rng.randint(1, c)
         row = [rng.randint(-40, 40) for _ in range(k)] + [1]
-        x = ElementaryClass.from_row(c, row)
+        x = ElementaryClass._from_row(c, row)
         r = bounds.shifted_positivity_threshold(list(shift_rows(x).values()))
         if not grid_positive(x, c, r):
             return False, f"shift threshold unsound for c={c} coeffs={row}"

@@ -6,8 +6,9 @@ the ``Poly`` of ``perfbench/checks.py``.  It holds products of elementary
 symmetric polynomials multiplied out over their 0-1 subsets, the Taylor
 shift, the derivative-cascade threshold, the dicts the JSON reports must
 render, the Segre classes by the product formula as truncated series products
-over whatever ring elements the caller passes in, and the Morse integrals of
-the jet tower by a recursion that takes no power of a class.
+over whatever ring elements the caller passes in, the Morse integrals of the
+jet tower by a recursion that takes no power of a class, and the shift of a
+symmetric function in the m basis, read from its values at integer points.
 """
 
 import itertools
@@ -230,3 +231,59 @@ def morse_on_grid(N: int, n: int, a: int, segre_values) -> dict[tuple[int, ...],
         A, B = (sum(v * math.prod(s[q] for q in base) for base, v in t.items()) for t in (integral, h_integral))
         grid[point] = A - top * (m + a) * B
     return grid
+
+
+def _partitions(weight: int, cap: int) -> list[tuple[int, ...]]:
+    """The partitions of ``weight`` with parts <= cap, largest part first."""
+    if not weight:
+        return [()]
+    return [(first, *rest) for first in range(min(weight, cap), 0, -1) for rest in _partitions(weight - first, first)]
+
+
+def _sorted_parts(point) -> tuple[int, ...]:
+    """The partition of a point's nonzero entries: where a symmetric function reads it."""
+    return tuple(sorted(filter(None, point), reverse=True))
+
+
+@cache
+def _stirling(k: int, j: int) -> int:
+    """The signed Stirling number of the first kind: t(t-1)...(t-k+1) = sum_j s(k, j) t^j."""
+    if not k:
+        return int(not j)
+    return (_stirling(k - 1, j - 1) if j else 0) - (k - 1) * _stirling(k - 1, j)
+
+
+def shift_from_values(f, r: int, c: int, ell: int) -> dict[tuple[int, ...], int]:
+    """{mu: a_mu} of f(r + t) = sum_mu a_mu m_mu(t_1..t_c), zeros dropped, for f
+    symmetric of degree <= ell in c variables, called on integer points.
+
+    It reads f only at r + kappa, kappa over the partitions of weight <= ell with
+    at most c parts: the sorted points of the simplex grid {|t| <= ell}, on which a
+    polynomial of degree <= ell is fixed (Chung and Yao, SIAM J. Numer. Anal.
+    1977).  The forward differences of f(r + t) at t = 0 are its Newton
+    coefficients, f(r + t) = sum_kappa Delta^kappa prod_i C(t_i, kappa_i), and
+    k! C(t, k) = sum_j s(k, j) t^j turns them into powers of t.
+    """
+    points = [kappa for w in range(ell + 1) for kappa in _partitions(w, w) if len(kappa) <= c]
+    value = {kappa: f([r + k for k in kappa] + [r] * (c - len(kappa))) for kappa in points}
+    newton = {}
+    for kappa in points:  # Delta^kappa = sum_{nu <= kappa} (-1)^|kappa - nu| prod_i C(kappa_i, nu_i) f(r + nu)
+        below = itertools.product(*(range(k + 1) for k in kappa))
+        newton[kappa] = sum(
+            (-1) ** (sum(kappa) - sum(nu)) * math.prod(map(math.comb, kappa, nu)) * value[_sorted_parts(nu)]
+            for nu in below
+        )
+    out = {}
+    for mu in points:  # t^mu comes from the kappa with the support of mu and kappa_i >= mu_i
+        slack = ell - sum(mu)
+        total = Fraction(0)
+        for extra in itertools.product(range(slack + 1), repeat=len(mu)):
+            if sum(extra) <= slack:
+                kappa = tuple(m + e for m, e in zip(mu, extra))
+                weight = Fraction(math.prod(map(_stirling, kappa, mu)), math.prod(map(math.factorial, kappa)))
+                total += newton[_sorted_parts(kappa)] * weight
+        if total.denominator != 1:
+            raise ArithmeticError(f"coefficient of m_{mu} is {total}, not an integer")
+        if total:
+            out[mu] = int(total)
+    return out

@@ -147,13 +147,14 @@ class TestShiftedThreshold:
         assert len(seen) > 5
 
     def test_no_frontier_raises_before_any_probe(self, monkeypatch):
-        # a row ending negative fails at every large r, and so does a zero
-        # constant row; the certified set is upward closed, so none certifies
+        # a row ending negative fails at every large r, and so does a zero or
+        # missing constant row (an empty table is the zero class); the
+        # certified set is upward closed, so none certifies
         def no_probe(*args):
             raise AssertionError("probed")
 
         monkeypatch.setattr(bounds, "_horner", no_probe)
-        for rows in ([[5], [3, 1, -1]], [[1, -1], [2]], [[], [1]], [[0, 0], [1]]):
+        for rows in ([[5], [3, 1, -1]], [[1, -1], [2]], [[], [1]], [[0, 0], [1]], []):
             with pytest.raises(ArithmeticError):
                 shifted_positivity_threshold(rows)
 
@@ -222,7 +223,7 @@ class TestFirstPositiveDegree:
 class TestElementaryShiftRows:
     def test_flagship_rows(self):
         # e2 - 17 e1 + 15 at d = r + t: (r^2 - 34 r + 15) + (r - 17) e1(t) + e2(t)
-        rows = shift_rows(ElementaryClass.from_row(2, [15, -17, 1]))
+        rows = shift_rows(ElementaryClass(2, enumerate([15, -17, 1])))
         assert rows == {(0, 0): [15, -34, 1], (1, 0): [-17, 1], (1, 1): [1]}
         assert next(iter(rows)) == (0, 0)
 
@@ -234,7 +235,7 @@ class TestElementaryShiftRows:
                 c = N - n
                 for a in range(6):
                     coefficients = [morse_coeff(N, n, a, j) for j in range(n + 1)]
-                    difference = ElementaryClass.from_row(c, coefficients)
+                    difference = ElementaryClass(c, enumerate(coefficients))
                     table = taylor_shift(recombine_elementary(difference).terms)
                     rows = shift_rows(difference)
                     squarefree = {k for k in itertools.product((0, 1), repeat=c) if sum(k) <= n}

@@ -75,7 +75,7 @@ class TestRing:
 class TestIntegrate:
     # integrate multiplies a class by e_c = d1...dc
     def test_bezout(self):
-        top = integrate(ElementaryClass.from_row(3, [1]))
+        top = integrate(ElementaryClass(3, enumerate([1])))
         assert top == ElementaryClass(3, [(3, 1)])
         assert recombine_elementary(top) == MultidegreePoly(3, {(1, 1, 1): 1})
 
@@ -103,7 +103,7 @@ class TestSegre:
         # surface in P^4, G = (1 - h) and e_2(d - 1) = e_2 - e_1 + 1
         p = ModelParams(4, 2)
         for m, rows in ((0, [[1], [-5, 1], [15, -5, 1]]), (1, [[1], [-3, 1], [3, -2, 1]])):
-            assert segre_elementary(p, m) == [ElementaryClass.from_row(2, row) for row in rows]
+            assert segre_elementary(p, m) == [ElementaryClass(2, enumerate(row)) for row in rows]
 
     def test_closed_form_range_check(self):
         # e_k vanishes in c variables for k > c, so s_j stops at e_min(j, c)
@@ -228,7 +228,7 @@ class TestDegreeLemmas:
         # where h^ell contributes the coefficient 1
         assert ell + sum(indices) == p.n
         seg = segre_elementary(p, 0)
-        product = math.prod((seg[i] for i in indices), start=ElementaryClass.from_row(p.c, [1]))
+        product = math.prod((seg[i] for i in indices), start=ElementaryClass(p.c, enumerate([1])))
         return recombine_elementary(integrate(product))
 
     def test_positive_h_power_drops_degree(self):

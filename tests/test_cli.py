@@ -17,7 +17,7 @@ from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
 from cipos.polyring import MultidegreePoly
 
-from oracle import m_in_d, report_json, shift_at, terms_json
+from oracle import m_in_d, report_json, shift_at, shift_from_values, terms_json
 from tower_reference import morse_in_d, segre_in_d
 
 
@@ -128,6 +128,29 @@ class TestPositivity:
                 target = tmp_path / f"report.{fmt}"
                 assert run(capsys, [*argv, "--out", str(target)]) == (0, "", ""), (N, n, a, fmt)
                 assert target.read_text(encoding="utf-8") == whole, (N, n, a, fmt)
+
+    def test_thresholds_are_the_least_by_values(self, capsys, checks):
+        # a second route that imports no cipos: each Schur class by the product
+        # formula at integer degrees, its shift rows at r from its values
+        # there; the shift test holds at each threshold r and, above 1, fails at r - 1
+        N, n, c = 16, 8, 8
+        code, out, _ = run(capsys, ["positivity", "--N", str(N), "--n", str(n), "--a", "0", "--format", "json"])
+        report = json.loads(out)
+        thresholds = []
+        for record in report["records"]:
+            lam, r = tuple(record["partition"]), int(record["threshold"])
+
+            def schur_class(d, conj=checks.conjugate(lam)):
+                return checks.jacobi_trudi(conj, checks.segre_values(N, n, 0, d))
+
+            def holds(r):
+                rows = shift_from_values(schur_class, r, c, sum(lam))
+                return rows.get((), 0) > 0 and min(rows.values()) >= 0
+
+            assert holds(r), lam
+            assert r == 1 or not holds(r - 1), lam
+            thresholds.append(r)
+        assert (code, len(thresholds), report["D"]) == (0, 66, str(max(thresholds)))
 
     def test_twist_beyond_ssize_t(self, capsys):
         # D = a/2 + 3, as at a = 10^3, 10^6 and 10^18
@@ -611,6 +634,26 @@ class TestRejectedInput:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
+
+    # buffered, a short report fails at the final flush and a long one (about
+    # 270 MB) at a write of the report; unbuffered, both fail at their first write
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["segre", "--N", "4", "--n", "2"], ["segre", "--N", "40", "--n", "5", "--format", "json"]],
+        ids=["short", "long"],
+    )
+    def test_full_stdout_is_one_error_line(self, argv, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cipos", *argv], env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: cannot write standard output: No space left on device"]
 
     @pytest.mark.parametrize("command", ["segre", "positivity", "bound", "jet", "selftest"])
     def test_seed_only_on_vecfields_verify(self, capsys, command):

@@ -404,8 +404,8 @@ class TestNefClasses:
 class TestMorseCertificate:
     def test_flagship_numbers(self):
         cert = morse_certificate(P42, 4)
-        assert cert == (2, ElementaryClass.from_row(2, [15, -17, 1]))
-        assert cert.difference == recombine_elementary(ElementaryClass.from_row(2, [15, -17, 1]))
+        assert cert == (2, ElementaryClass(2, enumerate([15, -17, 1])))
+        assert cert.difference == recombine_elementary(ElementaryClass(2, enumerate([15, -17, 1])))
         for x in (cert.elementary, cert.difference):
             assert x.eval((34, 34)) == 15
             assert x.eval((33, 33)) == -18

@@ -178,7 +178,7 @@ class TestElementarySymmetric:
         for _ in range(40):
             c = rng.randint(1, 5)
             coeffs = [rng.randint(-9, 9) for _ in range(c + 1)]
-            p = recombine_elementary(ElementaryClass.from_row(c, coeffs))
+            p = recombine_elementary(ElementaryClass(c, enumerate(coeffs)))
             assert in_d(c, enumerate(coeffs)) == p
             assert [p.terms.get((1,) * j + (0,) * (c - j), 0) for j in range(c + 1)] == coeffs
             assert len(p.terms) == sum(math.comb(c, j) for j, a in enumerate(coeffs) if a)
@@ -242,7 +242,14 @@ class TestElementaryClass:
     def test_from_row_is_the_sum_of_its_indices(self):
         for c in range(1, 5):
             row = list(range(-2, c - 1))
-            assert ElementaryClass.from_row(c, row) == ElementaryClass(c, enumerate(row))
+            assert ElementaryClass._from_row(c, row) == ElementaryClass(c, enumerate(row))
+
+    def test_a_row_beyond_c_keeps_its_first_c_plus_1_entries(self):
+        # e_3 vanishes in two variables, so 7 * e_3 adds nothing
+        x = ElementaryClass(2, enumerate([1, 0, 0, 7]))
+        assert x == ElementaryClass(2, [((), 1)])
+        assert x.eval((1, 1)) == 1
+        assert shift_rows(x) == {(0, 0): [1]}
 
     def test_rings_do_not_mix(self):
         with pytest.raises(ValueError, match="different rings"):
@@ -372,7 +379,7 @@ class TestEval:
         with pytest.raises(ValueError):
             elementary(2, 0).eval((1,))
         with pytest.raises(ValueError):
-            ElementaryClass.from_row(2, [1]).eval((1,))
+            ElementaryClass(2, enumerate([1])).eval((1,))
 
 
 class TestSeriesInverse:

@@ -91,7 +91,7 @@ def assert_ring_laws(x, y, z, one):
 @given(poly_triples())
 def test_polynomial_ring_laws(triple):
     x, y, z = triple
-    assert_ring_laws(x, y, z, recombine_elementary(ElementaryClass.from_row(x.num_vars, [1])))
+    assert_ring_laws(x, y, z, recombine_elementary(ElementaryClass(x.num_vars, enumerate([1]))))
 
 
 @PROPERTY

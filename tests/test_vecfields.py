@@ -240,7 +240,7 @@ class TestChartRing:
 
     def test_coefficients_that_are_no_chart_polynomial_refused(self):
         chart = UniversalChart(2, [1])
-        unit = recombine_elementary(ElementaryClass.from_row(chart.num_vars, [1]))
+        unit = recombine_elementary(ElementaryClass(chart.num_vars, enumerate([1])))
         for coeff, name in ((unit, "MultidegreePoly"), (1, "int")):
             message = re.escape(f"expected a ChartPoly on UniversalChart(2, [1]), got {name}") + "$"
             with pytest.raises(ValueError, match=message):

@@ -51,7 +51,7 @@ def segre_in_d(params: ModelParams, twist: int) -> list[MultidegreePoly]:
 def morse_in_d(N: int, n: int, a: int) -> MultidegreePoly:
     """The first-order Morse difference, the class of its closed-form row
     ``bounds.morse_coeff``, written in d."""
-    return recombine_elementary(ElementaryClass.from_row(N - n, [morse_coeff(N, n, a, j) for j in range(n + 1)]))
+    return recombine_elementary(ElementaryClass(N - n, enumerate([morse_coeff(N, n, a, j) for j in range(n + 1)])))
 
 
 def generator(params: ModelParams, level: int, slot: int) -> JetClass:

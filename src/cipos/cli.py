@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", parents=[twisted], help="effective degree threshold")
     p.set_defaults(run=_cmd_bound)
     p.add_argument("--method", choices=("rough", "dim2", "scan"), default="rough")
-    p.add_argument("--d-max", type=int, default=None, help="scan ceiling (scan method only)")
 
     p = sub.add_parser("jet", parents=[twisted], help="Morse bigness certificate on the jet tower")
     p.set_defaults(run=_cmd_jet)
@@ -223,10 +222,6 @@ def _cmd_bound(args) -> int:
     N, n, a = args.N, args.n, args.a
     if n > params.c:
         raise ValueError(f"bound requires n <= c, got n={n}, c={params.c}")
-    if args.d_max is not None and args.method != "scan":
-        raise ValueError("--d-max applies to --method scan only")
-    if args.d_max is not None and args.d_max < 1:
-        raise ValueError("--d-max must be >= 1")
     if args.method == "dim2" and n != 2:
         raise ValueError("dim2 method requires n = 2")
     coefficients = [bounds.morse_coeff(N, n, a, j) for j in range(n + 1)]
@@ -240,15 +235,12 @@ def _cmd_bound(args) -> int:
     elif args.method == "rough":
         gamma = bounds.rough_degree_bound(N, n, a)
     else:
-        # the scan succeeds by certified_from, so it never needs to look further
-        ceiling = certified_from if args.d_max is None else min(args.d_max, certified_from)
-        gamma = bounds.first_positive_uniform_degree(rows[0], ceiling)
+        # the diagonal rows[0] is positive at certified_from, so the scan stops there
+        gamma = bounds.first_positive_uniform_degree(rows[0], certified_from)
     # the explicit bounds are exact rationals; integer degrees compare with the ceiling
-    gamma_ceil = None if gamma is None else math.ceil(gamma)
+    gamma_ceil = math.ceil(gamma)
     # "integer degrees >= r" only where the shift test proves it (an upward-closed set)
-    if gamma is None:
-        threshold_line = "threshold = none"
-    elif gamma_ceil >= certified_from:
+    if gamma_ceil >= certified_from:
         threshold_line = f"threshold = {gamma} (integer degrees >= {gamma_ceil})"
     elif args.method == "scan":
         threshold_line = f"threshold = {gamma} (first positive uniform degree; larger degrees not certified)"
@@ -256,7 +248,7 @@ def _cmd_bound(args) -> int:
         threshold_line = f"threshold = {gamma} (not certified: positivity from degree {gamma_ceil} on is unproven)"
     payload = {
         "N": N, "n": n, "a": a, "coefficients": [str(v) for v in coefficients],
-        "gamma": None if gamma is None else str(gamma), "gamma_ceil": gamma_ceil,
+        "gamma": str(gamma), "gamma_ceil": gamma_ceil,
         "certified_from": certified_from, "method": args.method,
     }
     text = [
@@ -317,9 +309,7 @@ def _cmd_vecfields(args) -> int:
     identical: bool | None = None
     if args.family in vecfields.TANGENT_FAMILIES:
         identical = all(report.identically_zero for report in reports)
-    residuals = [
-        f"field {index}: {entry}" for index, report in enumerate(reports) for entry in report.nonzero_residuals
-    ]
+    residuals = [residual_line(chart.c, i, *r) for i, report in enumerate(reports) for r in report.nonzero_residuals]
     payload = {
         "family": args.family,
         "identical_vanishing": identical,
@@ -340,6 +330,12 @@ def _cmd_vecfields(args) -> int:
     ]
     _emit(args, payload, text)
     return 1 if identical is False else 0
+
+
+def residual_line(c: int, field: int, sample: int, e: int, value) -> str:
+    """One ``vecfields.TangencyReport`` residual on a chart of c blocks, as ``field 0: sample 3: T(f'2) = v``."""
+    name = f"f{e + 1}" if e < c else f"f'{e - c + 1}"
+    return f"field {field}: sample {sample}: T({name}) = {value}"
 
 
 def _cmd_selftest(args) -> int:

@@ -355,8 +355,8 @@ def _zero_one(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
 
 @functools.cache
 def _m_row(rows: tuple[int, ...], c: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """e_rows in the m basis of c variables: its (lam, count) pairs over the lam with at
-    most c parts and a nonzero count.  e_j alone is m_{1^j}; a longer product reads ``_zero_one``."""
+    """e_rows in the m basis of c variables, for rows with parts <= c (every class key and ``_shift_row`` pick):
+    its (lam, n) pairs, lam with at most c parts and n != 0.  e_j alone is m_{1^j}; a product reads ``_zero_one``."""
     if len(rows) <= 1:
         return (((1,) * sum(rows), 1),)
     return tuple((lam, n) for lam in partitions_of(sum(rows)) if len(lam) <= c and (n := _zero_one(rows, lam)))

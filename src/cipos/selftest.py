@@ -280,7 +280,10 @@ def _criterion_9() -> tuple[bool, str]:
     field = vecfields.VectorField(chart, {chart.z_index(1): chart.equations[0][0]})
     report = vecfields.point_tangency_check(field, samples=100, seed=314)
     if report.identically_zero or report.nonzero_residuals:
-        return False, f"f1*d/dz1 not sampled or not zero on the locus: {report.nonzero_residuals[:2]}"
+        from .cli import residual_line
+
+        lines = [residual_line(chart.c, 0, *r) for r in report.nonzero_residuals[:2]]
+        return False, f"f1*d/dz1 not sampled or not zero on the locus: {lines}"
     return True, f"{identities} exact identities; f1*d/dz1 vanishes at 100 sampled locus points"
 
 

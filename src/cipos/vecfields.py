@@ -289,18 +289,14 @@ def coordinate_field(chart: UniversalChart, j: int) -> VectorField:
 
 
 def coefficient_shift_field(
-    chart: UniversalChart,
-    i: int,
-    alpha: Sequence[int],
-    ell: Sequence[int],
-    convention: str = "single",
-) -> VectorField:
+    chart: UniversalChart, i: int, alpha: Sequence[int], ell: Sequence[int]
+) -> tuple[VectorField, VectorField]:
     """Higher-weight coefficient-direction fields, no tangency asserted.
 
-    The defining display admits two index readings, both exposed: "single"
-    targets the one slot alpha - ell with the full binomial z-profile,
-    "spread" distributes over the slots alpha - ell' for every split
-    ell' + ell'' = ell.  Requires |ell| <= N and alpha >= ell componentwise.
+    The defining display admits two index readings, returned as a pair from one
+    pass over the splits ell' + ell'' = ell: the single reading targets the one
+    slot alpha - ell with the full binomial z-profile, the spread reading each
+    split's slot alpha - ell'.  Requires |ell| <= N and alpha >= ell componentwise.
     """
     alpha, ell = tuple(alpha), tuple(ell)
     if len(alpha) != chart.N or len(ell) != chart.N:
@@ -309,16 +305,14 @@ def coefficient_shift_field(
         raise ValueError(f"|ell| = {sum(ell)} exceeds the ambient dimension {chart.N}")
     if any(a < e for a, e in zip(alpha, ell)):
         raise ValueError("need alpha >= ell componentwise")
-    if convention not in ("single", "spread"):
-        raise ValueError("convention must be 'single' or 'spread'")
-    pieces: dict[int, list[ChartPoly]] = {}
+    single, spread = {}, {}  # target slot -> its z-profiles, in each reading
     for prime in itertools.product(*(range(e + 1) for e in ell)):
         weight = math.prod(math.comb(e, p) for e, p in zip(ell, prime))
-        slot = ell if convention == "single" else prime
-        target = chart.a_index(i, tuple(a - s for a, s in zip(alpha, slot)))
         second = tuple(e - p for e, p in zip(ell, prime))
-        pieces.setdefault(target, []).append(chart.monomial(_z_pairs(chart, second), weight))
-    return VectorField(chart, {target: chart._zero.add_all(polys) for target, polys in pieces.items()})
+        profile = chart.monomial(_z_pairs(chart, second), weight)
+        for pieces, slot in ((single, ell), (spread, prime)):
+            pieces.setdefault(chart.a_index(i, tuple(a - s for a, s in zip(alpha, slot))), []).append(profile)
+    return tuple(VectorField(chart, {t: chart._zero.add_all(ps) for t, ps in f.items()}) for f in (single, spread))
 
 
 def velocity_field(chart: UniversalChart, matrix: Sequence[Sequence[int]]) -> VectorField:
@@ -360,7 +354,7 @@ def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> lis
 
     "tj": the coordinate fields 1..N, which draw nothing; "solved": one field
     per block, its free slots drawn from -5..5; "talpha": per block, one
-    random slot shift in both conventions; "tlambda": one velocity field.
+    random slot shift in both readings; "tlambda": one velocity field.
     """
     if family == "tj":
         return [coordinate_field(chart, j) for j in range(1, chart.N + 1)]
@@ -376,7 +370,7 @@ def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> lis
             ell = [0] * chart.N
             for _ in range(rng.randint(0, min(chart.N, sum(alpha)))):
                 ell[rng.choice([t for t in range(chart.N) if ell[t] < alpha[t]])] += 1
-            fields += [coefficient_shift_field(chart, i, alpha, ell, convention) for convention in ("single", "spread")]
+            fields += coefficient_shift_field(chart, i, alpha, ell)
         return fields
     if family == "tlambda":
         # a diagonal of 4..10 need not dominate off-diagonal rows of up to 3(N-1),
@@ -389,11 +383,11 @@ def family_fields(chart: UniversalChart, family: str, rng: random.Random) -> lis
 
 
 class TangencyReport(NamedTuple):
-    """Exact residuals of the field against every defining equation at sampled
-    rational points of the universal locus.  ``identically_zero`` records
+    """Exact nonzero residuals (sample, equation e, value) of the field at sampled rational points of the
+    universal locus, e naming f_(e+1) for e < c and f'_(e-c+1) from c on.  ``identically_zero`` records
     whether every action of the field on the equations vanishes as a polynomial."""
 
-    nonzero_residuals: list[str]
+    nonzero_residuals: list[tuple]
     identically_zero: bool
 
 
@@ -412,18 +406,17 @@ def point_tangency_check(field_: VectorField, samples: int = 100, seed: int = 0)
     if samples < 1:
         raise ValueError("need at least one sample")
     eqs, deqs = chart.equations
-    labels = [f"T(f{i + 1})" for i in range(chart.c)] + [f"T(f'{i + 1})" for i in range(chart.c)]
     actions = (lie_derivative(field_, g) for g in eqs + deqs)
-    live = [(label, action) for label, action in zip(labels, actions) if not action.is_zero()]
-    nonzero: list[str] = []
+    live = [(e, action) for e, action in enumerate(actions) if not action.is_zero()]
+    nonzero: list[tuple] = []
     if live:
         rng = random.Random(seed)
         for s in range(samples):
             point = _sample_locus_point(chart, rng, eqs, deqs)
-            for label, action in live:
+            for e, action in live:
                 value = action.eval(point)
                 if value != 0:
-                    nonzero.append(f"sample {s}: {label} = {value}")
+                    nonzero.append((s, e, value))
     return TangencyReport(nonzero, not live)
 
 

@@ -223,12 +223,19 @@ class TestBound:
 
         assert Fraction(blob["gamma"]) >= 34
 
-    def test_scan_exhaustion_reports_none(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan", "--d-max", "20"],
-        )
-        assert code == 0 and "threshold = none" in out
+    def test_every_method_gives_a_threshold(self, capsys):
+        # the scan stops at certified_from, where the diagonal is positive, so no
+        # method that accepts a frame leaves gamma or gamma_ceil null
+        for n in range(1, 7):
+            for c in range(n, 7):
+                for a in range(6):
+                    for method in ["rough", "scan"] + ["dim2"] * (n == 2):
+                        argv = ["bound", "--N", str(n + c), "--n", str(n), "--a", str(a), "--method", method]
+                        code, out, _ = run(capsys, [*argv, "--format", "json"])
+                        blob = json.loads(out)
+                        assert code == 0 and isinstance(blob["gamma"], str), argv
+                        assert isinstance(blob["gamma_ceil"], int), argv
+                        assert method != "scan" or 1 <= blob["gamma_ceil"] <= blob["certified_from"], argv
 
     def test_scan_at_a_huge_twist_finishes(self):
         # the first positive degree lies above 6 * 10^11: no scan that visits
@@ -502,8 +509,6 @@ class TestRejectedInput:
             ["bound", "--N", "4", "--n", "2", "--a", "-1"],
             ["jet", "--N", "5", "--n", "2", "--a", "0", "--degrees", "0,0,0"],
             ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,-1"],
-            ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "rough", "--d-max", "5"],
-            ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "dim2", "--d-max", "40"],
             ["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", ""],
             ["selftest", "--criteria", ""],
             # argparse's own errors: no usage block in front of the error line
@@ -518,8 +523,6 @@ class TestRejectedInput:
             "bound-negative-twist",
             "jet-degree-0",
             "jet-negative-degree",
-            "bound-rough-d-max",
-            "bound-dim2-d-max",
             "jet-empty-degrees",
             "selftest-empty-criteria",
             "parser-missing-n",
@@ -542,10 +545,8 @@ class TestRejectedInput:
                 ["vecfields", "verify", "--N", "2", "--degrees", "2,x", "--family", "tj"],
                 "error: --degrees must be a comma-separated integer list",
             ),
-            (
-                ["bound", "--N", "4", "--n", "2", "--a", "4", "--method", "scan", "--d-max", "0"],
-                "error: --d-max must be >= 1",
-            ),
+            # the scan stops where the shift test certifies, so it takes no ceiling
+            (["bound", "--N", "4", "--n", "2", "--a", "4", "--d-max", "5"], "error: unrecognized arguments: --d-max 5"),
             (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "3,3,3"], "error: need 2 degrees, got 3"),
             (["jet", "--N", "4", "--n", "2", "--a", "0", "--degrees", "0,3"], "error: degrees must be >= 1, got [0, 3]"),
             # one missing option per shared group of options: --N and --n, then --a
@@ -557,7 +558,7 @@ class TestRejectedInput:
             "selftest-unknown",
             "selftest-partly-unknown",
             "vecfields-bad-degrees",
-            "bound-scan-d-max-0",
+            "bound-d-max",
             "jet-degree-count",
             "jet-degree-0",
             "segre-missing-n",

@@ -9,9 +9,9 @@ from cipos import chow
 from cipos.chow import ModelParams
 from cipos.jets import JetClass, morse_certificate, nef_sum, reduce_to_base, segre_recursion_coeff
 from cipos.bounds import first_positive_uniform_degree, surface_degree_bound
-from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary
+from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, shift_rows
 
-from oracle import morse_on_grid, taylor_shift
+from oracle import morse_on_grid, shift_from_values, taylor_shift
 from test_chow import product_route
 from tower_reference import (
     base_segre_symbol,
@@ -417,6 +417,28 @@ class TestMorseCertificate:
                 p = ModelParams(N, n)
                 for a in (0, 1, N):
                     assert morse_certificate(p, a).difference == morse_in_d(N, n, a)
+
+    @pytest.mark.parametrize("N,n,a", [(40, 5, 0), (6, 3, 2), (12, 6, 3)])
+    def test_shift_rows_match_the_pushed_down_values(self, checks, N, n, a):
+        # a second route at kappa = 1 that imports no cipos and multiplies
+        # nothing in d: with top = 2n - 1 the difference is (u + 2h)^top -
+        # top (2 + a) h (u + 2h)^(top - 1), pushed down by pi_*(u^p) =
+        # s_(p - (n - 1)) onto the Segre values of the product formula; its
+        # rows at r are read from its values on the partitions of weight <= n
+        c, top = N - n, 2 * n - 1
+
+        def difference(d):
+            s = checks.segre_values(N, n, 0, d)
+            integral = sum(math.comb(top, i) * 2**i * s[n - i] for i in range(n + 1))
+            h_integral = sum(math.comb(top - 1, i) * 2**i * s[n - 1 - i] for i in range(n))
+            return integral - top * (2 + a) * h_integral
+
+        cert = morse_certificate(ModelParams(N, n), a)
+        assert (ModelParams(N, n).kappa, cert.m) == (1, 2)
+        rows = shift_rows(cert.elementary)
+        for r in (0, 1, 7, 30):
+            at_r = {tuple(filter(None, mu)): sum(g * r**k for k, g in enumerate(row)) for mu, row in rows.items()}
+            assert {mu: v for mu, v in at_r.items() if v} == shift_from_values(difference, r, c, n), r
 
     def test_second_order_frozen_value(self):
         # hand-computed through both pushforward levels for a surface in P^3:

@@ -12,8 +12,11 @@ from cipos.polyring import (
     NEG_INFINITY,
     ElementaryClass,
     MultidegreePoly,
+    _m_row,
     _SparseTerms,
+    _zero_one,
     m_coefficients,
+    partitions_of,
     recombine_elementary,
     series_inverse,
     shift_rows,
@@ -266,6 +269,14 @@ class TestReaders:
 
     def test_an_index_beyond_c_gives_nothing(self):
         assert m_coefficients(ElementaryClass(2, [((3, 1), 5), ((1, 1, 1), 2)])) == {(3,): 2, (2, 1): 6}
+
+    def test_a_single_index_reads_as_the_count(self):
+        # the one-row branch of _m_row counts nothing; on its domain, one part
+        # j <= c or none, it gives the row the 0-1 count gives
+        for c in range(1, 9):
+            for rows in [(), *((j,) for j in range(1, c + 1))]:
+                count = tuple((lam, n) for lam in partitions_of(sum(rows)) if (n := _zero_one(rows, lam)))
+                assert _m_row(rows, c) == count, (rows, c)
 
     def test_constants(self):
         assert m_coefficients(ElementaryClass(3, [((), 2), (0, 3), ((0, 0), -1)])) == {(): 4}

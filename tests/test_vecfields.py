@@ -352,14 +352,16 @@ class TestCoordinateFamily:
 class TestShiftFamily:
     def test_zero_profile_is_plain_direction(self):
         chart = UniversalChart(2, [3])
-        field = coefficient_shift_field(chart, 1, (2, 1), (0, 0))
+        # with ell = 0 the two readings are one field
+        single, spread = coefficient_shift_field(chart, 1, (2, 1), (0, 0))
         target = chart.a_index(1, (2, 1))
-        assert list(field.coefficients) == [target]
-        assert field.coefficients[target] == chart.monomial({})
+        for field in (single, spread):
+            assert list(field.coefficients) == [target]
+            assert field.coefficients[target] == chart.monomial({})
 
     def test_single_convention_profile(self):
         chart = UniversalChart(2, [3])
-        field = coefficient_shift_field(chart, 1, (2, 1), (1, 1), convention="single")
+        field, _ = coefficient_shift_field(chart, 1, (2, 1), (1, 1))
         target = chart.a_index(1, (1, 0))
         z1 = chart.var(chart.z_index(1))
         z2 = chart.var(chart.z_index(2))
@@ -367,7 +369,7 @@ class TestShiftFamily:
 
     def test_spread_convention(self):
         chart = UniversalChart(2, [3])
-        field = coefficient_shift_field(chart, 1, (2, 1), (1, 0), convention="spread")
+        _, field = coefficient_shift_field(chart, 1, (2, 1), (1, 0))
         assert set(field.coefficients) == {
             chart.a_index(1, (1, 1)),
             chart.a_index(1, (2, 1)),
@@ -520,3 +522,23 @@ class TestPointChecks:
         broken[victim] = broken[victim] * -1
         report = point_tangency_check(VectorField(chart, broken), samples=10, seed=4)
         assert report.nonzero_residuals and not report.identically_zero
+
+    def test_residuals_are_data_that_the_cli_names(self):
+        # a residual is (sample, equation, value), equation e naming f_(e+1)
+        # for e < c and f'_(e-c+1) from c on; only cipos.cli writes the line
+        chart = UniversalChart(3, [2, 2])
+        broken = dict(coordinate_field(chart, 1).coefficients)
+        broken[chart.a_index(2, (0, 0, 0))] *= -1
+        report = point_tangency_check(VectorField(chart, broken), samples=10, seed=4)
+        # the flipped slot a^2_0 is in f2 alone, and f'2 holds no constant slot
+        assert [(sample, equation) for sample, equation, _ in report.nonzero_residuals] == [(s, 1) for s in range(10)]
+        assert all(value != 0 for _, _, value in report.nonzero_residuals)
+        assert cli.residual_line(2, 4, 3, 1, -7) == "field 4: sample 3: T(f2) = -7"
+        assert cli.residual_line(2, 0, 0, 2, Fraction(1, 2)) == "field 0: sample 0: T(f'1) = 1/2"
+
+    def test_criterion_9_names_residuals_as_the_cli_does(self, monkeypatch):
+        # off the locus f1 * d/dz1 leaves residuals, and the failure names them
+        monkeypatch.setattr(vecfields, "_sample_locus_point", lambda chart, rng, eqs, deqs: [1] * chart.num_vars)
+        result = selftest.run_criterion(9)
+        assert not result.passed
+        assert "on the locus: ['field 0: sample 0: T(f1) = " in result.detail

@@ -10,7 +10,7 @@ is reproducible bit for bit.
 
 The ring core is one base class, ``_SparseTerms``, shared by ``MultidegreePoly``,
 ``ElementaryClass``, ``JetClass`` and ``vecfields.ChartPoly``: each element holds a
-``ring`` descriptor that operands must share (``num_vars``, or c for
+``ring`` descriptor that operands must share (c for ``MultidegreePoly`` and
 ``ElementaryClass``, the chart itself for ``ChartPoly``, ``(params, level)`` for
 ``JetClass``) and a dict from a monomial key to a nonzero int, and the core writes
 the ring operations once for all of them.  Key layouts: ``(d1, ..., dc)`` for
@@ -29,7 +29,8 @@ shift rule e_k(d + r) = sum_i C(c-i, k-i) r^(k-i) e_i(d).  From them, multiplyin
 nothing in d, come a class's m_lam coefficients (:func:`m_coefficients`), the class
 at an integer shift (:func:`shifted`; a Segre twist t is the shift by -t) and its rows
 at d = r + t for every threshold (:func:`shift_rows`); :func:`terms_in_d` writes m_lam
-coefficients in d, the one writer of ``MultidegreePoly``, an output and test type.
+coefficients in d.  ``MultidegreePoly`` is the type :func:`recombine_elementary` writes a
+class in d as, which ``perfbench`` reads and the tests use; no command computes with it.
 
 A total Chern or Segre class given as a plain list of its coefficients is
 inverted by :func:`series_inverse`; the package multiplies no such lists.
@@ -190,82 +191,22 @@ class _SparseTerms:
                 return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        unit = self._unit_key()
-        if self.terms.keys() <= {unit}:  # a constant equals its int, so hashes as it
-            return hash(self.terms.get(unit, 0))
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 
 
 class MultidegreePoly(_SparseTerms):
-    """Sparse integer polynomial in ``num_vars`` variables.
-
-    ``terms`` maps exponent tuples to nonzero integer coefficients.  Instances
-    are immutable; arithmetic returns new canonical-form polynomials.  Plain
-    ints mix freely with polynomials in ``+``, ``-`` and ``*``.
-    """
+    """Sparse integer polynomial in ``ring`` variables, ``terms`` mapping exponent tuples to nonzero ints."""
 
     __slots__ = ()
-    num_vars = _SparseTerms.ring  # the ring is the number of variables
 
-    def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if num_vars < 1:
-            raise ValueError("num_vars must be a positive integer")
-        super().__init__(num_vars, terms)
-
-    # -- basic queries -----------------------------------------------------
-
-    def total_degree(self):
-        """Total degree, or the -infinity sentinel for the zero polynomial."""
-        if not self.terms:
-            return NEG_INFINITY
-        return max(sum(e) for e in self.terms)
-
-    def dominant_part(self):
-        """Sum of the terms of maximal total degree; 0 for the zero polynomial."""
-        top = max(map(sum, self.terms), default=None)
-        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == top})
+    def _unit_key(self) -> tuple[int, ...]:
+        return (0,) * self.ring
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # graded-lex, descending: higher total degree first, then lexicographic;
         # keys are distinct, so reversing the ascending order gives no ties
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
-
-    # -- ring kernel -------------------------------------------------------
-
-    def _unit_key(self) -> tuple[int, ...]:
-        return (0,) * self.num_vars
-
-    # bound in the class body, where tools that wrap a class's own operators find them
-    __add__ = _SparseTerms.__add__
-    __mul__ = _SparseTerms.__mul__
-
-    # -- evaluation ----------------------------------------------------------
-
-    def eval(self, point: Sequence):
-        """Exact evaluation: ints stay ints, Fractions stay Fractions."""
-        if len(point) != self.num_vars:
-            raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
-        total = 0
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
-
-    # -- rendering ----------------------------------------------------------
-
-    def text(self) -> str:
-        """Canonical rendering, terms in graded-lex order, e.g. ``d1^2*d2 - 5*d1 + 3``."""
-        return terms_text(self.sorted_terms())
-
-    def __repr__(self):
-        return f"MultidegreePoly({self.num_vars}, {self.text()!r})"
 
     def to_json(self) -> list[dict]:
         """The terms in graded-lex order as ``{"coeff": str, "exps": list}`` dicts
@@ -314,9 +255,15 @@ class ElementaryClass(_SparseTerms):
     # bound in the class body, where tools that wrap a class's own operators find them
     __add__ = _SparseTerms.__add__
     __mul__ = _SparseTerms.__mul__
-    # sum(lam) is the degree of e_lam as of d^lam
-    total_degree = MultidegreePoly.total_degree
-    dominant_part = MultidegreePoly.dominant_part
+
+    def total_degree(self):
+        """Total degree in d, max sum(lam) over the terms: the -infinity sentinel for the zero class."""
+        return max(map(sum, self.terms), default=NEG_INFINITY)
+
+    def dominant_part(self):
+        """Sum of the terms of maximal degree in d; 0 for the zero class."""
+        top = self.total_degree()
+        return self._wrap({lam: a for lam, a in self.terms.items() if sum(lam) == top})
 
     def eval(self, point: Sequence):
         """Exact value sum_lam a_lam prod_k e_{lam_k}(point), from e_0..e_c at the point."""

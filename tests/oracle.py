@@ -3,12 +3,13 @@
 test, and the benchmark can import this module too.  A polynomial in the
 degrees is a dict {exponent tuple: int}: a ``MultidegreePoly``'s ``terms``, or
 the ``Poly`` of ``perfbench/checks.py``.  It holds products of elementary
-symmetric polynomials multiplied out over their 0-1 subsets, the Taylor
-shift, the derivative-cascade threshold, the dicts the JSON reports must
-render, the Segre classes by the product formula as truncated series products
-over whatever ring elements the caller passes in, the Morse integrals of the
-jet tower by a recursion that takes no power of a class, and the shift of a
-symmetric function in the m basis, read from its values at integer points.
+symmetric polynomials multiplied out over their 0-1 subsets, a polynomial's
+value, degree and dominant part, the Taylor shift, the derivative-cascade
+threshold, the dicts the JSON reports must render, the Segre classes by the
+product formula as truncated series products over whatever ring elements the
+caller passes in, the Morse integrals of the jet tower by a recursion that
+takes no power of a class, and the shift of a symmetric function in the m
+basis, read from its values at integer points.
 """
 
 import itertools
@@ -62,6 +63,24 @@ def shift_at(terms: dict, r: int) -> dict:
     """p(r + t_1, ..., r + t_c) as a polynomial in t, zero terms dropped."""
     shifted = {j: sum(x * r**k for k, x in enumerate(g)) for j, g in taylor_shift(terms).items()}
     return {j: v for j, v in shifted.items() if v}
+
+
+def value_at(terms: dict, point):
+    """p at a point with one coordinate per variable: ints stay ints, Fractions stay Fractions."""
+    if any(len(exps) != len(point) for exps in terms):
+        raise ValueError(f"point has length {len(point)}, not the number of variables")
+    return sum((math.prod((x**e for x, e in zip(point, exps) if e), start=a) for exps, a in terms.items()), 0)
+
+
+def total_degree(terms: dict) -> float:
+    """The largest total degree of a term of p, -infinity for the zero polynomial."""
+    return max(map(sum, terms), default=-math.inf)
+
+
+def dominant_part(terms: dict) -> dict:
+    """The terms of p of the largest total degree."""
+    top = total_degree(terms)
+    return {exps: a for exps, a in terms.items() if sum(exps) == top}
 
 
 def monic_root_bound(coeffs) -> Fraction:
@@ -153,7 +172,7 @@ def segre_product(N: int, n: int, twist: int, one, variables) -> list:
     the product formula: the h-series of (1 + (1-t)h)^-(N+1) (1 - th)
     prod_i (1 + (d_i - t)h), the power as N + 1 products with the geometric
     series.  ``one`` is the ring's unit and ``variables`` the degrees d_i in
-    it, e.g. ``MultidegreePoly.one(c)`` and its variables, or 1 and a point."""
+    it, e.g. a d-polynomial 1 and its variables, or 1 and a point."""
     geometric = [one * (twist - 1) ** k for k in range(n + 1)]
     total = [one]
     for _ in range(N + 1):

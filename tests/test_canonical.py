@@ -38,7 +38,7 @@ def random_jet(rng, params, level, max_terms=6):
 
 def assert_canonical_poly(p):
     assert isinstance(p, MultidegreePoly)
-    assert MultidegreePoly(p.num_vars, p.terms).terms == p.terms
+    assert MultidegreePoly(p.ring, p.terms).terms == p.terms
     assert all(p.terms.values())
 
 
@@ -81,8 +81,9 @@ def test_poly_results_canonical():
         k = rng.randint(-3, 3)
         results = [p + q, p - q, p * q, p - p, p + (-p), p * (q - q), p + k, k - p, p * k, -p]
         results += [p ** rng.randint(0, 3), (p + q) * (p - q) - (p * p - q * q)]
-        results += [p.dominant_part(), p.add_all([q, -p, k])]
-        results.append(recombine_elementary(ElementaryClass(c, [(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)])))
+        results.append(p.add_all([q, -p, k]))
+        x = ElementaryClass(c, [(rng.randint(0, c), rng.randint(-2, 2)) for _ in range(3)])
+        results += [recombine_elementary(x), recombine_elementary(x.dominant_part())]
         for result in results:
             assert_canonical_poly(result)
         # the Taylor shift table: valid t-keys, no zero row, no trailing zero
@@ -168,18 +169,3 @@ def test_mismatched_operands_rejected():
             with pytest.raises(ValueError, match="different rings"):
                 mix()
         assert x != y
-
-
-def test_constants_hash_as_their_ints():
-    # a constant element equals its int, so sets and dicts must not tell them apart
-    chart = UniversalChart(3, [2])
-    params = ModelParams(4, 2)
-    constants = [
-        (elementary(2, 0), MultidegreePoly(2)),
-        (chart.monomial({}), ChartPoly(chart)),
-        (JetClass(params, 1) + 1, JetClass(params, 1)),
-    ]
-    for one, zero in constants:
-        for value, x in [(1, one), (0, zero), (-5, one * -5)]:
-            assert x == value and hash(x) == hash(value)
-            assert len({value, x}) == 1

@@ -8,7 +8,7 @@ from cipos import cli
 from cipos.chow import ModelParams, integrate, segre_elementary
 from cipos.polyring import ElementaryClass, MultidegreePoly, recombine_elementary, series_inverse
 
-from oracle import segre_product, series_product, terms_json
+from oracle import dominant_part, segre_product, series_product, terms_json, total_degree, value_at
 from tower_reference import elementary, segre_in_d, variable
 
 
@@ -138,15 +138,15 @@ class TestSegre:
                 for m in (-2, 0, 1, 3):
                     seg = segre_in_d(p, m)
                     for ell in range(1, min(c, p.n) + 1):
-                        dom = seg[ell].dominant_part()
-                        assert dom == elementary(c, ell), (N, c, m, ell)
+                        dom = dominant_part(seg[ell].terms)
+                        assert dom == elementary(c, ell).terms, (N, c, m, ell)
 
     def test_degree_profile(self):
         # degree of the graded coefficient is ell below c and caps at c above
         p = ModelParams(7, 5)
         seg = segre_in_d(p, 0)
         for ell in range(1, p.n + 1):
-            assert seg[ell].total_degree() == min(ell, p.c)
+            assert total_degree(seg[ell].terms) == min(ell, p.c)
 
 
 def twisted(base, rank, line):
@@ -229,7 +229,7 @@ class TestDegreeLemmas:
         assert ell + sum(indices) == p.n
         seg = segre_elementary(p, 0)
         product = math.prod((seg[i] for i in indices), start=ElementaryClass(p.c, enumerate([1])))
-        return recombine_elementary(integrate(product))
+        return integrate(product)
 
     def test_positive_h_power_drops_degree(self):
         rng = random.Random(99)
@@ -272,7 +272,7 @@ def test_wide_frames_match_the_product_values(checks, N, n, twist, points):
     rng = random.Random(N * 100 + n)
     for _ in range(points):
         point = [rng.randint(-(10**6), 10**6) for _ in range(N - n)]
-        assert [s.eval(point) for s in seg] == checks.segre_values(N, n, twist, point), (N, n, twist, point)
+        assert [value_at(s.terms, point) for s in seg] == checks.segre_values(N, n, twist, point), (N, n, twist, point)
 
 
 def test_segre_table_json_roundtrip(capsys):

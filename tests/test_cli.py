@@ -15,9 +15,9 @@ from cipos import bounds, cli, jets, polyring, schur, vecfields
 from cipos.bounds import morse_coeff, rough_degree_bound, surface_degree_bound
 from cipos.chow import ModelParams
 from cipos.jets import morse_certificate
-from cipos.polyring import MultidegreePoly
+from cipos.polyring import MultidegreePoly, terms_text
 
-from oracle import m_in_d, report_json, shift_at, shift_from_values, terms_json
+from oracle import m_in_d, report_json, shift_at, shift_from_values, terms_json, value_at
 from tower_reference import morse_in_d, segre_in_d
 
 
@@ -48,7 +48,7 @@ def whole_text(report) -> str:
     lines = [f"Numerical positivity, N={p.N} n={p.n} c={p.c} a={report.a}"]
     lines.append(f"{'partition':<12} {'threshold':>10}  dominant part")
     for record in report.records:
-        dominant = MultidegreePoly(p.c, m_in_d(record.dominant, p.c)).text()
+        dominant = terms_text(MultidegreePoly(p.c, m_in_d(record.dominant, p.c)).sorted_terms())
         lines.append(f"{str(tuple(record.partition)):<12} {str(record.threshold):>10}  {dominant}")
     lines.append(f"sufficient uniform degree D = {report.threshold}")
     return "\n".join(lines) + "\n"
@@ -58,7 +58,7 @@ def shift_holds(p, r):
     """Whether p(d_1 + r, ..., d_c + r), read from the oracle's Taylor shift,
     has no negative coefficient and a positive constant term."""
     shifted = shift_at(p.terms, r)
-    return min(shifted.values()) >= 0 and shifted.get((0,) * p.num_vars, 0) > 0
+    return min(shifted.values()) >= 0 and shifted.get((0,) * p.ring, 0) > 0
 
 
 class TestSegre:
@@ -294,7 +294,7 @@ class TestBound:
                         r = int(claim.group(1))
                         points = [(r,) * c] + [tuple(rng.randint(r, r + 40) for _ in range(c)) for _ in range(8)]
                         for point in points:
-                            assert difference.eval(point) > 0, (N, n, a, method, point)
+                            assert value_at(difference.terms, point) > 0, (N, n, a, method, point)
                         claims += 1
         assert claims > 150
 
@@ -338,7 +338,7 @@ class TestBound:
                     code, out, _ = run(capsys, argv + ["--format", "json"])
                     gamma = json.loads(out)["gamma"]
                     analytic = surface_degree_bound(N, a) if n == 2 and N >= 4 else rough_degree_bound(N, n, a)
-                    engine = morse_certificate(ModelParams(N, n), a).difference
+                    engine = morse_certificate(ModelParams(N, n), a).elementary
                     ceiling = math.ceil(analytic) + 1
                     expected = next((r for r in range(1, ceiling + 1) if engine.eval((r,) * c) > 0), None)
                     assert code == 0 and gamma == str(expected), (N, n, a)
@@ -412,7 +412,7 @@ class TestJet:
     def test_json_is_the_whole_document(self, capsys, N, n, a, degrees):
         params = ModelParams(N, n)
         difference = morse_certificate(params, a).difference
-        value = None if degrees is None else difference.eval(degrees)
+        value = None if degrees is None else value_at(difference.terms, degrees)
         reference = {
             "N": N,
             "n": n,
@@ -770,7 +770,7 @@ def test_reports_build_no_class_in_d(capsys, monkeypatch, argv, golden, fmt):
         expected = json.dumps(json_reference(argv), indent=2) + "\n"
     else:
         seg = segre_in_d(ModelParams(12, 4), 0)
-        lines = [f"  s_{j} = ({s.text()}) * h^{j}" for j, s in enumerate(seg)]
+        lines = [f"  s_{j} = ({terms_text(s.sorted_terms())}) * h^{j}" for j, s in enumerate(seg)]
         expected = "\n".join(["Segre classes, N=12 n=4 c=8 twist=0", *lines]) + "\n"
 
     def refuse(*args, **kwargs):

@@ -177,19 +177,25 @@ def test_benchmark_checker_selftest():
 def test_benchmark_hooks_into_the_package(tmp_path):
     # perfbench/tracer.py wraps the package by name (it reads
     # polyring.MultidegreePoly and jets.JetClass), and perfbench/make_reference.py
-    # writes MorseCertificate.difference.to_json(): a renamed hook fails here
+    # writes MorseCertificate.difference.to_json(): a renamed hook fails here,
+    # on a jet, a positivity and a vecfields golden and on every reference frame
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     trace = tmp_path / "t.json"
     calls = {}
-    for name in ("jet_N4_n2_a4", "positivity_N8_n4_a2"):
+    for name in ("jet_N4_n2_a4", "positivity_N8_n4_a2", "vecfields_solved_seed7"):
         argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), "--trace", str(trace), *argv_for(name, "json")]
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden_path(name, "json").read_text(encoding="utf-8")
         calls[name] = json.loads(trace.read_text(encoding="utf-8"))["calls"]
     assert calls["jet_N4_n2_a4"].get("jets.JetClass.__mul__", 0) > 0
+    vecfields = calls["vecfields_solved_seed7"]
+    assert vecfields.get("vecfields.lie_derivative", 0) > 0 and vecfields.get("vecfields.point_tangency_check", 0) > 0
     reference = json.loads((ROOT / "perfbench" / "reference" / "tower.json").read_text(encoding="utf-8"))
-    assert jets.morse_certificate(ModelParams(4, 3), 0).difference.to_json() == reference["4,3,0"]
+    assert "4,3,0" in reference
+    for frame, terms in reference.items():
+        N, n, a = map(int, frame.split(","))
+        assert jets.morse_certificate(ModelParams(N, n), a).difference.to_json() == terms, frame
 
 
 def test_stdlib_only_runtime():

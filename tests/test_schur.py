@@ -9,7 +9,7 @@ from cipos.chow import ModelParams
 from cipos.polyring import ElementaryClass, MultidegreePoly, _SparseTerms, recombine_elementary, series_inverse, shift_rows, terms_in_d
 from cipos.schur import conjugate, partitions_of, positivity_report, schur_det
 
-from oracle import cascade_threshold, elementary_product, m_in_d, taylor_shift
+from oracle import cascade_threshold, elementary_product, m_in_d, taylor_shift, value_at
 from test_chow import product_route
 from tower_reference import elementary, segre_in_d
 
@@ -164,8 +164,8 @@ class TestDominantDeterminant:
                     continue
                 p = ModelParams(N, n)
                 for a in (0, 2):
-                    seg = segre_in_d(p, -a)
-                    doms = [elementary(c, 0)] + [
+                    seg = chow.segre_elementary(p, -a)
+                    doms = [ElementaryClass(c, [(0, 1)])] + [
                         seg[i].dominant_part() for i in range(1, n + 1)
                     ]
                     for w in range(1, n + 1):
@@ -210,7 +210,7 @@ class TestPositivityReport:
                 poly = schur_det(record.conjugate, twisted)
                 base = math.ceil(record.threshold)
                 for point in itertools.product((base, base + 1, base + 5), repeat=p.c):
-                    assert poly.eval(point) > 0
+                    assert value_at(poly.terms, point) > 0
 
     def test_runs_without_the_product_route(self, monkeypatch):
         # the report reads the closed-form rows and never expands them in d
@@ -389,7 +389,7 @@ class TestThresholdIsTheShiftSearch:
         segre = segre_in_d(p, -a)
 
         def values(r):
-            at = [s.eval((r,) * p.c) for s in segre]
+            at = [value_at(s.terms, (r,) * p.c) for s in segre]
             return [schur_det(record.conjugate, at) for record in report.records]
 
         assert min(values(D)) > 0

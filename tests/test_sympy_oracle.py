@@ -32,7 +32,7 @@ def rows_in_r(items, c):
 
 def expanded_shift(p):
     """The r-coefficients of expand(p.subs(d_i -> d_i + r))."""
-    c = p.num_vars
+    c = p.ring
     d, r = sympy.symbols(f"d1:{c + 1}"), sympy.Symbol("r")
     expr = sympy.Add(*(coeff * sympy.Mul(*(x**e for x, e in zip(d, exps))) for exps, coeff in p.terms.items()))
     shifted = sympy.expand(expr.subs({x: x + r for x in d}, simultaneous=True))
@@ -42,7 +42,7 @@ def expanded_shift(p):
 def composed_shift(p):
     """The same substitution in sympy's sparse polynomial ring, fast enough for
     the determinants of weight 5 in five variables."""
-    c = p.num_vars
+    c = p.ring
     R, *gens = ring(",".join([f"d{i + 1}" for i in range(c)] + ["r"]), sympy.ZZ)
     lifted = R.from_dict({exps + (0,): coeff for exps, coeff in p.terms.items()})
     return rows_in_r(lifted.compose([(gens[i], gens[i] + gens[c]) for i in range(c)]).items(), c)

@@ -96,7 +96,7 @@ class TestChartPoly:
         chart = UniversalChart(2, [1])
         z1, z2 = chart.var(chart.z_index(1)), chart.var(chart.z_index(2))
         p = z1**3 * z2 + 2 * z2
-        before = hash(p)
+        before = dict(p.terms)
 
         def partial(index):
             return lie_derivative(VectorField(chart, {index: chart.monomial({})}), p)
@@ -104,7 +104,7 @@ class TestChartPoly:
         assert partial(chart.z_index(1)) == 3 * z1**2 * z2
         assert partial(chart.z_index(2)) == z1**3 + 2
         assert partial(chart.zp_index(1)).is_zero()
-        assert hash(p) == before and p == z1**3 * z2 + 2 * z2
+        assert p.terms == before and p == z1**3 * z2 + 2 * z2
         # an index outside the chart is refused when the field is built
         for index in (-1, chart.num_vars):
             with pytest.raises(ValueError, match=f"variable index {index} out of range"):
